@@ -22,12 +22,13 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use barre_serve::attempt::{run_attempt, Attempt};
+use barre_serve::attempt::{parse_child_metrics, run_attempt, Attempt};
+use barre_serve::signal::sleep_interruptible;
 use barre_system::journal::{
-    completed_index, fingerprint, metrics_digest, metrics_from_json, metrics_hist_digest,
-    read_journal, JournalError, JournalEvent, JournalRecord, JournalWriter, JOURNAL_FILE,
+    completed_index, fingerprint, metrics_digest, metrics_hist_digest, read_journal, JournalError,
+    JournalEvent, JournalRecord, JournalWriter, JOURNAL_FILE,
 };
 use barre_system::{LabeledJob, RunMetrics};
 
@@ -170,15 +171,6 @@ pub fn worker_identity() -> Option<String> {
         .filter(|s| !s.is_empty())
 }
 
-/// Sleeps `d` in small slices, returning early once a drain signal is
-/// seen.
-fn sleep_interruptible(d: Duration) {
-    let until = Instant::now() + d;
-    while Instant::now() < until && !INTERRUPTED.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
 enum JobOutcome {
     Done(Box<RunMetrics>),
     Failed(JobFailure),
@@ -237,14 +229,7 @@ fn supervise_job(
         })?;
         let a = run_attempt(program, &args, opts.timeout);
         if a.exit == "ok" {
-            let parsed = a
-                .stdout
-                .lines()
-                .rev()
-                .find(|l| !l.trim().is_empty())
-                .ok_or_else(|| "empty child output".to_string())
-                .and_then(metrics_from_json);
-            match parsed {
+            match parse_child_metrics(&a.stdout) {
                 Ok(metrics) => {
                     let metrics = Box::new(metrics);
                     writer.append(&JournalRecord {

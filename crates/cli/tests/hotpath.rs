@@ -11,7 +11,7 @@
 //! DESIGN.md / CHANGES.md.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use barre_bench::wallclock::{bench_apps, bench_modes};
 use barre_bench::SEED;
@@ -22,15 +22,26 @@ use barre_system::{metrics_digest, run_spec};
 /// integration-test binary (each Cargo integration test is its own
 /// crate), so the simulator crates stay free of process globals and the
 /// R001 parallel-readiness audit keeps its READY verdict.
+///
+/// The count is per thread: the harness runs tests in parallel, and a
+/// process-wide counter would also see the sibling tests' allocations.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initializer and no destructor: reaching it never
+    // allocates, so the allocator can bump it without recursing.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates verbatim to `System`; the counter is a relaxed
-// atomic with no further invariants.
+fn bump_allocs() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: delegates verbatim to `System`; the counter is a plain
+// thread-local cell with no further invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump_allocs();
         unsafe { System.alloc(layout) }
     }
 
@@ -39,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump_allocs();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,8 +58,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
 /// `(app, mode, metrics_digest, total_cycles, events_processed)` for

@@ -182,6 +182,15 @@ fn distributed_sweep_is_byte_identical_to_serial() {
         &[],
     );
     let addr = queue.addr();
+    // Liveness and readiness probes share the wire protocol's listener.
+    let (code, head, body) = http_get(&addr, "/healthz");
+    assert_eq!(
+        (code, body.as_str()),
+        (200, "{\"status\":\"ok\"}"),
+        "{head}"
+    );
+    let (code, head, body) = http_get(&addr, "/readyz");
+    assert_eq!((code, body.as_str()), (200, "{\"ready\":true}"), "{head}");
     let w1 = Daemon::spawn(&dir, &["worker", "--connect", &addr, "--name", "w1"], &[]);
     let w2 = Daemon::spawn(&dir, &["worker", "--connect", &addr, "--name", "w2"], &[]);
 
@@ -230,7 +239,12 @@ fn distributed_sweep_is_byte_identical_to_serial() {
     let w1 = w1.wait();
     assert_eq!(w1.status.code(), Some(143), "stderr: {}", text(&w1.stderr));
     assert!(text(&w1.stderr).contains("drained"), "{}", text(&w1.stderr));
-    let _ = w2.wait();
+    let w2 = w2.wait();
+    // Each accepted completion reads back as a completion, never as a
+    // heartbeat acknowledgement.
+    let werr = format!("{}{}", text(&w1.stderr), text(&w2.stderr));
+    assert!(!werr.contains("report_unexpected_reply"), "{werr}");
+    assert!(werr.contains("done (ok)"), "{werr}");
     queue.signal("-TERM");
     let q = queue.wait();
     assert_eq!(q.status.code(), Some(0), "stderr: {}", text(&q.stderr));

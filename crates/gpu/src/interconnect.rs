@@ -53,7 +53,12 @@ impl Mesh {
         if from == to {
             return now;
         }
-        self.ports[from.index()].send(now, bytes)
+        match self.ports.get_mut(from.index()) {
+            Some(port) => port.send(now, bytes),
+            // Every chiplet owns a port; a source outside the mesh has no
+            // queue to wait in, only the hop.
+            None => now.saturating_add(self.latency),
+        }
     }
 
     /// Outbound backlog of `from`'s port — the congestion signal used for

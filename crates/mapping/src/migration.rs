@@ -91,7 +91,9 @@ impl Acud {
             .counters
             .entry((asid, vpn))
             .or_insert_with(|| vec![0; self.n_chiplets]);
-        let c = &mut counts[accessor.index()];
+        // Every counter row has one slot per chiplet; an accessor outside
+        // the machine has nothing to count.
+        let c = counts.get_mut(accessor.index())?;
         *c += 1;
         (*c >= self.threshold).then_some(MigrationDecision {
             asid,

@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use barre_system::error::EXIT_PERMANENT;
+use barre_system::{metrics_from_json, RunMetrics};
 
 /// Exit code a child reports when invoked with unusable arguments —
 /// treated as permanent (retrying the same argv cannot help).
@@ -143,6 +144,18 @@ pub fn run_attempt_cancellable_env(
         stdout,
         stderr,
     }
+}
+
+/// Reads a successful child's metrics from its stdout: the last
+/// non-empty line, which `barre run --metrics-json` and supervised
+/// `--job-index` children print as canonical metrics JSON.
+pub fn parse_child_metrics(stdout: &str) -> Result<RunMetrics, String> {
+    stdout
+        .lines()
+        .rev()
+        .find(|l| !l.trim().is_empty())
+        .ok_or_else(|| "empty child output".to_string())
+        .and_then(metrics_from_json)
 }
 
 /// Capped exponential backoff before retry `attempt` (1-based): 100 ms

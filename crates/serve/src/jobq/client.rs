@@ -10,8 +10,7 @@
 //! crashes — connection errors just mean "try again with backoff".
 
 use std::path::Path;
-use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use barre_obs::log as olog;
 use barre_obs::{Field, FleetTracer};
@@ -19,7 +18,7 @@ use barre_system::{JournalEvent, JournalRecord, JournalWriter, RunMetrics};
 
 use super::state::JobSpec;
 use super::wire::{exchange, Reply, Request};
-use crate::signal::SHUTDOWN;
+use crate::signal::{shutting_down, sleep_interruptible};
 
 /// One dispatched job's terminal failure, mirroring the supervisor's
 /// `JobFailure` so the CLI reports both paths identically.
@@ -48,13 +47,6 @@ pub struct DispatchOutcome {
     pub interrupted: bool,
 }
 
-fn sleep_interruptible(d: Duration) {
-    let until = Instant::now() + d;
-    while Instant::now() < until && !SHUTDOWN.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
 /// Submits `jobs`, retrying until the coordinator acknowledges. Returns
 /// false when interrupted first.
 fn submit_all(addr: &str, jobs: &[JobSpec]) -> Result<bool, String> {
@@ -63,7 +55,7 @@ fn submit_all(addr: &str, jobs: &[JobSpec]) -> Result<bool, String> {
     };
     let mut reported = false;
     loop {
-        if SHUTDOWN.load(Ordering::SeqCst) {
+        if shutting_down() {
             return Ok(false);
         }
         match exchange(addr, &req) {
@@ -155,7 +147,7 @@ pub fn dispatch_sweep(
     };
     let mut last_done = usize::MAX;
     let terminal: Vec<JournalRecord> = loop {
-        if SHUTDOWN.load(Ordering::SeqCst) {
+        if shutting_down() {
             olog::warn(
                 "dispatch",
                 "interrupted",

@@ -1,17 +1,16 @@
 //! `barre queue`: the lease-based job-queue coordinator daemon.
 //!
-//! Structurally a sibling of `barre serve` — same nonblocking accept
-//! loop, thread-per-connection JSONL handling, HTTP health shim, and
-//! drain discipline — but instead of executing jobs it *owns* them:
-//! every state transition goes through [`QueueState`] under one lock
+//! The listener, connection threads, HTTP health shim, and drain
+//! discipline are the shared [`daemon`](crate::daemon) skeleton, the
+//! same one `barre serve` runs on; this module is the coordinator's
+//! [`Service`]. Instead of executing jobs it *owns* them: every state
+//! transition goes through [`QueueState`] under one lock
 //! and is appended to a write-ahead journal before the reply leaves the
 //! socket. A SIGKILLed coordinator restarts from that journal with no
 //! lost or duplicated work; terminal records stand, in-flight leases
 //! are re-queued, and burned lease budgets survive so a poison job
 //! cannot launder its history through a coordinator crash.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -24,8 +23,8 @@ use barre_system::{read_journal, JournalError, JournalRecord, JournalWriter, JOU
 
 use super::state::{IngestReply, LeaseReply, QueueState};
 use super::wire::{Reply, Request};
-use crate::http;
-use crate::signal::{install_drain_handlers, shutting_down};
+use crate::daemon::{self, Daemon, Service};
+use crate::signal::shutting_down;
 
 /// How the coordinator runs.
 #[derive(Debug, Clone)]
@@ -113,6 +112,23 @@ impl Shared {
         if let Some(t) = &self.tracer {
             t.event(event, corr, fields);
         }
+    }
+
+    /// True when the simulated network ate this heartbeat.
+    fn drop_heartbeat(&self) -> bool {
+        match &self.faults {
+            Some(m) => m
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .drop_message(),
+            None => false,
+        }
+    }
+}
+
+impl Service for Shared {
+    fn handle_line(&self, line: &str) -> Option<String> {
+        handle_request_line(self, line)
     }
 
     fn stats_body(&self) -> String {
@@ -214,17 +230,6 @@ impl Shared {
             shutting_down(),
         );
         p.render()
-    }
-
-    /// True when the simulated network ate this heartbeat.
-    fn drop_heartbeat(&self) -> bool {
-        match &self.faults {
-            Some(m) => m
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .drop_message(),
-            None => false,
-        }
     }
 }
 
@@ -491,99 +496,6 @@ fn handle_request_line(sh: &Shared, line: &str) -> Option<String> {
     Some(reply.to_line())
 }
 
-/// Serves the HTTP shim for one already-read request line (same contract
-/// as the serve daemon's).
-fn handle_http(sh: &Shared, first_line: &str, reader: &mut impl BufRead, out: &mut TcpStream) {
-    let mut line = String::new();
-    for _ in 0..128 {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line.trim().is_empty() => break,
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-    }
-    let (code, reason, content_type, body) = match http::parse_request_line(first_line) {
-        Some((method, path)) => http::route(
-            method,
-            path,
-            shutting_down(),
-            || sh.stats_body(),
-            || sh.metrics_body(),
-        ),
-        None => (
-            400,
-            "Bad Request",
-            http::CT_JSON,
-            "{\"error\":\"bad request\"}".to_string(),
-        ),
-    };
-    let _ = out.write_all(http::render_http(code, reason, content_type, &body).as_bytes());
-    let _ = out.flush();
-}
-
-/// One connection: JSONL request/response until EOF, or one HTTP
-/// exchange. Read timeouts keep the thread responsive to drain signals.
-fn handle_conn(sh: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut out = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    line.clear();
-                    continue;
-                }
-                if http::looks_like_http(trimmed) {
-                    let first = trimmed.to_string();
-                    handle_http(sh, &first, &mut reader, &mut out);
-                    return;
-                }
-                let resp = match handle_request_line(sh, trimmed) {
-                    Some(r) => r,
-                    // Simulated partition: vanish without a reply.
-                    None => return,
-                };
-                line.clear();
-                if out.write_all(resp.as_bytes()).is_err()
-                    || out.write_all(b"\n").is_err()
-                    || out.flush().is_err()
-                {
-                    return;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutting_down() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
 /// Atomically replaces the journal with the compacted record sequence
 /// (temp file + rename), then reopens an append writer on it.
 fn compact_journal(path: &Path, state: &QueueState) -> Result<JournalWriter, JournalError> {
@@ -598,34 +510,12 @@ fn compact_journal(path: &Path, state: &QueueState) -> Result<JournalWriter, Jou
     JournalWriter::open(path)
 }
 
-/// Binds, retrying briefly on address-in-use so a restarted coordinator
-/// can reclaim its old port while the kernel finishes tearing the old
-/// socket down.
-fn bind_with_retry(host: &str, port: u16) -> std::io::Result<TcpListener> {
-    let mut last = None;
-    for _ in 0..5 {
-        match TcpListener::bind((host, port)) {
-            Ok(l) => return Ok(l),
-            Err(e) if e.kind() == std::io::ErrorKind::AddrInUse && port != 0 => {
-                last = Some(e);
-                std::thread::sleep(Duration::from_millis(500));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last.unwrap_or_else(|| std::io::Error::other("bind failed")))
-}
-
 /// Runs the coordinator until a drain signal, then compacts the journal
 /// and exits. Returns the process exit code: 0 after a graceful drain,
 /// 1 on a startup or flush failure.
 pub fn run_queue(opts: &QueueOptions) -> i32 {
-    install_drain_handlers();
-    if let Some(path) = &opts.log_file {
-        if let Err(e) = olog::set_log_file(path) {
-            olog::error("queue", "log_file_failed", &[], &format!("error: {e}"));
-            return 1;
-        }
+    if !daemon::init("queue", opts.log_file.as_deref()) {
+        return 1;
     }
     let journal_path = journal_file_of(&opts.journal);
     if let Some(dir) = journal_path.parent() {
@@ -716,39 +606,9 @@ pub fn run_queue(opts: &QueueOptions) -> i32 {
         },
         Err(_) => None,
     };
-    let listener = match bind_with_retry(&opts.host, opts.port) {
-        Ok(l) => l,
-        Err(e) => {
-            olog::error(
-                "queue",
-                "bind_failed",
-                &[],
-                &format!("error: cannot bind {}:{}: {e}", opts.host, opts.port),
-            );
-            return 1;
-        }
-    };
-    let addr = match listener.local_addr() {
-        Ok(a) => a,
-        Err(e) => {
-            olog::error(
-                "queue",
-                "startup_failed",
-                &[],
-                &format!("error: cannot resolve bound address: {e}"),
-            );
-            return 1;
-        }
-    };
-    if listener.set_nonblocking(true).is_err() {
-        olog::error(
-            "queue",
-            "startup_failed",
-            &[],
-            "error: cannot set listener nonblocking",
-        );
+    let Some(daemon) = Daemon::bind("queue", &opts.host, opts.port) else {
         return 1;
-    }
+    };
     let sh = Arc::new(Shared {
         core: Mutex::new(Core { state, writer }),
         journal_path: journal_path.clone(),
@@ -818,40 +678,11 @@ pub fn run_queue(opts: &QueueOptions) -> i32 {
         }
     });
 
-    // Same startup handshake as the serve daemon: the actual bound
-    // address (which resolves `--port 0`), flushed before serving.
-    println!("listening on {addr}");
-    let _ = std::io::stdout().flush();
-
-    let mut conn_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutting_down() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let sh = Arc::clone(&sh);
-                conn_handles.push(std::thread::spawn(move || handle_conn(&sh, stream)));
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-        conn_handles.retain(|h| !h.is_finished());
-    }
+    let conn_handles = daemon.serve(&sh);
 
     // Graceful drain: connection threads notice the flag via their read
     // timeouts; then compact the journal so a restart replays a file
     // proportional to the job count, not the churn.
-    olog::info(
-        "queue",
-        "drain_begin",
-        &[],
-        "drain: signal received; finishing in-flight work",
-    );
     for h in conn_handles {
         let _ = h.join();
     }

@@ -349,7 +349,10 @@ impl Reply {
             Reply::HeartbeatOk => "{\"status\":\"ok\"}".to_string(),
             Reply::HeartbeatLost => "{\"status\":\"lost\"}".to_string(),
             Reply::Completed { verdict } => {
-                format!("{{\"status\":{}}}", json_escape(verdict))
+                format!(
+                    "{{\"status\":\"completed\",\"verdict\":{}}}",
+                    json_escape(verdict)
+                )
             }
             Reply::Failed {
                 requeued,
@@ -402,6 +405,9 @@ impl Reply {
             "draining" => Ok(Reply::Draining),
             "ok" => Ok(Reply::HeartbeatOk),
             "lost" => Ok(Reply::HeartbeatLost),
+            "completed" => Ok(Reply::Completed {
+                verdict: want_str(&v, "verdict")?,
+            }),
             "failed" => Ok(Reply::Failed {
                 requeued: want_bool(&v, "requeued")?,
                 quarantined: want_bool(&v, "quarantined")?,
@@ -430,10 +436,7 @@ impl Reply {
             "error" => Ok(Reply::Error {
                 error: want_str(&v, "error")?,
             }),
-            // ok/duplicate/conflict/requeued/unknown completion verdicts.
-            other => Ok(Reply::Completed {
-                verdict: other.to_string(),
-            }),
+            other => Err(format!("unknown status \"{other}\"")),
         }
     }
 }
@@ -554,6 +557,10 @@ mod tests {
         roundtrip_reply(Reply::Draining);
         roundtrip_reply(Reply::HeartbeatOk);
         roundtrip_reply(Reply::HeartbeatLost);
+        // An accepted completion must not read back as a heartbeat ack.
+        roundtrip_reply(Reply::Completed {
+            verdict: "ok".into(),
+        });
         roundtrip_reply(Reply::Completed {
             verdict: "duplicate".into(),
         });
@@ -589,6 +596,7 @@ mod tests {
         assert!(Request::from_line("{\"op\":\"noop\"}").is_err());
         assert!(Request::from_line("{\"op\":\"lease\"}").is_err());
         assert!(Reply::from_line("{\"no\":\"status\"}").is_err());
+        assert!(Reply::from_line("{\"status\":\"bogus\"}").is_err());
         assert!(Request::from_line(
             "{\"op\":\"complete\",\"worker\":\"w\",\"record\":\"garbage\"}"
         )

@@ -18,13 +18,12 @@ use std::time::{Duration, Instant};
 
 use barre_obs::log as olog;
 use barre_obs::{Field, FleetTracer, CORR_ENV};
-use barre_system::{
-    metrics_digest, metrics_from_json, metrics_hist_digest, JournalEvent, JournalRecord,
-};
+use barre_system::{metrics_digest, metrics_hist_digest, JournalEvent, JournalRecord};
 
 use super::wire::{exchange, Reply, Request};
-use crate::attempt::{backoff_delay, run_attempt_cancellable_env};
-use crate::signal::{drain_exit_code, install_drain_handlers, shutting_down};
+use crate::attempt::{backoff_delay, parse_child_metrics, run_attempt_cancellable_env};
+use crate::daemon;
+use crate::signal::{drain_exit_code, shutting_down, sleep_interruptible};
 
 /// How a worker runs.
 #[derive(Debug, Clone)]
@@ -52,14 +51,6 @@ impl Default for WorkerOptions {
             timeout: None,
             log_file: None,
         }
-    }
-}
-
-/// Sleeps `d` in small slices, returning early on a drain signal.
-fn sleep_interruptible(d: Duration) {
-    let until = Instant::now() + d;
-    while Instant::now() < until && !shutting_down() {
-        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -155,14 +146,7 @@ fn run_leased_job(
         return;
     }
     let report = if a.exit == "ok" {
-        let parsed = a
-            .stdout
-            .lines()
-            .rev()
-            .find(|l| !l.trim().is_empty())
-            .ok_or_else(|| "empty child output".to_string())
-            .and_then(metrics_from_json);
-        match parsed {
+        match parse_child_metrics(&a.stdout) {
             Ok(metrics) => {
                 let metrics = Box::new(metrics);
                 Request::Complete {
@@ -290,12 +274,8 @@ fn slot_loop(program: &Path, opts: &WorkerOptions, name: &str, tracer: Option<&F
 /// Runs the worker until a drain signal. Returns the process exit code
 /// (128 + signal after a drain, matching the supervisor's convention).
 pub fn run_worker(opts: &WorkerOptions) -> i32 {
-    install_drain_handlers();
-    if let Some(path) = &opts.log_file {
-        if let Err(e) = olog::set_log_file(path) {
-            olog::error("worker", "log_file_failed", &[], &format!("error: {e}"));
-            return 1;
-        }
+    if !daemon::init("worker", opts.log_file.as_deref()) {
+        return 1;
     }
     let program = match std::env::current_exe() {
         Ok(p) => p,

@@ -44,12 +44,18 @@
 //! The crate also hosts the serve-adjacent distributed dispatch stack
 //! ([`jobq`]): the `barre queue` lease-based job-queue coordinator, the
 //! `barre worker` executor, and the `barre sweep --dispatch` client —
-//! built on the same TCP/JSONL framing, HTTP shim, drain signals, and
+//! built on the same TCP/JSONL framing, drain signals, and
 //! crash-isolated attempt machinery as the daemon.
+//!
+//! Both daemons run on one skeleton, [`daemon`]: it owns bind, the
+//! `listening on <addr>` handshake, the accept loop, the per-connection
+//! JSONL loop, and the HTTP shim ([`http`]). [`server`] and
+//! [`jobq::coordinator`] each supply only a [`daemon::Service`].
 
 pub mod attempt;
 pub mod breaker;
 pub mod cache;
+pub mod daemon;
 pub mod http;
 pub mod jobq;
 pub mod queue;

@@ -1,30 +1,28 @@
-//! The daemon itself: accept loop, connection handlers, worker pool,
-//! and the graceful-drain sequence.
+//! The `barre serve` service: admission, the worker pool, and the
+//! graceful-drain sequence, run on the shared [`daemon`] skeleton.
 //!
-//! One thread per connection reads JSONL requests (or answers the HTTP
-//! health shim); validated requests pass through cache → breaker →
+//! The skeleton owns the listener and one thread per connection; each
+//! JSONL request line it hands over passes through cache → breaker →
 //! admission queue to a fixed pool of worker threads, each of which
 //! executes jobs in crash-isolated children (`barre run --metrics-json`)
 //! under the per-request deadline with supervisor-style retry
 //! classification. See the crate docs for the full request path.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::attempt::{backoff_delay, run_attempt};
+use crate::attempt::{backoff_delay, parse_child_metrics, run_attempt};
 use crate::breaker::CircuitBreaker;
 use crate::cache::ResultCache;
-use crate::http;
+use crate::daemon::{self, Daemon, Service};
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::{parse_request, render_ok, render_reject, render_shed, ValidRequest};
-use crate::signal::{install_drain_handlers, shutting_down};
+use crate::signal::shutting_down;
 use crate::stats::{bump, Gauges, ServeStats};
 use barre_obs::log as olog;
 use barre_obs::Field;
-use barre_system::{metrics_from_json, JournalEvent};
+use barre_system::JournalEvent;
 
 /// How the daemon runs: bind address, worker pool size, queue bound,
 /// cache location, default deadline, retry budget, breaker threshold.
@@ -76,7 +74,7 @@ struct Job {
     reply: mpsc::Sender<String>,
 }
 
-/// Everything the accept loop, connection threads, and workers share.
+/// Everything the connection threads and workers share.
 struct Shared {
     opts: ServeOptions,
     program: PathBuf,
@@ -88,8 +86,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn stats_body(&self) -> String {
-        self.stats.render(&Gauges {
+    /// Point-in-time state outside [`ServeStats`], sampled per render.
+    fn gauges(&self) -> Gauges {
+        Gauges {
             queue_depth: self.queue.depth(),
             queue_cap: self.queue.cap(),
             workers: self.workers,
@@ -97,7 +96,7 @@ impl Shared {
             cache_evictions: self.cache.evictions(),
             breaker_open: self.breaker.open_count(),
             draining: shutting_down(),
-        })
+        }
     }
 
     /// Deterministic-enough shed hint: queue residence estimate from the
@@ -108,18 +107,6 @@ impl Shared {
         ((depth / workers) + 1)
             .saturating_mul(self.stats.mean_service_ms())
             .min(60_000)
-    }
-
-    fn metrics_body(&self) -> String {
-        self.stats.render_prometheus(&Gauges {
-            queue_depth: self.queue.depth(),
-            queue_cap: self.queue.cap(),
-            workers: self.workers,
-            cache_entries: self.cache.len(),
-            cache_evictions: self.cache.evictions(),
-            breaker_open: self.breaker.open_count(),
-            draining: shutting_down(),
-        })
     }
 
     fn render_cached(&self, rec: &barre_system::JournalRecord, id: Option<&str>) -> String {
@@ -140,6 +127,27 @@ impl Shared {
             // Unreachable for cache records; answer something sane.
             _ => render_reject(id, "error", 500, "cache record shape"),
         }
+    }
+}
+
+impl Service for Shared {
+    /// Answers one request, recording its wall-clock latency (line
+    /// received → response ready) and streaming its trace summary.
+    fn handle_line(&self, line: &str) -> Option<String> {
+        let started = Instant::now();
+        let resp = handle_request_line(self, line);
+        let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
+        self.stats.record_latency_ms(ms);
+        log_request_summary(&resp, ms);
+        Some(resp)
+    }
+
+    fn stats_body(&self) -> String {
+        self.stats.render(&self.gauges())
+    }
+
+    fn metrics_body(&self) -> String {
+        self.stats.render_prometheus(&self.gauges())
     }
 }
 
@@ -179,69 +187,50 @@ fn execute_job(sh: &Shared, job: &Job) -> String {
             sh.breaker.record_failure(fp);
             return render_reject(id, "timeout", 504, "deadline exceeded");
         }
-        let remaining = deadline - now;
-        let a = run_attempt(&sh.program, &req.child_args, Some(remaining));
-        if a.exit == "ok" {
-            let parsed = a
-                .stdout
-                .lines()
-                .rev()
-                .find(|l| !l.trim().is_empty())
-                .ok_or_else(|| "empty child output".to_string())
-                .and_then(metrics_from_json);
-            match parsed {
+        let a = run_attempt(&sh.program, &req.child_args, Some(deadline - now));
+        // Every outcome that does not return here is a transient failure;
+        // `why` becomes the 500's detail once the retries run out.
+        let why = if a.exit == "ok" {
+            match parse_child_metrics(&a.stdout) {
                 Ok(metrics) => {
                     sh.breaker.record_success(fp);
                     bump(&sh.stats.ok_cold);
                     let rec = sh.cache.insert(fp, &req.label, metrics);
                     return sh.render_cached(&rec, id);
                 }
-                Err(why) => {
-                    // Zero exit, unreadable metrics: protocol failure,
-                    // retried like any transient fault.
-                    if attempt < max_attempts {
-                        bump(&sh.stats.retries);
-                        let now = Instant::now();
-                        if now < deadline {
-                            std::thread::sleep(backoff_delay(attempt).min(deadline - now));
-                        }
-                        attempt += 1;
-                        continue;
-                    }
-                    bump(&sh.stats.failed_transient);
-                    sh.breaker.record_failure(fp);
-                    return render_reject(id, "failed", 500, &format!("badoutput:{why}"));
-                }
+                // Zero exit, unreadable metrics: protocol failure,
+                // retried like any transient fault.
+                Err(why) => format!("badoutput:{why}"),
             }
-        }
-        if a.exit == "timeout" {
+        } else if a.exit == "timeout" {
             bump(&sh.stats.timeouts);
             sh.breaker.record_failure(fp);
             return render_reject(id, "timeout", 504, "deadline exceeded");
-        }
-        let detail = a
-            .stderr
-            .lines()
-            .find_map(|l| l.strip_prefix("error: "))
-            .unwrap_or(&a.exit)
-            .to_string();
-        if !a.transient {
-            bump(&sh.stats.failed_permanent);
-            sh.breaker.record_failure(fp);
-            return render_reject(id, "failed", 422, &format!("{} ({})", detail, a.exit));
-        }
-        if attempt < max_attempts {
-            bump(&sh.stats.retries);
-            let now = Instant::now();
-            if now < deadline {
-                std::thread::sleep(backoff_delay(attempt).min(deadline - now));
+        } else {
+            let detail = a
+                .stderr
+                .lines()
+                .find_map(|l| l.strip_prefix("error: "))
+                .unwrap_or(&a.exit);
+            let why = format!("{} ({})", detail, a.exit);
+            if !a.transient {
+                bump(&sh.stats.failed_permanent);
+                sh.breaker.record_failure(fp);
+                return render_reject(id, "failed", 422, &why);
             }
-            attempt += 1;
-            continue;
+            why
+        };
+        if attempt >= max_attempts {
+            bump(&sh.stats.failed_transient);
+            sh.breaker.record_failure(fp);
+            return render_reject(id, "failed", 500, &why);
         }
-        bump(&sh.stats.failed_transient);
-        sh.breaker.record_failure(fp);
-        return render_reject(id, "failed", 500, &format!("{} ({})", detail, a.exit));
+        bump(&sh.stats.retries);
+        let now = Instant::now();
+        if now < deadline {
+            std::thread::sleep(backoff_delay(attempt).min(deadline - now));
+        }
+        attempt += 1;
     }
 }
 
@@ -306,48 +295,6 @@ fn handle_request_line(sh: &Shared, line: &str) -> String {
         .unwrap_or_else(|_| render_reject(id, "error", 500, "worker pool unavailable"))
 }
 
-/// Serves the HTTP shim for one already-read request line, discarding
-/// headers, writing the response, and closing.
-fn handle_http(sh: &Shared, first_line: &str, reader: &mut impl BufRead, out: &mut TcpStream) {
-    // Drain headers until the blank line (bounded; clients are trusted
-    // probes, not adversaries, but don't loop forever).
-    let mut line = String::new();
-    for _ in 0..128 {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line.trim().is_empty() => break,
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-    }
-    let (code, reason, content_type, body) = match http::parse_request_line(first_line) {
-        Some((method, path)) => http::route(
-            method,
-            path,
-            shutting_down(),
-            || sh.stats_body(),
-            || sh.metrics_body(),
-        ),
-        None => (
-            400,
-            "Bad Request",
-            http::CT_JSON,
-            "{\"error\":\"bad request\"}".to_string(),
-        ),
-    };
-    let _ = out.write_all(http::render_http(code, reason, content_type, &body).as_bytes());
-    let _ = out.flush();
-}
-
 /// Streams one completed request's trace summary as a debug-level
 /// structured log event — the fields a fleet dashboard tails: status,
 /// fingerprint, and wall-clock latency. The response line is already
@@ -380,72 +327,12 @@ fn log_request_summary(resp: &str, ms: u64) {
     );
 }
 
-/// One connection: JSONL request/response until EOF (or an HTTP exchange,
-/// which closes after one response). Read timeouts keep the thread
-/// responsive to drain signals.
-fn handle_conn(sh: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let mut out = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    line.clear();
-                    continue;
-                }
-                if http::looks_like_http(trimmed) {
-                    let first = trimmed.to_string();
-                    handle_http(sh, &first, &mut reader, &mut out);
-                    return;
-                }
-                let started = Instant::now();
-                let resp = handle_request_line(sh, trimmed);
-                line.clear();
-                let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-                sh.stats.record_latency_ms(ms);
-                log_request_summary(&resp, ms);
-                if out.write_all(resp.as_bytes()).is_err()
-                    || out.write_all(b"\n").is_err()
-                    || out.flush().is_err()
-                {
-                    return;
-                }
-            }
-            // Timeout with a partial line still buffered in `line`: keep
-            // accumulating on the next pass.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutting_down() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
 /// Runs the daemon until a drain signal, then drains and exits.
 /// Returns the process exit code: 0 after a graceful drain, 1 on a
 /// startup or flush failure.
 pub fn run_serve(opts: &ServeOptions) -> i32 {
-    install_drain_handlers();
-    if let Some(path) = &opts.log_file {
-        if let Err(why) = olog::set_log_file(path) {
-            olog::error("serve", "log_file_failed", &[], &format!("error: {why}"));
-            return 1;
-        }
+    if !daemon::init("serve", opts.log_file.as_deref()) {
+        return 1;
     }
     let (cache, warm) = match ResultCache::open(&opts.cache_dir) {
         Ok(c) => c,
@@ -492,39 +379,9 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
             return 1;
         }
     };
-    let listener = match TcpListener::bind((opts.host.as_str(), opts.port)) {
-        Ok(l) => l,
-        Err(e) => {
-            olog::error(
-                "serve",
-                "bind_failed",
-                &[],
-                &format!("error: cannot bind {}:{}: {e}", opts.host, opts.port),
-            );
-            return 1;
-        }
-    };
-    let addr = match listener.local_addr() {
-        Ok(a) => a,
-        Err(e) => {
-            olog::error(
-                "serve",
-                "startup_failed",
-                &[],
-                &format!("error: cannot resolve bound address: {e}"),
-            );
-            return 1;
-        }
-    };
-    if listener.set_nonblocking(true).is_err() {
-        olog::error(
-            "serve",
-            "startup_failed",
-            &[],
-            "error: cannot set listener nonblocking",
-        );
+    let Some(daemon) = Daemon::bind("serve", &opts.host, opts.port) else {
         return 1;
-    }
+    };
     let workers = barre_sim::pool::resolve_jobs(opts.workers);
     let sh = Arc::new(Shared {
         opts: opts.clone(),
@@ -540,42 +397,11 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
         let sh = Arc::clone(&sh);
         worker_handles.push(std::thread::spawn(move || worker_loop(&sh)));
     }
-    // The startup handshake scripts and tests key on: the actual bound
-    // address (which resolves `--port 0`), flushed before serving.
-    println!("listening on {addr}");
-    let _ = std::io::stdout().flush();
-
-    let mut conn_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutting_down() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let sh = Arc::clone(&sh);
-                conn_handles.push(std::thread::spawn(move || handle_conn(&sh, stream)));
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-        // Reap finished connection threads so a long-lived daemon's
-        // handle list stays proportional to live connections.
-        conn_handles.retain(|h| !h.is_finished());
-    }
+    let conn_handles = daemon.serve(&sh);
 
     // Graceful drain: stop admitting (queue.close), let workers finish
     // what was admitted, let connection threads flush their responses,
     // then persist the compacted cache index.
-    olog::info(
-        "serve",
-        "drain_begin",
-        &[],
-        "drain: signal received; finishing in-flight work",
-    );
     sh.queue.close();
     for h in worker_handles {
         let _ = h.join();

@@ -6,6 +6,7 @@
 //! `128 + signal` (130 for Ctrl-C, 143 for SIGTERM) with a resume hint.
 
 use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+use std::time::{Duration, Instant};
 
 /// Set by the signal handler; checked between job dispatches, during
 /// backoff sleeps, and by the daemon's accept/connection loops. Once
@@ -51,6 +52,16 @@ pub fn install_drain_handlers() {}
 /// Whether a drain signal has been observed.
 pub fn shutting_down() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
+}
+
+/// Sleeps `d` in 20 ms slices, returning early once a drain signal is
+/// seen: the backoff and poll waits of the supervisor, the worker, and
+/// the dispatch client.
+pub fn sleep_interruptible(d: Duration) {
+    let until = Instant::now() + d;
+    while Instant::now() < until && !shutting_down() {
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 /// Conventional exit code after a signal-initiated drain: `128 + signal`

@@ -133,7 +133,9 @@ impl Histogram {
         if self.buckets.len() <= b {
             self.buckets.resize(b + 1, 0);
         }
-        self.buckets[b] += 1;
+        if let Some(c) = self.buckets.get_mut(b) {
+            *c += 1;
+        }
         self.count += 1;
         self.sum += value as u128;
         self.max = self.max.max(value);

@@ -78,7 +78,9 @@ impl LatencyHistogram {
         if self.counts.len() <= b {
             self.counts.resize(b + 1, 0);
         }
-        self.counts[b] = self.counts[b].saturating_add(1);
+        if let Some(c) = self.counts.get_mut(b) {
+            *c = c.saturating_add(1);
+        }
         if self.count == 0 || value < self.min {
             self.min = value;
         }
@@ -205,7 +207,9 @@ impl LatencyHistogram {
             if h.counts.len() <= i {
                 h.counts.resize(i + 1, 0);
             }
-            h.counts[i] = h.counts[i].saturating_add(c);
+            if let Some(slot) = h.counts.get_mut(i) {
+                *slot = slot.saturating_add(c);
+            }
             h.count = h.count.saturating_add(c);
         }
         h
