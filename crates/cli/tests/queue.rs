@@ -12,7 +12,7 @@ use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_barre");
 
@@ -106,15 +106,34 @@ impl Daemon {
     }
 
     /// Direct child pids, from procfs (Linux). Used to reap the orphans a
-    /// SIGKILLed worker leaves behind.
+    /// SIGKILLed worker leaves behind. Each thread lists the children it
+    /// spawned itself, so every thread's list is read.
     fn children(&self) -> Vec<u32> {
         let pid = self.child.id();
-        std::fs::read_to_string(format!("/proc/{pid}/task/{pid}/children"))
-            .unwrap_or_default()
-            .split_whitespace()
-            .filter_map(|t| t.parse().ok())
+        let tasks = std::fs::read_dir(format!("/proc/{pid}/task"))
+            .map(|d| d.flatten().map(|e| e.path()).collect::<Vec<_>>())
+            .unwrap_or_default();
+        tasks
+            .iter()
+            .flat_map(|t| {
+                std::fs::read_to_string(t.join("children"))
+                    .unwrap_or_default()
+                    .split_whitespace()
+                    .filter_map(|t| t.parse().ok())
+                    .collect::<Vec<u32>>()
+            })
             .collect()
     }
+}
+
+/// Whether `pid` runs `… --job-index 0`, the child `BARRE_TEST_HANG=0`
+/// hangs (procfs, Linux).
+fn is_job_zero(pid: u32) -> bool {
+    let argv = std::fs::read(format!("/proc/{pid}/cmdline")).unwrap_or_default();
+    argv.split(|&b| b == 0)
+        .collect::<Vec<_>>()
+        .windows(2)
+        .any(|w| w[0] == b"--job-index" && w[1] == b"0")
 }
 
 /// HTTP GET against a daemon's shim; returns (status, headers, body).
@@ -288,10 +307,13 @@ fn sigkilled_worker_lease_expires_and_redispatches() {
     let client = client.spawn().expect("spawn dispatch client");
 
     // Let w1 lease job 0 and start hanging, then SIGKILL it mid-lease.
-    // Its hung child would be orphaned in an hour-long sleep, so note the
-    // child pids first and kill them too (best-effort: the sweep
-    // completes either way).
-    std::thread::sleep(Duration::from_millis(1500));
+    // Its hung child would be orphaned in an hour-long sleep, so wait
+    // (bounded) until that child exists, note the child pids, and kill
+    // them too.
+    let hung = Instant::now() + Duration::from_secs(5);
+    while !w1.children().iter().any(|&pid| is_job_zero(pid)) && Instant::now() < hung {
+        std::thread::sleep(Duration::from_millis(20));
+    }
     let orphans = w1.children();
     w1.signal("-KILL");
     w1.reap();

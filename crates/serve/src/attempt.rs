@@ -1,18 +1,30 @@
 //! One crash-isolated child attempt: spawn, drain pipes, wait with a
 //! wall-clock deadline, classify the outcome as transient or permanent.
 //!
+//! The wait is event-driven: a watcher thread blocks until the child has
+//! exited (without reaping it, so its pid cannot be reused under us) and
+//! signals a channel. The attempt blocks on that channel until the exit,
+//! the deadline, or a cancel-check interval, whichever comes first. A
+//! finished child is answered the moment it exits; the cancel cadence
+//! only bounds how quickly a cancelled child is killed.
+//!
 //! Extracted from the sweep supervisor so the daemon's per-request
 //! deadline path and `barre sweep --supervise` share one classification
 //! and one deterministic backoff schedule.
 
 use std::io::Read;
 use std::path::Path;
-use std::process::Stdio;
+use std::process::{Child, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use barre_system::error::EXIT_PERMANENT;
 use barre_system::{metrics_from_json, RunMetrics};
+
+/// How often a waiting attempt checks its cancel flag.
+const CANCEL_CHECK: Duration = Duration::from_millis(50);
 
 /// Exit code a child reports when invoked with unusable arguments —
 /// treated as permanent (retrying the same argv cannot help).
@@ -40,6 +52,68 @@ fn drain_pipe<R: Read + Send + 'static>(r: Option<R>) -> std::thread::JoinHandle
     })
 }
 
+/// A thread that signals `rx` once the child has exited, leaving it
+/// unreaped. `rx` disconnects without a message when no watcher runs on
+/// this platform, or when waiting fails.
+struct ExitWatch {
+    rx: Receiver<()>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl ExitWatch {
+    fn start(child: &Child) -> ExitWatch {
+        let (tx, rx) = mpsc::channel();
+        let pid = child.id();
+        #[cfg(target_os = "linux")]
+        let thread = Some(std::thread::spawn(move || {
+            if wait_exited_unreaped(pid) {
+                let _ = tx.send(());
+            }
+        }));
+        #[cfg(not(target_os = "linux"))]
+        let thread = {
+            let _ = (tx, pid);
+            None
+        };
+        ExitWatch { rx, thread }
+    }
+
+    /// Joins the watcher, which returns once the child has exited.
+    /// Reaping only after this means the watcher never waits on a pid
+    /// that a later child has reused.
+    fn join(self) {
+        if let Some(t) = self.thread {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Blocks until child `pid` has exited, leaving it a zombie for
+/// [`Child::wait`] to reap. False when waiting failed.
+#[cfg(target_os = "linux")]
+fn wait_exited_unreaped(pid: u32) -> bool {
+    extern "C" {
+        fn waitid(idtype: i32, id: u32, infop: *mut u64, options: i32) -> i32;
+    }
+    const P_PID: i32 = 1;
+    const WEXITED: i32 = 4;
+    const WNOWAIT: i32 = 0x0100_0000;
+    // siginfo_t is 128 bytes on every Linux target.
+    let mut info = [0u64; 16];
+    loop {
+        // SAFETY: `info` is a writable, aligned siginfo_t-sized buffer.
+        // WNOWAIT leaves the child unreaped, so the pid stays this
+        // process's child until `Child::wait` reaps it.
+        let r = unsafe { waitid(P_PID, pid, info.as_mut_ptr(), WEXITED | WNOWAIT) };
+        if r == 0 {
+            return true;
+        }
+        if std::io::Error::last_os_error().kind() != std::io::ErrorKind::Interrupted {
+            return false;
+        }
+    }
+}
+
 #[cfg(unix)]
 fn signal_of(status: std::process::ExitStatus) -> Option<i32> {
     use std::os::unix::process::ExitStatusExt;
@@ -53,7 +127,7 @@ fn signal_of(_status: std::process::ExitStatus) -> Option<i32> {
 
 /// Spawns one child attempt and waits for exit or timeout. Pipes are
 /// drained on dedicated threads so a chatty child can never dead-lock
-/// against the poll loop; on timeout the child is SIGKILLed and whatever
+/// against the wait; on timeout the child is SIGKILLed and whatever
 /// it wrote is kept for diagnostics.
 pub fn run_attempt(program: &Path, args: &[String], timeout: Option<Duration>) -> Attempt {
     run_attempt_cancellable(program, args, timeout, &AtomicBool::new(false))
@@ -104,27 +178,39 @@ pub fn run_attempt_cancellable_env(
     };
     let out = drain_pipe(child.stdout.take());
     let err = drain_pipe(child.stderr.take());
+    let exited = ExitWatch::start(&child);
     let deadline = timeout.map(|t| Instant::now() + t);
     let mut cancelled = false;
-    let (status, timed_out) = loop {
-        match child.try_wait() {
-            Ok(Some(status)) => break (Some(status), false),
-            Ok(None) => {}
-            Err(_) => break (None, false),
-        }
+    let mut timed_out = false;
+    loop {
         if cancel.load(Ordering::SeqCst) {
             cancelled = true;
-            let _ = child.kill();
-            let _ = child.wait();
-            break (None, false);
+            break;
         }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            let _ = child.kill();
-            let _ = child.wait();
-            break (None, true);
+        let now = Instant::now();
+        let wait = match deadline {
+            Some(d) if now >= d => {
+                timed_out = true;
+                break;
+            }
+            Some(d) => (d - now).min(CANCEL_CHECK),
+            None => CANCEL_CHECK,
+        };
+        match exited.rx.recv_timeout(wait) {
+            Ok(()) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+            // No watcher: fall back to polling at the cancel cadence.
+            Err(RecvTimeoutError::Disconnected) => match child.try_wait() {
+                Ok(None) => std::thread::sleep(wait),
+                Ok(Some(_)) | Err(_) => break,
+            },
         }
-        std::thread::sleep(Duration::from_millis(15));
-    };
+    }
+    if cancelled || timed_out {
+        let _ = child.kill();
+    }
+    exited.join();
+    let status = child.wait().ok().filter(|_| !cancelled && !timed_out);
     let stdout = out.join().unwrap_or_default();
     let stderr = err.join().unwrap_or_default();
     let (exit, transient) = match (status, timed_out) {
@@ -191,5 +277,59 @@ mod tests {
         let a = run_attempt_cancellable(Path::new("/bin/sleep"), &["5".to_string()], None, &cancel);
         assert_eq!(a.exit, "cancelled");
         assert!(a.transient);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_hung_child_times_out_at_its_deadline() {
+        let t0 = Instant::now();
+        let a = run_attempt(
+            Path::new("/bin/sleep"),
+            &["5".to_string()],
+            Some(Duration::from_millis(200)),
+        );
+        assert_eq!(a.exit, "timeout");
+        assert!(a.transient);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "timeout took {took:?}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_cancel_flipped_mid_attempt_kills_the_child() {
+        let cancel = std::sync::Arc::new(AtomicBool::new(false));
+        let flip = {
+            let cancel = std::sync::Arc::clone(&cancel);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(150));
+                cancel.store(true, Ordering::SeqCst);
+            })
+        };
+        let t0 = Instant::now();
+        let a = run_attempt_cancellable(Path::new("/bin/sleep"), &["5".to_string()], None, &cancel);
+        let _ = flip.join();
+        assert_eq!(a.exit, "cancelled");
+        assert!(a.transient);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "cancel took {took:?}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_chatty_child_returns_every_byte() {
+        // 200 000 bytes, three times a pipe buffer: the child blocks
+        // unless its stdout is drained while the attempt waits.
+        let a = run_attempt(
+            Path::new("/bin/sh"),
+            &[
+                "-c".to_string(),
+                "head -c 200000 /dev/zero | tr '\\0' x; echo done >&2".to_string(),
+            ],
+            Some(Duration::from_secs(10)),
+        );
+        assert_eq!(a.exit, "ok", "{}", a.stderr);
+        assert_eq!(a.stdout.len(), 200_000);
+        assert!(a.stdout.bytes().all(|b| b == b'x'));
+        assert_eq!(a.stderr, "done\n");
     }
 }

@@ -6,9 +6,16 @@
 //! shim ([`http`]). Everything around that framing lives here once:
 //! drain-handler and `--log-file` setup ([`init`]), bind with
 //! address-in-use retry and the `listening on <addr>` handshake
-//! ([`Daemon::bind`], [`Daemon::serve`]), the nonblocking accept/reap
-//! loop, and the per-connection loop with its read/write timeouts,
-//! partial-line accumulation, drain exit, and HTTP routing.
+//! ([`Daemon::bind`], [`Daemon::serve`]), the blocking accept/reap
+//! loop with its drain wake, and the per-connection loop with its
+//! read/write timeouts, partial-line accumulation, drain exit, and HTTP
+//! routing.
+//!
+//! Nothing between a request line's arrival and its response waits on a
+//! timer: `accept()` blocks (a drain wakes it with a loopback
+//! self-connect), accepted sockets set `TCP_NODELAY`, and each response
+//! goes out with its newline in one write, so Nagle never holds a tail
+//! segment for the client's delayed ACK.
 //!
 //! A daemon supplies only a [`Service`]: how to answer one request line
 //! and how to render its `/stats` and `/metrics` bodies.
@@ -17,8 +24,9 @@
 //! order.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -34,8 +42,12 @@ const READ_POLL: Duration = Duration::from_millis(200);
 /// Write timeout on a connection: a client that stops reading is cut
 /// off rather than pinning its thread.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-/// Sleep between accept polls on the nonblocking listener.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// How often the drain watcher checks for a drain while `accept()`
+/// blocks; it bounds how late a drain is noticed, never a request.
+const DRAIN_POLL: Duration = Duration::from_millis(20);
+/// Pause after a failed `accept()` (e.g. out of file descriptors), so a
+/// persistent error cannot spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 /// Request headers drained per HTTP exchange, at most.
 const MAX_HEADER_LINES: usize = 128;
 
@@ -64,7 +76,7 @@ pub fn init(component: &str, log_file: Option<&Path>) -> bool {
     true
 }
 
-/// A bound, nonblocking listener that has not started serving yet.
+/// A bound listener that has not started serving yet.
 pub struct Daemon {
     component: &'static str,
     listener: TcpListener,
@@ -74,13 +86,9 @@ pub struct Daemon {
 impl Daemon {
     /// Binds `host:port` (retrying briefly on address-in-use, so a
     /// restarted daemon can reclaim its old port while the kernel tears
-    /// the old socket down), resolves the bound address, and makes the
-    /// listener nonblocking. `None`, after logging why, on failure.
+    /// the old socket down) and resolves the bound address. `None`, after
+    /// logging why, on failure.
     pub fn bind(component: &'static str, host: &str, port: u16) -> Option<Daemon> {
-        let startup_failed = |msg: &str| -> Option<Daemon> {
-            olog::error(component, "startup_failed", &[], msg);
-            None
-        };
         let listener = match bind_with_retry(host, port) {
             Ok(l) => l,
             Err(e) => {
@@ -95,11 +103,16 @@ impl Daemon {
         };
         let addr = match listener.local_addr() {
             Ok(a) => a,
-            Err(e) => return startup_failed(&format!("error: cannot resolve bound address: {e}")),
+            Err(e) => {
+                olog::error(
+                    component,
+                    "startup_failed",
+                    &[],
+                    &format!("error: cannot resolve bound address: {e}"),
+                );
+                return None;
+            }
         };
-        if listener.set_nonblocking(true).is_err() {
-            return startup_failed("error: cannot set listener nonblocking");
-        }
         Some(Daemon {
             component,
             listener,
@@ -114,7 +127,7 @@ impl Daemon {
     pub fn serve<S: Service>(self, svc: &Arc<S>) -> Vec<JoinHandle<()>> {
         println!("listening on {}", self.addr);
         let _ = std::io::stdout().flush();
-        let conns = accept_until(&self.listener, svc, shutting_down);
+        let conns = self.accept_until(svc, shutting_down);
         olog::info(
             self.component,
             "drain_begin",
@@ -122,6 +135,56 @@ impl Daemon {
             "drain: signal received; finishing in-flight work",
         );
         conns
+    }
+
+    /// Accepts connections, one thread each, until `stop()` turns true,
+    /// reaping finished threads on every accept so a long-lived daemon's
+    /// handle list stays proportional to its live connections.
+    ///
+    /// `accept()` blocks. A watcher thread checks `stop()` every
+    /// [`DRAIN_POLL`] and, once it holds, connects to the listener itself
+    /// to wake the blocked `accept()`; that connection is dropped unserved.
+    fn accept_until<S: Service>(
+        &self,
+        svc: &Arc<S>,
+        stop: impl Fn() -> bool + Sync,
+    ) -> Vec<JoinHandle<()>> {
+        let wake = wake_addr(self.addr);
+        let exited = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop() {
+                    std::thread::sleep(DRAIN_POLL);
+                }
+                // Retried until the accept loop is gone, in case a full
+                // backlog turned the first wake connection away.
+                while !exited.load(Ordering::SeqCst) {
+                    let _ = TcpStream::connect_timeout(&wake, DRAIN_POLL);
+                    std::thread::sleep(DRAIN_POLL);
+                }
+            });
+            let mut conns: Vec<JoinHandle<()>> = Vec::new();
+            loop {
+                let accepted = self.listener.accept();
+                if stop() {
+                    break;
+                }
+                match accepted {
+                    Ok((stream, _peer)) => {
+                        let svc = Arc::clone(svc);
+                        conns.push(std::thread::spawn(move || {
+                            handle_conn(svc.as_ref(), stream)
+                        }));
+                    }
+                    // Transient (a connection reset before accept) or
+                    // resource exhaustion; either way, try again.
+                    Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+                }
+                conns.retain(|h| !h.is_finished());
+            }
+            exited.store(true, Ordering::SeqCst);
+            conns
+        })
     }
 }
 
@@ -140,30 +203,15 @@ fn bind_with_retry(host: &str, port: u16) -> std::io::Result<TcpListener> {
     Err(last.unwrap_or_else(|| std::io::Error::other("bind failed")))
 }
 
-/// Accepts connections, one thread each, until `stop()` turns true,
-/// reaping finished threads so a long-lived daemon's handle list stays
-/// proportional to its live connections.
-fn accept_until<S: Service>(
-    listener: &TcpListener,
-    svc: &Arc<S>,
-    stop: impl Fn() -> bool,
-) -> Vec<JoinHandle<()>> {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !stop() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let svc = Arc::clone(svc);
-                conns.push(std::thread::spawn(move || {
-                    handle_conn(svc.as_ref(), stream)
-                }));
-            }
-            // WouldBlock is the idle case; anything else is transient
-            // (e.g. a connection reset before accept) and polled past.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-        conns.retain(|h| !h.is_finished());
-    }
-    conns
+/// Where a self-connect reaches a listener bound to `addr`: the address
+/// itself, or loopback of the same family when it is unspecified.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {
@@ -173,6 +221,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// One connection: JSONL request/response until EOF, or one HTTP
 /// exchange. Read timeouts keep the thread responsive to drain signals.
 fn handle_conn<S: Service>(svc: &S, stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut out = match stream.try_clone() {
@@ -195,14 +244,14 @@ fn handle_conn<S: Service>(svc: &S, stream: TcpStream) {
                     handle_http(svc, &first, &mut reader, &mut out);
                     return;
                 }
-                let Some(resp) = svc.handle_line(trimmed) else {
+                let Some(mut resp) = svc.handle_line(trimmed) else {
                     return;
                 };
                 line.clear();
-                if out.write_all(resp.as_bytes()).is_err()
-                    || out.write_all(b"\n").is_err()
-                    || out.flush().is_err()
-                {
+                // One write per response: a separate newline write would
+                // sit behind Nagle until the client's delayed ACK.
+                resp.push('\n');
+                if out.write_all(resp.as_bytes()).is_err() {
                     return;
                 }
             }
@@ -300,7 +349,7 @@ mod tests {
             let accept = {
                 let (fake, stop) = (Arc::clone(&fake), Arc::clone(&stop));
                 std::thread::spawn(move || {
-                    accept_until(&daemon.listener, &fake, || stop.load(Ordering::SeqCst))
+                    daemon.accept_until(&fake, || stop.load(Ordering::SeqCst))
                 })
             };
             Harness {
@@ -327,17 +376,58 @@ mod tests {
         }
     }
 
-    impl Drop for Harness {
-        fn drop(&mut self) {
+    impl Harness {
+        /// Stops the accept loop and joins it and every connection
+        /// thread. Callers close their client sockets first, so the
+        /// connection threads reach EOF.
+        fn stop(&mut self) {
             self.stop.store(true, Ordering::SeqCst);
-            // Every test closes its client sockets first, so the
-            // connection threads reach EOF and join.
             if let Some(Ok(conns)) = self.accept.take().map(JoinHandle::join) {
                 for c in conns {
                     let _ = c.join();
                 }
             }
         }
+    }
+
+    impl Drop for Harness {
+        fn drop(&mut self) {
+            self.stop();
+        }
+    }
+
+    #[test]
+    fn persistent_connection_round_trips_do_not_stall() {
+        let h = Harness::start();
+        let mut s = h.connect();
+        let mut reader = BufReader::new(s.try_clone().expect("clone"));
+        let t0 = std::time::Instant::now();
+        for i in 0..50 {
+            s.write_all(format!("req{i}\n").as_bytes()).expect("send");
+            let mut resp = String::new();
+            reader.read_line(&mut resp).expect("response");
+            assert_eq!(resp, format!("echo:req{i}\n"));
+        }
+        // A response written in two pieces waits ~40 ms per round trip
+        // for the client's delayed ACK: 50 of them take 2 s.
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "50 round trips took {took:?}"
+        );
+    }
+
+    #[test]
+    fn stop_wakes_the_blocking_accept() {
+        let mut h = Harness::start();
+        // Serve one connection first, so the stop lands while the loop
+        // is parked in a blocking accept().
+        let s = h.connect();
+        drop(s);
+        let t0 = std::time::Instant::now();
+        h.stop();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "stop took {took:?}");
     }
 
     #[test]

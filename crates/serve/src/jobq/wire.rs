@@ -26,9 +26,11 @@ pub fn exchange(addr: &str, req: &Request) -> Result<Reply, String> {
     let mut out = stream
         .try_clone()
         .map_err(|e| format!("clone stream: {e}"))?;
-    out.write_all(req.to_line().as_bytes())
-        .and_then(|()| out.write_all(b"\n"))
-        .and_then(|()| out.flush())
+    // One write: a separate newline write would wait behind Nagle for
+    // the coordinator's delayed ACK.
+    let mut msg = req.to_line();
+    msg.push('\n');
+    out.write_all(msg.as_bytes())
         .map_err(|e| format!("send: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();

@@ -13,8 +13,9 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use barre_obs::log as olog;
 use barre_obs::{Field, FleetTracer, CORR_ENV};
@@ -93,22 +94,15 @@ fn run_leased_job(
         }
     };
     let cancel = Arc::new(AtomicBool::new(false));
-    let finished = Arc::new(AtomicBool::new(false));
+    // Dropping `finished` ends the heartbeat thread at once.
+    let (finished, beat) = mpsc::channel::<()>();
     let hb = {
         let cancel = Arc::clone(&cancel);
-        let finished = Arc::clone(&finished);
         let addr = opts.connect.clone();
         let (name, fp) = (name.to_string(), fingerprint.to_string());
         let interval = Duration::from_millis((lease_ms / 3).max(100));
         std::thread::spawn(move || {
-            while !finished.load(Ordering::SeqCst) {
-                let until = Instant::now() + interval;
-                while Instant::now() < until && !finished.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                if finished.load(Ordering::SeqCst) {
-                    return;
-                }
+            while let Err(RecvTimeoutError::Timeout) = beat.recv_timeout(interval) {
                 let req = Request::Heartbeat {
                     worker: name.clone(),
                     fingerprint: fp.clone(),
@@ -133,7 +127,7 @@ fn run_leased_job(
         vec![(CORR_ENV.to_string(), corr.to_string())]
     };
     let a = run_attempt_cancellable_env(program, args, &envs, opts.timeout, &cancel);
-    finished.store(true, Ordering::SeqCst);
+    drop(finished);
     let _ = hb.join();
     trace("attempt_end", &[("exit", Field::S(&a.exit))]);
     if a.exit == "cancelled" {

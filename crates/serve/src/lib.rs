@@ -17,9 +17,10 @@
 //! * **Circuit breaker** — a fingerprint that keeps producing terminal
 //!   failures is quarantined ([`breaker`]) and answered `503` without
 //!   spawning anything.
-//! * **Result cache** — completed runs are served from a digest-verified
-//!   in-memory index backed by a torn-tail-tolerant journal file
-//!   ([`cache`]); hits are byte-identical to the first computation.
+//! * **Result cache** — completed runs are served from a torn-tail-
+//!   tolerant journal file through an in-memory offset index, each
+//!   record digest-verified as it is read back ([`cache`]); hits are
+//!   byte-identical to the first computation.
 //! * **Admission queue** — a bounded queue ([`queue`]); when full the
 //!   request is shed with a `429`-style response and a deterministic
 //!   `retry_after_ms` hint instead of queuing unboundedly.
