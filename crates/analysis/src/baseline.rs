@@ -13,8 +13,8 @@
 //! warning so the file gets pruned, never as an error (deleting code
 //! must not fail the lint).
 
-use crate::json::{parse, Json};
-use crate::report::json_str;
+use barre_trace::json::{json_escape, Json};
+
 use crate::rules::Diagnostic;
 
 /// One accepted finding.
@@ -50,7 +50,7 @@ pub fn key_of(d: &Diagnostic) -> (String, String, String) {
 /// Parses `lint-baseline.json`. Unknown fields are ignored so the
 /// format can grow; missing required fields are an error.
 pub fn parse_baseline(src: &str) -> Result<Baseline, String> {
-    let doc = parse(src).map_err(|e| format!("baseline: {e}"))?;
+    let doc = Json::parse(src).map_err(|e| format!("baseline: {e}"))?;
     let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
     if schema != "barre-lint-baseline/1" {
         return Err(format!(
@@ -92,10 +92,10 @@ pub fn render_baseline(entries: &[BaselineEntry]) -> String {
         }
         out.push_str(&format!(
             "\n    {{\"rule\": {}, \"file\": {}, \"symbol\": {}, \"justification\": {}}}",
-            json_str(&e.rule),
-            json_str(&e.file),
-            json_str(&e.symbol),
-            json_str(&e.justification)
+            json_escape(&e.rule),
+            json_escape(&e.file),
+            json_escape(&e.symbol),
+            json_escape(&e.justification)
         ));
     }
     out.push_str("\n  ]\n}\n");

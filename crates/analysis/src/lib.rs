@@ -29,7 +29,6 @@ pub mod baseline;
 pub mod callgraph;
 pub mod fix;
 pub mod index;
-pub mod json;
 pub mod lexer;
 pub mod parser;
 pub mod passes;

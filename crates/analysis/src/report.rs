@@ -21,6 +21,7 @@
 //! treat an absent `schema` as `/1`.
 
 use crate::LintReport;
+use barre_trace::json::json_escape;
 use std::fmt::Write as _;
 
 /// Human-readable report: one `file:line: [RULE] message` block per
@@ -67,12 +68,12 @@ pub fn render_json(report: &LintReport) -> String {
             out,
             "\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"suggestion\": {}, \
              \"symbol\": {}",
-            json_str(&d.file),
+            json_escape(&d.file),
             d.line,
-            json_str(d.rule),
-            json_str(&d.message),
-            json_str(d.suggestion),
-            json_str(&d.symbol)
+            json_escape(d.rule),
+            json_escape(&d.message),
+            json_escape(d.suggestion),
+            json_escape(&d.symbol)
         );
         out.push('}');
     }
@@ -134,32 +135,12 @@ pub fn render_readiness(report: &LintReport) -> String {
     out
 }
 
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::passes::WaivedFinding;
     use crate::rules::Diagnostic;
+    use barre_trace::json::Json;
 
     fn sample() -> LintReport {
         LintReport {
@@ -194,11 +175,8 @@ mod tests {
         assert!(s.contains("\"rule\": \"D001\""));
         assert!(s.contains("a \\\"quoted\\\" message"));
         // It must parse with the in-tree reader.
-        let v = crate::json::parse(&s).expect("self-parse");
-        assert_eq!(
-            v.get("schema").and_then(crate::json::Json::as_str),
-            Some("barre-lint/2")
-        );
+        let v = Json::parse(&s).expect("self-parse");
+        assert_eq!(v.get("schema").and_then(Json::as_str), Some("barre-lint/2"));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! core structurally — the offline stand-in for a schema validator,
 //! exercised by the test suite against a golden file.
 
-use crate::report::json_str;
+use barre_trace::json::{json_escape, Json};
+
 use crate::rules::Diagnostic;
 
 /// The registered rule table: (id, short description). Every rule the
@@ -58,7 +59,7 @@ pub fn render(diagnostics: &[Diagnostic]) -> String {
     out.push_str("          \"informationUri\": \"https://example.invalid/barre\",\n");
     out.push_str(&format!(
         "          \"version\": {},\n",
-        json_str(env!("CARGO_PKG_VERSION"))
+        json_escape(env!("CARGO_PKG_VERSION"))
     ));
     out.push_str("          \"rules\": [");
     for (i, (id, desc)) in RULES.iter().enumerate() {
@@ -67,8 +68,8 @@ pub fn render(diagnostics: &[Diagnostic]) -> String {
         }
         out.push_str(&format!(
             "\n            {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}}}",
-            json_str(id),
-            json_str(desc)
+            json_escape(id),
+            json_escape(desc)
         ));
     }
     out.push_str("\n          ]\n        }\n      },\n");
@@ -87,9 +88,9 @@ pub fn render(diagnostics: &[Diagnostic]) -> String {
              \"message\": {{\"text\": {msg}}}, \"locations\": [{{\"physicalLocation\": \
              {{\"artifactLocation\": {{\"uri\": {uri}, \"uriBaseId\": \"%SRCROOT%\"}}, \
              \"region\": {{\"startLine\": {line}}}}}}}]}}",
-            rule = json_str(d.rule),
-            msg = json_str(&text),
-            uri = json_str(&d.file),
+            rule = json_escape(d.rule),
+            msg = json_escape(&text),
+            uri = json_escape(&d.file),
             line = d.line.max(1)
         ));
     }
@@ -102,8 +103,7 @@ pub fn render(diagnostics: &[Diagnostic]) -> String {
 /// results whose `ruleId` is registered and whose locations carry a
 /// physical artifact + positive start line. Returns the first problem.
 pub fn validate(src: &str) -> Result<(), String> {
-    use crate::json::{parse, Json};
-    let doc = parse(src).map_err(|e| format!("sarif: not JSON: {e}"))?;
+    let doc = Json::parse(src).map_err(|e| format!("sarif: not JSON: {e}"))?;
     if doc.get("version").and_then(Json::as_str) != Some("2.1.0") {
         return Err("sarif: version must be \"2.1.0\"".to_string());
     }

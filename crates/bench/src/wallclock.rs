@@ -14,6 +14,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use barre_system::journal::json_escape;
 use barre_system::{run_spec, smoke_config, RunMetrics, SystemConfig, TranslationMode};
 use barre_workloads::AppId;
 
@@ -170,22 +171,6 @@ pub fn run_bench(quick: bool, jobs: usize) -> Result<BenchReport, SweepError> {
     })
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 impl BenchReport {
     /// Renders the report as the `BENCH_sweep.json` document.
     pub fn to_json(&self) -> String {
@@ -208,7 +193,7 @@ impl BenchReport {
             if i > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&json_str(d));
+            s.push_str(&json_escape(d));
         }
         s.push_str("],\n");
         s.push_str("  \"runs\": [\n");
@@ -217,8 +202,8 @@ impl BenchReport {
                 "    {{\"app\": {}, \"mode\": {}, \"total_cycles\": {}, \"events\": {}, \
                  \"wall_ms_serial\": {:.3}, \"wall_ms_parallel\": {:.3}, \
                  \"events_per_sec\": {:.0}}}{}\n",
-                json_str(r.app),
-                json_str(r.mode),
+                json_escape(r.app),
+                json_escape(r.mode),
                 r.total_cycles,
                 r.events,
                 r.wall_ms_serial,
@@ -365,8 +350,8 @@ pub fn merge_reports(docs: &[String]) -> Result<String, String> {
                     "    {{\"app\": {}, \"mode\": {}, \"total_cycles\": {cycles}, \
                      \"events\": {events}, \"wall_ms_serial\": {wall_ms_serial}, \
                      \"wall_ms_parallel\": {}, \"events_per_sec\": {eps:.0}}}",
-                    json_str(app),
-                    json_str(mode),
+                    json_escape(app),
+                    json_escape(mode),
                     num_text(r.get("wall_ms_parallel")),
                 ),
             );

@@ -602,3 +602,37 @@ fn merge_surfaces_skipped_corrupt_lines() {
     );
     assert_eq!(text(&resumed.stdout), text(&full.stdout));
 }
+
+/// One JSONL line to a daemon on a fresh connection; the reply line back.
+fn send_line(addr: &str, line: &str) -> String {
+    use std::io::Write;
+    let mut s = std::net::TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).ok();
+    writeln!(s, "{line}").expect("send");
+    s.flush().expect("flush");
+    let mut reply = String::new();
+    BufReader::new(s).read_line(&mut reply).expect("reply");
+    reply.trim_end().to_string()
+}
+
+#[cfg(unix)]
+#[test]
+fn coordinator_answers_hostile_lines_and_stays_up() {
+    let dir = tmpdir("hostile");
+    let mut queue = Daemon::spawn(&dir, &["queue", "--port", "0", "--journal", "q"], &[]);
+    let addr = queue.addr();
+
+    let deep = send_line(&addr, &"[".repeat(200_000));
+    assert!(deep.starts_with("{\"status\":\"error\""), "{deep}");
+    assert!(deep.contains("nesting"), "{deep}");
+    let long = send_line(&addr, &format!("{{\"op\":\"{}\"}}", "x".repeat(1 << 20)));
+    assert!(long.starts_with("{\"status\":\"error\""), "{long}");
+
+    let (code, _, body) = http_get(&addr, "/healthz");
+    assert_eq!((code, body.as_str()), (200, "{\"status\":\"ok\"}"));
+
+    queue.signal("-TERM");
+    let q = queue.wait();
+    assert_eq!(q.status.code(), Some(0), "stderr: {}", text(&q.stderr));
+    assert!(!text(&q.stderr).contains("overflow"), "{}", text(&q.stderr));
+}

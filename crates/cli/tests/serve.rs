@@ -132,7 +132,7 @@ fn json_u64(doc: &str, path: &[&str]) -> u64 {
         .unwrap_or_else(|| panic!("non-u64 at {path:?}"))
 }
 
-fn json_str(doc: &str, key: &str) -> String {
+fn str_field(doc: &str, key: &str) -> String {
     let v = barre_system::Json::parse(doc.trim()).unwrap_or_else(|e| panic!("bad JSON {e}: {doc}"));
     v.get(key)
         .and_then(barre_system::Json::as_str)
@@ -157,7 +157,7 @@ fn serve_cache_hits_are_byte_identical_and_survive_restart() {
 
     // Cold run, then a cache hit: byte-identical responses.
     let cold = d.request(GUPS);
-    assert_eq!(json_str(&cold, "status"), "ok", "{cold}");
+    assert_eq!(str_field(&cold, "status"), "ok", "{cold}");
     let hit = d.request(GUPS);
     assert_eq!(cold, hit, "cache hit must be byte-identical to cold run");
     // Alias spellings collide on the same cache entry.
@@ -166,7 +166,7 @@ fn serve_cache_hits_are_byte_identical_and_survive_restart() {
 
     // Invalid requests are structured 400s, not dropped connections.
     let bad = d.request(r#"{"app":"nosuch"}"#);
-    assert_eq!(json_str(&bad, "status"), "error");
+    assert_eq!(str_field(&bad, "status"), "error");
     assert_eq!(json_u64(&bad, &["code"]), 400);
     let typo = d.request(r#"{"app":"gups","warp":9}"#);
     assert_eq!(json_u64(&typo, &["code"]), 400);
@@ -279,18 +279,18 @@ fn deadlines_fire_and_full_queue_sheds() {
     std::thread::sleep(Duration::from_millis(150));
     // Queue now holds request 2; this one must be shed without waiting.
     let shed = d.request(r#"{"app":"gups","smoke":true,"seed":3,"timeout_ms":900}"#);
-    assert_eq!(json_str(&shed, "status"), "shed", "{shed}");
+    assert_eq!(str_field(&shed, "status"), "shed", "{shed}");
     assert_eq!(json_u64(&shed, &["code"]), 429);
     assert!(json_u64(&shed, &["retry_after_ms"]) >= 1);
 
     // Both admitted requests hit their wall-clock deadline.
     let mut resp1 = String::new();
     r1.read_line(&mut resp1).expect("deadline response 1");
-    assert_eq!(json_str(&resp1, "status"), "timeout", "{resp1}");
+    assert_eq!(str_field(&resp1, "status"), "timeout", "{resp1}");
     assert_eq!(json_u64(&resp1, &["code"]), 504);
     let mut resp2 = String::new();
     r2.read_line(&mut resp2).expect("deadline response 2");
-    assert_eq!(json_str(&resp2, "status"), "timeout", "{resp2}");
+    assert_eq!(str_field(&resp2, "status"), "timeout", "{resp2}");
 
     let (_, stats) = d.http_get("/stats");
     assert_eq!(json_u64(&stats, &["requests", "timeouts"]), 2);
@@ -322,22 +322,22 @@ fn breaker_quarantines_a_crashing_config() {
     // transient-class failure (exit 65), perfect breaker bait.
     let bad = r#"{"app":"gups","smoke":true,"frames":1}"#;
     let r1 = d.request(bad);
-    assert_eq!(json_str(&r1, "status"), "failed", "{r1}");
+    assert_eq!(str_field(&r1, "status"), "failed", "{r1}");
     assert_eq!(json_u64(&r1, &["code"]), 500);
     assert!(
-        json_str(&r1, "error").contains("out of physical frames"),
+        str_field(&r1, "error").contains("out of physical frames"),
         "{r1}"
     );
     let r2 = d.request(bad);
-    assert_eq!(json_str(&r2, "status"), "failed", "{r2}");
+    assert_eq!(str_field(&r2, "status"), "failed", "{r2}");
     // Two consecutive failures tripped the breaker: no more children.
     let r3 = d.request(bad);
-    assert_eq!(json_str(&r3, "status"), "quarantined", "{r3}");
+    assert_eq!(str_field(&r3, "status"), "quarantined", "{r3}");
     assert_eq!(json_u64(&r3, &["code"]), 503);
 
     // Other fingerprints are unaffected.
     let ok = d.request(GUPS);
-    assert_eq!(json_str(&ok, "status"), "ok", "{ok}");
+    assert_eq!(str_field(&ok, "status"), "ok", "{ok}");
 
     let (_, stats) = d.http_get("/stats");
     assert_eq!(json_u64(&stats, &["requests", "failed_transient"]), 2);
@@ -353,12 +353,50 @@ fn sigint_drains_as_cleanly_as_sigterm() {
     let dir = tmpdir("sigint");
     let d = start_daemon(&dir, &["--workers", "1", "--cache-dir", "cache"], &[]);
     let cold = d.request(GUPS);
-    assert_eq!(json_str(&cold, "status"), "ok");
+    assert_eq!(str_field(&cold, "status"), "ok");
     let (exit, stderr) = d.stop("-INT");
     assert_eq!(exit, 0, "stderr: {stderr}");
     let index = dir.join("cache").join("serve-cache.jsonl");
     let (records, skipped) = barre_system::read_journal_lenient(&index).expect("index parses");
     assert_eq!((records.len(), skipped), (1, 0));
+}
+
+/// Hostile request lines get a 400 and leave the daemon serving: nesting
+/// deep enough to overflow a recursive parser, a 1 MiB string, and lone
+/// UTF-16 surrogates. An escaped surrogate pair is one character.
+#[test]
+fn hostile_lines_get_400s_and_the_daemon_keeps_serving() {
+    let dir = tmpdir("hostile");
+    let d = start_daemon(&dir, &["--workers", "1"], &[]);
+
+    let deep = d.request(&"[".repeat(200_000));
+    assert_eq!(json_u64(&deep, &["code"]), 400, "{deep}");
+    assert!(str_field(&deep, "error").contains("nesting"), "{deep}");
+
+    let long_id = format!(r#"{{"app":"gemv","id":"{}"}}"#, "x".repeat(1 << 20));
+    let started = std::time::Instant::now();
+    let long = d.request(&long_id);
+    let took = started.elapsed();
+    assert_eq!(json_u64(&long, &["code"]), 400, "{long}");
+    assert_eq!(str_field(&long, "error"), "field id longer than 128 bytes");
+    assert!(took < Duration::from_secs(2), "1 MiB id took {took:?}");
+
+    for lone in [r#"\ud83d"#, r#"\ude00"#, r#"\ud83dx"#] {
+        let resp = d.request(&format!(r#"{{"app":"gemv","smoke":true,"id":"{lone}"}}"#));
+        assert_eq!(json_u64(&resp, &["code"]), 400, "{resp}");
+        assert!(
+            str_field(&resp, "error").contains("unpaired surrogate"),
+            "{resp}"
+        );
+    }
+
+    let ok = d.request(r#"{"app":"gemv","smoke":true,"seed":3,"id":"\ud83d\ude00"}"#);
+    assert_eq!(str_field(&ok, "status"), "ok", "{ok}");
+    assert_eq!(str_field(&ok, "id"), "\u{1F600}", "{ok}");
+
+    let (exit, stderr) = d.stop("-TERM");
+    assert_eq!(exit, 0, "stderr: {stderr}");
+    assert!(!stderr.contains("overflow"), "{stderr}");
 }
 
 /// The acceptance soak: 1000 mixed requests from 8 client threads
@@ -424,7 +462,7 @@ fn soak_1000_requests_against_saturated_daemon() {
                 let resp = resp.trim_end().to_string();
                 assert!(!resp.is_empty(), "empty response");
                 answered += 1;
-                let status = json_str(&resp, "status");
+                let status = str_field(&resp, "status");
                 match status.as_str() {
                     "ok" => {
                         if pick != 9 {

@@ -27,7 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::log::{now_ms, push_field, push_json_escaped, Field};
+use barre_trace::json::json_escape;
+
+use crate::log::{now_ms, push_field, Field};
 
 /// Environment variable naming the fleet-trace output directory.
 pub const FLEET_TRACE_ENV: &str = "BARRE_FLEET_TRACE";
@@ -105,13 +107,12 @@ impl FleetTracer {
         let mut line = String::with_capacity(128);
         line.push_str("{\"ts_ms\":");
         line.push_str(&now_ms().to_string());
-        line.push_str(",\"role\":\"");
-        push_json_escaped(&mut line, &self.role);
-        line.push_str("\",\"pid\":");
+        line.push_str(",\"role\":");
+        line.push_str(&json_escape(&self.role));
+        line.push_str(",\"pid\":");
         line.push_str(&self.pid.to_string());
-        line.push_str(",\"event\":\"");
-        push_json_escaped(&mut line, event);
-        line.push('"');
+        line.push_str(",\"event\":");
+        line.push_str(&json_escape(event));
         if !corr.is_empty() {
             line.push(',');
             push_field(&mut line, "corr", &Field::S(corr));

@@ -25,6 +25,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use barre_trace::json::json_escape;
+
 /// Environment variable controlling the log threshold.
 pub const LOG_ENV: &str = "BARRE_LOG";
 
@@ -127,33 +129,11 @@ pub enum Field<'a> {
     B(bool),
 }
 
-/// Appends `s` JSON-escaped (quotes, backslashes, control characters).
-pub(crate) fn push_json_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 pub(crate) fn push_field(out: &mut String, key: &str, value: &Field<'_>) {
-    out.push('"');
-    push_json_escaped(out, key);
-    out.push_str("\":");
+    out.push_str(&json_escape(key));
+    out.push(':');
     match value {
-        Field::S(s) => {
-            out.push('"');
-            push_json_escaped(out, s);
-            out.push('"');
-        }
+        Field::S(s) => out.push_str(&json_escape(s)),
         Field::U(v) => out.push_str(&v.to_string()),
         Field::I(v) => out.push_str(&v.to_string()),
         Field::B(v) => out.push_str(if *v { "true" } else { "false" }),
@@ -183,18 +163,17 @@ pub fn render_line(
     out.push_str(&ts_ms.to_string());
     out.push_str(",\"level\":\"");
     out.push_str(level.as_str());
-    out.push_str("\",\"component\":\"");
-    push_json_escaped(&mut out, component);
-    out.push_str("\",\"event\":\"");
-    push_json_escaped(&mut out, event);
-    out.push('"');
+    out.push_str("\",\"component\":");
+    out.push_str(&json_escape(component));
+    out.push_str(",\"event\":");
+    out.push_str(&json_escape(event));
     for (k, v) in fields {
         out.push(',');
         push_field(&mut out, k, v);
     }
-    out.push_str(",\"msg\":\"");
-    push_json_escaped(&mut out, msg);
-    out.push_str("\"}");
+    out.push_str(",\"msg\":");
+    out.push_str(&json_escape(msg));
+    out.push('}');
     out
 }
 

@@ -12,8 +12,9 @@
 //! uninterrupted run, and `barre merge` can fold per-shard journals into
 //! one trajectory while detecting digest conflicts.
 //!
-//! Everything here is hand-rolled (including the minimal JSON reader) so
-//! the workspace keeps its zero-dependency, offline build.
+//! Everything here is hand-rolled so the workspace keeps its
+//! zero-dependency, offline build; JSON goes through the shared reader
+//! and escaper in [`barre_trace::json`], re-exported here.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -24,6 +25,10 @@ use std::sync::{Mutex, PoisonError};
 use barre_sim::Histogram;
 
 use crate::metrics::RunMetrics;
+
+/// The shared JSON reader and string escaper, re-exported for callers
+/// that reach them through the journal.
+pub use barre_trace::json::{json_escape, Json};
 
 /// Default file name of the journal inside a journal directory.
 pub const JOURNAL_FILE: &str = "sweep.journal.jsonl";
@@ -84,281 +89,6 @@ impl From<std::io::Error> for JournalError {
     fn from(e: std::io::Error) -> Self {
         JournalError::Io(e.to_string())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value reader
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their source text so 64-bit (and
-/// the histogram-sum 128-bit) integers round-trip exactly — `f64` would
-/// silently lose precision above 2^53 and break the byte-identity the
-/// journal exists to guarantee. Objects preserve key order in a `Vec`
-/// (no hash maps in sim-facing crates).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, kept as its raw source text.
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object as ordered `(key, value)` pairs.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one JSON document (ignoring surrounding whitespace).
-    ///
-    /// # Errors
-    ///
-    /// A `String` describing the first syntax error, with a byte offset.
-    pub fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
-        let mut i = 0usize;
-        let v = parse_value(bytes, &mut i)?;
-        skip_ws(bytes, &mut i);
-        if i != bytes.len() {
-            return Err(format!("trailing garbage at byte {i}"));
-        }
-        Ok(v)
-    }
-
-    /// The value under `key` when `self` is an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, when `self` is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an exact `u64`, when `self` is an integer number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(t) => t.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as an exact `u128`, when `self` is an integer number.
-    pub fn as_u128(&self) -> Option<u128> {
-        match self {
-            Json::Num(t) => t.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as an `f64`, when `self` is any number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(t) => t.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The elements, when `self` is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The `(key, value)` pairs, when `self` is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], i: &mut usize) {
-    while let Some(c) = bytes.get(*i) {
-        if matches!(c, b' ' | b'\t' | b'\n' | b'\r') {
-            *i += 1;
-        } else {
-            break;
-        }
-    }
-}
-
-fn parse_value(bytes: &[u8], i: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, i);
-    match bytes.get(*i) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(bytes, i),
-        Some(b'[') => parse_arr(bytes, i),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, i)?)),
-        Some(b't') => parse_lit(bytes, i, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, i, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, i, "null", Json::Null),
-        Some(_) => parse_num(bytes, i),
-    }
-}
-
-fn parse_lit(bytes: &[u8], i: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    let rest = bytes.get(*i..).unwrap_or_default();
-    if rest.starts_with(lit.as_bytes()) {
-        *i += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {i}"))
-    }
-}
-
-fn parse_num(bytes: &[u8], i: &mut usize) -> Result<Json, String> {
-    let start = *i;
-    if bytes.get(*i) == Some(&b'-') {
-        *i += 1;
-    }
-    while bytes
-        .get(*i)
-        .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *i += 1;
-    }
-    let text =
-        std::str::from_utf8(bytes.get(start..*i).unwrap_or_default()).map_err(|e| e.to_string())?;
-    if text.is_empty() || text == "-" {
-        return Err(format!("bad number at byte {start}"));
-    }
-    Ok(Json::Num(text.to_string()))
-}
-
-fn parse_string(bytes: &[u8], i: &mut usize) -> Result<String, String> {
-    // Caller saw the opening quote.
-    *i += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*i) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *i += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *i += 1;
-                match bytes.get(*i) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*i + 1..*i + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *i += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {i}")),
-                }
-                *i += 1;
-            }
-            Some(_) => {
-                // Multi-byte UTF-8 sequences pass through unchanged; find
-                // the char boundary via the original str slice.
-                let tail = std::str::from_utf8(bytes.get(*i..).unwrap_or_default())
-                    .map_err(|e| e.to_string())?;
-                let Some(c) = tail.chars().next() else {
-                    return Err("unterminated string".to_string());
-                };
-                out.push(c);
-                *i += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_arr(bytes: &[u8], i: &mut usize) -> Result<Json, String> {
-    *i += 1; // [
-    let mut items = Vec::new();
-    skip_ws(bytes, i);
-    if bytes.get(*i) == Some(&b']') {
-        *i += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, i)?);
-        skip_ws(bytes, i);
-        match bytes.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b']') => {
-                *i += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected , or ] at byte {i}")),
-        }
-    }
-}
-
-fn parse_obj(bytes: &[u8], i: &mut usize) -> Result<Json, String> {
-    *i += 1; // {
-    let mut pairs = Vec::new();
-    skip_ws(bytes, i);
-    if bytes.get(*i) == Some(&b'}') {
-        *i += 1;
-        return Ok(Json::Obj(pairs));
-    }
-    loop {
-        skip_ws(bytes, i);
-        if bytes.get(*i) != Some(&b'"') {
-            return Err(format!("expected object key at byte {i}"));
-        }
-        let key = parse_string(bytes, i)?;
-        skip_ws(bytes, i);
-        if bytes.get(*i) != Some(&b':') {
-            return Err(format!("expected : at byte {i}"));
-        }
-        *i += 1;
-        let value = parse_value(bytes, i)?;
-        pairs.push((key, value));
-        skip_ws(bytes, i);
-        match bytes.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b'}') => {
-                *i += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            _ => return Err(format!("expected , or }} at byte {i}")),
-        }
-    }
-}
-
-/// Escapes `s` as a JSON string literal (with quotes).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1051,33 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn json_parses_nested_values() {
-        let v = Json::parse(r#"{"a": [1, -2.5, "x\n\"y\""], "b": {"c": true, "d": null}}"#)
-            .expect("parse");
-        assert_eq!(
-            v.get("a").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(3)
-        );
-        assert_eq!(
-            v.get("a")
-                .and_then(Json::as_arr)
-                .and_then(|a| a[2].as_str()),
-            Some("x\n\"y\"")
-        );
-        assert_eq!(v.get("b").and_then(|b| b.get("c")), Some(&Json::Bool(true)));
-        assert!(Json::parse("{\"a\":}").is_err());
-        assert!(Json::parse("[1,2] trailing").is_err());
-    }
-
-    #[test]
-    fn json_numbers_keep_64_bit_precision() {
-        let v = Json::parse(&format!("[{}, {}]", u64::MAX, u128::MAX)).expect("parse");
-        let arr = v.as_arr().expect("arr");
-        assert_eq!(arr[0].as_u64(), Some(u64::MAX));
-        assert_eq!(arr[1].as_u128(), Some(u128::MAX));
-    }
-
-    #[test]
     fn fingerprint_is_order_and_boundary_sensitive() {
         assert_ne!(fingerprint(&["ab", "c"]), fingerprint(&["a", "bc"]));
         assert_ne!(fingerprint(&["a", "b"]), fingerprint(&["b", "a"]));
@@ -1303,6 +1006,29 @@ mod tests {
             let back = JournalRecord::from_line(&line).expect("parse line");
             assert_eq!(*rec, back, "{line}");
         }
+    }
+
+    #[test]
+    fn done_lines_with_the_old_tab_and_cr_escapes_still_decode() {
+        let rec = JournalRecord {
+            fingerprint: "f1".into(),
+            label: "gups\tbarre".into(),
+            event: JournalEvent::Done {
+                attempts: 1,
+                exit: "ok".into(),
+                digest: metrics_digest(&busy_metrics()),
+                hist_digest: Some(metrics_hist_digest(&busy_metrics())),
+                worker: Some("host\ra".into()),
+                metrics: Box::new(busy_metrics()),
+            },
+        };
+        let line = rec.to_line();
+        assert!(line.contains("\"gups\\tbarre\"") && line.contains("\"host\\ra\""));
+        // Journals written before the escapers were merged spelled both
+        // characters as `\u00XX`.
+        let old = line.replace("\\t", "\\u0009").replace("\\r", "\\u000d");
+        assert_ne!(old, line);
+        assert_eq!(JournalRecord::from_line(&old).expect("old line"), rec);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! dependencies) and deterministic field/element order, so for a fixed
 //! seed the output is byte-identical across runs. All numbers are
 //! plain decimal integers — the JSONL form round-trips exactly through
-//! `barre_system::journal`'s source-text number handling.
+//! `crate::json`'s source-text number handling.
 
 use std::fmt::Write as _;
 
+use crate::json::json_escape;
 use crate::{LatencyHistogram, Sample, Span, Stage, TraceRecorder};
 
 /// Schema tag stamped into both export formats.
@@ -24,25 +25,6 @@ pub struct TraceMeta {
     pub seed: u64,
     /// Span-ring window the trace was recorded with.
     pub window: u64,
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders one histogram as a JSON object:
@@ -100,11 +82,11 @@ fn barre_section(rec: &TraceRecorder, meta: &TraceMeta) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"schema\":\"{}\",\"app\":\"{}\",\"mode\":\"{}\",\"seed\":{},\"window\":{},\
+        "{{\"schema\":\"{}\",\"app\":{},\"mode\":{},\"seed\":{},\"window\":{},\
          \"spans_recorded\":{},\"spans_dropped\":{},\"spans_filtered\":{}",
         SCHEMA,
-        escape(&meta.app),
-        escape(&meta.mode),
+        json_escape(&meta.app),
+        json_escape(&meta.mode),
         meta.seed,
         meta.window,
         rec.ring().recorded(),
@@ -190,11 +172,11 @@ pub fn jsonl(rec: &TraceRecorder, meta: &TraceMeta) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{{\"t\":\"meta\",\"schema\":\"{}\",\"app\":\"{}\",\"mode\":\"{}\",\"seed\":{},\
+        "{{\"t\":\"meta\",\"schema\":\"{}\",\"app\":{},\"mode\":{},\"seed\":{},\
          \"window\":{},\"spans_recorded\":{},\"spans_dropped\":{},\"spans_filtered\":{}}}",
         SCHEMA,
-        escape(&meta.app),
-        escape(&meta.mode),
+        json_escape(&meta.app),
+        json_escape(&meta.mode),
         meta.seed,
         meta.window,
         rec.ring().recorded(),
@@ -340,12 +322,5 @@ mod tests {
             g.record(*v);
         }
         assert_eq!(hist_json(&g), expected);
-    }
-
-    #[test]
-    fn escape_handles_controls_and_quotes() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\ny"), "x\\ny");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -14,7 +14,8 @@
 //!   time-series [`Sample`]s taken on the sanitizer's 65536-event
 //!   cadence;
 //! * exporters to Chrome-trace/Perfetto JSON and compact JSONL
-//!   ([`export`]).
+//!   ([`export`]);
+//! * the workspace's one JSON reader and string escaper ([`json`]).
 //!
 //! Everything is keyed on **sim cycles** — this crate never reads the
 //! wall clock and has no entropy source, so for a fixed seed the
@@ -25,6 +26,7 @@
 
 pub mod export;
 pub mod hist;
+pub mod json;
 pub mod ring;
 
 pub use hist::LatencyHistogram;
