@@ -2,8 +2,8 @@
 //!
 //! The binary front end for the Barre Chord model: list the workloads,
 //! run one experiment, or sweep every application under a translation
-//! mode — without writing any Rust. Kept dependency-free (hand-rolled
-//! parsing) so the workspace stays within its offline crate budget.
+//! mode — without writing any Rust. Kept dependency-free so the
+//! workspace stays within its offline crate budget.
 //!
 //! ```text
 //! barre list
@@ -15,6 +15,13 @@
 //! barre bench [--json] [--quick] [--jobs 8] [--out BENCH_sweep.json]
 //! barre merge --out merged shard-a/ shard-b/ [BENCH_a.json ...]
 //! ```
+//!
+//! Each command's flags are declared once, in `COMMANDS`, from shared
+//! lists: `CONFIG_FLAGS` (the machine), `RUNNER_FLAGS` (how `sweep` and
+//! `chaos` run their jobs) and `DAEMON_FLAGS` (the `serve` and `queue`
+//! listeners). One scanner walks the arguments against that table and
+//! rejects any flag the command would ignore. The `--paper`/`--smoke`
+//! preset applies first and every override after it, in any order.
 //!
 //! Sweep-shaped commands (`sweep`, `chaos`, `bench`) fan their
 //! independent runs across the `barre_sim::pool` worker pool; `--jobs 1`
@@ -176,8 +183,8 @@ pub struct DispatchOpts {
     /// Where to write the terminal records, in job order (same default
     /// as the supervisor's journal).
     pub journal: std::path::PathBuf,
-    /// Base argument list for remote children (supervisor/dispatch
-    /// flags stripped); workers append `--job-index <i>`.
+    /// Base argument list for remote children (the command line without
+    /// its runner flags); workers append `--job-index <i>`.
     pub child_args: Vec<String>,
 }
 
@@ -206,656 +213,519 @@ pub const DEFAULT_BENCH_GATE: f64 = 5.0;
 /// tighten with `--threshold` on quiet machines.
 pub const DEFAULT_BENCH_DIFF_THRESHOLD: f64 = 1.5;
 
+/// A flag list, one flag per word: `--flag` is a switch, `--flag=`
+/// takes the next argument as its value whatever it looks like, and
+/// `--flag=?` takes it only when it is not itself a flag.
+type Flags = &'static str;
+
+/// The simulated machine: a `--paper`/`--smoke` preset, then overrides.
+const CONFIG_FLAGS: Flags =
+    "--paper --smoke --mode= --policy= --page-size= --ptws= --chiplets= --frames= --gmmu --migration";
+
+/// How `sweep` and `chaos` run their jobs. None of these changes a job's
+/// simulation, so a child's argument list, and with it every job
+/// fingerprint, is the command line without them: the same across
+/// worker counts, resumes, and local or dispatched runs.
+const RUNNER_FLAGS: Flags =
+    "--supervise --journal= --resume= --timeout= --retries= --job-index= --jobs= --dispatch=";
+
+/// Bind address and log destination of the `serve` and `queue` daemons.
+const DAEMON_FLAGS: Flags = "--host= --port= --log-file=";
+
+/// Every command's vocabulary: its name, how many operands it takes,
+/// and the flag lists it accepts. Any other flag is a usage error.
+const COMMANDS: &[(&str, usize, &[Flags])] = &[
+    ("help", 0, &[]),
+    ("list", 0, &[]),
+    ("table2", 0, &[CONFIG_FLAGS]),
+    ("run", 0, &[CONFIG_FLAGS, "--app= --seed= --baseline --metrics-json"]),
+    ("sweep", 0, &[CONFIG_FLAGS, RUNNER_FLAGS, "--apps= --seed="]),
+    ("pair", 0, &[CONFIG_FLAGS, "--a= --b= --seed="]),
+    ("chaos", 0, &[CONFIG_FLAGS, RUNNER_FLAGS, "--app= --seed= --rates="]),
+    ("bench", 0, &["--json --quick --jobs= --out= --gate=?"]),
+    ("merge", usize::MAX, &["--out="]),
+    ("lint", 0, &["--root= --json --sarif --baseline= --no-baseline --write-baseline --changed-since= --max-waivers= --fix --parallel-readiness"]),
+    ("trace", 1, &[CONFIG_FLAGS, "--app= --seed= --out= --window= --filter="]),
+    ("report", usize::MAX, &["--top= --bench-diff --threshold= --fleet --out="]),
+    ("serve", 0, &[DAEMON_FLAGS, "--workers= --queue-cap= --cache-dir= --timeout= --retries= --breaker="]),
+    ("queue", 0, &[DAEMON_FLAGS, "--journal= --lease= --max-leases="]),
+    ("worker", 0, &["--connect= --name= --jobs= --timeout= --log-file="]),
+];
+
+/// The spelling of `flag` in `lists` (`--flag`, `--flag=` or `--flag=?`).
+fn flag_spec(lists: &[Flags], flag: &str) -> Option<&'static str> {
+    lists
+        .iter()
+        .flat_map(|list| list.split(' '))
+        .find(|spec| spec.trim_end_matches(['=', '?']) == flag)
+}
+
+/// A command line scanned against its command's vocabulary.
+struct Args<'a> {
+    cmd: &'a str,
+    /// Every flag given, in order, with its value (`None` for a switch).
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    operands: Vec<&'a str>,
+    /// The command line without its [`RUNNER_FLAGS`]: what a
+    /// crash-isolated or dispatched child re-executes (plus
+    /// `--job-index <i>`), and what job fingerprints hash.
+    child: Vec<String>,
+}
+
+/// Walks the argument list once, rejecting any flag the command does not
+/// list and any operand beyond the ones it takes.
+fn scan(args: &[String]) -> Result<Args<'_>, ParseError> {
+    let cmd = match args[0].as_str() {
+        "--help" | "-h" => "help",
+        cmd => cmd,
+    };
+    let &(_, max_operands, lists) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == cmd)
+        .ok_or_else(|| err(format!("unknown command {cmd}")))?;
+    let mut a = Args {
+        cmd,
+        flags: Vec::new(),
+        operands: Vec::new(),
+        child: vec![cmd.to_string()],
+    };
+    let mut rest = args[1..].iter().map(String::as_str).peekable();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            if a.operands.len() == max_operands {
+                return Err(err(format!("unexpected operand {arg}")));
+            }
+            a.operands.push(arg);
+            a.child.push(arg.to_string());
+            continue;
+        }
+        let spec =
+            flag_spec(lists, arg).ok_or_else(|| err(format!("unknown flag {arg} for {cmd}")))?;
+        let value = match &spec[arg.len()..] {
+            "" => None,
+            "=" => Some(
+                rest.next()
+                    .ok_or_else(|| err(format!("flag {arg} needs a value")))?,
+            ),
+            _ => rest.next_if(|v| !v.starts_with("--")),
+        };
+        if flag_spec(&[RUNNER_FLAGS], arg).is_none() {
+            a.child.push(arg.to_string());
+            a.child.extend(value.map(str::to_string));
+        }
+        a.flags.push((arg, value));
+    }
+    Ok(a)
+}
+
+impl Args<'_> {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(name, _)| *name == flag)
+    }
+
+    /// The last value given for `flag`.
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(name, _)| *name == flag)
+            .and_then(|(_, v)| *v)
+    }
+
+    fn string(&self, flag: &str) -> Option<String> {
+        self.get(flag).map(str::to_string)
+    }
+
+    fn path(&self, flag: &str) -> Option<std::path::PathBuf> {
+        self.get(flag).map(std::path::PathBuf::from)
+    }
+
+    /// The value parsed as `T`; `what` names it in the error.
+    fn parse<T: std::str::FromStr>(&self, flag: &str, what: &str) -> Result<Option<T>, ParseError> {
+        self.get(flag)
+            .map(|v| v.parse().map_err(|_| err(format!("bad {what} {v}"))))
+            .transpose()
+    }
+
+    /// A count that must be at least 1.
+    fn count(&self, flag: &str, what: &str) -> Result<Option<usize>, ParseError> {
+        match self.parse(flag, what)? {
+            Some(0) => Err(err(format!("{flag} must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+
+    /// A finite number above zero; `unit` ends the error message.
+    fn positive(&self, flag: &str, what: &str, unit: &str) -> Result<Option<f64>, ParseError> {
+        match self.parse::<f64>(flag, what)? {
+            Some(r) if !r.is_finite() || r <= 0.0 => Err(err(format!(
+                "{what} {} must be positive{unit}",
+                self.get(flag).unwrap_or_default()
+            ))),
+            r => Ok(r),
+        }
+    }
+
+    fn ratio(&self, flag: &str, what: &str) -> Result<Option<f64>, ParseError> {
+        self.positive(flag, what, "")
+    }
+
+    fn seconds(&self, flag: &str, what: &str) -> Result<Option<std::time::Duration>, ParseError> {
+        Ok(self
+            .positive(flag, what, " seconds")?
+            .map(std::time::Duration::from_secs_f64))
+    }
+
+    /// The app named by `flag`, which the command requires.
+    fn app(&self, flag: &str) -> Result<AppId, ParseError> {
+        let cmd = self.cmd;
+        let name = self
+            .get(flag)
+            .ok_or_else(|| err(format!("{cmd} needs {flag} <name>")))?;
+        app_named(name)
+    }
+
+    /// The machine: the `--paper`/`--smoke` preset first, then every
+    /// override on top of it, whatever order they were given in.
+    fn config(&self) -> Result<Box<SystemConfig>, ParseError> {
+        let mut cfg = match (self.has("--paper"), self.has("--smoke")) {
+            (true, true) => return Err(err("--paper and --smoke are mutually exclusive")),
+            (true, false) => SystemConfig::paper(),
+            (false, true) => barre_system::smoke_config(),
+            (false, false) => SystemConfig::scaled(),
+        };
+        if let Some(v) = self.get("--mode") {
+            cfg.mode = mode_by_name(v).ok_or_else(|| err(format!("unknown mode {v}")))?;
+        }
+        if let Some(v) = self.get("--policy") {
+            cfg.policy = policy_by_name(v).ok_or_else(|| err(format!("unknown policy {v}")))?;
+        }
+        if let Some(v) = self.get("--page-size") {
+            cfg.page_size =
+                page_size_by_name(v).ok_or_else(|| err(format!("unknown page size {v}")))?;
+        }
+        if self.get("--ptws") == Some("inf") {
+            cfg.ptws = None;
+        } else if let Some(n) = self.parse("--ptws", "PTW count")? {
+            cfg.ptws = Some(n);
+        }
+        if let Some(n) = self.parse("--chiplets", "chiplet count")? {
+            cfg.topology = cfg.topology.with_chiplets(n);
+        }
+        if let Some(n) = self.count("--frames", "frame count")? {
+            cfg.frames_per_chiplet = Some(n);
+        }
+        if self.has("--gmmu") {
+            cfg.mmu = MmuKind::Gmmu;
+        }
+        if self.has("--migration") {
+            cfg.migration = Some(Default::default());
+        }
+        Ok(Box::new(cfg))
+    }
+
+    /// Local supervision or remote dispatch for `sweep` and `chaos`, at
+    /// most one of them. `--dispatch` hands the jobs to a `barre queue`
+    /// coordinator whose workers own supervision, so there
+    /// `--journal`/`--resume` name the client-side journal and the other
+    /// supervisor flags are rejected. Otherwise any supervisor flag opts
+    /// into crash-isolated children; `--resume` doubles as the journal.
+    fn runner(
+        &self,
+    ) -> Result<(Option<supervisor::SuperviseOpts>, Option<DispatchOpts>), ParseError> {
+        let (journal, resume) = (self.path("--journal"), self.path("--resume"));
+        let timeout = self.seconds("--timeout", "timeout")?;
+        let retries: Option<u32> = self.parse("--retries", "retry count")?;
+        let journal_file = resume
+            .clone()
+            .or(journal.clone())
+            .unwrap_or_else(|| std::path::PathBuf::from("sweep-journal"));
+        if let Some(addr) = self.string("--dispatch") {
+            if self.has("--supervise") {
+                return Err(err("--supervise and --dispatch are mutually exclusive"));
+            }
+            if timeout.is_some() || retries.is_some() {
+                return Err(err(
+                    "--timeout/--retries are supervisor and worker flags; with --dispatch the workers own them",
+                ));
+            }
+            let dispatch = DispatchOpts {
+                addr,
+                journal: journal_file,
+                child_args: self.child.clone(),
+            };
+            return Ok((None, Some(dispatch)));
+        }
+        let supervised = self.has("--supervise")
+            || journal.is_some()
+            || resume.is_some()
+            || timeout.is_some()
+            || retries.is_some();
+        if !supervised {
+            return Ok((None, None));
+        }
+        if journal.is_some() && resume.is_some() && journal != resume {
+            return Err(err("--journal and --resume disagree; pass just one"));
+        }
+        let sup = supervisor::SuperviseOpts {
+            journal: journal_file,
+            resume: resume.is_some(),
+            timeout,
+            retries: retries.unwrap_or(2),
+            child_args: self.child.clone(),
+        };
+        Ok((Some(sup), None))
+    }
+}
+
 /// Parses the full argument list (without the program name).
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the first unknown command, flag or
-/// value.
+/// value, or a flag the command does not take.
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let Some(cmd) = args.first() else {
+    if args.is_empty() {
         return Ok(Command::Help);
-    };
-    // `merge` is the one command with positional operands (the shard
-    // inputs), so it gets its own tiny parser.
-    if cmd == "merge" {
-        let mut out: Option<std::path::PathBuf> = None;
-        let mut inputs = Vec::new();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--out" => {
-                    i += 1;
-                    let v = args
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| err("flag --out needs a value"))?;
-                    out = Some(std::path::PathBuf::from(v));
-                }
-                flag if flag.starts_with("--") => {
-                    return Err(err(format!("unknown flag {flag}")));
-                }
-                path => inputs.push(std::path::PathBuf::from(path)),
+    }
+    let a = scan(args)?;
+    let seed = a.parse("--seed", "seed")?.unwrap_or(0x15CA_2024);
+    let out = a.path("--out");
+    Ok(match a.cmd {
+        "list" => Command::List,
+        "table2" => Command::Table2 { cfg: a.config()? },
+        "run" => Command::Run {
+            app: a.app("--app")?,
+            cfg: a.config()?,
+            seed,
+            baseline: a.has("--baseline"),
+            metrics_json: a.has("--metrics-json"),
+        },
+        "sweep" => {
+            let (sup, dispatch) = a.runner()?;
+            let apps = match a.get("--apps") {
+                None | Some("all") => AppId::all().to_vec(),
+                Some(list) => list.split(',').map(app_named).collect::<Result<_, _>>()?,
+            };
+            Command::Sweep {
+                apps,
+                cfg: a.config()?,
+                seed,
+                jobs: a.count("--jobs", "job count")?,
+                sup,
+                dispatch,
+                job_index: a.parse("--job-index", "job index")?,
             }
-            i += 1;
         }
-        if inputs.is_empty() {
+        "pair" => Command::Pair {
+            pair: AppPair {
+                a: a.app("--a")?,
+                b: a.app("--b")?,
+            },
+            cfg: a.config()?,
+            seed,
+        },
+        "chaos" => {
+            let (sup, dispatch) = a.runner()?;
+            let mut rates = vec![0.0, 0.001, 0.01, 0.05];
+            if let Some(list) = a.get("--rates") {
+                rates.clear();
+                for part in list.split(',') {
+                    let rate: f64 = part
+                        .parse()
+                        .map_err(|_| err(format!("bad fault rate {part}")))?;
+                    if !(0.0..=1.0).contains(&rate) {
+                        return Err(err(format!("fault rate {part} outside [0, 1]")));
+                    }
+                    rates.push(rate);
+                }
+            }
+            Command::Chaos {
+                app: a.app("--app")?,
+                cfg: a.config()?,
+                seed,
+                rates,
+                jobs: a.count("--jobs", "job count")?,
+                sup,
+                dispatch,
+                job_index: a.parse("--job-index", "job index")?,
+            }
+        }
+        "bench" => Command::Bench {
+            quick: a.has("--quick"),
+            json: a.has("--json"),
+            jobs: a.count("--jobs", "job count")?,
+            out: out.unwrap_or_else(|| std::path::PathBuf::from("BENCH_sweep.json")),
+            // `--gate` alone means the default ratio.
+            gate: match a.ratio("--gate", "gate ratio")? {
+                None => a.has("--gate").then_some(DEFAULT_BENCH_GATE),
+                r => r,
+            },
+        },
+        "merge" if a.operands.is_empty() => {
             return Err(err(
                 "merge needs at least one journal or bench-report input",
-            ));
+            ))
         }
-        return Ok(Command::Merge {
+        "merge" => Command::Merge {
             out: out.unwrap_or_else(|| std::path::PathBuf::from("merged")),
-            inputs,
-        });
-    }
-    // `report` also takes positional operands: the trace or journal,
-    // or two bench reports under `--bench-diff`.
-    if cmd == "report" {
-        let mut paths: Vec<std::path::PathBuf> = Vec::new();
-        let mut top = trace_cmd::DEFAULT_TOP;
-        let mut bench_diff = false;
-        let mut fleet = false;
-        let mut out: Option<std::path::PathBuf> = None;
-        let mut threshold: Option<f64> = None;
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--fleet" => fleet = true,
-                "--out" => {
-                    i += 1;
-                    let v = args
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| err("flag --out needs a value"))?;
-                    out = Some(std::path::PathBuf::from(v));
-                }
-                "--top" => {
-                    i += 1;
-                    let v = args
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| err("flag --top needs a value"))?;
-                    top = v.parse().map_err(|_| err(format!("bad top count {v}")))?;
-                }
-                "--bench-diff" => bench_diff = true,
-                "--threshold" => {
-                    i += 1;
-                    let v = args
-                        .get(i)
-                        .cloned()
-                        .ok_or_else(|| err("flag --threshold needs a value"))?;
-                    let r: f64 = v.parse().map_err(|_| err(format!("bad threshold {v}")))?;
-                    if !r.is_finite() || r <= 0.0 {
-                        return Err(err(format!("threshold {v} must be positive")));
-                    }
-                    threshold = Some(r);
-                }
-                flag if flag.starts_with("--") => {
-                    return Err(err(format!("unknown flag {flag}")));
-                }
-                path => paths.push(std::path::PathBuf::from(path)),
-            }
-            i += 1;
-        }
-        if fleet {
-            if bench_diff {
-                return Err(err("--fleet and --bench-diff are mutually exclusive"));
-            }
-            if threshold.is_some() {
-                return Err(err("--threshold only applies to --bench-diff"));
-            }
-            if paths.is_empty() {
-                return Err(err("--fleet needs at least one trace directory"));
-            }
-            return Ok(Command::FleetReport { dirs: paths, out });
-        }
-        if out.is_some() {
-            return Err(err("--out only applies to --fleet"));
-        }
-        if bench_diff {
-            let mut it = paths.into_iter();
-            let (old, new) = match (it.next(), it.next(), it.next()) {
-                (Some(old), Some(new), None) => (old, new),
-                _ => return Err(err("--bench-diff needs exactly two bench-report paths")),
+            inputs: a.operands.iter().map(std::path::PathBuf::from).collect(),
+        },
+        "lint" => {
+            let defaults = lint_cmd::LintOpts::default();
+            let opts = lint_cmd::LintOpts {
+                root: a.path("--root").unwrap_or(defaults.root),
+                json: a.has("--json"),
+                sarif: a.has("--sarif"),
+                baseline: a.path("--baseline"),
+                no_baseline: a.has("--no-baseline"),
+                write_baseline: a.has("--write-baseline"),
+                fix: a.has("--fix"),
+                max_waivers: a
+                    .parse("--max-waivers", "waiver budget")?
+                    .unwrap_or(defaults.max_waivers),
+                changed_since: a.string("--changed-since"),
+                readiness: a.has("--parallel-readiness"),
             };
-            return Ok(Command::BenchDiff {
-                old,
-                new,
-                threshold: threshold.unwrap_or(DEFAULT_BENCH_DIFF_THRESHOLD),
-            });
+            if opts.json && opts.sarif {
+                return Err(err("--json and --sarif are mutually exclusive"));
+            }
+            if opts.no_baseline && opts.baseline.is_some() {
+                return Err(err("--no-baseline conflicts with --baseline <file>"));
+            }
+            Command::Lint { opts }
         }
+        "trace" => {
+            let defaults = barre_trace::TraceOptions::default();
+            let filter = match a.get("--filter") {
+                // Both `--filter ptw,fill` and the documented
+                // `--filter stage=ptw,fill` form.
+                Some(v) => barre_trace::StageMask::parse(v.strip_prefix("stage=").unwrap_or(v))
+                    .ok_or_else(|| err(format!("unknown stage in filter {v}")))?,
+                None => defaults.filter,
+            };
+            let app = match (a.operands.first().copied(), a.get("--app")) {
+                (Some(_), Some(_)) => {
+                    return Err(err(
+                        "trace takes its app positionally or with --app, not both",
+                    ))
+                }
+                (Some(name), None) | (None, Some(name)) => app_named(name)?,
+                (None, None) => return Err(err("trace needs an app (positional or --app <name>)")),
+            };
+            Command::Trace {
+                app,
+                cfg: a.config()?,
+                seed,
+                out: out.unwrap_or_else(|| std::path::PathBuf::from("trace.json")),
+                opts: barre_trace::TraceOptions {
+                    window: a.count("--window", "window")?.unwrap_or(defaults.window),
+                    filter,
+                },
+            }
+        }
+        "report" => return report_command(&a),
+        "serve" => {
+            let mut o = barre_serve::ServeOptions::default();
+            o.host = a.string("--host").unwrap_or(o.host);
+            o.port = a.parse("--port", "port")?.unwrap_or(o.port);
+            o.log_file = a.path("--log-file").or(o.log_file);
+            o.workers = a.count("--workers", "worker count")?.or(o.workers);
+            o.queue_cap = a
+                .count("--queue-cap", "queue capacity")?
+                .unwrap_or(o.queue_cap);
+            o.cache_dir = a.path("--cache-dir").unwrap_or(o.cache_dir);
+            o.timeout = a.seconds("--timeout", "timeout")?.unwrap_or(o.timeout);
+            o.retries = a.parse("--retries", "retry count")?.unwrap_or(o.retries);
+            o.breaker_threshold = a
+                .parse("--breaker", "breaker threshold")?
+                .unwrap_or(o.breaker_threshold);
+            Command::Serve { opts: Box::new(o) }
+        }
+        "queue" => {
+            let mut o = barre_serve::jobq::QueueOptions::default();
+            o.host = a.string("--host").unwrap_or(o.host);
+            o.port = a.parse("--port", "port")?.unwrap_or(o.port);
+            o.log_file = a.path("--log-file").or(o.log_file);
+            o.journal = a.path("--journal").unwrap_or(o.journal);
+            o.lease = a.seconds("--lease", "lease")?.unwrap_or(o.lease);
+            o.max_leases = a
+                .parse("--max-leases", "lease budget")?
+                .unwrap_or(o.max_leases);
+            Command::Queue { opts: Box::new(o) }
+        }
+        "worker" => {
+            let mut o = barre_serve::jobq::WorkerOptions::default();
+            o.connect = a
+                .string("--connect")
+                .ok_or_else(|| err("worker needs --connect <host:port>"))?;
+            o.name = a.string("--name").or(o.name);
+            o.slots = a.count("--jobs", "job count")?.unwrap_or(o.slots);
+            o.timeout = a.seconds("--timeout", "timeout")?.or(o.timeout);
+            o.log_file = a.path("--log-file").or(o.log_file);
+            Command::Worker { opts: Box::new(o) }
+        }
+        // "help"; `scan` has rejected every unknown command.
+        _ => Command::Help,
+    })
+}
+
+fn app_named(name: &str) -> Result<AppId, ParseError> {
+    app_by_name(name).ok_or_else(|| err(format!("unknown app {name}")))
+}
+
+/// `barre report`: one trace or journal, two bench reports under
+/// `--bench-diff`, or fleet-trace directories under `--fleet`.
+fn report_command(a: &Args<'_>) -> Result<Command, ParseError> {
+    let top = a.parse("--top", "top count")?;
+    let threshold = a.ratio("--threshold", "threshold")?;
+    let mut paths = a.operands.iter().map(std::path::PathBuf::from);
+    let (fleet, bench_diff) = (a.has("--fleet"), a.has("--bench-diff"));
+    if fleet && bench_diff {
+        return Err(err("--fleet and --bench-diff are mutually exclusive"));
+    }
+    if top.is_some() && (fleet || bench_diff) {
+        let mode = if fleet { "--fleet" } else { "--bench-diff" };
+        return Err(err(format!("report {mode} does not take --top")));
+    }
+    if fleet {
         if threshold.is_some() {
             return Err(err("--threshold only applies to --bench-diff"));
         }
-        let mut it = paths.into_iter();
-        let input = it
-            .next()
-            .ok_or_else(|| err("report needs a trace or journal path"))?;
-        if let Some(extra) = it.next() {
-            return Err(err(format!("unexpected operand {}", extra.display())));
+        if a.operands.is_empty() {
+            return Err(err("--fleet needs at least one trace directory"));
         }
-        return Ok(Command::Report { input, top });
-    }
-    // `serve` has its own flag vocabulary (daemon knobs, not simulation
-    // knobs), so it too gets a dedicated parser.
-    if cmd == "serve" {
-        let mut opts = barre_serve::ServeOptions::default();
-        let mut i = 1;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            let value = |i: &mut usize| -> Result<String, ParseError> {
-                *i += 1;
-                args.get(*i)
-                    .cloned()
-                    .ok_or_else(|| err(format!("flag {flag} needs a value")))
-            };
-            match flag {
-                "--host" => opts.host = value(&mut i)?,
-                "--port" => {
-                    let v = value(&mut i)?;
-                    opts.port = v.parse().map_err(|_| err(format!("bad port {v}")))?;
-                }
-                "--workers" => {
-                    let v = value(&mut i)?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| err(format!("bad worker count {v}")))?;
-                    if n == 0 {
-                        return Err(err("--workers must be at least 1"));
-                    }
-                    opts.workers = Some(n);
-                }
-                "--queue-cap" => {
-                    let v = value(&mut i)?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| err(format!("bad queue capacity {v}")))?;
-                    if n == 0 {
-                        return Err(err("--queue-cap must be at least 1"));
-                    }
-                    opts.queue_cap = n;
-                }
-                "--cache-dir" => opts.cache_dir = std::path::PathBuf::from(value(&mut i)?),
-                "--timeout" => {
-                    let v = value(&mut i)?;
-                    let secs: f64 = v.parse().map_err(|_| err(format!("bad timeout {v}")))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err(err(format!("timeout {v} must be positive seconds")));
-                    }
-                    opts.timeout = std::time::Duration::from_secs_f64(secs);
-                }
-                "--retries" => {
-                    let v = value(&mut i)?;
-                    opts.retries = v.parse().map_err(|_| err(format!("bad retry count {v}")))?;
-                }
-                "--breaker" => {
-                    let v = value(&mut i)?;
-                    opts.breaker_threshold = v
-                        .parse()
-                        .map_err(|_| err(format!("bad breaker threshold {v}")))?;
-                }
-                "--log-file" => opts.log_file = Some(std::path::PathBuf::from(value(&mut i)?)),
-                other => return Err(err(format!("unknown flag {other}"))),
-            }
-            i += 1;
-        }
-        return Ok(Command::Serve {
-            opts: Box::new(opts),
+        return Ok(Command::FleetReport {
+            dirs: paths.collect(),
+            out: a.path("--out"),
         });
     }
-    // `queue` and `worker` are daemons too, with their own small flag
-    // vocabularies (lease protocol knobs, not simulation knobs).
-    if cmd == "queue" {
-        let mut opts = barre_serve::jobq::QueueOptions::default();
-        let mut i = 1;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            let value = |i: &mut usize| -> Result<String, ParseError> {
-                *i += 1;
-                args.get(*i)
-                    .cloned()
-                    .ok_or_else(|| err(format!("flag {flag} needs a value")))
-            };
-            match flag {
-                "--host" => opts.host = value(&mut i)?,
-                "--port" => {
-                    let v = value(&mut i)?;
-                    opts.port = v.parse().map_err(|_| err(format!("bad port {v}")))?;
-                }
-                "--journal" => opts.journal = std::path::PathBuf::from(value(&mut i)?),
-                "--lease" => {
-                    let v = value(&mut i)?;
-                    let secs: f64 = v.parse().map_err(|_| err(format!("bad lease {v}")))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err(err(format!("lease {v} must be positive seconds")));
-                    }
-                    opts.lease = std::time::Duration::from_secs_f64(secs);
-                }
-                "--max-leases" => {
-                    let v = value(&mut i)?;
-                    opts.max_leases = v
-                        .parse()
-                        .map_err(|_| err(format!("bad lease budget {v}")))?;
-                }
-                "--log-file" => opts.log_file = Some(std::path::PathBuf::from(value(&mut i)?)),
-                other => return Err(err(format!("unknown flag {other}"))),
-            }
-            i += 1;
-        }
-        return Ok(Command::Queue {
-            opts: Box::new(opts),
-        });
+    if a.has("--out") {
+        return Err(err("--out only applies to --fleet"));
     }
-    if cmd == "worker" {
-        let mut opts = barre_serve::jobq::WorkerOptions::default();
-        let mut connected = false;
-        let mut i = 1;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            let value = |i: &mut usize| -> Result<String, ParseError> {
-                *i += 1;
-                args.get(*i)
-                    .cloned()
-                    .ok_or_else(|| err(format!("flag {flag} needs a value")))
-            };
-            match flag {
-                "--connect" => {
-                    opts.connect = value(&mut i)?;
-                    connected = true;
-                }
-                "--name" => opts.name = Some(value(&mut i)?),
-                "--jobs" => {
-                    let v = value(&mut i)?;
-                    let n: usize = v.parse().map_err(|_| err(format!("bad job count {v}")))?;
-                    if n == 0 {
-                        return Err(err("--jobs must be at least 1"));
-                    }
-                    opts.slots = n;
-                }
-                "--timeout" => {
-                    let v = value(&mut i)?;
-                    let secs: f64 = v.parse().map_err(|_| err(format!("bad timeout {v}")))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err(err(format!("timeout {v} must be positive seconds")));
-                    }
-                    opts.timeout = Some(std::time::Duration::from_secs_f64(secs));
-                }
-                "--log-file" => opts.log_file = Some(std::path::PathBuf::from(value(&mut i)?)),
-                other => return Err(err(format!("unknown flag {other}"))),
-            }
-            i += 1;
-        }
-        if !connected {
-            return Err(err("worker needs --connect <host:port>"));
-        }
-        return Ok(Command::Worker {
-            opts: Box::new(opts),
-        });
-    }
-    // `lint` grew its own flag vocabulary in PR 7 (baseline files, SARIF,
-    // autofix, waiver budgets) that collides with the simulation flags
-    // (`--baseline` means something else entirely to `run`), so it gets a
-    // dedicated parser too.
-    if cmd == "lint" {
-        let mut opts = lint_cmd::LintOpts::default();
-        let mut i = 1;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            let value = |i: &mut usize| -> Result<String, ParseError> {
-                *i += 1;
-                args.get(*i)
-                    .cloned()
-                    .ok_or_else(|| err(format!("flag {flag} needs a value")))
-            };
-            match flag {
-                "--json" => opts.json = true,
-                "--sarif" => opts.sarif = true,
-                "--fix" => opts.fix = true,
-                "--no-baseline" => opts.no_baseline = true,
-                "--write-baseline" => opts.write_baseline = true,
-                "--parallel-readiness" => opts.readiness = true,
-                "--root" => opts.root = std::path::PathBuf::from(value(&mut i)?),
-                "--baseline" => opts.baseline = Some(std::path::PathBuf::from(value(&mut i)?)),
-                "--changed-since" => opts.changed_since = Some(value(&mut i)?),
-                "--max-waivers" => {
-                    let v = value(&mut i)?;
-                    opts.max_waivers = v
-                        .parse()
-                        .map_err(|_| err(format!("bad waiver budget {v}")))?;
-                }
-                other => return Err(err(format!("unknown flag {other}"))),
-            }
-            i += 1;
-        }
-        if opts.json && opts.sarif {
-            return Err(err("--json and --sarif are mutually exclusive"));
-        }
-        if opts.no_baseline && opts.baseline.is_some() {
-            return Err(err("--no-baseline conflicts with --baseline <file>"));
-        }
-        return Ok(Command::Lint { opts });
-    }
-    let mut cfg = SystemConfig::scaled();
-    let mut seed = 0x15CA_2024u64;
-    let mut app = None;
-    let mut apps: Option<Vec<AppId>> = None;
-    let mut pair_a = None;
-    let mut pair_b = None;
-    let mut baseline = false;
-    let mut metrics_json = false;
-    let mut rates: Option<Vec<f64>> = None;
-    let mut json = false;
-    let mut jobs: Option<usize> = None;
-    let mut quick = false;
-    let mut gate: Option<f64> = None;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut supervise = false;
-    let mut dispatch_addr: Option<String> = None;
-    let mut journal: Option<std::path::PathBuf> = None;
-    let mut resume: Option<std::path::PathBuf> = None;
-    let mut timeout: Option<std::time::Duration> = None;
-    let mut retries: Option<u32> = None;
-    let mut job_index: Option<usize> = None;
-    let mut window: Option<usize> = None;
-    let mut filter = barre_trace::StageMask::all();
-
-    let mut i = 1;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let value = |i: &mut usize| -> Result<String, ParseError> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| err(format!("flag {flag} needs a value")))
+    if bench_diff {
+        let (Some(old), Some(new), None) = (paths.next(), paths.next(), paths.next()) else {
+            return Err(err("--bench-diff needs exactly two bench-report paths"));
         };
-        match flag {
-            "--paper" => cfg = SystemConfig::paper().with_mode(cfg.mode),
-            "--smoke" => cfg = barre_system::smoke_config().with_mode(cfg.mode),
-            "--supervise" => supervise = true,
-            "--dispatch" => dispatch_addr = Some(value(&mut i)?),
-            "--journal" => journal = Some(std::path::PathBuf::from(value(&mut i)?)),
-            "--resume" => resume = Some(std::path::PathBuf::from(value(&mut i)?)),
-            "--timeout" => {
-                let v = value(&mut i)?;
-                let secs: f64 = v.parse().map_err(|_| err(format!("bad timeout {v}")))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(err(format!("timeout {v} must be positive seconds")));
-                }
-                timeout = Some(std::time::Duration::from_secs_f64(secs));
-            }
-            "--retries" => {
-                let v = value(&mut i)?;
-                retries = Some(v.parse().map_err(|_| err(format!("bad retry count {v}")))?);
-            }
-            "--job-index" => {
-                let v = value(&mut i)?;
-                job_index = Some(v.parse().map_err(|_| err(format!("bad job index {v}")))?);
-            }
-            "--baseline" => baseline = true,
-            "--metrics-json" => metrics_json = true,
-            "--json" => json = true,
-            "--quick" => quick = true,
-            "--gate" => {
-                // Optional value: `--gate` alone means the default ratio.
-                gate = Some(DEFAULT_BENCH_GATE);
-                if let Some(v) = args.get(i + 1).filter(|v| !v.starts_with("--")) {
-                    let r: f64 = v.parse().map_err(|_| err(format!("bad gate ratio {v}")))?;
-                    if !r.is_finite() || r <= 0.0 {
-                        return Err(err(format!("gate ratio {v} must be positive")));
-                    }
-                    gate = Some(r);
-                    i += 1;
-                }
-            }
-            "--out" => out = Some(std::path::PathBuf::from(value(&mut i)?)),
-            "--jobs" => {
-                let v = value(&mut i)?;
-                let n: usize = v.parse().map_err(|_| err(format!("bad job count {v}")))?;
-                if n == 0 {
-                    return Err(err("--jobs must be at least 1"));
-                }
-                jobs = Some(n);
-            }
-            "--gmmu" => cfg.mmu = MmuKind::Gmmu,
-            "--migration" => cfg.migration = Some(Default::default()),
-            "--app" => {
-                let v = value(&mut i)?;
-                app = Some(app_by_name(&v).ok_or_else(|| err(format!("unknown app {v}")))?);
-            }
-            "--a" => {
-                let v = value(&mut i)?;
-                pair_a = Some(app_by_name(&v).ok_or_else(|| err(format!("unknown app {v}")))?);
-            }
-            "--b" => {
-                let v = value(&mut i)?;
-                pair_b = Some(app_by_name(&v).ok_or_else(|| err(format!("unknown app {v}")))?);
-            }
-            "--apps" => {
-                let v = value(&mut i)?;
-                if v == "all" {
-                    apps = Some(AppId::all().to_vec());
-                } else {
-                    let mut list = Vec::new();
-                    for part in v.split(',') {
-                        list.push(
-                            app_by_name(part).ok_or_else(|| err(format!("unknown app {part}")))?,
-                        );
-                    }
-                    apps = Some(list);
-                }
-            }
-            "--mode" => {
-                let v = value(&mut i)?;
-                cfg.mode = mode_by_name(&v).ok_or_else(|| err(format!("unknown mode {v}")))?;
-            }
-            "--policy" => {
-                let v = value(&mut i)?;
-                cfg.policy =
-                    policy_by_name(&v).ok_or_else(|| err(format!("unknown policy {v}")))?;
-            }
-            "--page-size" => {
-                let v = value(&mut i)?;
-                cfg.page_size =
-                    page_size_by_name(&v).ok_or_else(|| err(format!("unknown page size {v}")))?;
-            }
-            "--ptws" => {
-                let v = value(&mut i)?;
-                cfg.ptws = if v == "inf" {
-                    None
-                } else {
-                    Some(v.parse().map_err(|_| err(format!("bad PTW count {v}")))?)
-                };
-            }
-            "--chiplets" => {
-                let v = value(&mut i)?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| err(format!("bad chiplet count {v}")))?;
-                cfg.topology = cfg.topology.with_chiplets(n);
-            }
-            "--frames" => {
-                let v = value(&mut i)?;
-                let n: usize = v.parse().map_err(|_| err(format!("bad frame count {v}")))?;
-                if n == 0 {
-                    return Err(err("--frames must be at least 1"));
-                }
-                cfg.frames_per_chiplet = Some(n);
-            }
-            "--seed" => {
-                let v = value(&mut i)?;
-                seed = v.parse().map_err(|_| err(format!("bad seed {v}")))?;
-            }
-            "--rates" => {
-                let v = value(&mut i)?;
-                let mut list = Vec::new();
-                for part in v.split(',') {
-                    let r: f64 = part
-                        .parse()
-                        .map_err(|_| err(format!("bad fault rate {part}")))?;
-                    if !(0.0..=1.0).contains(&r) {
-                        return Err(err(format!("fault rate {part} outside [0, 1]")));
-                    }
-                    list.push(r);
-                }
-                rates = Some(list);
-            }
-            "--window" => {
-                let v = value(&mut i)?;
-                let n: usize = v.parse().map_err(|_| err(format!("bad window {v}")))?;
-                if n == 0 {
-                    return Err(err("--window must be at least 1"));
-                }
-                window = Some(n);
-            }
-            "--filter" => {
-                let v = value(&mut i)?;
-                // Accept both `--filter ptw,fill` and the documented
-                // `--filter stage=ptw,fill` form.
-                let list = v.strip_prefix("stage=").unwrap_or(&v);
-                filter = barre_trace::StageMask::parse(list)
-                    .ok_or_else(|| err(format!("unknown stage in filter {v}")))?;
-            }
-            name if cmd == "trace" && !name.starts_with("--") && app.is_none() => {
-                app = Some(app_by_name(name).ok_or_else(|| err(format!("unknown app {name}")))?);
-            }
-            other => return Err(err(format!("unknown flag {other}"))),
-        }
-        i += 1;
+        return Ok(Command::BenchDiff {
+            old,
+            new,
+            threshold: threshold.unwrap_or(DEFAULT_BENCH_DIFF_THRESHOLD),
+        });
     }
-
-    // `--dispatch` hands the sweep to a remote queue coordinator: the
-    // workers own supervision there, so the local supervisor flags are
-    // either repurposed (`--journal`/`--resume` name the client-side
-    // journal) or rejected.
-    let dispatch = if let Some(addr) = dispatch_addr {
-        if supervise {
-            return Err(err("--supervise and --dispatch are mutually exclusive"));
-        }
-        if timeout.is_some() || retries.is_some() {
-            return Err(err(
-                "--timeout/--retries are supervisor and worker flags; with --dispatch the workers own them",
-            ));
-        }
-        Some(DispatchOpts {
-            addr,
-            journal: resume
-                .clone()
-                .or_else(|| journal.clone())
-                .unwrap_or_else(|| std::path::PathBuf::from("sweep-journal")),
-            child_args: strip_supervisor_flags(args),
-        })
-    } else {
-        None
-    };
-    // Any supervision flag opts the sweep into the crash-isolated path;
-    // `--resume` doubles as the journal location.
-    let sup = if dispatch.is_none()
-        && (supervise
-            || journal.is_some()
-            || resume.is_some()
-            || timeout.is_some()
-            || retries.is_some())
-    {
-        if let (Some(j), Some(r)) = (&journal, &resume) {
-            if j != r {
-                return Err(err("--journal and --resume disagree; pass just one"));
-            }
-        }
-        Some(supervisor::SuperviseOpts {
-            journal: resume
-                .clone()
-                .or(journal)
-                .unwrap_or_else(|| std::path::PathBuf::from("sweep-journal")),
-            resume: resume.is_some(),
-            timeout,
-            retries: retries.unwrap_or(2),
-            child_args: strip_supervisor_flags(args),
-        })
-    } else {
-        None
-    };
-
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "list" => Ok(Command::List),
-        "table2" => Ok(Command::Table2 { cfg: Box::new(cfg) }),
-        "run" => Ok(Command::Run {
-            app: app.ok_or_else(|| err("run needs --app <name>"))?,
-            cfg: Box::new(cfg),
-            seed,
-            baseline,
-            metrics_json,
-        }),
-        "sweep" => Ok(Command::Sweep {
-            apps: apps.unwrap_or_else(|| AppId::all().to_vec()),
-            cfg: Box::new(cfg),
-            seed,
-            jobs,
-            sup,
-            dispatch,
-            job_index,
-        }),
-        "pair" => Ok(Command::Pair {
-            pair: AppPair {
-                a: pair_a.ok_or_else(|| err("pair needs --a <name>"))?,
-                b: pair_b.ok_or_else(|| err("pair needs --b <name>"))?,
-            },
-            cfg: Box::new(cfg),
-            seed,
-        }),
-        "chaos" => Ok(Command::Chaos {
-            app: app.ok_or_else(|| err("chaos needs --app <name>"))?,
-            cfg: Box::new(cfg),
-            seed,
-            rates: rates.unwrap_or_else(|| vec![0.0, 0.001, 0.01, 0.05]),
-            jobs,
-            sup,
-            dispatch,
-            job_index,
-        }),
-        "bench" => Ok(Command::Bench {
-            quick,
-            json,
-            jobs,
-            out: out.unwrap_or_else(|| std::path::PathBuf::from("BENCH_sweep.json")),
-            gate,
-        }),
-        "trace" => Ok(Command::Trace {
-            app: app.ok_or_else(|| err("trace needs an app (positional or --app <name>)"))?,
-            cfg: Box::new(cfg),
-            seed,
-            out: out.unwrap_or_else(|| std::path::PathBuf::from("trace.json")),
-            opts: barre_trace::TraceOptions {
-                window: window.unwrap_or_else(|| barre_trace::TraceOptions::default().window),
-                filter,
-            },
-        }),
-        other => Err(err(format!("unknown command {other}"))),
+    if threshold.is_some() {
+        return Err(err("--threshold only applies to --bench-diff"));
     }
-}
-
-/// The original argument list minus supervisor-only flags — what a
-/// crash-isolated child is re-executed with (plus `--job-index <i>`).
-/// `--jobs` is stripped too: it does not change any job's simulation, so
-/// keeping it out makes job fingerprints stable across worker counts.
-/// `--dispatch` likewise, so a dispatched sweep and a local supervised
-/// run of the same command line agree on every job fingerprint.
-fn strip_supervisor_flags(args: &[String]) -> Vec<String> {
-    let mut out = Vec::with_capacity(args.len());
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--supervise" => {}
-            "--journal" | "--resume" | "--timeout" | "--retries" | "--job-index" | "--jobs"
-            | "--dispatch" => {
-                i += 1;
-            }
-            other => out.push(other.to_string()),
-        }
-        i += 1;
+    let input = paths
+        .next()
+        .ok_or_else(|| err("report needs a trace or journal path"))?;
+    if let Some(extra) = paths.next() {
+        return Err(err(format!("unexpected operand {}", extra.display())));
     }
-    out
+    Ok(Command::Report {
+        input,
+        top: top.unwrap_or(trace_cmd::DEFAULT_TOP),
+    })
 }
 
 /// Usage text.
@@ -892,8 +762,9 @@ FLAGS:
   --policy <lasp|coda|rr|chunking>     --page-size <4k|64k|2m>
   --ptws <n|inf>                       --chiplets <n>
   --gmmu                               --migration
-  --paper                              --smoke (small fast configuration)
-  --seed <n>
+  --paper | --smoke                    machine preset (Table II | small and fast); other
+                                       machine flags override it, in any order
+  --seed <n>                           --frames <n> (physical frames per chiplet)
   --rates <r1,r2,...>                  chaos drop-rate sweep (default 0,0.001,0.01,0.05)
   --jobs <n>                           worker threads for sweep/chaos/bench
                                        (default: BARRE_JOBS env, then all cores; 1 = serial)
@@ -929,7 +800,7 @@ LINT FLAGS:
   --changed-since <rev>                only report findings in files changed since <rev>
   --max-waivers <n>                    inline-waiver budget (default 5; exit 2 on breach)
   --fix                                apply safe autofixes (W001 scaffold, D002 clock rewrite)
-  --parallel-readiness                 append the R001 audit report (ROADMAP item 2 gate)
+  --parallel-readiness                 append the R001 parallel-readiness audit report
 
 SUPERVISOR FLAGS (sweep, chaos):
   --supervise                          run each job in a crash-isolated child process
@@ -1782,6 +1653,71 @@ mod tests {
         assert!(p(&["sweep", "--dispatch", "h:1", "--retries", "1"]).is_err());
     }
 
+    /// The argv a supervised or dispatched child is re-executed with is
+    /// the input of every job fingerprint: a resume after a crash and
+    /// dispatched ≡ serial both depend on these exact bytes.
+    #[test]
+    fn child_args_and_fingerprints_are_pinned() {
+        // (command line, the child argv derived from it)
+        let cases = [
+            (
+                "sweep --smoke --apps gemv,atax --mode barre --seed 3 --jobs 2 --journal j1",
+                "sweep --smoke --apps gemv,atax --mode barre --seed 3",
+            ),
+            (
+                "chaos --app gups --smoke --rates 0,0.01 --retries 1 --journal j2",
+                "chaos --app gups --smoke --rates 0,0.01",
+            ),
+            (
+                "sweep --supervise --apps gups --timeout 5 --policy coda --ptws inf",
+                "sweep --apps gups --policy coda --ptws inf",
+            ),
+            (
+                "sweep --apps gemv --dispatch h:1 --jobs 2 --journal j --mode fbarre",
+                "sweep --apps gemv --mode fbarre",
+            ),
+            (
+                "chaos --resume j --app gups --mode fbarre --gmmu --chiplets 8",
+                "chaos --app gups --mode fbarre --gmmu --chiplets 8",
+            ),
+            (
+                "sweep --paper --retries 1 --apps bicg --timeout 5 --resume j --journal j \
+                 --page-size 64k --seed 9",
+                "sweep --paper --apps bicg --page-size 64k --seed 9",
+            ),
+            (
+                "chaos --app gups --smoke --dispatch h:1 --resume shard --rates 0,0.001",
+                "chaos --app gups --smoke --rates 0,0.001",
+            ),
+        ];
+        let words =
+            |line: &str| -> Vec<String> { line.split_whitespace().map(str::to_string).collect() };
+        for (line, want) in cases {
+            let child = match parse(&words(line)).unwrap() {
+                Command::Sweep { sup, dispatch, .. } | Command::Chaos { sup, dispatch, .. } => {
+                    match (sup, dispatch) {
+                        (Some(s), None) => s.child_args,
+                        (None, Some(d)) => d.child_args,
+                        other => panic!("{line}: want exactly one runner, got {other:?}"),
+                    }
+                }
+                other => panic!("wrong command {other:?}"),
+            };
+            assert_eq!(child, words(want), "{line}");
+        }
+        let Command::Sweep {
+            apps, cfg, seed, ..
+        } = parse(&words(cases[0].0)).unwrap()
+        else {
+            panic!("wrong command");
+        };
+        let labeled = sweep_jobs(&apps, &cfg, seed);
+        assert_eq!(
+            supervisor::job_fingerprint(&words(cases[0].1), 1, &labeled[1].label),
+            "218ea3b2342c3651"
+        );
+    }
+
     #[test]
     fn rejects_unknowns() {
         assert!(p(&["run", "--app", "nosuch"]).is_err());
@@ -1789,6 +1725,89 @@ mod tests {
         assert!(p(&["frobnicate"]).is_err());
         assert!(p(&["run", "--app", "gups", "--mode", "warp-drive"]).is_err());
         assert!(p(&["run", "--app"]).is_err());
+        // A flag the command would ignore is an error naming both.
+        let ignored = |line: &[&str], flag: &str| {
+            let e = p(line).unwrap_err().0;
+            assert!(e.contains(flag) && e.contains(line[0]), "{line:?}: {e}");
+        };
+        ignored(&["sweep", "--app", "gups", "--smoke"], "--app");
+        ignored(&["run", "--app", "gups", "--dispatch", "h:1"], "--dispatch");
+        ignored(&["run", "--app", "gups", "--jobs", "4"], "--jobs");
+        ignored(&["run", "--app", "gups", "--supervise"], "--supervise");
+        ignored(&["list", "--paper"], "--paper");
+        ignored(&["bench", "--paper"], "--paper");
+        ignored(&["table2", "--seed", "3"], "--seed");
+        ignored(&["trace", "gups", "--apps", "gemv"], "--apps");
+        ignored(&["report", "--fleet", "d", "--top", "3"], "--top");
+        ignored(&["report", "--bench-diff", "a", "b", "--top", "3"], "--top");
+    }
+
+    #[test]
+    fn presets_apply_before_overrides_in_any_order() {
+        let cfg = |line: &[&str]| match p(line).unwrap() {
+            Command::Run { cfg, .. } => format!("{cfg:?}"),
+            other => panic!("wrong command {other:?}"),
+        };
+        let want = cfg(&[
+            "run",
+            "--app",
+            "gups",
+            "--paper",
+            "--ptws",
+            "4",
+            "--chiplets",
+            "8",
+            "--gmmu",
+        ]);
+        let got = cfg(&[
+            "run",
+            "--app",
+            "gups",
+            "--ptws",
+            "4",
+            "--chiplets",
+            "8",
+            "--gmmu",
+            "--paper",
+        ]);
+        assert_eq!(got, want);
+        assert!(
+            want.contains("ptws: Some(4)") && want.contains("n_chiplets: 8"),
+            "{want}"
+        );
+        assert_eq!(
+            p(&["table2", "--paper", "--smoke"]).unwrap_err().0,
+            "--paper and --smoke are mutually exclusive"
+        );
+    }
+
+    #[test]
+    fn usage_documents_every_flag_and_only_accepted_ones() {
+        use std::collections::BTreeSet;
+        let accepted: BTreeSet<&str> = COMMANDS
+            .iter()
+            .flat_map(|(_, _, lists)| lists.iter().flat_map(|list| list.split(' ')))
+            .map(|spec| spec.trim_end_matches(['=', '?']))
+            .collect();
+        let documented: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|w| w.len() > 2 && w.starts_with("--"))
+            .collect();
+        // Child-protocol flags, spelled only by `barre serve` and the
+        // supervisor.
+        let hidden = ["--metrics-json", "--job-index"];
+        for flag in &accepted {
+            assert!(
+                documented.contains(flag) != hidden.contains(flag),
+                "{flag}: documented in USAGE iff not a child-protocol flag"
+            );
+        }
+        for flag in &documented {
+            assert!(
+                accepted.contains(flag),
+                "USAGE documents {flag}, which no command takes"
+            );
+        }
     }
 
     #[test]
@@ -1949,6 +1968,7 @@ mod tests {
         assert!(p(&["trace", "nosuch"]).is_err());
         assert!(p(&["trace", "gups", "--filter", "warp-core"]).is_err());
         assert!(p(&["trace", "gups", "--window", "0"]).is_err());
+        assert!(p(&["trace", "gups", "--app", "gemv"]).is_err());
     }
 
     #[test]

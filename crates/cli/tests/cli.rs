@@ -35,3 +35,17 @@ fn paper_flag_preserves_mode() {
         other => panic!("wrong command {other:?}"),
     }
 }
+
+#[test]
+fn a_flag_the_command_would_ignore_exits_2_with_empty_stdout() {
+    // `--app` is `run`'s flag; `sweep` takes `--apps` and used to drop
+    // `--app` silently, running all 19 apps.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_barre"))
+        .args(["sweep", "--app", "gups", "--smoke"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(stderr.contains("unknown flag --app for sweep"), "{stderr}");
+}
