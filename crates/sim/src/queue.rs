@@ -12,17 +12,26 @@
 //! simulator. Almost every event the machine schedules lands a small,
 //! bounded number of cycles in the future (TLB latencies, link
 //! serialization, MSHR retries), so a calendar queue — a ring of
-//! per-cycle buckets — turns the common case into an append at the tail
-//! of a short, cache-resident `VecDeque` and a `pop_front`.
+//! per-cycle buckets — turns the common case into a tail append and a
+//! head pop on a short list.
 //!
 //! Layout:
 //!
-//! * `buckets[c & mask]` holds every scheduled event whose cycle is
-//!   within the wheel horizon, sorted by `(cycle, seq)`. Distinct cycles
-//!   in one bucket differ by multiples of the wheel size, so the sort
-//!   degenerates to "append at the back" for in-horizon pushes.
-//! * Events beyond the horizon wait in a small overflow min-heap and are
-//!   re-binned into the wheel as the cursor approaches them.
+//! * Every pending event lives in one **node slab**: a `Vec` of
+//!   `{at, seq, next, ev}` nodes with a free list threaded through
+//!   `next`. A popped node's slot is reused by the next push, so the
+//!   slab's length is the run's peak pending-event count, and the queue's
+//!   memory follows pending events, not the wheel size.
+//! * The **wheel** is an array of 8-byte `(head, tail)` slot indices:
+//!   `wheel[c & mask]` is a singly linked list of every event whose
+//!   cycle is within the wheel horizon, sorted by `(cycle, seq)`.
+//!   Distinct cycles in one bucket differ by multiples of the wheel
+//!   size, so the sort degenerates to a tail append for in-horizon
+//!   pushes; an out-of-order push walks the (short) list.
+//! * Events beyond the horizon keep their node in the slab and wait as a
+//!   `(cycle, seq, slot)` key in a small overflow min-heap; they are
+//!   re-linked into the wheel as the cursor approaches them. A payload
+//!   is written once at push and moved once at pop.
 //! * `pop` advances a cycle cursor; after a full fruitless revolution it
 //!   jumps straight to the global minimum (sparse endgames), so a long
 //!   empty stretch costs one wheel scan instead of a per-cycle walk.
@@ -31,7 +40,7 @@
 //! `(cycle, seq)`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::Cycle;
 
@@ -40,15 +49,19 @@ use crate::Cycle;
 /// delays are all well under this many cycles).
 const DEFAULT_BUCKETS: usize = 4096;
 
-/// Upper bound on adaptive wheel growth. 65536 buckets ≈ 2 MiB of empty
-/// `VecDeque` headers — past that, the O(buckets) sparse-jump scan and
-/// memory cost outweigh saving heap hops for truly far-future events.
+/// Upper bound on adaptive wheel growth. A bucket is an 8-byte
+/// `(head, tail)` pair, so 65536 buckets cost 512 KiB whatever the
+/// payload size; past that, the O(buckets) sparse-jump scan outweighs
+/// saving heap hops for truly far-future events.
 const MAX_BUCKETS: usize = 1 << 16;
 
 /// Overflow-heap population that triggers a wheel resize. Growth is only
 /// worth a rebuild when the heap is taking sustained traffic, not for a
 /// handful of stragglers.
 const GROW_PRESSURE: usize = 64;
+
+/// End-of-list marker for slot links.
+const NIL: u32 = u32::MAX;
 
 /// A deterministic min-queue of timestamped events.
 ///
@@ -68,13 +81,18 @@ const GROW_PRESSURE: usize = 64;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// The wheel: bucket `i` holds events with `at & mask == i`, sorted
-    /// by `(at, seq)`.
-    buckets: Vec<VecDeque<Entry<E>>>,
-    /// `buckets.len() - 1`; bucket count is a power of two.
+    /// Storage for every pending event, wheel and overflow alike.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-slot list, threaded through `Node::next`.
+    free: u32,
+    /// The wheel: bucket `i` links the nodes with `at & mask == i`,
+    /// sorted by `(at, seq)`.
+    wheel: Vec<Bucket>,
+    /// `wheel.len() - 1`; bucket count is a power of two.
     mask: u64,
-    /// Events at or beyond the wheel horizon (`cur + buckets.len()`).
-    overflow: BinaryHeap<Reverse<Entry<E>>>,
+    /// `(at, seq, slot)` of events at or beyond the wheel horizon
+    /// (`cur + wheel.len()`).
+    overflow: BinaryHeap<Reverse<(Cycle, u64, u32)>>,
     /// Next cycle the pop scan inspects (≤ every pending event's cycle).
     cur: Cycle,
     /// Pending events across wheel and overflow.
@@ -93,27 +111,27 @@ pub struct EventQueue<E> {
 }
 
 #[derive(Debug)]
-struct Entry<E> {
+struct Node<E> {
     at: Cycle,
     seq: u64,
-    ev: E,
+    /// Next slot in this node's bucket list, or in the free list.
+    next: u32,
+    /// `None` exactly while the slot is on the free list.
+    ev: Option<E>,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// One wheel bucket: the first and last slot of its sorted list.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+    };
 }
 
 impl<E> EventQueue<E> {
@@ -124,24 +142,20 @@ impl<E> EventQueue<E> {
 
     /// Creates an empty queue sized for roughly `pending_hint`
     /// simultaneously scheduled events (a workload-derived capacity
-    /// hint). The wheel size still bounds per-bucket occupancy; the hint
-    /// pre-reserves bucket storage so the warm-up phase does not grow
-    /// every `VecDeque` one push at a time.
+    /// hint). The hint reserves the node slab, so the warm-up phase does
+    /// not reallocate it one doubling at a time.
     pub fn with_capacity(pending_hint: usize) -> Self {
         let mut q = Self::with_buckets(DEFAULT_BUCKETS);
-        let per_bucket = pending_hint / DEFAULT_BUCKETS;
-        if per_bucket > 0 {
-            for b in &mut q.buckets {
-                b.reserve(per_bucket);
-            }
-        }
+        q.nodes.reserve(pending_hint);
         q
     }
 
     fn with_buckets(n: usize) -> Self {
         let n = n.next_power_of_two().max(2);
         Self {
-            buckets: (0..n).map(|_| VecDeque::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            wheel: vec![Bucket::EMPTY; n],
             mask: (n - 1) as u64,
             overflow: BinaryHeap::new(),
             cur: 0,
@@ -157,7 +171,7 @@ impl<E> EventQueue<E> {
 
     /// Cycle at or beyond which a push bypasses the wheel.
     fn horizon(&self) -> Cycle {
-        self.cur.saturating_add(self.buckets.len() as u64)
+        self.cur.saturating_add(self.wheel.len() as u64)
     }
 
     /// Schedules `ev` to fire at absolute cycle `at`.
@@ -170,80 +184,128 @@ impl<E> EventQueue<E> {
         if at < self.cur {
             self.cur = at;
         }
-        let e = Entry { at, seq, ev };
+        let slot = self.alloc(Node {
+            at,
+            seq,
+            next: NIL,
+            ev: Some(ev),
+        });
+        self.len += 1;
         if at >= self.horizon() {
             self.spills += 1;
             self.max_gap = self.max_gap.max(at - self.cur);
-            self.overflow.push(Reverse(e));
-            self.len += 1;
+            self.overflow.push(Reverse((at, seq, slot)));
             // Adaptive sizing: sustained overflow pressure means the
             // wheel is too small for this workload's event horizon —
             // grow it toward the largest gap seen (capped), so future
             // pushes at that distance bin in O(1) instead of heaping.
-            if self.overflow.len() >= GROW_PRESSURE && self.buckets.len() < MAX_BUCKETS {
+            if self.overflow.len() >= GROW_PRESSURE && self.wheel.len() < MAX_BUCKETS {
                 self.grow_wheel();
             }
         } else {
-            Self::bin(&mut self.buckets, self.mask, e);
-            self.len += 1;
+            self.link(slot);
+        }
+    }
+
+    /// Stores `node` in a free slot (or a new one) and returns the slot.
+    fn alloc(&mut self, node: Node<E>) -> u32 {
+        let slot = self.free;
+        match self.nodes.get_mut(slot as usize) {
+            Some(free) => {
+                self.free = free.next;
+                *free = node;
+                slot
+            }
+            None => {
+                // A slot index never reaches `NIL`: that would take 2^32
+                // simultaneously pending events.
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
         }
     }
 
     /// Rebuilds the wheel at a larger size chosen from the observed event
-    /// horizon. Every entry keeps its `(at, seq)` key and every bucket
+    /// horizon. Every node keeps its `(at, seq)` key and every bucket
     /// stays sorted, so pop order is unaffected — only the bucket an
-    /// event lives in changes.
+    /// event is linked into changes. No payload moves.
     fn grow_wheel(&mut self) {
         let target = usize::try_from(self.max_gap.saturating_add(1))
             .unwrap_or(MAX_BUCKETS)
             .next_power_of_two()
-            .clamp(self.buckets.len().saturating_mul(2), MAX_BUCKETS);
-        if target <= self.buckets.len() {
+            .clamp(self.wheel.len().saturating_mul(2), MAX_BUCKETS);
+        if target <= self.wheel.len() {
             return;
         }
-        let old = std::mem::replace(
-            &mut self.buckets,
-            (0..target).map(|_| VecDeque::new()).collect(),
-        );
+        let old = std::mem::replace(&mut self.wheel, vec![Bucket::EMPTY; target]);
         self.mask = (target - 1) as u64;
         for b in old {
-            for e in b {
+            let mut slot = b.head;
+            while let Some(node) = self.nodes.get(slot as usize) {
+                let next = node.next;
                 // Everything on the old wheel was inside the old horizon,
                 // which the new, larger horizon contains.
-                Self::bin(&mut self.buckets, self.mask, e);
+                self.link(slot);
+                slot = next;
             }
         }
-        self.drain_overflow();
+        self.rebin_through(self.horizon() - 1);
         self.growths += 1;
     }
 
-    /// Inserts `e` into its wheel bucket, keeping the bucket sorted by
+    /// Links `slot` into its wheel bucket, keeping the bucket sorted by
     /// `(at, seq)`. The common case — the newest event of the bucket's
-    /// latest cycle — is an O(1) append.
-    fn bin(buckets: &mut [VecDeque<Entry<E>>], mask: u64, e: Entry<E>) {
-        let b = &mut buckets[(e.at & mask) as usize];
-        match b.back() {
-            Some(back) if (back.at, back.seq) > (e.at, e.seq) => {
-                let pos = b.partition_point(|x| (x.at, x.seq) < (e.at, e.seq));
-                b.insert(pos, e);
+    /// latest cycle — is an O(1) tail append.
+    fn link(&mut self, slot: u32) {
+        let Some(node) = self.nodes.get(slot as usize) else {
+            return;
+        };
+        let key = (node.at, node.seq);
+        let b = &mut self.wheel[(node.at & self.mask) as usize];
+        let tail_key = self.nodes.get(b.tail as usize).map(|t| (t.at, t.seq));
+        let next = match tail_key {
+            None => {
+                b.head = slot;
+                b.tail = slot;
+                NIL
             }
-            _ => b.push_back(e),
-        }
+            Some(tk) if tk < key => {
+                self.nodes[b.tail as usize].next = slot;
+                b.tail = slot;
+                NIL
+            }
+            Some(_) => {
+                // Out of order: the tail sorts after `key`, so the walk
+                // stops at a node before the tail and the tail stays put.
+                let mut prev = NIL;
+                let mut succ = b.head;
+                while let Some(n) = self.nodes.get(succ as usize) {
+                    if (n.at, n.seq) > key {
+                        break;
+                    }
+                    prev = succ;
+                    succ = n.next;
+                }
+                match self.nodes.get_mut(prev as usize) {
+                    Some(p) => p.next = slot,
+                    None => b.head = slot,
+                }
+                succ
+            }
+        };
+        self.nodes[slot as usize].next = next;
     }
 
-    /// Moves overflow events that fell inside the wheel horizon into
-    /// their buckets.
-    fn drain_overflow(&mut self) {
-        let horizon = self.horizon();
-        while let Some(Reverse(front)) = self.overflow.peek() {
-            if front.at >= horizon {
+    /// Moves overflow events due at or before cycle `last` into their
+    /// buckets; `last` is at most the last cycle inside the horizon.
+    fn rebin_through(&mut self, last: Cycle) {
+        while let Some(&Reverse((at, _, slot))) = self.overflow.peek() {
+            if at > last {
                 break;
             }
-            let Some(Reverse(e)) = self.overflow.pop() else {
-                break;
-            };
+            self.overflow.pop();
             self.rebins += 1;
-            Self::bin(&mut self.buckets, self.mask, e);
+            self.link(slot);
         }
     }
 
@@ -251,8 +313,11 @@ impl<E> EventQueue<E> {
     /// empty. O(bucket count) — used by the sparse-jump path and
     /// [`peek_cycle`](Self::peek_cycle), never by the dense fast path.
     fn min_pending_cycle(&self) -> Option<Cycle> {
-        let wheel_min = self.buckets.iter().filter_map(|b| b.front().map(|e| e.at));
-        let over_min = self.overflow.peek().map(|Reverse(e)| e.at);
+        let wheel_min = self
+            .wheel
+            .iter()
+            .filter_map(|b| self.nodes.get(b.head as usize).map(|n| n.at));
+        let over_min = self.overflow.peek().map(|&Reverse((at, _, _))| at);
         wheel_min.chain(over_min).min()
     }
 
@@ -261,36 +326,34 @@ impl<E> EventQueue<E> {
         if self.len == 0 {
             return None;
         }
-        self.drain_overflow();
+        self.rebin_through(self.horizon() - 1);
         let mut scanned = 0usize;
         loop {
             // Anything the cursor is about to inspect must be on the
             // wheel, including overflow events whose cycle the cursor
             // just reached (cheap peek, usually one comparison).
-            while let Some(Reverse(front)) = self.overflow.peek() {
-                if front.at > self.cur {
-                    break;
-                }
-                let Some(Reverse(e)) = self.overflow.pop() else {
-                    break;
-                };
-                self.rebins += 1;
-                Self::bin(&mut self.buckets, self.mask, e);
-            }
-            let b = (self.cur & self.mask) as usize;
-            if let Some(front) = self.buckets[b].front() {
-                if front.at == self.cur {
-                    let Some(e) = self.buckets[b].pop_front() else {
+            self.rebin_through(self.cur);
+            let b = &mut self.wheel[(self.cur & self.mask) as usize];
+            let head = b.head;
+            if let Some(node) = self.nodes.get_mut(head as usize) {
+                if node.at == self.cur {
+                    b.head = node.next;
+                    if b.head == NIL {
+                        b.tail = NIL;
+                    }
+                    node.next = self.free;
+                    self.free = head;
+                    let Some(ev) = node.ev.take() else {
                         break None;
                     };
                     self.len -= 1;
                     self.popped += 1;
-                    break Some((e.at, e.ev));
+                    break Some((self.cur, ev));
                 }
             }
             self.cur += 1;
             scanned += 1;
-            if scanned >= self.buckets.len() {
+            if scanned >= self.wheel.len() {
                 // A full fruitless revolution: the next event is far
                 // away. Jump straight to the global minimum instead of
                 // walking every intermediate cycle.
@@ -298,7 +361,7 @@ impl<E> EventQueue<E> {
                     break None;
                 };
                 self.cur = min;
-                self.drain_overflow();
+                self.rebin_through(self.horizon() - 1);
                 scanned = 0;
             }
         }
@@ -343,7 +406,7 @@ impl<E> EventQueue<E> {
 
     /// Current wheel size in buckets.
     pub fn buckets(&self) -> usize {
-        self.buckets.len()
+        self.wheel.len()
     }
 }
 
@@ -616,6 +679,118 @@ mod tests {
                 model.push((now + delay, seq));
                 seq += 1;
             }
+        }
+    }
+
+    #[test]
+    fn node_slab_is_bounded_by_peak_pending_on_a_full_size_wheel() {
+        // Storage follows pending events, not the wheel: grow the wheel
+        // to MAX_BUCKETS, then keep at most 64 events pending for three
+        // full revolutions. Every popped slot is reused, so the slab
+        // never outgrows the peak pending count.
+        let mut rng = Rng::new(0x51AB_0001);
+        let mut q = EventQueue::new();
+        let mut pushes: Vec<(Cycle, u64)> = Vec::new();
+        let mut popped: Vec<(Cycle, u64)> = Vec::new();
+        for i in 0..GROW_PRESSURE as u64 {
+            q.push(40_000 + i, i);
+            pushes.push((40_000 + i, i));
+        }
+        assert_eq!(q.buckets(), MAX_BUCKETS, "wheel did not grow to its cap");
+        let mut peak = q.len();
+        let mut id = pushes.len() as u64;
+        let end = 3 * MAX_BUCKETS as u64;
+        while let Some((now, v)) = q.pop() {
+            popped.push((now, v));
+            if now >= end {
+                continue;
+            }
+            // Refill to at most 64 pending: mostly near events, some
+            // aliasing a full wheel ahead, some past the horizon.
+            for _ in 0..=(rng.next_below(2)) {
+                if q.len() >= 64 {
+                    break;
+                }
+                let at = now
+                    + match rng.next_below(20) {
+                        0..=17 => rng.next_below(512),
+                        18 => MAX_BUCKETS as u64 + rng.next_below(8),
+                        _ => 2 * MAX_BUCKETS as u64 + rng.next_below(1000),
+                    };
+                q.push(at, id);
+                pushes.push((at, id));
+                id += 1;
+                peak = peak.max(q.len());
+                assert!(
+                    q.nodes.len() <= peak,
+                    "slab {} > peak pending {peak}",
+                    q.nodes.len()
+                );
+            }
+        }
+        assert!(peak <= 64);
+        assert!(pushes.len() > 1000, "schedule too short to mean anything");
+        assert!(q.spills() > 0, "no event crossed the horizon");
+        assert_eq!(popped, reference_order(&pushes));
+    }
+
+    #[test]
+    fn reused_slots_in_aliasing_buckets_keep_no_stale_links() {
+        // Pop a batch, so several slots sit on the free list with live
+        // `next` links, then reuse them at once: one push per popped
+        // event into its aliasing bucket (a whole wheel ahead), plus near
+        // and out-of-order pushes. A burst of far-future pushes grows the
+        // wheel mid-run. A `next` link that survived reuse would splice
+        // a bucket onto the free list or another bucket and break order.
+        for seed in 0..6u64 {
+            let mut rng = Rng::new(0x5107_0000 ^ seed);
+            let mut q = EventQueue::new();
+            let mut model: Vec<(Cycle, u64)> = Vec::new();
+            let mut id = 0u64;
+            let mut push = |q: &mut EventQueue<u64>, model: &mut Vec<(Cycle, u64)>, at| {
+                q.push(at, id);
+                model.push((at, id));
+                id += 1;
+            };
+            for c in 0..48u64 {
+                push(&mut q, &mut model, c);
+                push(&mut q, &mut model, c + DEFAULT_BUCKETS as u64);
+            }
+            for round in 0..1500u64 {
+                if round == 500 {
+                    for i in 0..GROW_PRESSURE as u64 {
+                        push(&mut q, &mut model, 20_000 + round + i);
+                    }
+                }
+                let mut batch = Vec::new();
+                for _ in 0..=rng.next_below(8) {
+                    model.sort_by_key(|&(at, s)| (at, s));
+                    let expect = (!model.is_empty()).then(|| model.remove(0));
+                    let got = q.pop();
+                    assert_eq!(got, expect, "seed {seed} round {round} diverged");
+                    batch.extend(got);
+                }
+                let Some(&(now, _)) = batch.last() else { break };
+                let wheel = q.buckets() as u64;
+                for &(at, _) in &batch {
+                    push(&mut q, &mut model, at + wheel * (1 + rng.next_below(2)));
+                }
+                // Lands before events already queued in its bucket.
+                push(&mut q, &mut model, now + rng.next_below(4));
+                if rng.next_below(2) == 0 {
+                    push(&mut q, &mut model, now + 1 + rng.next_below(64));
+                }
+            }
+            model.sort_by_key(|&(at, s)| (at, s));
+            for &(at, s) in &model {
+                assert_eq!(q.pop(), Some((at, s)), "seed {seed} tail diverged");
+            }
+            assert_eq!(q.pop(), None);
+            assert!(q.growths() > 0, "seed {seed} never grew");
+            assert!(
+                (q.nodes.len() as u64) < id / 2,
+                "seed {seed} rarely reused a slot"
+            );
         }
     }
 }

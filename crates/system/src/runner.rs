@@ -415,6 +415,44 @@ mod tests {
     }
 
     #[test]
+    fn event_queue_growth_policy_is_pinned() {
+        // The calendar wheel's adaptive growth is observable only through
+        // the trace `Sample` channel. Pin the last sample's queue
+        // counters, `(spills, rebins, growths, buckets)`, for the gups
+        // smoke cells at the CLI's default seed — the `event queue:` line
+        // `barre report` prints for `barre trace gups --mode <m> --smoke`.
+        let cfg = smoke_config();
+        let cells = [
+            (
+                cfg.clone()
+                    .with_mode(TranslationMode::FBarre(FBarreConfig::default())),
+                (84, 84, 1, 65_536),
+            ),
+            (
+                cfg.clone().with_mode(TranslationMode::Baseline),
+                (357, 357, 1, 65_536),
+            ),
+        ];
+        for (cfg, want) in cells {
+            let (_, rec) = trace_app(
+                AppId::Gups,
+                &cfg,
+                0x15CA_2024,
+                &barre_trace::TraceOptions::default(),
+            )
+            .expect("traced run failed");
+            let last = rec.samples().last().expect("no samples");
+            let got = (
+                last.queue_spills,
+                last.queue_rebins,
+                last.queue_growths,
+                last.queue_buckets,
+            );
+            assert_eq!(got, want, "{}", cfg.mode.label());
+        }
+    }
+
+    #[test]
     fn multi_app_pair_runs() {
         let cfg = smoke_config();
         let pair = AppPair {
