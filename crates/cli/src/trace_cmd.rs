@@ -21,6 +21,7 @@ use std::path::Path;
 
 use barre_system::{trace_app, JournalEvent, Json, SystemConfig};
 use barre_trace::export::{chrome_trace, jsonl, TraceMeta};
+use barre_trace::json::json_escape;
 use barre_trace::{LatencyHistogram, Stage, TraceOptions};
 use barre_workloads::AppId;
 
@@ -588,19 +589,6 @@ fn derive_spans(job: &mut FleetJob) {
     job.spans = spans;
 }
 
-fn push_esc(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders the stitched jobs as one Chrome-trace/Perfetto document:
 /// a single `barre fleet` process with one thread (track) per job,
 /// phase spans as `X` events and the raw point events as instants.
@@ -619,42 +607,36 @@ fn render_fleet_chrome(jobs: &[FleetJob], t0: u64) -> String {
         };
         let _ = write!(
             s,
-            ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\""
+            ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
+            json_escape(track)
         );
-        push_esc(&mut s, track);
-        s.push_str("\"}}");
         for span in &job.spans {
             let dur = us(span.end_ms).saturating_sub(us(span.start_ms)).max(1);
             let _ = write!(
                 s,
-                ",\n{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{dur},\"pid\":1,\"tid\":{tid},\"args\":{{\"corr\":\"",
+                ",\n{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{dur},\"pid\":1,\"tid\":{tid},\"args\":{{\"corr\":{},\"fp\":{},\"detail\":{}}}}}",
                 span.name,
                 us(span.start_ms),
+                json_escape(&job.key),
+                json_escape(&job.fp),
+                json_escape(&span.detail),
             );
-            push_esc(&mut s, &job.key);
-            s.push_str("\",\"fp\":\"");
-            push_esc(&mut s, &job.fp);
-            s.push_str("\",\"detail\":\"");
-            push_esc(&mut s, &span.detail);
-            s.push_str("\"}}");
         }
         for e in &job.events {
             let _ = write!(
                 s,
-                ",\n{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{tid},\"args\":{{\"role\":\"",
-                e.event,
+                ",\n{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":1,\"tid\":{tid},\"args\":{{\"role\":{}",
+                json_escape(&e.event),
                 us(e.ts_ms),
+                json_escape(&e.role),
             );
-            push_esc(&mut s, &e.role);
             if !e.worker.is_empty() {
-                s.push_str("\",\"worker\":\"");
-                push_esc(&mut s, &e.worker);
+                let _ = write!(s, ",\"worker\":{}", json_escape(&e.worker));
             }
             if !e.exit.is_empty() {
-                s.push_str("\",\"exit\":\"");
-                push_esc(&mut s, &e.exit);
+                let _ = write!(s, ",\"exit\":{}", json_escape(&e.exit));
             }
-            s.push_str("\"}}");
+            s.push_str("}}");
         }
     }
     s.push_str("\n]}\n");
@@ -895,6 +877,41 @@ mod tests {
         // The reopened queued phase runs expiry → second lease.
         assert_eq!(job.spans[2].start_ms, 90);
         assert_eq!(job.spans[2].end_ms, 120);
+    }
+
+    #[test]
+    fn fleet_chrome_doc_escapes_hostile_labels() {
+        let label = "say \"hi\" \\ then\nnewline";
+        let mut ev = vec![
+            fe(1000, "queue", "queued", "cD", "f4"),
+            fe(1200, "worker", "odd \"event\"", "cD", "f4"),
+        ];
+        ev[0].label = label.to_string();
+        ev[1].exit = "exit\\\"1\"".to_string();
+        let doc = render_fleet_chrome(&stitch_fleet(ev), 1000);
+        let v = Json::parse(&doc).expect("valid chrome trace json");
+        let evs = v.get("traceEvents").and_then(Json::as_arr).expect("events");
+        let track = evs
+            .iter()
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("thread_name"))
+            .expect("thread_name meta");
+        assert_eq!(
+            track
+                .get("args")
+                .and_then(|a| a.get("name"))
+                .and_then(Json::as_str),
+            Some(label)
+        );
+        let odd = evs
+            .iter()
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("odd \"event\""))
+            .expect("instant event");
+        assert_eq!(
+            odd.get("args")
+                .and_then(|a| a.get("exit"))
+                .and_then(Json::as_str),
+            Some("exit\\\"1\"")
+        );
     }
 
     #[test]

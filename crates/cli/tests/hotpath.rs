@@ -1,5 +1,6 @@
 //! Hot-path contracts for the F-Barre sweep: pinned golden metric
-//! fingerprints for the full 9-app × 3-mode smoke sweep, and the
+//! fingerprints for the full 9-app × 3-mode smoke sweep and for the
+//! configuration variants the sweep never reaches, and the
 //! zero-allocation assertion for the F-Barre probe path.
 //!
 //! The fingerprints pin [`barre_system::metrics_digest`] (an FNV-64 of
@@ -15,7 +16,10 @@ use std::cell::Cell;
 
 use barre_bench::wallclock::{bench_apps, bench_modes};
 use barre_bench::SEED;
-use barre_system::{metrics_digest, run_spec};
+use barre_system::{
+    metrics_digest, run_spec, smoke_config, FBarreConfig, MmuKind, SystemConfig, TranslationMode,
+};
+use barre_workloads::AppId;
 
 /// Counts heap allocations so [`barre_system::Machine::set_alloc_probe`]
 /// can assert the F-Barre probe path never allocates. Lives in this
@@ -127,6 +131,108 @@ fn golden_fingerprints_smoke_sweep() {
             assert_eq!(act, exp, "sweep cell {i} ({}/{}) drifted", exp.0, exp.1);
         }
         assert_eq!(actual.len(), expected.len(), "sweep shape changed");
+    }
+}
+
+/// The configuration variants the 27-cell sweep does not exercise: the
+/// prior-work modes, the other F-Barre merge limits, speculative
+/// multicast, an IOMMU TLB, and Barre / F-Barre on per-chiplet GMMUs.
+fn variant_configs() -> Vec<(&'static str, SystemConfig)> {
+    let base = smoke_config();
+    let fbarre = |max_merged| {
+        TranslationMode::FBarre(FBarreConfig {
+            max_merged,
+            ..FBarreConfig::default()
+        })
+    };
+    let mut multicast = base.clone().with_mode(TranslationMode::Barre);
+    multicast.barre_multicast = true;
+    let mut iommu_tlb = base.clone().with_mode(fbarre(2));
+    iommu_tlb.iommu_tlb = Some((2048, 8, 200));
+    let mut gmmu = base.clone();
+    gmmu.mmu = MmuKind::Gmmu;
+    vec![
+        (
+            "valkyrie",
+            base.clone().with_mode(TranslationMode::Valkyrie),
+        ),
+        ("least", base.clone().with_mode(TranslationMode::Least)),
+        ("fbarre1", base.clone().with_mode(fbarre(1))),
+        ("fbarre4", base.clone().with_mode(fbarre(4))),
+        ("barre+multicast", multicast),
+        ("fbarre+iommu-tlb", iommu_tlb),
+        ("gmmu-barre", gmmu.clone().with_mode(TranslationMode::Barre)),
+        ("gmmu-fbarre", gmmu.with_mode(fbarre(2))),
+    ]
+}
+
+/// `(app, variant, metrics_digest, total_cycles, events_processed)` for
+/// [`variant_configs`] on gups and atax at the bench seed.
+const GOLDEN_VARIANTS: &[(&str, &str, &str, u64, u64)] = &[
+    ("gups", "valkyrie", "72a0c1eff85cdf2b", 2570708, 1334072),
+    ("gups", "least", "3e6885335010d61b", 2582352, 1070728),
+    ("gups", "fbarre1", "1bee249c6741c9b0", 2072564, 1040527),
+    ("gups", "fbarre4", "79f0e2c7d7a97912", 2085916, 763778),
+    (
+        "gups",
+        "barre+multicast",
+        "63362b79424d61ad",
+        2431727,
+        1432557,
+    ),
+    (
+        "gups",
+        "fbarre+iommu-tlb",
+        "070660a4f49faf46",
+        2063357,
+        909550,
+    ),
+    ("gups", "gmmu-barre", "5bd163e7fc992298", 3054083, 1272683),
+    ("gups", "gmmu-fbarre", "d1784aa609ccf8f5", 2019046, 905979),
+    ("atax", "valkyrie", "f4b1719ad0f9df8a", 153415, 16176),
+    ("atax", "least", "dc2e0326a13693ff", 147816, 16176),
+    ("atax", "fbarre1", "4892427ddfa82a38", 145465, 16368),
+    ("atax", "fbarre4", "4892427ddfa82a38", 145465, 16368),
+    ("atax", "barre+multicast", "fd66202f5bbd96a9", 157031, 16890),
+    (
+        "atax",
+        "fbarre+iommu-tlb",
+        "433d179272274c96",
+        129529,
+        16368,
+    ),
+    ("atax", "gmmu-barre", "2db84eff3510cd6c", 137373, 16176),
+    ("atax", "gmmu-fbarre", "b2d5091be3491762", 119010, 16368),
+];
+
+#[test]
+fn golden_fingerprints_config_variants() {
+    let mut actual = Vec::new();
+    for app in [AppId::Gups, AppId::Atax] {
+        for (variant, cfg) in variant_configs() {
+            let m = run_spec(app.spec(), &cfg, SEED).expect("smoke run");
+            actual.push((
+                app.name().to_string(),
+                variant.to_string(),
+                metrics_digest(&m),
+                m.total_cycles,
+                m.events_processed,
+            ));
+        }
+    }
+    let expected: Vec<_> = GOLDEN_VARIANTS
+        .iter()
+        .map(|&(a, v, d, c, e)| (a.to_string(), v.to_string(), d.to_string(), c, e))
+        .collect();
+    if actual != expected {
+        println!("actual variant table (for re-pinning GOLDEN_VARIANTS):");
+        for (a, v, d, c, e) in &actual {
+            println!("    (\"{a}\", \"{v}\", \"{d}\", {c}, {e}),");
+        }
+        for (i, (act, exp)) in actual.iter().zip(&expected).enumerate() {
+            assert_eq!(act, exp, "variant cell {i} ({}/{}) drifted", exp.0, exp.1);
+        }
+        assert_eq!(actual.len(), expected.len(), "variant table shape changed");
     }
 }
 

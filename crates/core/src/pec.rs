@@ -86,9 +86,9 @@ impl PecBuffer {
 
     /// The record covering `(asid, vpn)`, if resident.
     pub fn lookup(&mut self, asid: u16, vpn: Vpn) -> Option<&PecEntry> {
-        let found = self.entries.iter().position(|e| e.contains(asid, vpn));
+        let found = self.entries.iter().find(|e| e.contains(asid, vpn));
         self.lookups.record(found.is_some());
-        found.map(|i| &self.entries[i])
+        found
     }
 
     /// Like [`lookup`](Self::lookup) but without touching statistics.
@@ -219,34 +219,8 @@ impl PecLogic {
         }
     }
 
-    /// The group member corresponding to `pending`, if `pending` is in the
-    /// same coalescing group as the translated PTE.
-    pub fn member_for(
-        &self,
-        pte_vpn: Vpn,
-        info: &CoalInfo,
-        entry: &PecEntry,
-        pending: Vpn,
-    ) -> Option<GroupMember> {
-        let mut found = None;
-        self.for_each_member(pte_vpn, info, entry, |m| {
-            if m.vpn == pending {
-                found = Some(m);
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        found
-    }
-
-    /// The PFN calculator: computes `pending`'s physical frame from one
-    /// translated `(pte_vpn, pte_pfn, info)` of the same group.
-    ///
-    /// Implements the §V-B equation `PFN_pending = PFN_PTE −
-    /// base_PFN_PTE − intra_PTE + base_PFN_pending + intra_pending`,
-    /// which for the base format degenerates to "same local PFN, pending
-    /// chiplet's base".
+    /// The PFN calculator: `pending`'s physical frame, the frame half of
+    /// [`calculate`](Self::calculate).
     pub fn calc_pfn(
         &self,
         pte_vpn: Vpn,
@@ -255,42 +229,79 @@ impl PecLogic {
         entry: &PecEntry,
         pending: Vpn,
     ) -> Option<GlobalPfn> {
-        let member = self.member_for(pte_vpn, info, entry, pending)?;
+        self.calculate(pte_vpn, pte_pfn, info, entry, pending)
+            .map(|(pfn, _)| pfn)
+    }
+
+    /// Calculates `pending`'s translation from one translated `(pte_vpn,
+    /// pte_pfn, info)` of the same group: its frame and the coalescing
+    /// bits of its own PTE ([`member_bits`](Self::member_bits)) —
+    /// everything a calculated TLB entry holds. `None` when `pending` is
+    /// not in the group.
+    ///
+    /// The frame follows the §V-B equation `PFN_pending = PFN_PTE −
+    /// base_PFN_PTE − intra_PTE + base_PFN_pending + intra_pending`,
+    /// which for the base format degenerates to "same local PFN, pending
+    /// chiplet's base".
+    pub fn calculate(
+        &self,
+        pte_vpn: Vpn,
+        pte_pfn: GlobalPfn,
+        info: &CoalInfo,
+        entry: &PecEntry,
+        pending: Vpn,
+    ) -> Option<(GlobalPfn, u16)> {
+        let mut member = None;
+        self.for_each_member(pte_vpn, info, entry, |m| {
+            if m.vpn != pending {
+                return ControlFlow::Continue(());
+            }
+            member = Some(m);
+            ControlFlow::Break(())
+        });
+        let member = member?;
         let run_base = pte_pfn.local().0.checked_sub(info.intra_order() as u64)?;
         let local = LocalPfn(run_base + member.intra_order as u64);
-        Some(GlobalPfn::compose(member.chiplet, local))
+        let pfn = GlobalPfn::compose(member.chiplet, local);
+        Some((pfn, self.member_bits(info, &member)))
     }
 
-    /// The coalescing VPNs to advertise in peer RCFs when a TLB entry for
-    /// `pte_vpn` is inserted (§V-A2: "updates RCFs with the exact VPN as
-    /// well as the coalescing VPNs").
-    pub fn advertised_vpns(&self, pte_vpn: Vpn, info: &CoalInfo, entry: &PecEntry) -> Vec<Vpn> {
-        self.members(pte_vpn, info, entry)
-            .into_iter()
-            .map(|m| m.vpn)
-            .collect()
+    /// The coalescing bits of `member`'s own PTE, re-encoded from the
+    /// decoded bits `info` of any translated page of its group: the
+    /// member's inter/intra orders, the same participation and run
+    /// length. A calculated TLB entry must carry these. With the
+    /// translated page's bits instead, its inter order contradicts its
+    /// position, so [`for_each_member`](Self::for_each_member) declines
+    /// it: the entry could neither be advertised to peer filters nor
+    /// serve as a calculation source.
+    pub fn member_bits(&self, info: &CoalInfo, member: &GroupMember) -> u16 {
+        let mut own = *info;
+        match &mut own {
+            CoalInfo::Base { inter_order, .. } | CoalInfo::Wide { inter_order, .. } => {
+                *inter_order = member.inter_order;
+            }
+            CoalInfo::Expanded {
+                inter_order,
+                intra_order,
+                ..
+            } => {
+                *inter_order = member.inter_order;
+                *intra_order = member.intra_order;
+            }
+        }
+        own.encode()
     }
 
-    /// All VPNs that *could* share a coalescing group with `vpn`, derived
-    /// from the data's PEC record alone (no translated PTE) — the
+    /// Visits every VPN that *could* share a coalescing group with `vpn`,
+    /// derived from the data's PEC record alone (no translated PTE) — the
     /// candidate set a chiplet probes its LCF with on an L2 TLB miss
     /// (§V-A3: "coalescing VPNs can be calculated by decrementing or
     /// incrementing the requested VPN by interlv_gran"). Conservative
     /// under group expansion: run alignment is unknown until a PTE is
     /// seen, so every offset below the merge limit is a candidate.
-    /// `vpn` itself is excluded.
-    pub fn coalescing_candidates(&self, entry: &PecEntry, vpn: Vpn, max_merged: u8) -> Vec<Vpn> {
-        let mut out = Vec::new();
-        self.for_each_candidate(entry, vpn, max_merged, |w| {
-            out.push(w);
-            ControlFlow::Continue(())
-        });
-        out
-    }
-
-    /// Visitor form of [`coalescing_candidates`](Self::coalescing_candidates):
-    /// same candidates, same order, no allocation, early exit when the
-    /// visitor breaks (the LCF probe stops at the first confirmed hit).
+    /// `vpn` itself is excluded. No allocation; the visit stops early
+    /// when the visitor breaks (the LCF probe stops at the first
+    /// confirmed hit).
     pub fn for_each_candidate<F>(&self, entry: &PecEntry, vpn: Vpn, max_merged: u8, mut f: F)
     where
         F: FnMut(Vpn) -> ControlFlow<()>,
@@ -371,6 +382,17 @@ mod tests {
 
     fn logic() -> PecLogic {
         PecLogic::new(CoalMode::Base)
+    }
+
+    /// Every candidate [`PecLogic::for_each_candidate`] visits, sorted.
+    fn candidates(logic: PecLogic, entry: &PecEntry, vpn: Vpn, max_merged: u8) -> Vec<u64> {
+        let mut v = Vec::new();
+        logic.for_each_candidate(entry, vpn, max_merged, |w| {
+            v.push(w.0);
+            ControlFlow::Continue(())
+        });
+        v.sort();
+        v
     }
 
     #[test]
@@ -553,19 +575,17 @@ mod tests {
     #[test]
     fn candidates_base_mode_are_group_peers() {
         let entry = data1();
-        let cands = logic().coalescing_candidates(&entry, Vpn(0x4), 1);
-        let mut v: Vec<u64> = cands.iter().map(|x| x.0).collect();
-        v.sort();
-        assert_eq!(v, vec![0x1, 0x7, 0xA]);
+        assert_eq!(
+            candidates(logic(), &entry, Vpn(0x4), 1),
+            vec![0x1, 0x7, 0xA]
+        );
     }
 
     #[test]
     fn candidates_expanded_include_run_neighbors() {
         let entry = data1();
         let le = PecLogic::new(CoalMode::Expanded);
-        let cands = le.coalescing_candidates(&entry, Vpn(0x4), 2);
-        let mut v: Vec<u64> = cands.iter().map(|x| x.0).collect();
-        v.sort();
+        let v = candidates(le, &entry, Vpn(0x4), 2);
         // Positions ±1 intra around each group peer plus the local
         // sibling 0x5 (0x4 is chunk start: intra-1 is out of range).
         assert_eq!(v, vec![0x1, 0x2, 0x5, 0x7, 0x8, 0xA, 0xB]);
@@ -574,9 +594,49 @@ mod tests {
     #[test]
     fn candidates_outside_data_are_empty() {
         let entry = data1();
-        assert!(logic()
-            .coalescing_candidates(&entry, Vpn(0x40), 1)
-            .is_empty());
+        assert!(candidates(logic(), &entry, Vpn(0x40), 1).is_empty());
+    }
+
+    #[test]
+    fn calculated_members_carry_their_own_bits() {
+        // Expanded Fig 13 walkthrough: PTE 0x5 (GPU1, j=1) calculates
+        // 0xA (GPU3, j=0) at GPU3 local 0x30.
+        let entry = data1();
+        let logic = PecLogic::new(CoalMode::Expanded);
+        let info = CoalInfo::Expanded {
+            bitmap: 0b1111,
+            inter_order: 1,
+            intra_order: 1,
+            merged: 1,
+        };
+        let pte_pfn = GlobalPfn::compose(ChipletId(1), LocalPfn(0x31));
+        let (pfn, bits) = logic
+            .calculate(Vpn(0x5), pte_pfn, &info, &entry, Vpn(0xA))
+            .unwrap();
+        assert_eq!(
+            Some(pfn),
+            logic.calc_pfn(Vpn(0x5), pte_pfn, &info, &entry, Vpn(0xA))
+        );
+        let own = CoalInfo::decode(bits, CoalMode::Expanded).unwrap();
+        assert_eq!(
+            own,
+            CoalInfo::Expanded {
+                bitmap: 0b1111,
+                inter_order: 3,
+                intra_order: 0,
+                merged: 1,
+            }
+        );
+        // The calculated entry is itself a valid source: its own group
+        // enumeration matches the translated page's.
+        assert_eq!(
+            logic.members(Vpn(0xA), &own, &entry),
+            logic.members(Vpn(0x5), &info, &entry)
+        );
+        // A non-member calculates nothing.
+        assert!(logic
+            .calculate(Vpn(0x5), pte_pfn, &info, &entry, Vpn(0x40))
+            .is_none());
     }
 
     #[test]

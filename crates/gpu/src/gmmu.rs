@@ -12,8 +12,8 @@
 
 use std::collections::VecDeque;
 
-use barre_core::{CoalInfo, CoalMode, PecBuffer, PecEntry, PecLogic};
-use barre_iommu::{AtsRequest, AtsResponse};
+use barre_core::{CoalMode, PecEntry};
+use barre_iommu::{AtsRequest, AtsResponse, PecUnit, WalkedPte};
 use barre_mem::{ChipletId, Pte, Vpn};
 use barre_sim::{Counter, Cycle};
 
@@ -69,8 +69,7 @@ pub struct GmmuUnit {
     cfg: GmmuConfig,
     queue: VecDeque<AtsRequest>,
     walks: Vec<Option<GmmuWalk>>,
-    pec_logic: PecLogic,
-    pec_buffer: PecBuffer,
+    pec: PecUnit,
     /// Walks whose leaf PTE was local.
     pub local_walks: Counter,
     /// Walks that crossed the mesh for their PTE.
@@ -92,8 +91,12 @@ impl GmmuUnit {
         assert!(cfg.queue_entries > 0, "GMMU needs a queue");
         Self {
             chiplet,
-            pec_logic: PecLogic::new(cfg.coal_mode),
-            pec_buffer: PecBuffer::new(cfg.pec_buffer_entries),
+            pec: PecUnit::new(
+                cfg.barre,
+                cfg.coal_mode,
+                cfg.pec_buffer_entries,
+                cfg.pec_calc_latency,
+            ),
             walks: vec![None; cfg.walkers],
             queue: VecDeque::new(),
             cfg,
@@ -104,14 +107,9 @@ impl GmmuUnit {
         }
     }
 
-    /// The owning chiplet.
-    pub fn chiplet(&self) -> ChipletId {
-        self.chiplet
-    }
-
     /// Registers a data object's PEC record.
     pub fn register_pec(&mut self, entry: PecEntry) {
-        self.pec_buffer.insert(entry);
+        self.pec.register(entry);
     }
 
     /// Accepts a walk request; `false` when the queue is full.
@@ -157,9 +155,12 @@ impl GmmuUnit {
         started
     }
 
-    /// Completes the walk on `walker`, with Barre coalescing over the
-    /// local queue when configured. Semantics mirror
-    /// [`barre_iommu::Iommu::complete_walk`].
+    /// Completes the walk on `walker`. With Barre attached, the walked
+    /// PTE serves the rest of its coalescing group from the local queue
+    /// through the same [`PecUnit::complete`] pass as
+    /// [`barre_iommu::Iommu::complete_walk`], so calculated responses
+    /// carry their own coalescing bits. Responses always carry the PEC
+    /// record: the chiplets' buffers are programmed with it anyway.
     pub fn complete_walk(
         &mut self,
         walker: usize,
@@ -178,60 +179,14 @@ impl GmmuUnit {
         } else {
             self.local_walks.inc();
         }
-        let pte = lookup(walk.req.asid, walk.req.vpn);
-        let coal_bits = pte.map_or(0, Pte::coal_bits);
-        let info = if self.cfg.barre {
-            CoalInfo::decode(coal_bits, self.cfg.coal_mode)
-        } else {
-            None
+        let walked = WalkedPte {
+            req: walk.req,
+            pte: lookup(walk.req.asid, walk.req.vpn),
+            started_at: walk.started_at,
+            tlb_hit: false,
         };
-        let pec_entry = info
-            .as_ref()
-            .and_then(|_| self.pec_buffer.lookup(walk.req.asid, walk.req.vpn).cloned());
-        let mut out = vec![(
-            now,
-            AtsResponse {
-                req: walk.req,
-                pfn: pte.map(Pte::pfn),
-                coal_bits: if self.cfg.barre { coal_bits } else { 0 },
-                pec_entry: pec_entry.clone(),
-                coalesced: false,
-                iommu_tlb_hit: false,
-                walk_started_at: walk.started_at,
-            },
-        )];
-        if let (Some(info), Some(entry), Some(pte)) = (info, pec_entry, pte) {
-            let mut kept = VecDeque::with_capacity(self.queue.len());
-            let mut extra = 0u64;
-            while let Some(pending) = self.queue.pop_front() {
-                let calculated = (pending.asid == walk.req.asid)
-                    .then(|| {
-                        self.pec_logic
-                            .calc_pfn(walk.req.vpn, pte.pfn(), &info, &entry, pending.vpn)
-                    })
-                    .flatten();
-                match calculated {
-                    Some(pfn) => {
-                        extra += 1;
-                        self.coalesced.inc();
-                        out.push((
-                            now + extra * self.cfg.pec_calc_latency,
-                            AtsResponse {
-                                req: pending,
-                                pfn: Some(pfn),
-                                coal_bits,
-                                pec_entry: Some(entry.clone()),
-                                coalesced: true,
-                                iommu_tlb_hit: false,
-                                walk_started_at: walk.started_at,
-                            },
-                        ));
-                    }
-                    None => kept.push_back(pending),
-                }
-            }
-            self.queue = kept;
-        }
+        let (out, _) = self.pec.complete(walked, now, true, &mut self.queue);
+        self.coalesced.add(out.len() as u64 - 1);
         out
     }
 
@@ -239,17 +194,13 @@ impl GmmuUnit {
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.walks.iter().all(Option::is_none)
     }
-
-    /// Queue occupancy.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use barre_core::driver::{BarreAllocator, MappingPlan};
+    use barre_core::CoalInfo;
     use barre_mem::virt_alloc::VpnRange;
     use barre_mem::{FrameAllocator, PageTable};
 
@@ -324,6 +275,49 @@ mod tests {
         for (_, r) in &rsp {
             assert_eq!(r.pfn.unwrap(), pt.lookup(r.req.vpn).unwrap().pfn());
         }
+    }
+
+    #[test]
+    fn calculated_coal_bits_match_the_iommu() {
+        let (pt, pec) = fig7a();
+        let lookup = |_: u16, v: Vpn| pt.lookup(v);
+        // 0x1 (inter order 0) is walked; pending 0x4 is its group
+        // member at inter order 1.
+        let mut g = GmmuUnit::new(
+            ChipletId(0),
+            GmmuConfig {
+                barre: true,
+                walkers: 1,
+                ..GmmuConfig::default()
+            },
+        );
+        g.register_pec(pec.clone());
+        g.enqueue(req(1, 0x1));
+        let started = g.dispatch(0, |_, _| Some(ChipletId(0)));
+        g.enqueue(req(2, 0x4));
+        let gmmu = g.complete_walk(started[0].0, 300, lookup);
+
+        let mut io = barre_iommu::Iommu::new(barre_iommu::IommuConfig {
+            barre: true,
+            ptws: Some(1),
+            ..barre_iommu::IommuConfig::default()
+        });
+        io.register_pec(pec);
+        io.enqueue(req(1, 0x1));
+        let started = io.dispatch(0);
+        io.enqueue(req(2, 0x4));
+        let iommu = io.complete_walk(started[0].0, 500, lookup);
+
+        let calculated = |rsp: &[(Cycle, AtsResponse)]| {
+            rsp.iter()
+                .find(|(_, r)| r.coalesced && r.req.vpn == Vpn(0x4))
+                .map(|(_, r)| r.coal_bits)
+                .expect("0x4 calculated")
+        };
+        let bits = calculated(&gmmu);
+        assert_eq!(bits, calculated(&iommu));
+        let info = CoalInfo::decode(bits, CoalMode::Base).expect("coalesced");
+        assert_eq!(info.inter_order(), 1);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 
 use std::collections::VecDeque;
 
-use barre_core::{CoalInfo, CoalMode, PecBuffer, PecEntry, PecLogic};
+use barre_core::{CoalMode, PecEntry};
 use barre_mem::{Pte, Vpn};
 use barre_sim::{Counter, Cycle, Histogram, RatioStat};
 use barre_tlb::{Tlb, TlbKey};
 
 use crate::ats::{AtsRequest, AtsResponse};
+use crate::pec_unit::{PecUnit, WalkedPte};
 
 /// Static IOMMU configuration.
 #[derive(Debug, Clone)]
@@ -103,8 +104,7 @@ pub struct Iommu {
     cfg: IommuConfig,
     queue: VecDeque<AtsRequest>,
     walks: Vec<Option<Walk>>,
-    pec_logic: PecLogic,
-    pec_buffer: PecBuffer,
+    pec: PecUnit,
     iommu_tlb: Option<Tlb<Pte>>,
     stats: IommuStats,
     last_vpn: Option<Vpn>,
@@ -127,8 +127,12 @@ impl Iommu {
             None => Vec::new(),
         };
         Self {
-            pec_logic: PecLogic::new(cfg.coal_mode),
-            pec_buffer: PecBuffer::new(cfg.pec_buffer_entries),
+            pec: PecUnit::new(
+                cfg.barre,
+                cfg.coal_mode,
+                cfg.pec_buffer_entries,
+                cfg.pec_calc_latency,
+            ),
             iommu_tlb: cfg
                 .iommu_tlb
                 .map(|(entries, ways, _)| Tlb::new(entries, ways)),
@@ -141,15 +145,10 @@ impl Iommu {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &IommuConfig {
-        &self.cfg
-    }
-
     /// Registers a data object's PEC record (done by the driver at
     /// allocation time, §IV-G).
     pub fn register_pec(&mut self, entry: PecEntry) {
-        self.pec_buffer.insert(entry);
+        self.pec.register(entry);
     }
 
     /// Accepts an ATS request into the PW-queue; `false` means the queue
@@ -251,20 +250,11 @@ impl Iommu {
         let max_rot = self.queue.len();
         while rotations < max_rot {
             let head = *self.queue.front()?;
-            let covered = self.walks.iter().flatten().any(|w| {
-                w.req.asid == head.asid
-                    && self
-                        .pec_buffer
-                        .peek(head.asid, head.vpn)
-                        .is_some_and(|entry| {
-                            self.pec_logic.likely_same_group(
-                                entry,
-                                w.req.vpn,
-                                head.vpn,
-                                self.cfg.max_merged,
-                            )
-                        })
-            });
+            let covered = self
+                .walks
+                .iter()
+                .flatten()
+                .any(|w| self.pec.covers(&w.req, &head, self.cfg.max_merged));
             if covered {
                 // The front was just peeked, so the pop cannot miss; the
                 // if-let keeps this path panic-free regardless.
@@ -284,11 +274,9 @@ impl Iommu {
 
     /// Completes the walk on `ptw` at `now`. `lookup` resolves
     /// `(asid, vpn)` to the leaf PTE (the actual radix-table access).
-    ///
-    /// Returns the primary response plus, under Barre, one calculated
-    /// response per coalescible pending request. The `Cycle` attached to
-    /// each response is when it is ready to leave the IOMMU (PEC
-    /// calculation adds a small serial delay per extra response).
+    /// Returns the responses of [`PecUnit::complete`], each with the cycle
+    /// it is ready to leave the IOMMU, plus the multicast ones when
+    /// configured.
     pub fn complete_walk(
         &mut self,
         ptw: usize,
@@ -319,151 +307,27 @@ impl Iommu {
                 );
             }
         }
-        let mut out = Vec::new();
-        let coal_bits = pte.map_or(0, Pte::coal_bits);
-        let info = if self.cfg.barre {
-            CoalInfo::decode(coal_bits, self.cfg.coal_mode)
-        } else {
-            None
+        let walked = WalkedPte {
+            req: walk.req,
+            pte,
+            started_at: walk.started_at,
+            tlb_hit: walk.tlb_hit,
         };
-        let pec_entry = info
-            .as_ref()
-            .and_then(|_| self.pec_buffer.lookup(walk.req.asid, walk.req.vpn).cloned());
-        self.stats.ats_latency.record(now - walk.req.issued_at);
-        out.push((
-            now,
-            AtsResponse {
-                req: walk.req,
-                pfn: pte.map(Pte::pfn),
-                coal_bits: if self.cfg.barre { coal_bits } else { 0 },
-                pec_entry: if self.cfg.ship_pec_entry {
-                    pec_entry.clone()
-                } else {
-                    None
-                },
-                coalesced: false,
-                iommu_tlb_hit: walk.tlb_hit,
-                walk_started_at: walk.started_at,
-            },
-        ));
-        // PEC calculation over the pending queue (§IV-F).
-        if let (Some(info), Some(entry), Some(pte)) = (info, pec_entry, pte) {
-            let mut kept = VecDeque::with_capacity(self.queue.len());
-            let mut extra = 0u64;
-            while let Some(pending) = self.queue.pop_front() {
-                let calculated = (pending.asid == walk.req.asid)
-                    .then(|| {
-                        self.pec_logic
-                            .calc_pfn(walk.req.vpn, pte.pfn(), &info, &entry, pending.vpn)
-                    })
-                    .flatten();
-                match calculated {
-                    Some(pfn) => {
-                        extra += 1;
-                        let ready = now + extra * self.cfg.pec_calc_latency;
-                        self.stats.coalesced.inc();
-                        self.stats.ats_latency.record(ready - pending.issued_at);
-                        // The calculated page's own coalescing bits mirror
-                        // the member position.
-                        out.push((
-                            ready,
-                            AtsResponse {
-                                req: pending,
-                                pfn: Some(pfn),
-                                coal_bits: self
-                                    .member_bits(&info, &entry, walk.req.vpn, pending.vpn)
-                                    .unwrap_or(coal_bits),
-                                pec_entry: if self.cfg.ship_pec_entry {
-                                    Some(entry.clone())
-                                } else {
-                                    None
-                                },
-                                coalesced: true,
-                                iommu_tlb_hit: false,
-                                walk_started_at: walk.started_at,
-                            },
-                        ));
-                    }
-                    None => kept.push_back(pending),
-                }
-            }
-            self.queue = kept;
-            // Speculative multicast (§IV-B): push every remaining group
-            // member's calculated frame to its owning chiplet. Each
-            // response consumes outbound bandwidth whether or not anyone
-            // wanted it — the reason the paper rejects this design.
-            if self.cfg.multicast {
-                for m in self.pec_logic.members(walk.req.vpn, &info, &entry) {
-                    if m.vpn == walk.req.vpn || out.iter().any(|(_, r)| r.req.vpn == m.vpn) {
-                        continue;
-                    }
-                    let Some(pfn) =
-                        self.pec_logic
-                            .calc_pfn(walk.req.vpn, pte.pfn(), &info, &entry, m.vpn)
-                    else {
-                        continue;
-                    };
-                    extra += 1;
-                    self.multicast_seq += 1;
-                    out.push((
-                        now + extra * self.cfg.pec_calc_latency,
-                        AtsResponse {
-                            req: AtsRequest {
-                                id: u64::MAX - self.multicast_seq,
-                                asid: walk.req.asid,
-                                vpn: m.vpn,
-                                chiplet: m.chiplet,
-                                issued_at: now,
-                            },
-                            pfn: Some(pfn),
-                            coal_bits: self
-                                .member_bits(&info, &entry, walk.req.vpn, m.vpn)
-                                .unwrap_or(coal_bits),
-                            pec_entry: if self.cfg.ship_pec_entry {
-                                Some(entry.clone())
-                            } else {
-                                None
-                            },
-                            coalesced: true,
-                            iommu_tlb_hit: false,
-                            walk_started_at: walk.started_at,
-                        },
-                    ));
-                }
+        let (mut out, source) =
+            self.pec
+                .complete(walked, now, self.cfg.ship_pec_entry, &mut self.queue);
+        for (ready, rsp) in &out {
+            self.stats.ats_latency.record(ready - rsp.req.issued_at);
+            if rsp.coalesced {
+                self.stats.coalesced.inc();
             }
         }
+        // Each multicast response consumes outbound bandwidth whether or
+        // not anyone wanted it — the reason the paper rejects this design.
+        if let (true, Some(source)) = (self.cfg.multicast, source) {
+            source.multicast(&mut out, now, &mut self.multicast_seq);
+        }
         out
-    }
-
-    /// The coalescing bits a *calculated* member's TLB entry should carry
-    /// (its own inter/intra orders, same participation).
-    fn member_bits(
-        &self,
-        info: &CoalInfo,
-        entry: &PecEntry,
-        pte_vpn: Vpn,
-        member_vpn: Vpn,
-    ) -> Option<u16> {
-        let m = self
-            .pec_logic
-            .member_for(pte_vpn, info, entry, member_vpn)?;
-        let rebuilt = match *info {
-            CoalInfo::Base { bitmap, .. } => CoalInfo::Base {
-                bitmap,
-                inter_order: m.inter_order,
-            },
-            CoalInfo::Expanded { bitmap, merged, .. } => CoalInfo::Expanded {
-                bitmap,
-                inter_order: m.inter_order,
-                intra_order: m.intra_order,
-                merged,
-            },
-            CoalInfo::Wide { count, .. } => CoalInfo::Wide {
-                count,
-                inter_order: m.inter_order,
-            },
-        };
-        Some(rebuilt.encode())
     }
 
     /// Invalidates an IOMMU TLB entry (page migration / shootdown).
@@ -487,17 +351,13 @@ impl Iommu {
     pub fn stats(&self) -> &IommuStats {
         &self.stats
     }
-
-    /// Read-only access to the PEC buffer (diagnostics).
-    pub fn pec_buffer(&self) -> &PecBuffer {
-        &self.pec_buffer
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use barre_core::driver::{BarreAllocator, MappingPlan};
+    use barre_core::CoalInfo;
     use barre_mem::virt_alloc::VpnRange;
     use barre_mem::{ChipletId, FrameAllocator, PageTable};
 

@@ -372,18 +372,6 @@ impl SystemConfig {
         self
     }
 
-    /// Builder-style ATS retry override.
-    pub fn with_ats_retry(mut self, retry: Option<AtsRetryConfig>) -> Self {
-        self.ats_retry = retry;
-        self
-    }
-
-    /// Builder-style watchdog override.
-    pub fn with_watchdog(mut self, cycles: Option<Cycle>) -> Self {
-        self.watchdog_cycles = cycles;
-        self
-    }
-
     /// Rejects internally inconsistent configurations before any
     /// component constructor can assert on them.
     pub fn validate(&self) -> Result<(), SimError> {

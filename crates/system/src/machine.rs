@@ -263,38 +263,6 @@ pub struct Machine {
     san: crate::sanitizer::SanitizerReport,
 }
 
-/// Re-encodes a translated PTE's coalescing bits from the perspective of
-/// `member` — the bits the calculated entry would have carried had it been
-/// translated directly. A free function (not a `Machine` method) so the
-/// borrow-split probe closures can call it while chiplet state is
-/// borrowed.
-fn member_bits(
-    pec_logic: &PecLogic,
-    pte_vpn: Vpn,
-    info: &CoalInfo,
-    entry: &PecEntry,
-    member: Vpn,
-) -> Option<u16> {
-    let m = pec_logic.member_for(pte_vpn, info, entry, member)?;
-    let rebuilt = match *info {
-        CoalInfo::Base { bitmap, .. } => CoalInfo::Base {
-            bitmap,
-            inter_order: m.inter_order,
-        },
-        CoalInfo::Expanded { bitmap, merged, .. } => CoalInfo::Expanded {
-            bitmap,
-            inter_order: m.inter_order,
-            intra_order: m.intra_order,
-            merged,
-        },
-        CoalInfo::Wide { count, .. } => CoalInfo::Wide {
-            count,
-            inter_order: m.inter_order,
-        },
-    };
-    Some(rebuilt.encode())
-}
-
 impl Machine {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
@@ -980,7 +948,10 @@ impl Machine {
         match self.cfg.mode {
             TranslationMode::FBarre(f) if f.peer_sharing => {
                 // 1) Local calculation through the LCF.
-                if let Some(payload) = self.try_local_coalesced(p.chiplet, key, f.max_merged) {
+                let (local, lcf_hits) = self.chiplet_calculate(p.chiplet, key);
+                self.m.lcf_hits += lcf_hits;
+                if let Some(payload) = local {
+                    self.m.lcf_true_hits += 1;
                     self.m.intra_mcm_translations += 1;
                     self.m.lcf_translations += 1;
                     let done = t + 1 + self.cfg.l2_tlb_latency + CHIPLET_PEC_CALC;
@@ -1033,27 +1004,25 @@ impl Machine {
         }
     }
 
-    /// F-Barre local path: find a coalescing VPN in this chiplet's own L2
-    /// TLB via the LCF and calculate the requested frame.
-    fn try_local_coalesced(
-        &mut self,
-        chiplet: u8,
-        key: TlbKey,
-        max_merged: u8,
-    ) -> Option<L2Payload> {
+    /// F-Barre's chiplet-side calculator (§V-A3), serving both the
+    /// requester's local path and a peer's probe: finds a coalescing VPN
+    /// of `key` in `chiplet`'s own L2 TLB through its LCF and calculates
+    /// the requested frame from it. Returns the payload and the number of
+    /// LCF hits probed. Allocation-free: the PEC entry stays borrowed from
+    /// the chiplet for the whole enumeration.
+    fn chiplet_calculate(&self, chiplet: u8, key: TlbKey) -> (Option<L2Payload>, u64) {
         #[cfg(debug_assertions)]
         let allocs_before = self.alloc_probe.map(|f| f());
-        let pec_logic = self.pec_logic;
-        let coal_mode = self.coal_mode;
+        let ch = &self.chiplets[chiplet as usize];
+        let (Some(filters), Some(entry)) = (&ch.filters, ch.pec_buffer.peek(key.asid, key.vpn))
+        else {
+            return (None, 0);
+        };
         let mut lcf_hits = 0u64;
-        let mut found: Option<L2Payload> = None;
-        {
-            // Borrow split: the PEC entry stays borrowed from the chiplet
-            // for the whole enumeration — no clone, no candidate Vec.
-            let ch = &self.chiplets[chiplet as usize];
-            let filters = ch.filters.as_ref()?;
-            let entry = ch.pec_buffer.peek(key.asid, key.vpn)?;
-            pec_logic.for_each_candidate(entry, key.vpn, max_merged, |cand| {
+        let mut found = None;
+        let max_merged = self.cfg.mode.max_merged();
+        self.pec_logic
+            .for_each_candidate(entry, key.vpn, max_merged, |cand| {
                 if !filters.lcf_contains(key.asid, cand) {
                     return ControlFlow::Continue(());
                 }
@@ -1062,37 +1031,29 @@ impl Machine {
                     asid: key.asid,
                     vpn: cand,
                 };
-                let Some(payload) = ch.l2_tlb.probe(ckey).copied() else {
-                    return ControlFlow::Continue(()); // filter false positive
-                };
-                let Some(info) = CoalInfo::decode(payload.coal_bits, coal_mode) else {
-                    return ControlFlow::Continue(());
-                };
-                if let Some(pfn) = pec_logic.calc_pfn(cand, payload.pfn, &info, entry, key.vpn) {
-                    let bits = member_bits(&pec_logic, cand, &info, entry, key.vpn)
-                        .unwrap_or(payload.coal_bits);
-                    found = Some(L2Payload {
-                        pfn,
-                        coal_bits: bits,
-                    });
-                    return ControlFlow::Break(());
+                // A miss here is a filter false positive.
+                let calculated = ch.l2_tlb.probe(ckey).and_then(|payload| {
+                    let info = CoalInfo::decode(payload.coal_bits, self.coal_mode)?;
+                    self.pec_logic
+                        .calculate(cand, payload.pfn, &info, entry, key.vpn)
+                });
+                match calculated {
+                    Some((pfn, coal_bits)) => {
+                        found = Some(L2Payload { pfn, coal_bits });
+                        ControlFlow::Break(())
+                    }
+                    None => ControlFlow::Continue(()),
                 }
-                ControlFlow::Continue(())
             });
-        }
-        self.m.lcf_hits += lcf_hits;
-        if found.is_some() {
-            self.m.lcf_true_hits += 1;
-        }
         #[cfg(debug_assertions)]
         if let (Some(f), Some(before)) = (self.alloc_probe, allocs_before) {
             debug_assert_eq!(
                 f(),
                 before,
-                "F-Barre local probe heap-allocated on the hot path"
+                "F-Barre chiplet-side calculation heap-allocated on the hot path"
             );
         }
-        found
+        (found, lcf_hits)
     }
 
     // ----- ATS path -----
@@ -1263,17 +1224,8 @@ impl Machine {
     }
 
     fn iommu_dispatch(&mut self) {
-        let now = self.now;
-        for (ptw, done) in self.iommu.dispatch(now) {
-            // Fault: host-side walker stall (DRAM refresh collisions,
-            // host memory contention) extends this walk.
-            let stall = self
-                .injector
-                .as_mut()
-                .map_or(0, FaultInjector::walker_stall);
-            self.queue
-                .push(done.saturating_add(stall), Ev::WalkDone { ptw });
-        }
+        let started = self.iommu.dispatch(self.now);
+        self.schedule_walks(started, |ptw| Ev::WalkDone { ptw });
     }
 
     fn gmmu_dispatch(&mut self, c: usize) {
@@ -1292,17 +1244,20 @@ impl Machine {
                 .and_then(|pt| pt.lookup(vpn))
                 .map(|pte| pte.pfn().chiplet())
         });
-        let queue = &mut self.queue;
-        let injector = &mut self.injector;
-        for (walker, done) in started {
-            let stall = injector.as_mut().map_or(0, FaultInjector::walker_stall);
-            queue.push(
-                done.saturating_add(stall),
-                Ev::GmmuWalkDone {
-                    chiplet: c as u8,
-                    walker,
-                },
-            );
+        let chiplet = c as u8;
+        self.schedule_walks(started, |walker| Ev::GmmuWalkDone { chiplet, walker });
+    }
+
+    /// Schedules the completion of each started `(walker, done_at)`.
+    /// Fault: a walker stall (DRAM refresh collisions, memory
+    /// contention) extends the walk.
+    fn schedule_walks(&mut self, started: Vec<(usize, Cycle)>, done: impl Fn(usize) -> Ev) {
+        for (walker, at) in started {
+            let stall = self
+                .injector
+                .as_mut()
+                .map_or(0, FaultInjector::walker_stall);
+            self.queue.push(at.saturating_add(stall), done(walker));
         }
     }
 
@@ -1323,31 +1278,7 @@ impl Machine {
             debug_assert!(accepted);
         }
         self.iommu_dispatch();
-        for (ready, resp) in responses {
-            // Fault: the response vanishes on the downstream link (it
-            // still occupies bandwidth). The chiplet's deadline timer
-            // recovers via retry/fallback.
-            if self
-                .injector
-                .as_mut()
-                .is_some_and(FaultInjector::drop_response)
-            {
-                self.pcie_down.send(ready, ATS_RESPONSE_BYTES);
-                continue;
-            }
-            let spike = self.injector.as_mut().map_or(0, FaultInjector::pcie_spike);
-            let at = self
-                .pcie_down
-                .send_jittered(ready, ATS_RESPONSE_BYTES, spike);
-            self.tracer.span(
-                Stage::Ptw,
-                ATS_TRACE_ID_BASE.wrapping_add(resp.req.id),
-                resp.req.chiplet.0 as u16,
-                resp.walk_started_at,
-                ready,
-            );
-            self.queue.push(at, Ev::RespArrive { resp });
-        }
+        self.deliver(responses);
     }
 
     fn gmmu_walk_done(&mut self, chiplet: u8, walker: usize) {
@@ -1380,16 +1311,33 @@ impl Machine {
             i += 1;
         }
         self.gmmu_dispatch(c);
+        self.deliver(responses);
+    }
+
+    /// Sends completed-walk responses to their chiplets: over PCIe from
+    /// the IOMMU, on package from a GMMU. A faulted response vanishes,
+    /// though on PCIe it still occupies the link; the chiplet's deadline
+    /// timer recovers it through retry or fallback.
+    fn deliver(&mut self, responses: Vec<(Cycle, AtsResponse)>) {
+        let pcie = self.cfg.mmu == MmuKind::Iommu;
         for (ready, resp) in responses {
-            // GMMU responses stay on package (no PCIe spike leg) but a
-            // corrupted response is still droppable.
             if self
                 .injector
                 .as_mut()
                 .is_some_and(FaultInjector::drop_response)
             {
+                if pcie {
+                    self.pcie_down.send(ready, ATS_RESPONSE_BYTES);
+                }
                 continue;
             }
+            let at = if pcie {
+                let spike = self.injector.as_mut().map_or(0, FaultInjector::pcie_spike);
+                self.pcie_down
+                    .send_jittered(ready, ATS_RESPONSE_BYTES, spike)
+            } else {
+                ready
+            };
             self.tracer.span(
                 Stage::Ptw,
                 ATS_TRACE_ID_BASE.wrapping_add(resp.req.id),
@@ -1397,7 +1345,7 @@ impl Machine {
                 resp.walk_started_at,
                 ready,
             );
-            self.queue.push(ready, Ev::RespArrive { resp });
+            self.queue.push(at, Ev::RespArrive { resp });
         }
     }
 
@@ -1529,67 +1477,15 @@ impl Machine {
                 // F-Barre peer-side translation: exact entry, else any
                 // coalescing VPN present locally.
                 let exact = self.chiplets[at as usize].l2_tlb.probe(key).copied();
-                exact.or_else(|| self.peer_calculate(at, key))
+                exact.or_else(|| self.chiplet_calculate(at, key).0)
             }
         };
         let back = match self.cfg.mode {
             TranslationMode::FBarre(f) if f.oracle_traffic => reply_ready + self.cfg.mesh_latency,
-            TranslationMode::FBarre(_) => {
-                self.filter_vc[at as usize].send(reply_ready, PEER_MSG_BYTES)
-            }
-            // Least's replies ride the control class too.
+            // F-Barre's and Least's replies ride the control class.
             _ => self.filter_vc[at as usize].send(reply_ready, PEER_MSG_BYTES),
         };
         self.queue.push(back, Ev::PeerReply { page, result });
-    }
-
-    fn peer_calculate(&mut self, at: u8, key: TlbKey) -> Option<L2Payload> {
-        #[cfg(debug_assertions)]
-        let allocs_before = self.alloc_probe.map(|f| f());
-        let max_merged = self.cfg.mode.max_merged();
-        let pec_logic = self.pec_logic;
-        let coal_mode = self.coal_mode;
-        let mut found: Option<L2Payload> = None;
-        {
-            let ch = &self.chiplets[at as usize];
-            let entry = ch.pec_buffer.peek(key.asid, key.vpn)?;
-            pec_logic.for_each_candidate(entry, key.vpn, max_merged, |cand| {
-                if let Some(fb) = &ch.filters {
-                    if !fb.lcf_contains(key.asid, cand) {
-                        return ControlFlow::Continue(());
-                    }
-                }
-                let ckey = TlbKey {
-                    asid: key.asid,
-                    vpn: cand,
-                };
-                let Some(payload) = ch.l2_tlb.probe(ckey).copied() else {
-                    return ControlFlow::Continue(());
-                };
-                let Some(info) = CoalInfo::decode(payload.coal_bits, coal_mode) else {
-                    return ControlFlow::Continue(());
-                };
-                if let Some(pfn) = pec_logic.calc_pfn(cand, payload.pfn, &info, entry, key.vpn) {
-                    let bits = member_bits(&pec_logic, cand, &info, entry, key.vpn)
-                        .unwrap_or(payload.coal_bits);
-                    found = Some(L2Payload {
-                        pfn,
-                        coal_bits: bits,
-                    });
-                    return ControlFlow::Break(());
-                }
-                ControlFlow::Continue(())
-            });
-        }
-        #[cfg(debug_assertions)]
-        if let (Some(f), Some(before)) = (self.alloc_probe, allocs_before) {
-            debug_assert_eq!(
-                f(),
-                before,
-                "F-Barre peer-calculate heap-allocated on the hot path"
-            );
-        }
-        found
     }
 
     fn peer_reply(&mut self, page: u32, result: Option<L2Payload>) {
@@ -1647,9 +1543,9 @@ impl Machine {
             Some(shared) => shared.insert(key, payload),
             None => self.chiplets[c].l2_tlb.insert(key, payload),
         };
-        self.after_l2_insert(chiplet, key, payload, t);
+        self.track_l2(chiplet, key, payload, FilterCmd::Add, t);
         if let Some((ekey, epayload)) = evicted {
-            self.after_l2_evict(chiplet, ekey, epayload, t);
+            self.track_l2(chiplet, ekey, epayload, FilterCmd::Delete, t);
         }
         let waiters = self.chiplets[c].l2_mshr.complete(key);
         for w in waiters.into_iter().flatten() {
@@ -1666,30 +1562,26 @@ impl Machine {
         }
     }
 
-    fn after_l2_insert(&mut self, chiplet: u8, key: TlbKey, payload: L2Payload, t: Cycle) {
+    /// Keeps Least's tracker and F-Barre's LCF in step with an L2 TLB
+    /// insert (`Add`) or eviction (`Delete`), and advertises the change
+    /// to the peers' RCFs.
+    fn track_l2(&mut self, chiplet: u8, key: TlbKey, payload: L2Payload, cmd: FilterCmd, t: Cycle) {
+        let c = chiplet as usize;
         if matches!(self.cfg.mode, TranslationMode::Least) {
             let fkey = barre_core::fbarre::filter_key(key.asid, key.vpn);
-            self.least_trackers[chiplet as usize].insert(fkey);
+            match cmd {
+                FilterCmd::Add => self.least_trackers[c].insert(fkey),
+                FilterCmd::Delete => self.least_trackers[c].remove(fkey),
+            };
         }
-        if self.chiplets[chiplet as usize].filters.is_some() {
-            if let Some(f) = &mut self.chiplets[chiplet as usize].filters {
-                f.lcf_insert(key.asid, key.vpn);
-            }
-            self.broadcast_filter_updates(chiplet, key, payload, FilterCmd::Add, t);
+        let Some(f) = &mut self.chiplets[c].filters else {
+            return;
+        };
+        match cmd {
+            FilterCmd::Add => f.lcf_insert(key.asid, key.vpn),
+            FilterCmd::Delete => f.lcf_remove(key.asid, key.vpn),
         }
-    }
-
-    fn after_l2_evict(&mut self, chiplet: u8, key: TlbKey, payload: L2Payload, t: Cycle) {
-        if matches!(self.cfg.mode, TranslationMode::Least) {
-            let fkey = barre_core::fbarre::filter_key(key.asid, key.vpn);
-            self.least_trackers[chiplet as usize].remove(fkey);
-        }
-        if self.chiplets[chiplet as usize].filters.is_some() {
-            if let Some(f) = &mut self.chiplets[chiplet as usize].filters {
-                f.lcf_remove(key.asid, key.vpn);
-            }
-            self.broadcast_filter_updates(chiplet, key, payload, FilterCmd::Delete, t);
-        }
+        self.broadcast_filter_updates(chiplet, key, payload, cmd, t);
     }
 
     /// Advertises (or retracts) a TLB entry's exact VPN plus all its
@@ -1879,7 +1771,7 @@ impl Machine {
             for c in 0..self.chiplets.len() {
                 let evicted = self.chiplets[c].l2_tlb.invalidate(key);
                 if let Some(epayload) = evicted {
-                    self.after_l2_evict(c as u8, key, epayload, now);
+                    self.track_l2(c as u8, key, epayload, FilterCmd::Delete, now);
                 }
                 for l1 in &mut self.chiplets[c].l1_tlbs {
                     l1.invalidate(key);

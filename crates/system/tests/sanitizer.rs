@@ -7,7 +7,7 @@
 
 #![cfg(feature = "sanitizer")]
 
-use barre_system::{build_machine, run_app, smoke_config};
+use barre_system::{build_machine, run_app, smoke_config, MmuKind, TranslationMode};
 use barre_workloads::AppId;
 
 #[test]
@@ -18,6 +18,26 @@ fn clean_run_passes_every_epoch_check() {
     let cfg = smoke_config();
     let m = run_app(AppId::Gemv, &cfg, 1).expect("run failed");
     assert!(m.total_cycles > 0);
+}
+
+#[test]
+fn clean_pec_runs_pass_every_epoch_check_on_both_mmus() {
+    // Barre and F-Barre serve translations by PEC calculation on the
+    // IOMMU and on per-chiplet GMMUs alike; every calculated response
+    // must still balance the translation-conservation law.
+    for mmu in [MmuKind::Iommu, MmuKind::Gmmu] {
+        for mode in [
+            TranslationMode::Barre,
+            TranslationMode::FBarre(Default::default()),
+        ] {
+            let mut cfg = smoke_config().with_mode(mode);
+            cfg.mmu = mmu;
+            for app in [AppId::Gups, AppId::Atax] {
+                let m = run_app(app, &cfg, 1).expect("run failed");
+                assert!(m.total_cycles > 0, "{mmu:?}/{mode:?}/{app:?}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -7,6 +7,8 @@
 //! cargo run --release --example fbarre_walkthrough
 //! ```
 
+use std::ops::ControlFlow;
+
 use barre_chord::core::driver::{BarreAllocator, MappingPlan};
 use barre_chord::core::fbarre::{FilterBank, FilterCmd, FilterUpdate};
 use barre_chord::core::{CoalInfo, CoalMode, PecLogic};
@@ -53,7 +55,11 @@ fn main() {
     // [step 2] GPU0 advertises the exact VPN and every coalescing VPN in
     // GPU1's RCF0.
     let info = CoalInfo::decode(pte_a1.coal_bits(), CoalMode::Base).unwrap();
-    for vpn in logic.advertised_vpns(vpn_a1, &info, &alloc.pec) {
+    for vpn in logic
+        .members(vpn_a1, &info, &alloc.pec)
+        .into_iter()
+        .map(|m| m.vpn)
+    {
         gpu1.apply_update(FilterUpdate {
             cmd: FilterCmd::Add,
             sender: ChipletId(0),
@@ -71,7 +77,11 @@ fn main() {
 
     // [steps 4-5] GPU0 receives the probe, computes the coalescing VPNs
     // of 0xA2, finds 0xA1 in its LCF, and probes its TLB.
-    let candidates = logic.coalescing_candidates(&alloc.pec, vpn_a2, 1);
+    let mut candidates = Vec::new();
+    logic.for_each_candidate(&alloc.pec, vpn_a2, 1, |v| {
+        candidates.push(v);
+        ControlFlow::Continue(())
+    });
     println!("step 4:   GPU0 computes coalescing VPNs of {vpn_a2}: {candidates:?}");
     let provider = candidates
         .into_iter()

@@ -6,7 +6,8 @@
 //! 1. **Same-local-PFN invariant**: every member of a coalescing group is
 //!    mapped at the same local PFN (modulo intra-run offset).
 //! 2. **Calculation soundness**: for any two members of a group, the PEC
-//!    calculator derives exactly the frame the page table holds.
+//!    calculator derives exactly the frame and coalescing bits the page
+//!    table holds.
 //! 3. **Encoding roundtrip**: PTE coalescing bits survive encode/decode
 //!    under every layout.
 //! 4. **No cross-group leakage**: pages outside a group are never
@@ -16,6 +17,8 @@
 //! [`Rng`] (the external proptest dependency would break the offline,
 //! path-only dependency build), so every failure reproduces from the
 //! printed case seed.
+
+use std::ops::ControlFlow;
 
 use barre_chord::core::driver::{BarreAllocator, MappingPlan};
 use barre_chord::core::{CoalInfo, CoalMode, PecLogic};
@@ -106,11 +109,18 @@ fn driver_allocation_is_sound() {
                     "case {case}: local-PFN invariant broken at {}",
                     m.vpn
                 );
-                // 2. calculation soundness
-                let calc = logic
-                    .calc_pfn(*v, p.pfn(), &info, &out.pec, m.vpn)
+                // 2. calculation soundness: the frame and the coalescing
+                // bits the member's own PTE holds
+                let (calc, bits) = logic
+                    .calculate(*v, p.pfn(), &info, &out.pec, m.vpn)
                     .expect("member calculable");
                 assert_eq!(calc, actual.pfn(), "case {case}: miscalculated {}", m.vpn);
+                assert_eq!(
+                    bits,
+                    actual.coal_bits(),
+                    "case {case}: wrong coalescing bits for {}",
+                    m.vpn
+                );
             }
             // 4. no leakage: non-members never calculate
             for (w, _) in &out.ptes {
@@ -166,7 +176,11 @@ fn coalescing_candidates_cover_all_real_groups() {
                 if m.vpn == *v {
                     continue;
                 }
-                let cands = logic.coalescing_candidates(&out.pec, m.vpn, max_merged);
+                let mut cands = Vec::new();
+                logic.for_each_candidate(&out.pec, m.vpn, max_merged, |w| {
+                    cands.push(w);
+                    ControlFlow::Continue(())
+                });
                 assert!(
                     cands.contains(v),
                     "case {case}: candidate set of {} misses provider {}",
