@@ -9,6 +9,7 @@
 //! barre list
 //! barre table2 [--paper]
 //! barre run   --app gups --mode fbarre [--seed 7] [--ptws 8] [--paper]
+//! barre profile --app gups --mode fbarre --smoke
 //! barre sweep --mode barre [--apps gups,spmv] [--policy coda]
 //! barre pair  --a gemv --b gups --mode fbarre
 //! barre chaos --app gups --mode barre [--rates 0.001,0.01,0.05]
@@ -48,6 +49,7 @@ use barre_workloads::{AppId, AppPair};
 pub use barre_serve::request::{app_by_name, mode_by_name, page_size_by_name, policy_by_name};
 
 pub mod lint_cmd;
+pub mod profile_cmd;
 pub mod supervisor;
 pub mod trace_cmd;
 
@@ -67,6 +69,13 @@ pub enum Command {
         /// Print only the canonical metrics JSON line (the `barre serve`
         /// child protocol); failures exit with [`SimError::exit_code`].
         metrics_json: bool,
+    },
+    /// `barre profile` — run one app with a wall-clock probe on every
+    /// event; print the cost per event class, then the metrics JSON.
+    Profile {
+        app: AppId,
+        cfg: Box<SystemConfig>,
+        seed: u64,
     },
     /// `barre sweep` — run a set of apps, print speedups vs baseline.
     Sweep {
@@ -239,6 +248,7 @@ const COMMANDS: &[(&str, usize, &[Flags])] = &[
     ("list", 0, &[]),
     ("table2", 0, &[CONFIG_FLAGS]),
     ("run", 0, &[CONFIG_FLAGS, "--app= --seed= --baseline --metrics-json"]),
+    ("profile", 0, &[CONFIG_FLAGS, "--app= --seed="]),
     ("sweep", 0, &[CONFIG_FLAGS, RUNNER_FLAGS, "--apps= --seed="]),
     ("pair", 0, &[CONFIG_FLAGS, "--a= --b= --seed="]),
     ("chaos", 0, &[CONFIG_FLAGS, RUNNER_FLAGS, "--app= --seed= --rates="]),
@@ -501,6 +511,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             baseline: a.has("--baseline"),
             metrics_json: a.has("--metrics-json"),
         },
+        "profile" => Command::Profile {
+            app: a.app("--app")?,
+            cfg: a.config()?,
+            seed,
+        },
         "sweep" => {
             let (sup, dispatch) = a.runner()?;
             let apps = match a.get("--apps") {
@@ -736,6 +751,8 @@ USAGE:
   barre list                              list the 19 workloads
   barre table2 [--paper]                  print the configuration
   barre run   --app <name> [flags]        run one app (baseline compare with --baseline)
+  barre profile --app <name> [flags]      wall time per engine event class for one run;
+                                          the last line is the run's metrics JSON
   barre sweep [--apps a,b,c|all] [flags]  speedups vs baseline per app
   barre pair  --a <name> --b <name>       co-run two apps (multi-programming)
   barre chaos --app <name> [flags]        sweep ATS drop rates (fault injection)
@@ -1417,6 +1434,7 @@ pub fn execute(cmd: Command) -> i32 {
             print!("{}", render_chaos(&rates, &metrics));
             0
         }
+        Command::Profile { app, cfg, seed } => profile_cmd::run(app, &cfg, seed),
         Command::Trace {
             app,
             cfg,
@@ -1518,6 +1536,23 @@ mod tests {
             }
             other => panic!("wrong command {other:?}"),
         }
+    }
+
+    #[test]
+    fn parses_profile() {
+        let cmd = p(&["profile", "--smoke", "--app", "gups", "--mode", "fbarre"]).unwrap();
+        match cmd {
+            Command::Profile { app, cfg, seed } => {
+                assert_eq!(app, AppId::Gups);
+                assert_eq!(seed, 0x15CA_2024);
+                assert!(matches!(cfg.mode, TranslationMode::FBarre(_)));
+                assert_eq!(cfg.topology, barre_system::smoke_config().topology);
+            }
+            other => panic!("wrong command {other:?}"),
+        }
+        // A flag the profile would ignore is a usage error.
+        assert!(p(&["profile", "--app", "gups", "--metrics-json"]).is_err());
+        assert!(p(&["profile", "--mode", "barre"]).is_err());
     }
 
     #[test]

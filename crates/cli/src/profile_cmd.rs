@@ -1,0 +1,183 @@
+//! `barre profile`: where one run's wall time goes, per engine event
+//! class.
+//!
+//! The machine calls a probe after every dispatched event with the
+//! event's class, and after every sampled pop (one in
+//! [`POP_SAMPLE_PERIOD`]) with [`PROBE_POPPED`]. The probe reads the
+//! clock once per call and charges the time since its previous call to
+//! the reported index, so the class totals add up to the run's wall time
+//! (pop, handler and loop bookkeeping included), and sampled pops show
+//! what the queue's pop costs on its own. The probe is passive: the
+//! run's `RunMetrics` are byte-identical to `barre run`'s, and the last
+//! line printed is their canonical JSON.
+
+use std::cell::RefCell;
+use std::fmt::Write as _;
+use std::time::Instant;
+
+use barre_system::{
+    build_machine, metrics_to_json, RunMetrics, SystemConfig, EVENT_CLASSES, POP_SAMPLE_PERIOD,
+    PROBE_POPPED,
+};
+use barre_workloads::AppId;
+
+/// Probe indexes: the event classes, then the sampled pop.
+const SLOTS: usize = EVENT_CLASSES.len() + 1;
+
+/// Calls and nanoseconds charged to each probe index since `last`.
+struct Tally {
+    last: Instant,
+    count: [u64; SLOTS],
+    ns: [u64; SLOTS],
+}
+
+thread_local! {
+    static TALLY: RefCell<Option<Tally>> = const { RefCell::new(None) };
+}
+
+/// The probe installed on the machine: one clock read per call.
+fn probe(index: usize) {
+    let now = Instant::now();
+    TALLY.with_borrow_mut(|t| {
+        if let Some(t) = t {
+            let dt = now.duration_since(t.last).as_nanos() as u64;
+            t.last = now;
+            if let (Some(c), Some(n)) = (t.count.get_mut(index), t.ns.get_mut(index)) {
+                *c += 1;
+                *n += dt;
+            }
+        }
+    });
+}
+
+/// One profiled run: its metrics, wall time, and per-index tallies.
+struct Profile {
+    metrics: RunMetrics,
+    wall_ns: u64,
+    count: [u64; SLOTS],
+    ns: [u64; SLOTS],
+}
+
+/// Runs `app` under `cfg` with the probe installed. Building the machine
+/// is not part of the profile.
+fn profile(app: AppId, cfg: &SystemConfig, seed: u64) -> Result<Profile, barre_system::SimError> {
+    let mut machine = build_machine(&[app.spec()], cfg, seed)?;
+    machine.set_event_probe(probe);
+    let start = Instant::now();
+    TALLY.set(Some(Tally {
+        last: start,
+        count: [0; SLOTS],
+        ns: [0; SLOTS],
+    }));
+    let result = machine.run();
+    let wall_ns = start.elapsed().as_nanos() as u64;
+    let tally = TALLY.take();
+    let metrics = result?;
+    let (count, ns) = tally.map_or(([0; SLOTS], [0; SLOTS]), |t| (t.count, t.ns));
+    Ok(Profile {
+        metrics,
+        wall_ns,
+        count,
+        ns,
+    })
+}
+
+/// Renders the per-class table, the totals line and the metrics JSON.
+fn render(label: &str, p: &Profile) -> String {
+    let mut out = String::new();
+    let events: u64 = p.count.iter().take(EVENT_CLASSES.len()).sum();
+    let _ = writeln!(
+        out,
+        "profile {label}: {events} events, wall {:.1} ms",
+        p.wall_ns as f64 / 1e6
+    );
+    let _ = writeln!(
+        out,
+        "{:<14} {:>10} {:>14} {:>10} {:>7}",
+        "class", "events", "total_ns", "ns/event", "share"
+    );
+    let pop_label = format!("pop 1/{POP_SAMPLE_PERIOD}");
+    let names = EVENT_CLASSES.iter().copied().chain([pop_label.as_str()]);
+    for ((name, &count), &ns) in names.zip(&p.count).zip(&p.ns) {
+        if count == 0 {
+            continue;
+        }
+        let _ = writeln!(
+            out,
+            "{name:<14} {count:>10} {ns:>14} {:>10.1} {:>6.1}%",
+            ns as f64 / count as f64,
+            100.0 * ns as f64 / p.wall_ns.max(1) as f64
+        );
+    }
+    let sum_ns: u64 = p.ns.iter().sum();
+    let _ = writeln!(
+        out,
+        "sum_ns={sum_ns} wall_ns={} ({:.1}% of wall)",
+        p.wall_ns,
+        100.0 * sum_ns as f64 / p.wall_ns.max(1) as f64
+    );
+    let m = &p.metrics;
+    let applied = m
+        .filter_updates_sent
+        .saturating_sub(m.filter_updates_dropped);
+    let filter_upd = EVENT_CLASSES.iter().position(|&c| c == "FilterUpd");
+    if let (Some(&ns), true) = (filter_upd.and_then(|i| p.ns.get(i)), applied > 0) {
+        let _ = writeln!(
+            out,
+            "FilterUpd per applied update: {:.1} ns ({applied} updates)",
+            ns as f64 / applied as f64
+        );
+    }
+    if let (Some(&ns), Some(&count)) = (p.ns.get(PROBE_POPPED), p.count.get(PROBE_POPPED)) {
+        if count > 0 {
+            let _ = writeln!(
+                out,
+                "queue pop: {:.1} ns/pop over {count} sampled pops",
+                ns as f64 / count as f64
+            );
+        }
+    }
+    let _ = writeln!(out, "{}", metrics_to_json(m));
+    out
+}
+
+/// `barre profile`: prints the table and the metrics JSON; exit code 0,
+/// or the run's [`barre_system::SimError::exit_code`].
+pub fn run(app: AppId, cfg: &SystemConfig, seed: u64) -> i32 {
+    match profile(app, cfg, seed) {
+        Ok(p) => {
+            let label = format!("{}/{}", app.name(), cfg.mode.label());
+            print!("{}", render(&label, &p));
+            0
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            e.exit_code()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn profile_is_passive_and_accounts_for_the_wall() {
+        let cfg = barre_system::smoke_config()
+            .with_mode(barre_system::TranslationMode::FBarre(Default::default()));
+        let p = profile(AppId::Gemv, &cfg, 7).unwrap();
+        let plain = barre_system::run_app(AppId::Gemv, &cfg, 7).unwrap();
+        assert_eq!(metrics_to_json(&p.metrics), metrics_to_json(&plain));
+        let events: u64 = p.count.iter().take(EVENT_CLASSES.len()).sum();
+        assert_eq!(events, plain.events_processed);
+        assert_eq!(
+            p.count[PROBE_POPPED],
+            plain.events_processed / POP_SAMPLE_PERIOD
+        );
+        let sum: u64 = p.ns.iter().sum();
+        assert!(sum <= p.wall_ns, "classes {sum} ns > wall {} ns", p.wall_ns);
+        let text = render("gemv/fbarre", &p);
+        assert!(text.contains("FilterUpd"), "{text}");
+        assert_eq!(text.lines().last(), Some(metrics_to_json(&plain).as_str()));
+    }
+}

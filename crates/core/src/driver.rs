@@ -78,7 +78,7 @@ impl MappingPlan {
 
     /// The VPN-order → chiplet map shared by all groups of this data.
     pub fn gpu_map(&self) -> GpuMap {
-        GpuMap::new(self.cycle.clone())
+        GpuMap::new(&self.cycle)
     }
 
     /// The PEC-buffer record describing this data.

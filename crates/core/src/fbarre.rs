@@ -169,18 +169,19 @@ impl FilterBank {
     /// Messages from unknown peers (or from this chiplet itself) are
     /// ignored, as a best-effort receiver would.
     pub fn apply_update(&mut self, upd: FilterUpdate) {
-        let Some(Some(rcf)) = self.rcfs.get_mut(upd.sender.index()) else {
+        self.apply_batch(upd.cmd, upd.sender, upd.asid, &[upd.vpn]);
+    }
+
+    /// Applies one advertisement packet — `sender`'s `cmd` for every VPN
+    /// of `vpns`, in order — with one RCF lookup and one negative-cache
+    /// invalidation for the whole batch: the filters end as one
+    /// [`apply_update`](Self::apply_update) per VPN would leave them.
+    pub fn apply_batch(&mut self, cmd: FilterCmd, sender: ChipletId, asid: u16, vpns: &[Vpn]) {
+        let Some(Some(rcf)) = self.rcfs.get_mut(sender.index()) else {
             return;
         };
-        let key = filter_key(upd.asid, upd.vpn);
-        match upd.cmd {
-            FilterCmd::Add => {
-                rcf.insert(key);
-            }
-            FilterCmd::Delete => {
-                rcf.remove(key);
-            }
-        }
+        let keys = vpns.iter().map(|&vpn| filter_key(asid, vpn));
+        rcf.apply_all(cmd == FilterCmd::Add, keys);
         // Either command may change a future probe's answer (a delete can
         // un-shadow an aliasing fingerprint), so both drop the cache.
         self.neg.invalidate_all();
@@ -430,6 +431,49 @@ mod tests {
             assert_eq!(gpu0.rcf_hit_cached(0, Vpn(vpn * 13)), fresh);
             assert_eq!(gpu0.rcf_hit_cached(0, Vpn(vpn * 13)), fresh);
         }
+    }
+
+    #[test]
+    fn batches_match_single_updates() {
+        // One bank takes the stream as batches, the other one update at
+        // a time; occupancy, probe answers and cached probes must agree.
+        let (mut batched, mut single) = (bank(0), bank(0));
+        let mut rng = barre_sim::Rng::new(0xBA7C);
+        for round in 0..400u64 {
+            let cmd = if rng.next_below(3) == 0 {
+                FilterCmd::Delete
+            } else {
+                FilterCmd::Add
+            };
+            let sender = ChipletId(rng.next_below(4) as u8);
+            let vpns: Vec<Vpn> = (0..=rng.next_below(16))
+                .map(|_| Vpn(rng.next_below(700)))
+                .collect();
+            batched.apply_batch(cmd, sender, 0, &vpns);
+            for &vpn in &vpns {
+                single.apply_update(FilterUpdate {
+                    cmd,
+                    sender,
+                    asid: 0,
+                    vpn,
+                });
+            }
+            assert_eq!(
+                batched.total_entries(),
+                single.total_entries(),
+                "round {round}"
+            );
+            let probe = Vpn(rng.next_below(700));
+            assert_eq!(
+                batched.rcf_hit_cached(0, probe),
+                single.rcf_hit_cached(0, probe),
+                "round {round}"
+            );
+        }
+        for v in 0..700 {
+            assert_eq!(batched.rcf_hits(0, Vpn(v)), single.rcf_hits(0, Vpn(v)));
+        }
+        assert_eq!(batched.neg_cache_hits(), single.neg_cache_hits());
     }
 
     #[test]

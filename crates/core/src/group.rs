@@ -11,6 +11,9 @@
 use barre_mem::virt_alloc::VpnRange;
 use barre_mem::{ChipletId, Vpn};
 
+/// Most chiplets a [`GpuMap`] can name (the wide mode's limit).
+pub const GPU_MAP_MAX: usize = 16;
+
 /// VPN-order → chiplet mapping of one data object (§IV-E, Fig 10).
 ///
 /// Entry `k` is the chiplet that holds the `k`-th VPN of every coalescing
@@ -19,9 +22,21 @@ use barre_mem::{ChipletId, Vpn};
 /// entries × 8 in the 24-bit PEC field); the wide scalability mode
 /// (`CoalMode::Wide`, §VI) raises the limit to 16 at the cost of a larger
 /// PEC record, which [`encode`](Self::encode) does not cover.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The order is stored inline (unused positions hold chiplet 0), so a
+/// map — and the [`PecEntry`] around it — is `Copy`.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct GpuMap {
-    order: Vec<ChipletId>,
+    order: [ChipletId; GPU_MAP_MAX],
+    len: u8,
+}
+
+impl std::fmt::Debug for GpuMap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GpuMap")
+            .field("order", &self.order())
+            .finish()
+    }
 }
 
 impl GpuMap {
@@ -29,40 +44,64 @@ impl GpuMap {
     ///
     /// # Panics
     ///
-    /// Panics if the order is empty, longer than 8, or contains duplicate
+    /// Panics if the order is empty, longer than 16, or contains duplicate
     /// chiplets (group members must live on distinct chiplets).
-    pub fn new(order: Vec<ChipletId>) -> Self {
+    pub fn new(order: &[ChipletId]) -> Self {
         assert!(!order.is_empty(), "GPU map cannot be empty");
-        assert!(order.len() <= 16, "GPU map supports at most 16 chiplets");
-        for (i, a) in order.iter().enumerate() {
-            assert!(!order[..i].contains(a), "duplicate chiplet {a} in GPU map");
+        assert!(
+            order.len() <= GPU_MAP_MAX,
+            "GPU map supports at most 16 chiplets"
+        );
+        let mut map = Self {
+            order: [ChipletId(0); GPU_MAP_MAX],
+            len: 0,
+        };
+        for &c in order {
+            assert!(
+                !map.order().contains(&c),
+                "duplicate chiplet {c} in GPU map"
+            );
+            if let Some(slot) = map.order.get_mut(map.len as usize) {
+                *slot = c;
+            }
+            map.len += 1;
         }
-        Self { order }
+        map
     }
 
     /// The linear order `GPU0, GPU1, …, GPUn-1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is 0 or above 16.
     pub fn linear(n: usize) -> Self {
-        Self::new((0..n).map(|i| ChipletId(i as u8)).collect())
+        assert!(n <= GPU_MAP_MAX, "GPU map supports at most 16 chiplets");
+        let mut order = [ChipletId(0); GPU_MAP_MAX];
+        for (k, c) in order.iter_mut().enumerate() {
+            *c = ChipletId(k as u8);
+        }
+        Self::new(order.get(..n).unwrap_or(&[]))
     }
 
     /// Number of sharer chiplets.
     pub fn sharers(&self) -> usize {
-        self.order.len()
+        self.len as usize
     }
 
     /// Chiplet at group position `k` (the `inter-GPU_coal_order`).
     pub fn chiplet_at(&self, k: usize) -> Option<ChipletId> {
-        self.order.get(k).copied()
+        self.order().get(k).copied()
     }
 
     /// Group position of `chiplet`, if it participates.
     pub fn position_of(&self, chiplet: ChipletId) -> Option<usize> {
-        self.order.iter().position(|&c| c == chiplet)
+        self.order().iter().position(|&c| c == chiplet)
     }
 
     /// The raw order.
     pub fn order(&self) -> &[ChipletId] {
-        &self.order
+        // `len <= GPU_MAP_MAX` by construction.
+        self.order.get(..self.len as usize).unwrap_or(&[])
     }
 
     /// Packs the map into the PEC-buffer wire format (3 bits per entry,
@@ -74,22 +113,28 @@ impl GpuMap {
     /// maps are modeled but have no 118-bit PEC encoding).
     pub fn encode(&self) -> u32 {
         assert!(
-            self.order.len() <= 8 && self.order.iter().all(|c| c.0 < 8),
+            self.len <= 8 && self.order().iter().all(|c| c.0 < 8),
             "wire format covers at most 8 chiplets"
         );
         let mut w = 0u32;
-        for (k, c) in self.order.iter().enumerate() {
+        for (k, c) in self.order().iter().enumerate() {
             w |= (c.0 as u32 & 0x7) << (3 * k);
         }
         w
     }
 
     /// Unpacks a wire-format map of `sharers` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sharers` is 0 or above 8, or the word repeats a chiplet.
     pub fn decode(w: u32, sharers: usize) -> Self {
-        let order = (0..sharers)
-            .map(|k| ChipletId(((w >> (3 * k)) & 0x7) as u8))
-            .collect();
-        Self::new(order)
+        assert!(sharers <= 8, "wire format covers at most 8 chiplets");
+        let mut order = [ChipletId(0); 8];
+        for (k, c) in order.iter_mut().enumerate() {
+            *c = ChipletId(((w >> (3 * k)) & 0x7) as u8);
+        }
+        Self::new(order.get(..sharers).unwrap_or(&[]))
     }
 }
 
@@ -98,7 +143,7 @@ impl GpuMap {
 ///
 /// The hardware encoding is 118 bits: 40 (start VPN) + 40 (end VPN) +
 /// 14 (`interlv_gran`) + 24 (GPU map).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PecEntry {
     /// Address-space the data belongs to.
     pub asid: u16,
@@ -274,7 +319,7 @@ mod tests {
     #[test]
     fn gpu_map_arbitrary_order() {
         // Fig 10 right: 0th VPN on GPU1.
-        let m = GpuMap::new(vec![ChipletId(1), ChipletId(0), ChipletId(3), ChipletId(2)]);
+        let m = GpuMap::new(&[ChipletId(1), ChipletId(0), ChipletId(3), ChipletId(2)]);
         assert_eq!(m.chiplet_at(0), Some(ChipletId(1)));
         assert_eq!(m.position_of(ChipletId(3)), Some(2));
         assert_eq!(m.position_of(ChipletId(4)), None);
@@ -283,7 +328,7 @@ mod tests {
 
     #[test]
     fn gpu_map_encode_roundtrip() {
-        let m = GpuMap::new(vec![ChipletId(2), ChipletId(7), ChipletId(0), ChipletId(5)]);
+        let m = GpuMap::new(&[ChipletId(2), ChipletId(7), ChipletId(0), ChipletId(5)]);
         let w = m.encode();
         assert_eq!(GpuMap::decode(w, 4), m);
         // Example 3's linear map: 000 001 010 011 packed little-endian
@@ -295,7 +340,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate")]
     fn gpu_map_rejects_duplicates() {
-        GpuMap::new(vec![ChipletId(1), ChipletId(1)]);
+        GpuMap::new(&[ChipletId(1), ChipletId(1)]);
     }
 
     #[test]

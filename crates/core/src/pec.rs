@@ -259,11 +259,23 @@ impl PecLogic {
             member = Some(m);
             ControlFlow::Break(())
         });
-        let member = member?;
+        self.translate_member(pte_pfn, info, &member?)
+    }
+
+    /// The translation of `member`, calculated from one translated page
+    /// (`pte_pfn`, `info`) of its group: [`calculate`](Self::calculate)
+    /// for a member already enumerated, so a caller that answers many
+    /// pending requests from one walk enumerates the group once.
+    pub fn translate_member(
+        &self,
+        pte_pfn: GlobalPfn,
+        info: &CoalInfo,
+        member: &GroupMember,
+    ) -> Option<(GlobalPfn, u16)> {
         let run_base = pte_pfn.local().0.checked_sub(info.intra_order() as u64)?;
         let local = LocalPfn(run_base + member.intra_order as u64);
         let pfn = GlobalPfn::compose(member.chiplet, local);
-        Some((pfn, self.member_bits(info, &member)))
+        Some((pfn, self.member_bits(info, member)))
     }
 
     /// The coalescing bits of `member`'s own PTE, re-encoded from the
@@ -669,7 +681,7 @@ mod tests {
             8,
             GpuMap::linear(2),
         );
-        assert!(buf.insert(small.clone()));
+        assert!(buf.insert(small));
         assert!(buf.insert(mid));
         // Full: the big data overwrites the smallest record.
         assert!(buf.insert(big));
@@ -703,7 +715,7 @@ mod tests {
             GpuMap::linear(2),
         );
         buf.insert(a);
-        buf.insert(a2.clone());
+        buf.insert(a2);
         assert_eq!(buf.len(), 1);
         assert_eq!(buf.peek(0, Vpn(0x1)), Some(&a2));
     }

@@ -19,6 +19,44 @@ use crate::Filter;
 /// as in the original paper.
 const MAX_KICKS: usize = 500;
 
+/// Slots per bucket. Table II's filters are 4-way, and a 4-way bucket of
+/// 16-bit fingerprints packs into one `u64`.
+const WAYS: usize = 4;
+
+/// The lowest bit of every 16-bit lane of a packed bucket.
+const LANE_LSB: u64 = 0x0001_0001_0001_0001;
+
+/// The highest bit of every 16-bit lane of a packed bucket.
+const LANE_MSB: u64 = 0x8000_8000_8000_8000;
+
+/// Flags the zero lanes of `x`: the lowest set bit sits in the lowest
+/// zero lane, and the result is nonzero exactly when some lane is zero.
+/// A borrow out of a zero lane can also flag lanes above it, so only the
+/// lowest flag names a lane.
+#[inline]
+fn zero_lanes(x: u64) -> u64 {
+    x.wrapping_sub(LANE_LSB) & !x & LANE_MSB
+}
+
+/// The lowest zero lane of `x`, if any.
+#[inline]
+fn first_zero_lane(x: u64) -> Option<u32> {
+    let z = zero_lanes(x);
+    (z != 0).then(|| z.trailing_zeros() / 16)
+}
+
+/// Stores `fp` in the first free lane of bucket `b`.
+#[inline]
+fn place(b: &mut u64, fp: u64) -> bool {
+    match first_zero_lane(*b) {
+        Some(lane) => {
+            *b |= fp << (16 * lane);
+            true
+        }
+        None => false,
+    }
+}
+
 /// The two candidate rows and fingerprint of one key, precomputed so a
 /// single hash can serve many probes.
 ///
@@ -33,7 +71,11 @@ pub struct KeyHash {
     i2: usize,
 }
 
-/// A cuckoo filter with `rows` buckets of `ways` fingerprints.
+/// A cuckoo filter with `rows` buckets of 4 fingerprints.
+///
+/// Each bucket's fingerprints are one `u64` of four 16-bit lanes, lane
+/// `k` holding slot `k` (0 = empty). Membership, the first free slot and
+/// the first matching slot are SWAR lane tests on that word.
 ///
 /// # Example
 ///
@@ -48,9 +90,8 @@ pub struct KeyHash {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CuckooFilter {
-    slots: Vec<u16>, // 0 = empty, else fingerprint
+    buckets: Vec<u64>,
     rows: usize,
-    ways: usize,
     fp_bits: u32,
     len: usize,
     seed: u64,
@@ -60,7 +101,7 @@ pub struct CuckooFilter {
     // alt_xor[fp] = hash(fp) & (rows - 1), so the partial-key relocation
     // `i2 = i1 ^ hash(fp)` is a table lookup instead of a 64-bit mix on
     // every probe. 2^fp_bits entries, built once at construction.
-    alt_xor: Vec<u32>,
+    alt_xor: Vec<u16>,
 }
 
 fn mix(x: u64, seed: u64) -> u64 {
@@ -78,8 +119,8 @@ impl CuckooFilter {
     ///
     /// # Panics
     ///
-    /// Panics unless `rows` is a power of two, `ways > 0`, and
-    /// `1 <= fp_bits <= 16`.
+    /// Panics unless `rows` is a power of two no larger than 65,536,
+    /// `ways == 4` (the packed bucket layout), and `1 <= fp_bits <= 16`.
     pub fn new(rows: usize, ways: usize, fp_bits: u32, seed: u64) -> Self {
         Self::with_max_kicks(rows, ways, fp_bits, seed, MAX_KICKS)
     }
@@ -94,8 +135,8 @@ impl CuckooFilter {
     ///
     /// # Panics
     ///
-    /// Panics unless `rows` is a power of two, `ways > 0`, and
-    /// `1 <= fp_bits <= 16`.
+    /// Panics unless `rows` is a power of two no larger than 65,536,
+    /// `ways == 4` (the packed bucket layout), and `1 <= fp_bits <= 16`.
     pub fn with_max_kicks(
         rows: usize,
         ways: usize,
@@ -104,15 +145,15 @@ impl CuckooFilter {
         max_kicks: usize,
     ) -> Self {
         assert!(rows.is_power_of_two(), "rows must be a power of two");
-        assert!(ways > 0, "ways must be nonzero");
+        assert!(rows <= 1 << 16, "row offsets are 16-bit");
+        assert!(ways == WAYS, "buckets are packed 4-way");
         assert!((1..=16).contains(&fp_bits), "fp_bits must be in 1..=16");
         let alt_xor = (0..1u32 << fp_bits)
-            .map(|fp| (mix(fp as u64, seed ^ 0xA5A5) as u32) & (rows as u32 - 1))
+            .map(|fp| (mix(fp as u64, seed ^ 0xA5A5) as usize & (rows - 1)) as u16)
             .collect();
         Self {
-            slots: vec![0; rows * ways],
+            buckets: vec![0; rows],
             rows,
-            ways,
             fp_bits,
             len: 0,
             seed,
@@ -134,14 +175,14 @@ impl CuckooFilter {
         self.rows
     }
 
-    /// Slots per bucket.
+    /// Slots per bucket (always 4).
     pub fn ways(&self) -> usize {
-        self.ways
+        WAYS
     }
 
     /// Total slot capacity.
     pub fn capacity(&self) -> usize {
-        self.rows * self.ways
+        self.rows * WAYS
     }
 
     /// Load factor in `[0, 1]`.
@@ -157,7 +198,7 @@ impl CuckooFilter {
     /// The theoretical false-positive upper bound `2·ways / 2^fp_bits`
     /// (§VII-K quotes 1.53% for the default configuration).
     pub fn theoretical_fp_rate(&self) -> f64 {
-        (2.0 * self.ways as f64) / (1u64 << self.fp_bits) as f64
+        (2.0 * WAYS as f64) / (1u64 << self.fp_bits) as f64
     }
 
     /// Precomputes the fingerprint and both candidate rows of `key` with a
@@ -168,6 +209,7 @@ impl CuckooFilter {
     /// The result is reusable across every filter constructed with the
     /// same `(rows, ways, fp_bits, seed)` tuple, which is how a bank of
     /// peer filters serves one probe with one hash.
+    #[inline]
     pub fn key_hash(&self, key: u64) -> KeyHash {
         let h = mix(key, self.seed);
         let i1 = (h as usize) & (self.rows - 1);
@@ -202,50 +244,70 @@ impl CuckooFilter {
     /// Membership probe from a precomputed [`KeyHash`] — the batched
     /// lookup used when one key is checked against several same-seed
     /// filters.
+    #[inline]
     pub fn contains_hashed(&self, h: KeyHash) -> bool {
-        self.bucket(h.i1).contains(&h.fp) || self.bucket(h.i2).contains(&h.fp)
+        let lanes = LANE_LSB * h.fp as u64;
+        self.pick(h.i1, h.i2, |b| zero_lanes(b ^ lanes)).1 != 0
     }
 
-    fn bucket(&self, row: usize) -> &[u16] {
-        // `row` is always masked to `rows` and `slots.len() == rows *
-        // ways`, so the range is in-bounds by construction; checked
-        // slicing keeps the probe path provably panic-free.
-        let start = row * self.ways;
-        self.slots.get(start..start + self.ways).unwrap_or(&[])
-    }
-
-    fn bucket_mut(&mut self, row: usize) -> &mut [u16] {
-        &mut self.slots[row * self.ways..(row + 1) * self.ways]
-    }
-
-    fn try_place(&mut self, row: usize, fp: u16) -> bool {
-        let b = self.bucket_mut(row);
-        for s in b {
-            if *s == 0 {
-                *s = fp;
-                return true;
-            }
+    /// The lanes `test` flags in row `i1` if it flags any, else in row
+    /// `i2`, with that row. Both rows are tested up front and the pick is
+    /// a select, not a branch: which of a key's two rows has a free or a
+    /// matching lane is a coin flip the branch predictor cannot learn.
+    /// Rows are masked to `rows == buckets.len()`; checked access keeps
+    /// the probe path provably panic-free.
+    #[inline]
+    fn pick(&self, i1: usize, i2: usize, test: impl Fn(u64) -> u64) -> (usize, u64) {
+        let z1 = self.buckets.get(i1).map_or(0, |&b| test(b));
+        let z2 = self.buckets.get(i2).map_or(0, |&b| test(b));
+        if z1 != 0 {
+            (i1, z1)
+        } else {
+            (i2, z2)
         }
-        false
     }
-}
 
-impl Filter for CuckooFilter {
-    fn insert(&mut self, key: u64) -> bool {
-        let KeyHash { fp, i1, i2 } = self.key_hash(key);
-        if self.try_place(i1, fp) || self.try_place(i2, fp) {
+    /// [`Filter::insert`] of the key `h` was computed from.
+    #[inline]
+    fn insert_hashed(&mut self, h: KeyHash) -> bool {
+        let KeyHash { fp, i1, i2 } = h;
+        let fp = fp as u64;
+        // The first free slot of `i1`, else of `i2`.
+        let (row, free) = self.pick(i1, i2, zero_lanes);
+        if let (true, Some(b)) = (free != 0, self.buckets.get_mut(row)) {
+            *b |= fp << (16 * (free.trailing_zeros() / 16));
             self.len += 1;
             return true;
         }
-        // Relocate: kick a random resident fingerprint.
-        let mut row = if self.kick_rng.chance(0.5) { i1 } else { i2 };
+        // Relocate: kick a random resident fingerprint. The draws are
+        // `chance(0.5)` and `index(4)` read off the raw words: the top
+        // bit is clear exactly when `next_f64() < 0.5`, and the top two
+        // bits are Lemire's `index(4)`.
+        let mask = self.rows - 1;
+        let Self {
+            buckets,
+            kick_rng,
+            alt_xor,
+            ..
+        } = self;
+        let mut row = if kick_rng.next_u64() >> 63 == 0 {
+            i1
+        } else {
+            i2
+        };
         let mut fp = fp;
         for _ in 0..self.max_kicks {
-            let victim_slot = self.kick_rng.index(self.ways);
-            let b = self.bucket_mut(row);
-            std::mem::swap(&mut b[victim_slot], &mut fp);
-            row = self.alt_index(row, fp);
-            if self.try_place(row, fp) {
+            let shift = 16 * (kick_rng.next_u64() >> 62);
+            let Some(b) = buckets.get_mut(row) else {
+                break;
+            };
+            // Swap `fp` into the victim's lane; the victim moves on.
+            let victim = (*b >> shift) & 0xFFFF;
+            *b ^= (victim ^ fp) << shift;
+            fp = victim;
+            let xor = alt_xor.get(fp as usize).copied().unwrap_or(0);
+            row = (row ^ xor as usize) & mask;
+            if buckets.get_mut(row).is_some_and(|b| place(b, fp)) {
                 self.len += 1;
                 return true;
             }
@@ -257,17 +319,64 @@ impl Filter for CuckooFilter {
         false
     }
 
-    fn remove(&mut self, key: u64) -> bool {
-        let KeyHash { fp, i1, i2 } = self.key_hash(key);
-        for row in [i1, i2] {
-            let b = self.bucket_mut(row);
-            if let Some(slot) = b.iter_mut().find(|s| **s == fp) {
-                *slot = 0;
+    /// [`Filter::remove`] of the key `h` was computed from.
+    #[inline]
+    fn remove_hashed(&mut self, h: KeyHash) -> bool {
+        let KeyHash { fp, i1, i2 } = h;
+        // The first slot holding `fp` in `i1`, else in `i2`.
+        let lanes = LANE_LSB * fp as u64;
+        let (row, hit) = self.pick(i1, i2, |b| zero_lanes(b ^ lanes));
+        match (hit != 0, self.buckets.get_mut(row)) {
+            (true, Some(b)) => {
+                *b &= !(0xFFFF << (16 * (hit.trailing_zeros() / 16)));
                 self.len -= 1;
-                return true;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Inserts (`insert`) or removes every key of `keys`, in order,
+    /// leaving the filter as one [`Filter::insert`] or [`Filter::remove`]
+    /// per key would. Keys are hashed 16 at a time before the first of
+    /// them is applied, so the hashing overlaps instead of waiting behind
+    /// each insert's data-dependent kick chain and its mispredicted exit.
+    pub fn apply_all(&mut self, insert: bool, keys: impl IntoIterator<Item = u64>) {
+        let mut keys = keys.into_iter();
+        let mut hashes = [KeyHash {
+            fp: 0,
+            i1: 0,
+            i2: 0,
+        }; 16];
+        loop {
+            let mut n = 0;
+            for (h, key) in hashes.iter_mut().zip(keys.by_ref()) {
+                *h = self.key_hash(key);
+                n += 1;
+            }
+            if n == 0 {
+                return;
+            }
+            for &h in hashes.iter().take(n) {
+                if insert {
+                    self.insert_hashed(h);
+                } else {
+                    self.remove_hashed(h);
+                }
             }
         }
-        false
+    }
+}
+
+impl Filter for CuckooFilter {
+    #[inline]
+    fn insert(&mut self, key: u64) -> bool {
+        self.insert_hashed(self.key_hash(key))
+    }
+
+    #[inline]
+    fn remove(&mut self, key: u64) -> bool {
+        self.remove_hashed(self.key_hash(key))
     }
 
     fn contains(&self, key: u64) -> bool {
@@ -279,7 +388,7 @@ impl Filter for CuckooFilter {
     }
 
     fn clear(&mut self) {
-        self.slots.fill(0);
+        self.buckets.fill(0);
         self.len = 0;
     }
 }
@@ -432,6 +541,194 @@ mod tests {
         assert_eq!(f.len() as u64, stored);
         assert!(f.len() <= f.capacity());
         assert!(f.dropped() > 0);
+    }
+
+    /// The slice-per-bucket filter the packed layout replaced, kept
+    /// verbatim as the reference the lockstep test drives.
+    struct SliceFilter {
+        slots: Vec<u16>,
+        rows: usize,
+        ways: usize,
+        fp_bits: u32,
+        len: usize,
+        seed: u64,
+        kick_rng: Rng,
+        dropped: u64,
+        max_kicks: usize,
+        alt_xor: Vec<u32>,
+    }
+
+    impl SliceFilter {
+        fn new(rows: usize, ways: usize, fp_bits: u32, seed: u64, max_kicks: usize) -> Self {
+            let alt_xor = (0..1u32 << fp_bits)
+                .map(|fp| (mix(fp as u64, seed ^ 0xA5A5) as u32) & (rows as u32 - 1))
+                .collect();
+            Self {
+                slots: vec![0; rows * ways],
+                rows,
+                ways,
+                fp_bits,
+                len: 0,
+                seed,
+                kick_rng: Rng::new(seed ^ 0xC0FF_EE00),
+                dropped: 0,
+                max_kicks,
+                alt_xor,
+            }
+        }
+
+        fn hash_of(&self, key: u64) -> (u16, usize, usize) {
+            let h = mix(key, self.seed);
+            let i1 = (h as usize) & (self.rows - 1);
+            let mask = (1u32 << self.fp_bits) - 1;
+            let raw = ((h >> 48) as u32) & mask;
+            let fp = if raw == 0 { 1 } else { raw as u16 };
+            (fp, i1, self.alt_of(i1, fp))
+        }
+
+        fn alt_of(&self, index: usize, fp: u16) -> usize {
+            (index ^ self.alt_xor[fp as usize] as usize) & (self.rows - 1)
+        }
+
+        fn bucket_mut(&mut self, row: usize) -> &mut [u16] {
+            &mut self.slots[row * self.ways..(row + 1) * self.ways]
+        }
+
+        fn try_place(&mut self, row: usize, fp: u16) -> bool {
+            for s in self.bucket_mut(row) {
+                if *s == 0 {
+                    *s = fp;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn insert(&mut self, key: u64) -> bool {
+            let (fp, i1, i2) = self.hash_of(key);
+            if self.try_place(i1, fp) || self.try_place(i2, fp) {
+                self.len += 1;
+                return true;
+            }
+            let mut row = if self.kick_rng.chance(0.5) { i1 } else { i2 };
+            let mut fp = fp;
+            for _ in 0..self.max_kicks {
+                let victim_slot = self.kick_rng.index(self.ways);
+                let b = self.bucket_mut(row);
+                std::mem::swap(&mut b[victim_slot], &mut fp);
+                row = self.alt_of(row, fp);
+                if self.try_place(row, fp) {
+                    self.len += 1;
+                    return true;
+                }
+            }
+            self.dropped += 1;
+            false
+        }
+
+        fn remove(&mut self, key: u64) -> bool {
+            let (fp, i1, i2) = self.hash_of(key);
+            for row in [i1, i2] {
+                let b = self.bucket_mut(row);
+                if let Some(slot) = b.iter_mut().find(|s| **s == fp) {
+                    *slot = 0;
+                    self.len -= 1;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn contains(&self, key: u64) -> bool {
+            let (fp, i1, i2) = self.hash_of(key);
+            [i1, i2]
+                .iter()
+                .any(|&r| self.slots[r * self.ways..(r + 1) * self.ways].contains(&fp))
+        }
+    }
+
+    #[test]
+    fn packed_buckets_match_the_slice_filter_in_lockstep() {
+        // Seeded insert/remove/contains streams driven into both layouts
+        // at once: every return value, `len`, `dropped`, the raw slot
+        // contents and a probe sweep must agree, from half load to a
+        // saturated table, across kick budgets and fingerprint widths.
+        for fp_bits in [9u32, 16] {
+            for max_kicks in [2usize, 8, 500] {
+                for (target_load, seed) in [(0.5f64, 1u64), (0.78, 2), (1.0, 3)] {
+                    let rows = 64;
+                    let mut packed =
+                        CuckooFilter::with_max_kicks(rows, 4, fp_bits, seed, max_kicks);
+                    let mut slice = SliceFilter::new(rows, 4, fp_bits, seed, max_kicks);
+                    let mut rng = Rng::new(0x10C5_0000 ^ seed ^ (max_kicks as u64) << 8);
+                    let mut live: Vec<u64> = Vec::new();
+                    let cap = packed.capacity() as f64;
+                    for step in 0..6000u32 {
+                        let key = rng.next_below(4096);
+                        let below = (packed.len() as f64) < target_load * cap;
+                        let op = rng.next_below(10);
+                        let ctx = format!("fp {fp_bits} kicks {max_kicks} seed {seed} step {step}");
+                        if op == 0 && below {
+                            // A batch, longer than one 16-key chunk at times.
+                            let batch: Vec<u64> =
+                                (0..=rng.next_below(20)).map(|i| key + i).collect();
+                            packed.apply_all(true, batch.iter().copied());
+                            for &k in &batch {
+                                slice.insert(k);
+                            }
+                            live.extend(&batch);
+                        } else if op < 6 && below {
+                            assert_eq!(packed.insert(key), slice.insert(key), "insert {ctx}");
+                            live.push(key);
+                        } else if op == 6 && live.len() > 20 {
+                            let batch: Vec<u64> = (0..=rng.next_below(20))
+                                .map(|_| live.swap_remove(rng.index(live.len())))
+                                .collect();
+                            packed.apply_all(false, batch.iter().copied());
+                            for &k in &batch {
+                                slice.remove(k);
+                            }
+                        } else if op < 9 && !live.is_empty() {
+                            let k = live.swap_remove(rng.index(live.len()));
+                            assert_eq!(packed.remove(k), slice.remove(k), "remove {ctx}");
+                        } else {
+                            assert_eq!(packed.remove(key), slice.remove(key), "absent {ctx}");
+                        }
+                        assert_eq!(packed.contains(key), slice.contains(key), "probe {ctx}");
+                        assert_eq!(packed.len(), slice.len, "len {ctx}");
+                        assert_eq!(packed.dropped(), slice.dropped, "dropped {ctx}");
+                    }
+                    let lanes: Vec<u16> = packed
+                        .buckets
+                        .iter()
+                        .flat_map(|&b| (0..4).map(move |k| (b >> (16 * k)) as u16))
+                        .collect();
+                    assert_eq!(lanes, slice.slots, "slots fp {fp_bits} kicks {max_kicks}");
+                    for key in 0..8192u64 {
+                        assert_eq!(packed.contains(key), slice.contains(key), "sweep {key}");
+                    }
+                    assert!(
+                        target_load < 1.0 || packed.dropped() > 0,
+                        "saturated run dropped nothing"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_tests_find_the_lowest_lane() {
+        assert_eq!(first_zero_lane(0), Some(0));
+        assert_eq!(first_zero_lane(0x0001_0000_FFFF_8000), Some(2));
+        assert_eq!(first_zero_lane(0xFFFF_8000_0001_FFFF), None);
+        // A zero lane's borrow may flag lanes above it, never below.
+        assert_eq!(first_zero_lane(0x0001_0001_0000_0005), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "packed 4-way")]
+    fn non_four_way_geometry_is_rejected() {
+        CuckooFilter::new(16, 2, 9, 1);
     }
 
     #[test]

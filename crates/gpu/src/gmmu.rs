@@ -185,7 +185,7 @@ impl GmmuUnit {
             started_at: walk.started_at,
             tlb_hit: false,
         };
-        let (out, _) = self.pec.complete(walked, now, true, &mut self.queue);
+        let out = self.pec.complete(walked, now, true, &mut self.queue);
         self.coalesced.add(out.len() as u64 - 1);
         out
     }
@@ -291,7 +291,7 @@ mod tests {
                 ..GmmuConfig::default()
             },
         );
-        g.register_pec(pec.clone());
+        g.register_pec(pec);
         g.enqueue(req(1, 0x1));
         let started = g.dispatch(0, |_, _| Some(ChipletId(0)));
         g.enqueue(req(2, 0x4));

@@ -30,7 +30,7 @@ pub struct AtsRequest {
 }
 
 /// A translation response returned to a chiplet.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AtsResponse {
     /// The request being answered.
     pub req: AtsRequest,

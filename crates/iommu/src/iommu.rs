@@ -313,9 +313,9 @@ impl Iommu {
             started_at: walk.started_at,
             tlb_hit: walk.tlb_hit,
         };
-        let (mut out, source) =
-            self.pec
-                .complete(walked, now, self.cfg.ship_pec_entry, &mut self.queue);
+        let mut out = self
+            .pec
+            .complete(walked, now, self.cfg.ship_pec_entry, &mut self.queue);
         for (ready, rsp) in &out {
             self.stats.ats_latency.record(ready - rsp.req.issued_at);
             if rsp.coalesced {
@@ -324,8 +324,8 @@ impl Iommu {
         }
         // Each multicast response consumes outbound bandwidth whether or
         // not anyone wanted it — the reason the paper rejects this design.
-        if let (true, Some(source)) = (self.cfg.multicast, source) {
-            source.multicast(&mut out, now, &mut self.multicast_seq);
+        if self.cfg.multicast {
+            self.pec.multicast(&mut out, now, &mut self.multicast_seq);
         }
         out
     }
@@ -492,7 +492,7 @@ mod tests {
                 ship_pec_entry: ship,
                 ..IommuConfig::default()
             });
-            io.register_pec(pec.clone());
+            io.register_pec(pec);
             io.enqueue(req(1, 0x1, 0));
             let s = io.dispatch(0);
             let rsp = io.complete_walk(s[0].0, 500, |_, v| pt.lookup(v));

@@ -23,4 +23,4 @@ pub mod pec_unit;
 
 pub use ats::{AtsRequest, AtsResponse, ATS_REQUEST_BYTES, ATS_RESPONSE_BYTES};
 pub use iommu::{Iommu, IommuConfig, IommuStats};
-pub use pec_unit::{GroupSource, PecUnit, WalkedPte};
+pub use pec_unit::{PecUnit, WalkedPte};

@@ -32,9 +32,13 @@
 //!   `(cycle, seq, slot)` key in a small overflow min-heap; they are
 //!   re-linked into the wheel as the cursor approaches them. A payload
 //!   is written once at push and moved once at pop.
-//! * `pop` advances a cycle cursor; after a full fruitless revolution it
-//!   jumps straight to the global minimum (sparse endgames), so a long
-//!   empty stretch costs one wheel scan instead of a per-cycle walk.
+//! * An **occupancy bitmap** holds one bit per bucket, set while the
+//!   bucket is non-empty (8 KiB at the 65,536-bucket cap). `pop` finds
+//!   the next non-empty bucket at or after the cycle cursor from the
+//!   bitmap, 64 buckets per word, instead of stepping through every empty
+//!   cycle. A bucket whose head is a whole revolution (or more) ahead is
+//!   skipped; after a full fruitless revolution the cursor jumps straight
+//!   to the global minimum (sparse endgames).
 //!
 //! Pop order is byte-identical to the old heap: strictly nondecreasing
 //! `(cycle, seq)`.
@@ -90,6 +94,8 @@ pub struct EventQueue<E> {
     wheel: Vec<Bucket>,
     /// `wheel.len() - 1`; bucket count is a power of two.
     mask: u64,
+    /// Bit `i % 64` of word `i / 64` is set while bucket `i` is non-empty.
+    occupied: Vec<u64>,
     /// `(at, seq, slot)` of events at or beyond the wheel horizon
     /// (`cur + wheel.len()`).
     overflow: BinaryHeap<Reverse<(Cycle, u64, u32)>>,
@@ -157,6 +163,7 @@ impl<E> EventQueue<E> {
             free: NIL,
             wheel: vec![Bucket::EMPTY; n],
             mask: (n - 1) as u64,
+            occupied: vec![0; n.div_ceil(64)],
             overflow: BinaryHeap::new(),
             cur: 0,
             len: 0,
@@ -239,6 +246,7 @@ impl<E> EventQueue<E> {
         }
         let old = std::mem::replace(&mut self.wheel, vec![Bucket::EMPTY; target]);
         self.mask = (target - 1) as u64;
+        self.occupied = vec![0; target.div_ceil(64)];
         for b in old {
             let mut slot = b.head;
             while let Some(node) = self.nodes.get(slot as usize) {
@@ -261,12 +269,16 @@ impl<E> EventQueue<E> {
             return;
         };
         let key = (node.at, node.seq);
-        let b = &mut self.wheel[(node.at & self.mask) as usize];
+        let bucket = (node.at & self.mask) as usize;
+        let b = &mut self.wheel[bucket];
         let tail_key = self.nodes.get(b.tail as usize).map(|t| (t.at, t.seq));
         let next = match tail_key {
             None => {
                 b.head = slot;
                 b.tail = slot;
+                if let Some(w) = self.occupied.get_mut(bucket / 64) {
+                    *w |= 1 << (bucket % 64);
+                }
                 NIL
             }
             Some(tk) if tk < key => {
@@ -309,16 +321,71 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// The first non-empty bucket at or after bucket `from`, without
+    /// wrapping around.
+    fn next_occupied(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.occupied.get(w)? & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            bits = *self.occupied.get(w)?;
+        }
+    }
+
     /// Smallest pending cycle across wheel and overflow; `None` when
-    /// empty. O(bucket count) — used by the sparse-jump path and
-    /// [`peek_cycle`](Self::peek_cycle), never by the dense fast path.
+    /// empty. Visits every non-empty bucket — used by the sparse-jump
+    /// path and [`peek_cycle`](Self::peek_cycle), never by the dense
+    /// fast path.
     fn min_pending_cycle(&self) -> Option<Cycle> {
-        let wheel_min = self
-            .wheel
-            .iter()
-            .filter_map(|b| self.nodes.get(b.head as usize).map(|n| n.at));
+        let mut wheel_min: Option<Cycle> = None;
+        let mut from = 0;
+        while let Some(b) = self.next_occupied(from) {
+            let head = self
+                .wheel
+                .get(b)
+                .and_then(|b| self.nodes.get(b.head as usize));
+            if let Some(n) = head {
+                wheel_min = Some(wheel_min.map_or(n.at, |m| m.min(n.at)));
+            }
+            from = b + 1;
+        }
         let over_min = self.overflow.peek().map(|&Reverse((at, _, _))| at);
-        wheel_min.chain(over_min).min()
+        wheel_min.into_iter().chain(over_min).min()
+    }
+
+    /// The wheel's earliest event if it is due within one revolution of
+    /// the cursor: the first non-empty bucket, in cyclic order from the
+    /// cursor's, whose head falls on the cycle that bucket stands for in
+    /// this revolution. Returns that cycle and bucket. Every bucket in
+    /// between is empty, and the overflow heap holds nothing before the
+    /// horizon, so that head is the global minimum.
+    fn next_due(&self) -> Option<(Cycle, usize)> {
+        let start = (self.cur & self.mask) as usize;
+        let mut from = start;
+        let mut wrapped = false;
+        loop {
+            let b = match self.next_occupied(from) {
+                Some(b) if !wrapped || b < start => b,
+                _ if !wrapped => {
+                    wrapped = true;
+                    from = 0;
+                    continue;
+                }
+                _ => return None,
+            };
+            let at = self.cur + ((b as u64).wrapping_sub(start as u64) & self.mask);
+            let head = self
+                .wheel
+                .get(b)
+                .and_then(|b| self.nodes.get(b.head as usize));
+            if head.is_some_and(|n| n.at == at) {
+                return Some((at, b));
+            }
+            from = b + 1;
+        }
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
@@ -326,45 +393,34 @@ impl<E> EventQueue<E> {
         if self.len == 0 {
             return None;
         }
+        // Everything due before the horizon must be on the wheel.
         self.rebin_through(self.horizon() - 1);
-        let mut scanned = 0usize;
-        loop {
-            // Anything the cursor is about to inspect must be on the
-            // wheel, including overflow events whose cycle the cursor
-            // just reached (cheap peek, usually one comparison).
-            self.rebin_through(self.cur);
-            let b = &mut self.wheel[(self.cur & self.mask) as usize];
-            let head = b.head;
-            if let Some(node) = self.nodes.get_mut(head as usize) {
-                if node.at == self.cur {
-                    b.head = node.next;
-                    if b.head == NIL {
-                        b.tail = NIL;
-                    }
-                    node.next = self.free;
-                    self.free = head;
-                    let Some(ev) = node.ev.take() else {
-                        break None;
-                    };
-                    self.len -= 1;
-                    self.popped += 1;
-                    break Some((self.cur, ev));
-                }
+        let (at, bucket) = loop {
+            if let Some(due) = self.next_due() {
+                break due;
             }
-            self.cur += 1;
-            scanned += 1;
-            if scanned >= self.wheel.len() {
-                // A full fruitless revolution: the next event is far
-                // away. Jump straight to the global minimum instead of
-                // walking every intermediate cycle.
-                let Some(min) = self.min_pending_cycle() else {
-                    break None;
-                };
-                self.cur = min;
-                self.rebin_through(self.horizon() - 1);
-                scanned = 0;
+            // A full fruitless revolution: the next event is far away.
+            // Jump straight to the global minimum.
+            self.cur = self.min_pending_cycle()?;
+            self.rebin_through(self.horizon() - 1);
+        };
+        self.cur = at;
+        let b = self.wheel.get_mut(bucket)?;
+        let head = b.head;
+        let node = self.nodes.get_mut(head as usize)?;
+        b.head = node.next;
+        if b.head == NIL {
+            b.tail = NIL;
+            if let Some(w) = self.occupied.get_mut(bucket / 64) {
+                *w &= !(1 << (bucket % 64));
             }
         }
+        node.next = self.free;
+        self.free = head;
+        let ev = node.ev.take()?;
+        self.len -= 1;
+        self.popped += 1;
+        Some((at, ev))
     }
 
     /// Cycle of the earliest pending event, without removing it.
@@ -732,6 +788,99 @@ mod tests {
         assert!(pushes.len() > 1000, "schedule too short to mean anything");
         assert!(q.spills() > 0, "no event crossed the horizon");
         assert_eq!(popped, reference_order(&pushes));
+    }
+
+    /// Every bucket's occupancy bit agrees with its list.
+    fn assert_bitmap_consistent<E>(q: &EventQueue<E>, ctx: &str) {
+        for (i, b) in q.wheel.iter().enumerate() {
+            let bit = q.occupied[i / 64] >> (i % 64) & 1 == 1;
+            assert_eq!(bit, b.head != NIL, "{ctx}: bucket {i} bit {bit}");
+        }
+    }
+
+    #[test]
+    fn aliased_heads_after_a_rewind_wait_their_revolution() {
+        // After the cursor rewinds, a bucket can hold an event a whole
+        // revolution past the cycle that bucket stands for; the scan must
+        // skip it rather than pop it early.
+        let mut q = EventQueue::new();
+        q.push(100, "a");
+        q.push(4000, "d");
+        assert_eq!(q.pop(), Some((100, "a")));
+        // Bucket 54 of the 4096, linked while the horizon was 4196.
+        q.push(4150, "e");
+        q.push(10, "past");
+        q.push(60, "b");
+        assert_eq!(q.pop(), Some((10, "past")));
+        assert_eq!(q.pop(), Some((60, "b")));
+        assert_eq!(q.pop(), Some((4000, "d")));
+        assert_eq!(q.pop(), Some((4150, "e")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn bitmap_pops_match_the_reference_across_growth_and_rewinds() {
+        // Mixed schedules: near events, events a whole wheel ahead (the
+        // bucket's head is not due this revolution), far-future bursts
+        // that grow the wheel, sparse gaps that force the global-minimum
+        // jump, and pushes into the past that rewind the cursor below
+        // events already linked. Pop order must equal the stable
+        // (cycle, push order) sort, and the bitmap must track every
+        // bucket.
+        for seed in 0..10u64 {
+            let mut rng = Rng::new(0xB17_0000 ^ seed);
+            let mut q = EventQueue::new();
+            // Pending events by (cycle, push order): the incremental form
+            // of `reference_order`.
+            let mut model: std::collections::BTreeSet<(Cycle, u64)> = Default::default();
+            let mut id = 0u64;
+            let mut now = 0u64;
+            let mut push =
+                |q: &mut EventQueue<u64>, model: &mut std::collections::BTreeSet<_>, at| {
+                    q.push(at, id);
+                    model.insert((at, id));
+                    id += 1;
+                };
+            for round in 0..3000u64 {
+                for _ in 0..rng.next_below(3) {
+                    let wheel = q.buckets() as u64;
+                    let at = match rng.next_below(13) {
+                        0..=5 => now + rng.next_below(200),
+                        6 => now + wheel * (1 + rng.next_below(2)) + rng.next_below(4),
+                        // The end of this revolution: a later rewind
+                        // leaves these heads a revolution ahead.
+                        12 => now + wheel - 1 - rng.next_below(64),
+                        7 => now + 30_000 + rng.next_below(40_000),
+                        8 => now + 500_000 + rng.next_below(1000),
+                        // Into the past: rewinds the cursor.
+                        9 => now.saturating_sub(1 + rng.next_below(3000)),
+                        _ => now,
+                    };
+                    push(&mut q, &mut model, at);
+                }
+                if round % 11 == 0 {
+                    for i in 0..GROW_PRESSURE as u64 {
+                        push(&mut q, &mut model, now + 20_000 + i * 7);
+                    }
+                }
+                let got = q.pop();
+                assert_eq!(got, model.pop_first(), "seed {seed} round {round}");
+                if let Some((at, _)) = got {
+                    now = at;
+                }
+                if round % 500 == 0 {
+                    assert_bitmap_consistent(&q, &format!("seed {seed} round {round}"));
+                }
+            }
+            // Drain: the tail must come out as the stable sort of what
+            // is still pending.
+            let tail: Vec<(Cycle, u64)> = model.iter().copied().collect();
+            let drained: Vec<(Cycle, u64)> = std::iter::from_fn(|| q.pop()).collect();
+            assert_eq!(drained, reference_order(&tail), "seed {seed} tail");
+            assert_bitmap_consistent(&q, &format!("seed {seed} drained"));
+            assert!(q.occupied.iter().all(|&w| w == 0));
+            assert!(q.growths() > 0, "seed {seed} never grew");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use barre_core::fbarre::{FilterBank, FilterCmd, FilterUpdate};
+use barre_core::fbarre::{FilterBank, FilterCmd};
 use barre_core::{CoalInfo, CoalMode, PecBuffer, PecEntry, PecLogic};
 use barre_filters::{Filter, IdealFilter};
 use barre_gpu::pattern::AccessPattern;
@@ -31,7 +31,7 @@ use barre_trace::{Sample, Stage, TraceOptions, TraceRecorder, Tracer};
 use crate::config::{MmuKind, SystemConfig, TranslationMode};
 use crate::error::SimError;
 use crate::metrics::RunMetrics;
-use crate::reqtrack::{AtsPendingTable, PendingAts, ReqSlab};
+use crate::reqtrack::{AtsPendingTable, PayloadSlab, PendingAts, ReqSlab};
 
 /// Payload of an L2 TLB entry: the frame plus the coalescing bits the ATS
 /// response carried (F-Barre stores them "with the PFN", §V-A3).
@@ -66,9 +66,10 @@ const ATS_TRACE_ID_BASE: u64 = 1 << 62;
 const FILTER_BATCH_MAX: usize = 16;
 
 /// One peer-bound advertisement packet: the whole group's filter updates
-/// share a command, sender, and ASID, so the event stores the VPNs
+/// share a command, sender, and ASID, so the packet stores the VPNs
 /// inline instead of heap-allocating a `Vec<FilterUpdate>` per packet.
-#[derive(Debug, Clone)]
+/// Packets wait in the machine's batch slab; the event carries the slot.
+#[derive(Debug, Clone, Copy)]
 struct FilterBatch {
     cmd: FilterCmd,
     sender: ChipletId,
@@ -77,6 +78,9 @@ struct FilterBatch {
     vpns: [Vpn; FILTER_BATCH_MAX],
 }
 
+/// One scheduled event. Payloads larger than a few words (filter
+/// batches, ATS responses) wait in machine-owned slabs and the event
+/// carries their slot, so every queue node stays small.
 #[derive(Debug)]
 enum Ev {
     Issue {
@@ -98,7 +102,8 @@ enum Ev {
         walker: usize,
     },
     RespArrive {
-        resp: AtsResponse,
+        /// Slot in `Machine::responses`.
+        resp: u32,
     },
     PeerProbe {
         page: u32,
@@ -110,7 +115,8 @@ enum Ev {
     },
     FilterUpd {
         at: u8,
-        batch: FilterBatch,
+        /// Slot in `Machine::batches`.
+        batch: u32,
     },
     MemStart {
         page: u32,
@@ -133,6 +139,57 @@ enum Ev {
         chiplet: u8,
         key: TlbKey,
     },
+}
+
+// The event queue moves every `Ev` once in and once out; keep it compact.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 40);
+
+/// The engine's event classes, in the class-index order an event probe
+/// ([`Machine::set_event_probe`]) reports them.
+pub const EVENT_CLASSES: [&str; 14] = [
+    "Issue",
+    "Translate",
+    "AtsArrive",
+    "WalkDone",
+    "GmmuWalkDone",
+    "RespArrive",
+    "PeerProbe",
+    "PeerReply",
+    "FilterUpd",
+    "MemStart",
+    "MemDone",
+    "MshrRetry",
+    "AtsDeadline",
+    "FallbackDone",
+];
+
+/// The probe index reported right after a sampled pop, before the popped
+/// event's handler runs ([`Machine::set_event_probe`]).
+pub const PROBE_POPPED: usize = EVENT_CLASSES.len();
+
+/// One pop in this many is reported to the event probe on its own.
+pub const POP_SAMPLE_PERIOD: u64 = 256;
+
+impl Ev {
+    /// Index of this event's class in [`EVENT_CLASSES`].
+    fn class(&self) -> usize {
+        match self {
+            Ev::Issue { .. } => 0,
+            Ev::Translate { .. } => 1,
+            Ev::AtsArrive { .. } => 2,
+            Ev::WalkDone { .. } => 3,
+            Ev::GmmuWalkDone { .. } => 4,
+            Ev::RespArrive { .. } => 5,
+            Ev::PeerProbe { .. } => 6,
+            Ev::PeerReply { .. } => 7,
+            Ev::FilterUpd { .. } => 8,
+            Ev::MemStart { .. } => 9,
+            Ev::MemDone { .. } => 10,
+            Ev::MshrRetry { .. } => 11,
+            Ev::AtsDeadline { .. } => 12,
+            Ev::FallbackDone { .. } => 13,
+        }
+    }
 }
 
 struct Stream {
@@ -225,6 +282,10 @@ pub struct Machine {
     /// In-flight ATS request provenance, indexed by the request id itself.
     req_track: ReqSlab,
     queue: EventQueue<Ev>,
+    /// Filter-update packets in flight (`Ev::FilterUpd` payloads).
+    batches: PayloadSlab<FilterBatch>,
+    /// ATS responses in flight (`Ev::RespArrive` payloads).
+    responses: PayloadSlab<AtsResponse>,
     now: Cycle,
     m: RunMetrics,
     /// Fault decision engine; `None` on fault-free runs (so they make no
@@ -258,6 +319,9 @@ pub struct Machine {
     /// probe. `None` (the default) costs one branch.
     #[cfg(debug_assertions)]
     alloc_probe: Option<fn() -> u64>,
+    /// Wall-clock attribution hook ([`Machine::set_event_probe`]);
+    /// `None` (the default) costs one branch per event.
+    event_probe: Option<fn(usize)>,
     /// Accumulated conservation-law violations (sanitizer builds only).
     #[cfg(feature = "sanitizer")]
     san: crate::sanitizer::SanitizerReport,
@@ -296,8 +360,8 @@ impl Machine {
             pec_buffer_entries: cfg.pec_buffer_entries,
         });
         let mut iommu = iommu;
-        for e in &master_pecs {
-            iommu.register_pec(e.clone());
+        for &e in &master_pecs {
+            iommu.register_pec(e);
         }
         let mesh = Mesh::new(
             n,
@@ -331,14 +395,14 @@ impl Machine {
                 // under GMMU+Barre the driver programs them directly.
                 let gmmu = (cfg.mmu == MmuKind::Gmmu).then(|| {
                     let mut g = GmmuUnit::new(cid, gmmu_cfg.clone());
-                    for e in &master_pecs {
-                        g.register_pec(e.clone());
+                    for &e in &master_pecs {
+                        g.register_pec(e);
                     }
                     g
                 });
                 if gmmu.is_some() {
-                    for e in &master_pecs {
-                        pec_buffer.insert(e.clone());
+                    for &e in &master_pecs {
+                        pec_buffer.insert(e);
                     }
                 }
                 ChipletState {
@@ -410,6 +474,8 @@ impl Machine {
             free_pages: Vec::with_capacity(page_slots),
             req_track: ReqSlab::with_capacity(page_slots),
             queue: EventQueue::with_capacity(page_slots),
+            batches: PayloadSlab::new(),
+            responses: PayloadSlab::new(),
             now: 0,
             m: RunMetrics::default(),
             injector: (!cfg.fault_plan.is_empty())
@@ -424,6 +490,7 @@ impl Machine {
             scratch_peers: Vec::new(),
             #[cfg(debug_assertions)]
             alloc_probe: None,
+            event_probe: None,
             #[cfg(feature = "sanitizer")]
             san: crate::sanitizer::SanitizerReport::default(),
             cfg,
@@ -438,6 +505,19 @@ impl Machine {
     #[cfg(debug_assertions)]
     pub fn set_alloc_probe(&mut self, counter: fn() -> u64) {
         self.alloc_probe = Some(counter);
+    }
+
+    /// Installs an event probe: after every dispatched event the machine
+    /// calls `probe` with the event's class index ([`EVENT_CLASSES`]),
+    /// and right after every [`POP_SAMPLE_PERIOD`]-th pop also with
+    /// [`PROBE_POPPED`]. A probe that reads a clock on each call and
+    /// charges the time since its previous call to the reported index
+    /// attributes the run's whole wall time — pop, handler and loop
+    /// bookkeeping — to event classes, with sampled pops split out. The
+    /// probe sees no simulation state and schedules nothing, so
+    /// `RunMetrics` are unchanged.
+    pub fn set_event_probe(&mut self, probe: fn(usize)) {
+        self.event_probe = Some(probe);
     }
 
     /// Runs the machine to completion and returns the measurements.
@@ -506,6 +586,13 @@ impl Machine {
         }
         let budget: u64 = 2_000_000_000;
         while let Some((t, ev)) = self.queue.pop() {
+            let probe = self.event_probe;
+            if let Some(p) = probe {
+                if self.queue.processed().is_multiple_of(POP_SAMPLE_PERIOD) {
+                    p(PROBE_POPPED);
+                }
+            }
+            let class = probe.map(|_| ev.class());
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             // Watchdog: observation only — it schedules nothing, so an
@@ -518,6 +605,9 @@ impl Machine {
                 }
             }
             self.handle(ev)?;
+            if let (Some(p), Some(class)) = (probe, class) {
+                p(class);
+            }
             #[cfg(feature = "sanitizer")]
             if self.queue.processed().is_multiple_of(SANITIZER_EPOCH) {
                 self.sanitizer_check(false);
@@ -593,19 +683,22 @@ impl Machine {
             Ev::AtsArrive { req } => self.ats_arrive(req),
             Ev::WalkDone { ptw } => self.walk_done(ptw),
             Ev::GmmuWalkDone { chiplet, walker } => self.gmmu_walk_done(chiplet, walker),
-            Ev::RespArrive { resp } => return self.resp_arrive(resp),
+            Ev::RespArrive { resp } => {
+                if let Some(resp) = self.responses.take(resp) {
+                    return self.resp_arrive(resp);
+                }
+            }
             Ev::PeerProbe { page, at } => self.peer_probe(page, at),
             Ev::PeerReply { page, result } => self.peer_reply(page, result),
             Ev::FilterUpd { at, batch } => {
-                if let Some(f) = &mut self.chiplets[at as usize].filters {
-                    for &vpn in &batch.vpns[..batch.len as usize] {
-                        f.apply_update(FilterUpdate {
-                            cmd: batch.cmd,
-                            sender: batch.sender,
-                            asid: batch.asid,
-                            vpn,
-                        });
-                    }
+                let batch = self.batches.take(batch);
+                let filters = self
+                    .chiplets
+                    .get_mut(at as usize)
+                    .and_then(|c| c.filters.as_mut());
+                if let (Some(f), Some(b)) = (filters, batch) {
+                    let vpns = b.vpns.get(..b.len as usize).unwrap_or(&[]);
+                    f.apply_batch(b.cmd, b.sender, b.asid, vpns);
                 }
             }
             Ev::MemStart { page } => self.mem_start(page),
@@ -1345,6 +1438,7 @@ impl Machine {
                 resp.walk_started_at,
                 ready,
             );
+            let resp = self.responses.insert(resp);
             self.queue.push(at, Ev::RespArrive { resp });
         }
     }
@@ -1371,13 +1465,13 @@ impl Machine {
         // the fault model corrupts the fill, in which case the incoming
         // record is discarded and a resident one evicted (affected pages
         // fall back to walks until the record is re-learned).
-        if let Some(entry) = &resp.pec_entry {
+        if let Some(entry) = resp.pec_entry {
             match self.injector.as_mut().and_then(FaultInjector::corrupt_pec) {
                 Some(victim) => {
                     self.chiplets[chiplet].pec_buffer.evict_at(victim as usize);
                 }
                 None => {
-                    self.chiplets[chiplet].pec_buffer.insert(entry.clone());
+                    self.chiplets[chiplet].pec_buffer.insert(entry);
                 }
             }
         }
@@ -1651,6 +1745,7 @@ impl Machine {
                 for (slot, m) in batch.vpns.iter_mut().zip(chunk) {
                     *slot = m.vpn;
                 }
+                let batch = self.batches.insert(batch);
                 self.queue.push(at, Ev::FilterUpd { at: peer.0, batch });
             }
         }
@@ -1803,7 +1898,7 @@ impl Machine {
             .master_pecs
             .iter()
             .find(|e| e.contains(asid, vpn))
-            .cloned()
+            .copied()
         else {
             return Vec::new();
         };

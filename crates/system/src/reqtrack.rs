@@ -112,6 +112,50 @@ impl ReqSlab {
     }
 }
 
+/// Event payloads too large to ride inside the event itself: stored once
+/// when the event is scheduled and taken once when it fires, so the event
+/// carries a 4-byte slot index. Slots are reused through a free list, so
+/// the slab's length is the run's peak count of in-flight payloads.
+#[derive(Debug)]
+pub(crate) struct PayloadSlab<T> {
+    items: Vec<T>,
+    free: Vec<u32>,
+}
+
+impl<T: Copy> PayloadSlab<T> {
+    /// An empty slab.
+    pub fn new() -> Self {
+        Self {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Stores `item`, returning its slot.
+    pub fn insert(&mut self, item: T) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                if let Some(slot) = self.items.get_mut(i as usize) {
+                    *slot = item;
+                }
+                i
+            }
+            None => {
+                self.items.push(item);
+                (self.items.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Releases slot `i`, returning its payload. Each slot handed out by
+    /// [`insert`](Self::insert) must be taken exactly once.
+    pub fn take(&mut self, i: u32) -> Option<T> {
+        let item = self.items.get(i as usize).copied()?;
+        self.free.push(i);
+        Some(item)
+    }
+}
+
 /// Outstanding-ATS retry state, keyed by `(chiplet, TlbKey)`: per-chiplet
 /// sorted indexes into a slab with a free list. Small, contiguous, and
 /// allocation-free in steady state.
