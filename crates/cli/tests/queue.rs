@@ -14,6 +14,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use barre_serve::jobq::wire::{Reply, Request, MAX_WAIT_MS};
+use barre_serve::jobq::JobSpec;
+use barre_system::{JournalEvent, JournalRecord};
+
 const BIN: &str = env!("CARGO_BIN_EXE_barre");
 
 /// The sweep under test: one app, two jobs (gemv/baseline, gemv/Barre),
@@ -253,9 +257,17 @@ fn distributed_sweep_is_byte_identical_to_serial() {
 
     // Graceful teardown: workers drain with a resume hint, the
     // coordinator compacts its journal and reports a clean drain.
+    // Idle workers sit in held leases; a drain hangs up on them rather
+    // than waiting out the hold.
+    let t0 = Instant::now();
     w1.signal("-TERM");
     w2.signal("-TERM");
     let w1 = w1.wait();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "idle worker drained in {took:?}"
+    );
     assert_eq!(w1.status.code(), Some(143), "stderr: {}", text(&w1.stderr));
     assert!(text(&w1.stderr).contains("drained"), "{}", text(&w1.stderr));
     let w2 = w2.wait();
@@ -628,6 +640,53 @@ fn coordinator_answers_hostile_lines_and_stays_up() {
     let long = send_line(&addr, &format!("{{\"op\":\"{}\"}}", "x".repeat(1 << 20)));
     assert!(long.starts_with("{\"status\":\"error\""), "{long}");
 
+    // A wait that is not an unsigned integer is refused by name.
+    for bad in ["-5", "1.5", "\"soon\"", "99999999999999999999999"] {
+        let line = format!("{{\"op\":\"lease\",\"worker\":\"w\",\"wait_ms\":{bad}}}");
+        let reply = send_line(&addr, &line);
+        assert!(
+            reply.starts_with("{\"status\":\"error\""),
+            "{line}: {reply}"
+        );
+        assert!(reply.contains("wait_ms"), "{line}: {reply}");
+    }
+    // Requests in the pre-long-poll format are answered at once.
+    let submit = submit_line("f-hostile");
+    assert!(send_line(&addr, &submit).contains("\"accepted\":1"));
+    let t0 = Instant::now();
+    let collect = send_line(
+        &addr,
+        "{\"op\":\"collect\",\"fingerprints\":[\"f-hostile\"]}",
+    );
+    assert!(collect.contains("\"pending\":1"), "{collect}");
+    let lease = send_line(&addr, "{\"op\":\"lease\",\"worker\":\"w\"}");
+    assert!(lease.contains("\"status\":\"job\""), "{lease}");
+    assert!(t0.elapsed() < Duration::from_millis(MAX_WAIT_MS / 2));
+    // The largest wait the wire accepts is clamped to the coordinator's
+    // bound: both requests are held, and neither past the bound.
+    let held = [
+        format!(
+            "{{\"op\":\"lease\",\"worker\":\"w\",\"wait_ms\":{}}}",
+            u64::MAX
+        ),
+        format!(
+            "{{\"op\":\"collect\",\"fingerprints\":[\"f-hostile\"],\"seen\":0,\"wait_ms\":{}}}",
+            u64::MAX
+        ),
+    ]
+    .map(|line| send_in_background(&addr, line));
+    let sent = Instant::now();
+    for h in held {
+        let (reply, arrived) = h.join().expect("held request");
+        let took = arrived - sent;
+        assert!(
+            reply.contains("\"status\":\"empty\"") || reply.contains("\"pending\":1"),
+            "{reply}"
+        );
+        let bound = Duration::from_millis(MAX_WAIT_MS);
+        assert!(took >= bound / 2 && took < bound * 2, "held {took:?}");
+    }
+
     let (code, _, body) = http_get(&addr, "/healthz");
     assert_eq!((code, body.as_str()), (200, "{\"status\":\"ok\"}"));
 
@@ -635,4 +694,204 @@ fn coordinator_answers_hostile_lines_and_stays_up() {
     let q = queue.wait();
     assert_eq!(q.status.code(), Some(0), "stderr: {}", text(&q.stderr));
     assert!(!text(&q.stderr).contains("overflow"), "{}", text(&q.stderr));
+}
+
+/// A `submit` line for one job that no worker here will run.
+fn submit_line(fp: &str) -> String {
+    Request::Submit {
+        jobs: vec![JobSpec {
+            fingerprint: fp.to_string(),
+            label: format!("{fp}/label"),
+            args: vec!["list".to_string()],
+            corr: None,
+        }],
+    }
+    .to_line()
+}
+
+/// Sends `line` on its own connection from a new thread; the reply and
+/// the instant it arrived come back through the handle.
+fn send_in_background(addr: &str, line: String) -> std::thread::JoinHandle<(String, Instant)> {
+    let addr = addr.to_string();
+    std::thread::spawn(move || (send_line(&addr, &line), Instant::now()))
+}
+
+/// How long the long-poll tests ask the coordinator to hold a request.
+const HOLD_MS: u64 = 4_000;
+
+/// Waits (bounded) until the coordinator reports a request parked in a
+/// long-poll, so a test acts only once its request is held.
+fn wait_until_held(addr: &str) {
+    let until = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (_, _, stats) = http_get(addr, "/stats");
+        let v = barre_system::Json::parse(stats.trim()).expect("stats json");
+        if v.get("held").and_then(barre_system::Json::as_u64) >= Some(1) {
+            return;
+        }
+        assert!(Instant::now() < until, "no request was held: {stats}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn held_collect_returns_when_a_completion_lands() {
+    let dir = tmpdir("held-collect");
+    let mut queue = Daemon::spawn(&dir, &["queue", "--port", "0", "--journal", "q"], &[]);
+    let addr = queue.addr();
+    assert!(send_line(&addr, &submit_line("f1")).contains("\"accepted\":1"));
+    let lease = send_line(
+        &addr,
+        &Request::Lease {
+            worker: "w".into(),
+            wait_ms: None,
+        }
+        .to_line(),
+    );
+    assert!(lease.contains("\"status\":\"job\""), "{lease}");
+
+    let collect = Request::Collect {
+        fingerprints: vec!["f1".into()],
+        seen: Some(0),
+        wait_ms: Some(HOLD_MS),
+    };
+    let held = send_in_background(&addr, collect.to_line());
+    wait_until_held(&addr);
+    let completed = Instant::now();
+    let metrics = Box::new(barre_system::RunMetrics {
+        total_cycles: 7,
+        ..Default::default()
+    });
+    let complete = Request::Complete {
+        worker: "w".into(),
+        record: Box::new(JournalRecord {
+            fingerprint: "f1".into(),
+            label: "f1/label".into(),
+            event: JournalEvent::Done {
+                attempts: 1,
+                exit: "ok".into(),
+                digest: barre_system::metrics_digest(&metrics),
+                hist_digest: None,
+                worker: None,
+                metrics,
+            },
+        }),
+    };
+    let done = send_line(&addr, &complete.to_line());
+    assert!(done.contains("\"verdict\":\"ok\""), "{done}");
+
+    let (reply, arrived) = held.join().expect("held collect");
+    let took = arrived.saturating_duration_since(completed);
+    match Reply::from_line(&reply).expect("collect reply") {
+        Reply::Collected {
+            pending, records, ..
+        } => assert_eq!((pending, records.len()), (0, 1), "{reply}"),
+        other => panic!("expected a collected reply, got {other:?}"),
+    }
+    assert!(
+        took < Duration::from_millis(HOLD_MS / 2),
+        "held collect answered {took:?} after the completion"
+    );
+
+    queue.signal("-TERM");
+    let q = queue.wait();
+    assert_eq!(q.status.code(), Some(0), "stderr: {}", text(&q.stderr));
+}
+
+#[cfg(unix)]
+#[test]
+fn held_lease_gets_a_later_submit() {
+    let dir = tmpdir("held-lease");
+    let mut queue = Daemon::spawn(&dir, &["queue", "--port", "0", "--journal", "q"], &[]);
+    let addr = queue.addr();
+
+    let lease = Request::Lease {
+        worker: "w".into(),
+        wait_ms: Some(HOLD_MS),
+    };
+    let held = send_in_background(&addr, lease.to_line());
+    wait_until_held(&addr);
+    let submitted = Instant::now();
+    assert!(send_line(&addr, &submit_line("f2")).contains("\"accepted\":1"));
+
+    let (reply, arrived) = held.join().expect("held lease");
+    let took = arrived.saturating_duration_since(submitted);
+    match Reply::from_line(&reply).expect("lease reply") {
+        Reply::Job { fingerprint, .. } => assert_eq!(fingerprint, "f2"),
+        other => panic!("expected a job, got {other:?}"),
+    }
+    assert!(
+        took < Duration::from_millis(HOLD_MS / 2),
+        "held lease answered {took:?} after the submit"
+    );
+
+    queue.signal("-TERM");
+    let q = queue.wait();
+    assert_eq!(q.status.code(), Some(0), "stderr: {}", text(&q.stderr));
+}
+
+#[cfg(unix)]
+#[test]
+fn a_held_lease_whose_worker_hung_up_is_never_granted() {
+    use std::io::Write;
+    let dir = tmpdir("held-hangup");
+    let mut queue = Daemon::spawn(&dir, &["queue", "--port", "0", "--journal", "q"], &[]);
+    let addr = queue.addr();
+
+    let lease = Request::Lease {
+        worker: "gone".into(),
+        wait_ms: Some(HOLD_MS),
+    };
+    let mut s = std::net::TcpStream::connect(&addr).expect("connect");
+    writeln!(s, "{}", lease.to_line()).expect("send");
+    wait_until_held(&addr);
+    drop(s);
+    assert!(send_line(&addr, &submit_line("f4")).contains("\"accepted\":1"));
+
+    // The held request wakes on the submit, sees its client gone and
+    // is dropped: the job stays queued for a live worker.
+    let until = Instant::now() + Duration::from_secs(30);
+    let stats = loop {
+        let (_, _, stats) = http_get(&addr, "/stats");
+        if stats.contains("\"held\":0") {
+            break stats;
+        }
+        assert!(Instant::now() < until, "still held: {stats}");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(stats.contains("\"queued\":1,\"leased\":0"), "{stats}");
+
+    queue.signal("-TERM");
+    let q = queue.wait();
+    assert_eq!(q.status.code(), Some(0), "stderr: {}", text(&q.stderr));
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_answers_a_held_collect_with_draining() {
+    let dir = tmpdir("held-drain");
+    let mut queue = Daemon::spawn(&dir, &["queue", "--port", "0", "--journal", "q"], &[]);
+    let addr = queue.addr();
+    assert!(send_line(&addr, &submit_line("f3")).contains("\"accepted\":1"));
+
+    let collect = Request::Collect {
+        fingerprints: vec!["f3".into()],
+        seen: Some(0),
+        wait_ms: Some(HOLD_MS),
+    };
+    let held = send_in_background(&addr, collect.to_line());
+    wait_until_held(&addr);
+    let t0 = Instant::now();
+    queue.signal("-TERM");
+    let (reply, _) = held.join().expect("held collect");
+    assert_eq!(Reply::from_line(&reply), Ok(Reply::Draining), "{reply}");
+    let q = wait_until_exit(queue.child, Duration::from_secs(30));
+    assert_eq!(q.status.code(), Some(0), "stderr: {}", text(&q.stderr));
+    // Answered and gone well inside the hold the client asked for.
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(HOLD_MS / 2),
+        "drain took {took:?}"
+    );
 }

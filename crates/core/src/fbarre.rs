@@ -25,60 +25,6 @@ pub const FILTER_UPDATE_BITS: u64 = 44;
 /// insert under the unbounded walk) on irregular workloads.
 pub const FILTER_KICK_BUDGET: usize = 8;
 
-/// Slots in the direct-mapped negative-probe cache (power of two).
-const NEG_CACHE_SLOTS: usize = 512;
-
-/// Direct-mapped cache of keys whose last [`FilterBank::rcf_hit`] probe
-/// came back empty. Any RCF mutation bumps `gen`, invalidating every
-/// cached entry at once — exact and O(1), so cached answers can never
-/// diverge from a fresh probe.
-#[derive(Debug)]
-struct NegCache {
-    /// `(key, gen)` pairs; a slot is live only if its gen matches.
-    slots: Box<[(u64, u64)]>,
-    /// Current generation. Starts at 1 so zeroed slots are never live.
-    gen: u64,
-    hits: u64,
-}
-
-impl NegCache {
-    fn new() -> Self {
-        Self {
-            slots: vec![(0, 0); NEG_CACHE_SLOTS].into_boxed_slice(),
-            gen: 1,
-            hits: 0,
-        }
-    }
-
-    #[inline]
-    fn slot(key: u64) -> usize {
-        // Fibonacci hashing: the top bits of key * golden-ratio spread
-        // well even for sequential VPNs.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 55) as usize & (NEG_CACHE_SLOTS - 1)
-    }
-
-    #[inline]
-    fn check(&mut self, key: u64) -> bool {
-        // `slot()` masks to `NEG_CACHE_SLOTS`; checked access keeps
-        // the public probe path provably panic-free.
-        let hit = self.slots.get(Self::slot(key)) == Some(&(key, self.gen));
-        self.hits += u64::from(hit);
-        hit
-    }
-
-    #[inline]
-    fn record(&mut self, key: u64) {
-        if let Some(s) = self.slots.get_mut(Self::slot(key)) {
-            *s = (key, self.gen);
-        }
-    }
-
-    #[inline]
-    fn invalidate_all(&mut self) {
-        self.gen += 1;
-    }
-}
-
 /// Filter-update command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterCmd {
@@ -112,7 +58,6 @@ pub struct FilterBank {
     chiplet: ChipletId,
     lcf: CuckooFilter,
     rcfs: Vec<Option<CuckooFilter>>,
-    neg: NegCache,
 }
 
 impl FilterBank {
@@ -140,7 +85,6 @@ impl FilterBank {
             chiplet,
             lcf: mk(0x10CA1),
             rcfs,
-            neg: NegCache::new(),
         }
     }
 
@@ -173,18 +117,15 @@ impl FilterBank {
     }
 
     /// Applies one advertisement packet — `sender`'s `cmd` for every VPN
-    /// of `vpns`, in order — with one RCF lookup and one negative-cache
-    /// invalidation for the whole batch: the filters end as one
-    /// [`apply_update`](Self::apply_update) per VPN would leave them.
+    /// of `vpns`, in order — with one RCF lookup for the whole batch: the
+    /// filters end as one [`apply_update`](Self::apply_update) per VPN
+    /// would leave them.
     pub fn apply_batch(&mut self, cmd: FilterCmd, sender: ChipletId, asid: u16, vpns: &[Vpn]) {
         let Some(Some(rcf)) = self.rcfs.get_mut(sender.index()) else {
             return;
         };
         let keys = vpns.iter().map(|&vpn| filter_key(asid, vpn));
         rcf.apply_all(cmd == FilterCmd::Add, keys);
-        // Either command may change a future probe's answer (a delete can
-        // un-shadow an aliasing fingerprint), so both drop the cache.
-        self.neg.invalidate_all();
     }
 
     /// Probes every RCF with `vpn`; returns the first peer whose filter
@@ -200,27 +141,11 @@ impl FilterBank {
         })
     }
 
-    /// [`rcf_hit`](Self::rcf_hit) through the negative-probe cache: a key
-    /// whose last probe found no peer is answered without touching the
-    /// RCFs until the next RCF mutation. Only negative results are
-    /// cached — a positive answer depends on which peer hit first, and
-    /// negatives dominate the miss stream that makes this path hot.
+    /// [`rcf_hit`](Self::rcf_hit). The name and the `&mut self` receiver
+    /// are kept for the benchmark's `filters.rcf_probe_ns` layer, which
+    /// times the probe through this method.
     pub fn rcf_hit_cached(&mut self, asid: u16, vpn: Vpn) -> Option<ChipletId> {
-        let key = filter_key(asid, vpn);
-        if self.neg.check(key) {
-            return None;
-        }
-        let hit = self.rcf_hit(asid, vpn);
-        if hit.is_none() {
-            self.neg.record(key);
-        }
-        hit
-    }
-
-    /// Negative-cache hits served so far (diagnostics only; not part of
-    /// `RunMetrics`).
-    pub fn neg_cache_hits(&self) -> u64 {
-        self.neg.hits
+        self.rcf_hit(asid, vpn)
     }
 
     /// All peers whose RCF hits (for multi-candidate probing studies).
@@ -246,7 +171,6 @@ impl FilterBank {
         for rcf in self.rcfs.iter_mut().flatten() {
             rcf.clear();
         }
-        self.neg.invalidate_all();
     }
 
     /// Total fingerprints across LCF and RCFs (occupancy diagnostics).
@@ -361,61 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn neg_cache_serves_repeated_misses() {
-        let mut gpu0 = bank(0);
-        assert_eq!(gpu0.rcf_hit_cached(0, Vpn(0x77)), None);
-        assert_eq!(gpu0.neg_cache_hits(), 0, "first probe is a cache miss");
-        assert_eq!(gpu0.rcf_hit_cached(0, Vpn(0x77)), None);
-        assert_eq!(gpu0.rcf_hit_cached(0, Vpn(0x77)), None);
-        assert_eq!(gpu0.neg_cache_hits(), 2, "repeats served from the cache");
-    }
-
-    #[test]
-    fn neg_cache_invalidated_by_insert() {
-        let mut gpu0 = bank(0);
-        assert_eq!(gpu0.rcf_hit_cached(0, Vpn(0x42)), None);
-        gpu0.apply_update(FilterUpdate {
-            cmd: FilterCmd::Add,
-            sender: ChipletId(1),
-            asid: 0,
-            vpn: Vpn(0x42),
-        });
-        // The cached negative must not mask the freshly advertised VPN.
-        assert_eq!(gpu0.rcf_hit_cached(0, Vpn(0x42)), Some(ChipletId(1)));
-    }
-
-    #[test]
-    fn neg_cache_invalidated_by_remove() {
-        let mut gpu0 = bank(0);
-        let upd = |cmd| FilterUpdate {
-            cmd,
-            sender: ChipletId(2),
-            asid: 0,
-            vpn: Vpn(0x55),
-        };
-        gpu0.apply_update(upd(FilterCmd::Add));
-        assert_eq!(gpu0.rcf_hit_cached(0, Vpn(0x55)), Some(ChipletId(2)));
-        gpu0.apply_update(upd(FilterCmd::Delete));
-        assert_eq!(gpu0.rcf_hit_cached(0, Vpn(0x55)), None);
-        let hits_before = gpu0.neg_cache_hits();
-        assert_eq!(gpu0.rcf_hit_cached(0, Vpn(0x55)), None);
-        assert_eq!(gpu0.neg_cache_hits(), hits_before + 1);
-    }
-
-    #[test]
-    fn neg_cache_invalidated_by_shootdown() {
-        let mut gpu0 = bank(0);
-        assert_eq!(gpu0.rcf_hit_cached(0, Vpn(0x99)), None);
-        gpu0.rcf_hit_cached(0, Vpn(0x99));
-        let hits = gpu0.neg_cache_hits();
-        assert!(hits > 0);
-        gpu0.shootdown();
-        // Post-shootdown the first probe must consult the RCFs again.
-        assert_eq!(gpu0.rcf_hit_cached(0, Vpn(0x99)), None);
-        assert_eq!(gpu0.neg_cache_hits(), hits, "cache was flushed");
-    }
-
-    #[test]
     fn cached_and_uncached_probes_agree() {
         let mut gpu0 = bank(0);
         for vpn in 0..64u64 {
@@ -436,7 +305,7 @@ mod tests {
     #[test]
     fn batches_match_single_updates() {
         // One bank takes the stream as batches, the other one update at
-        // a time; occupancy, probe answers and cached probes must agree.
+        // a time; occupancy and probe answers must agree.
         let (mut batched, mut single) = (bank(0), bank(0));
         let mut rng = barre_sim::Rng::new(0xBA7C);
         for round in 0..400u64 {
@@ -473,7 +342,6 @@ mod tests {
         for v in 0..700 {
             assert_eq!(batched.rcf_hits(0, Vpn(v)), single.rcf_hits(0, Vpn(v)));
         }
-        assert_eq!(batched.neg_cache_hits(), single.neg_cache_hits());
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::signal::{install_drain_handlers, shutting_down};
 
 /// Read timeout on a connection: how often an idle connection thread
 /// wakes to check for a drain.
-const READ_POLL: Duration = Duration::from_millis(200);
+pub(crate) const READ_POLL: Duration = Duration::from_millis(200);
 /// Write timeout on a connection: a client that stops reading is cut
 /// off rather than pinning its thread.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -53,13 +53,34 @@ const MAX_HEADER_LINES: usize = 128;
 
 /// What a daemon plugs into the skeleton.
 pub trait Service: Send + Sync + 'static {
-    /// Answers one trimmed, non-empty JSONL request line. `None` drops
-    /// the connection without writing a reply.
-    fn handle_line(&self, line: &str) -> Option<String>;
+    /// Answers one trimmed, non-empty JSONL request line, which arrived
+    /// from `peer`. `None` drops the connection without writing a reply.
+    fn handle_line(&self, line: &str, peer: &Peer<'_>) -> Option<String>;
     /// The `GET /stats` JSON body.
     fn stats_body(&self) -> String;
     /// The `GET /metrics` Prometheus exposition body.
     fn metrics_body(&self) -> String;
+}
+
+/// The client end of the connection a request line arrived on.
+pub struct Peer<'a>(&'a TcpStream);
+
+impl Peer<'_> {
+    /// Whether the client has closed or reset its end, without consuming
+    /// anything it sent since: a service holding a request checks this
+    /// before acting for a client that may be gone. A client that only
+    /// shut down its sending side reads as gone too.
+    pub fn hung_up(&self) -> bool {
+        if self.0.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let gone = match self.0.peek(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => !is_timeout(&e),
+        };
+        let _ = self.0.set_nonblocking(false);
+        gone
+    }
 }
 
 /// Installs the drain handlers (SIGINT and SIGTERM) and redirects
@@ -244,7 +265,7 @@ fn handle_conn<S: Service>(svc: &S, stream: TcpStream) {
                     handle_http(svc, &first, &mut reader, &mut out);
                     return;
                 }
-                let Some(mut resp) = svc.handle_line(trimmed) else {
+                let Some(mut resp) = svc.handle_line(trimmed, &Peer(&out)) else {
                     return;
                 };
                 line.clear();
@@ -320,7 +341,7 @@ mod tests {
     }
 
     impl Service for Fake {
-        fn handle_line(&self, line: &str) -> Option<String> {
+        fn handle_line(&self, line: &str, _peer: &Peer<'_>) -> Option<String> {
             self.lines.fetch_add(1, Ordering::SeqCst);
             (line != "drop").then(|| format!("echo:{line}"))
         }
@@ -492,5 +513,26 @@ mod tests {
         assert_eq!(doc.matches("HTTP/1.1 ").count(), 1, "{doc}");
         assert!(doc.ends_with("\r\n\r\n{\"ready\":true}"), "{doc}");
         assert_eq!(h.fake.lines.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn peer_hung_up_sees_a_close_but_not_pending_bytes() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        let peer = Peer(&server);
+        assert!(!peer.hung_up(), "an open, silent client");
+        client.write_all(b"next\n").expect("send");
+        assert!(!peer.hung_up(), "a client with bytes in flight");
+        // The probe consumed nothing.
+        let mut got = [0u8; 5];
+        (&server).read_exact(&mut got).expect("read");
+        assert_eq!(&got, b"next\n");
+        drop(client);
+        let until = std::time::Instant::now() + Duration::from_secs(5);
+        while !peer.hung_up() {
+            assert!(std::time::Instant::now() < until, "close never seen");
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 }

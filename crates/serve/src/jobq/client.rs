@@ -6,18 +6,22 @@
 //! Submission is idempotent (the coordinator dedups by fingerprint), so
 //! the client resubmits freely: on startup, after its own restart, and
 //! whenever a collect reply reports unknown fingerprints (a coordinator
-//! that restarted without its journal). Polling survives coordinator
-//! crashes — connection errors just mean "try again with backoff".
+//! that restarted without its journal). Collect is a long-poll: the
+//! coordinator holds it until a job reaches a terminal state, so a
+//! finished sweep comes home as soon as its last record exists. Polling
+//! survives coordinator crashes — connection errors just mean "try
+//! again after a pause".
 
+use std::collections::BTreeMap;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use barre_obs::log as olog;
 use barre_obs::{Field, FleetTracer};
 use barre_system::{JournalEvent, JournalRecord, JournalWriter, RunMetrics};
 
 use super::state::JobSpec;
-use super::wire::{exchange, Reply, Request};
+use super::wire::{answered_early, exchange, exchange_until, Reply, Request, LONG_POLL_MS};
 use crate::signal::{shutting_down, sleep_interruptible};
 
 /// One dispatched job's terminal failure, mirroring the supervisor's
@@ -46,6 +50,10 @@ pub struct DispatchOutcome {
     /// Whether a drain signal cut the wait short (resubmit to resume).
     pub interrupted: bool,
 }
+
+/// Pause before the next collect when the coordinator answered without
+/// holding the request: it is down, draining, or predates long-polls.
+const COLLECT_PAUSE: Duration = Duration::from_millis(300);
 
 /// Submits `jobs`, retrying until the coordinator acknowledges. Returns
 /// false when interrupted first.
@@ -107,6 +115,15 @@ fn submit_all(addr: &str, jobs: &[JobSpec]) -> Result<bool, String> {
     }
 }
 
+/// The `verdict` field of a `collected` trace event.
+fn verdict_of(rec: &JournalRecord) -> &'static str {
+    match &rec.event {
+        JournalEvent::Done { .. } => "done",
+        JournalEvent::Quarantined { .. } => "quarantined",
+        _ => "failed",
+    }
+}
+
 /// Enqueues the sweep on the coordinator at `addr`, polls to completion
 /// (streaming progress to stderr), writes the terminal records to
 /// `journal` in job order, and returns results aligned with `jobs`.
@@ -142,10 +159,13 @@ pub fn dispatch_sweep(
         }
     }
     let fps: Vec<String> = jobs.iter().map(|j| j.fingerprint.clone()).collect();
-    let collect = Request::Collect {
-        fingerprints: fps.clone(),
-    };
-    let mut last_done = usize::MAX;
+    // Jobs whose terminal record has not arrived yet, for the per-job
+    // `collected` trace events.
+    let mut uncollected: BTreeMap<&str, &JobSpec> =
+        jobs.iter().map(|j| (j.fingerprint.as_str(), j)).collect();
+    // Terminal records held; `None` until the first answer, which is
+    // asked for unheld so progress starts at once.
+    let mut seen: Option<usize> = None;
     let terminal: Vec<JournalRecord> = loop {
         if shutting_down() {
             olog::warn(
@@ -162,7 +182,13 @@ pub fn dispatch_sweep(
                 interrupted: true,
             });
         }
-        match exchange(addr, &collect) {
+        let collect = Request::Collect {
+            fingerprints: fps.clone(),
+            seen: seen.map(|n| n as u64),
+            wait_ms: Some(LONG_POLL_MS),
+        };
+        let sent = Instant::now();
+        match exchange_until(addr, &collect, shutting_down) {
             Ok(Reply::Collected {
                 pending,
                 unknown,
@@ -185,7 +211,21 @@ pub fn dispatch_sweep(
                     }
                     continue;
                 }
-                if records.len() != last_done {
+                if let Some(t) = &tracer {
+                    for rec in &records {
+                        if let Some(job) = uncollected.remove(rec.fingerprint.as_str()) {
+                            t.event(
+                                "collected",
+                                job.corr.as_deref().unwrap_or(""),
+                                &[
+                                    ("fp", Field::S(&rec.fingerprint)),
+                                    ("verdict", Field::S(verdict_of(rec))),
+                                ],
+                            );
+                        }
+                    }
+                }
+                if seen != Some(records.len()) {
                     olog::info(
                         "dispatch",
                         "progress",
@@ -195,36 +235,19 @@ pub fn dispatch_sweep(
                         ],
                         &format!("dispatch: {}/{} done", records.len(), jobs.len()),
                     );
-                    last_done = records.len();
+                } else if answered_early(sent) {
+                    sleep_interruptible(COLLECT_PAUSE);
                 }
                 if pending == 0 {
                     break records;
                 }
+                seen = Some(records.len());
             }
             Ok(Reply::Error { error }) => return Err(format!("collect rejected: {error}")),
-            Ok(_) => {}
-            // Coordinator down or restarting: keep polling.
-            Err(_) => {}
+            // Draining, or down and restarting: keep polling.
+            Ok(_) | Err(_) => sleep_interruptible(COLLECT_PAUSE),
         }
-        sleep_interruptible(Duration::from_millis(300));
     };
-    if let Some(t) = &tracer {
-        for (job, rec) in jobs.iter().zip(terminal.iter()) {
-            let verdict = match &rec.event {
-                JournalEvent::Done { .. } => "done",
-                JournalEvent::Quarantined { .. } => "quarantined",
-                _ => "failed",
-            };
-            t.event(
-                "collected",
-                job.corr.as_deref().unwrap_or(""),
-                &[
-                    ("fp", Field::S(&rec.fingerprint)),
-                    ("verdict", Field::S(verdict)),
-                ],
-            );
-        }
-    }
 
     // Client-side journal: the terminal records, in job order — the
     // distributed twin of the supervisor's journal, built for

@@ -10,10 +10,18 @@
 //! lost or duplicated work; terminal records stand, in-flight leases
 //! are re-queued, and burned lease budgets survive so a poison job
 //! cannot launder its history through a coordinator crash.
+//!
+//! No wait here runs on a timer. One condvar, paired with the core lock,
+//! is notified by every transition a waiter could care about: a held
+//! `collect` answers when the terminal count moves, a held `lease` when
+//! a job becomes leasable, and the expiry ticker sleeps until the
+//! earliest lease deadline. Every wait is sliced at `READ_POLL` and
+//! rechecks for a drain, so a held request delays a drain no more than
+//! an idle connection does.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use barre_obs::log as olog;
@@ -22,8 +30,8 @@ use barre_sim::fault::NetFaultInjector;
 use barre_system::{read_journal, JournalError, JournalRecord, JournalWriter, JOURNAL_FILE};
 
 use super::state::{IngestReply, LeaseReply, QueueState};
-use super::wire::{Reply, Request};
-use crate::daemon::{self, Daemon, Service};
+use super::wire::{Reply, Request, MAX_WAIT_MS};
+use crate::daemon::{self, Daemon, Peer, Service, READ_POLL};
 use crate::signal::shutting_down;
 
 /// How the coordinator runs.
@@ -86,6 +94,12 @@ impl Core {
 
 struct Shared {
     core: Mutex<Core>,
+    /// Notified, under `core`, when a transition journals records or
+    /// re-queues a job, and when a drain begins: wakes held `collect`
+    /// and `lease` requests and the expiry ticker.
+    changed: Condvar,
+    /// Requests waiting on `changed` right now.
+    held: AtomicU64,
     journal_path: PathBuf,
     epoch: Instant,
     /// Fault injection for heartbeat drops (`BARRE_QUEUE_FAULTS`).
@@ -114,6 +128,22 @@ impl Shared {
         }
     }
 
+    /// Holds `peer`'s request on [`changed`](Self::changed) for at most
+    /// `dur`, and never longer than [`READ_POLL`], so the caller rechecks
+    /// for a drain. `None` once the peer has hung up: its request is
+    /// dropped, so no lease is granted to a worker that is gone.
+    fn hold<'a>(
+        &'a self,
+        core: MutexGuard<'a, Core>,
+        dur: Duration,
+        peer: &Peer<'_>,
+    ) -> Option<MutexGuard<'a, Core>> {
+        self.held.fetch_add(1, Ordering::SeqCst);
+        let core = wait(&self.changed, core, dur);
+        self.held.fetch_sub(1, Ordering::SeqCst);
+        (!peer.hung_up()).then_some(core)
+    }
+
     /// True when the simulated network ate this heartbeat.
     fn drop_heartbeat(&self) -> bool {
         match &self.faults {
@@ -127,8 +157,8 @@ impl Shared {
 }
 
 impl Service for Shared {
-    fn handle_line(&self, line: &str) -> Option<String> {
-        handle_request_line(self, line)
+    fn handle_line(&self, line: &str, peer: &Peer<'_>) -> Option<String> {
+        handle_request_line(self, line, peer)
     }
 
     fn stats_body(&self) -> String {
@@ -136,7 +166,7 @@ impl Service for Shared {
         let c = core.state.counts();
         drop(core);
         format!(
-            "{{\"queued\":{},\"leased\":{},\"done\":{},\"failed\":{},\"quarantined\":{},\"expired\":{},\"conflicts\":{},\"duplicates\":{},\"replayed_records\":{},\"replayed_requeued\":{},\"compactions\":{},\"heartbeats_lost\":{},\"journal_failures\":{},\"draining\":{}}}",
+            "{{\"queued\":{},\"leased\":{},\"done\":{},\"failed\":{},\"quarantined\":{},\"expired\":{},\"conflicts\":{},\"duplicates\":{},\"replayed_records\":{},\"replayed_requeued\":{},\"compactions\":{},\"heartbeats_lost\":{},\"journal_failures\":{},\"held\":{},\"draining\":{}}}",
             c.queued,
             c.leased,
             c.done,
@@ -150,6 +180,7 @@ impl Service for Shared {
             self.compactions.load(Ordering::SeqCst),
             self.heartbeats_lost.load(Ordering::SeqCst),
             self.journal_failures.load(Ordering::SeqCst),
+            self.held.load(Ordering::SeqCst),
             shutting_down(),
         )
     }
@@ -224,12 +255,25 @@ impl Service for Shared {
             "Journal appends that failed (fatal at drain).",
             self.journal_failures.load(Ordering::SeqCst),
         );
+        p.gauge(
+            "barre_queue_held_requests",
+            "Collect and lease requests held in a long-poll.",
+            self.held.load(Ordering::SeqCst),
+        );
         p.gauge_bool(
             "barre_queue_draining",
             "Whether the coordinator is draining.",
             shutting_down(),
         );
         p.render()
+    }
+}
+
+/// Waits on `changed` for at most `dur`, never longer than [`READ_POLL`].
+fn wait<'a>(changed: &Condvar, core: MutexGuard<'a, Core>, dur: Duration) -> MutexGuard<'a, Core> {
+    match changed.wait_timeout(core, dur.min(READ_POLL)) {
+        Ok((core, _)) => core,
+        Err(poisoned) => poisoned.into_inner().0,
     }
 }
 
@@ -244,8 +288,8 @@ struct TraceEvent {
 
 /// Handles one request line: transition under the core lock, journal the
 /// records, reply. Returns `None` to drop the connection without a reply
-/// (simulated network fault).
-fn handle_request_line(sh: &Shared, line: &str) -> Option<String> {
+/// (simulated network fault, or a held request whose peer hung up).
+fn handle_request_line(sh: &Shared, line: &str, peer: &Peer<'_>) -> Option<String> {
     let req = match Request::from_line(line) {
         Ok(r) => r,
         Err(why) => return Some(Reply::Error { error: why }.to_line()),
@@ -253,9 +297,17 @@ fn handle_request_line(sh: &Shared, line: &str) -> Option<String> {
     if matches!(req, Request::Heartbeat { .. }) && sh.drop_heartbeat() {
         return None;
     }
+    let arrived = Instant::now();
+    // How long a request holding `wait_ms` may still be held.
+    let remaining = |wait_ms: Option<u64>| {
+        let until = arrived + Duration::from_millis(wait_ms.unwrap_or(0).min(MAX_WAIT_MS));
+        until.saturating_duration_since(Instant::now())
+    };
     let now = sh.now_ms();
     let tracing = sh.tracer.is_some();
     let mut traces: Vec<TraceEvent> = Vec::new();
+    // A requeue journals nothing but may wake a held lease.
+    let mut requeued = false;
     let mut core = sh.core.lock().unwrap_or_else(PoisonError::into_inner);
     let (reply, records) = match req {
         Request::Submit { jobs } => {
@@ -291,46 +343,55 @@ fn handle_request_line(sh: &Shared, line: &str) -> Option<String> {
                 )
             }
         }
-        Request::Lease { worker } => {
+        Request::Lease { worker, wait_ms } => loop {
             if shutting_down() {
-                (Reply::Draining, Vec::new())
-            } else {
-                let (reply, records) = core.state.lease(&worker, now);
-                let reply = match reply {
-                    LeaseReply::Job {
+                break (Reply::Draining, Vec::new());
+            }
+            let now = sh.now_ms();
+            let (reply, records) = core.state.lease(&worker, now);
+            let left = remaining(wait_ms);
+            if matches!(reply, LeaseReply::Empty { .. }) && !left.is_zero() {
+                // Held while empty: a submit or requeue notifies, and
+                // the wait ends when the next backoff does.
+                let ready = core.state.next_ready_ms(now);
+                let ready = ready.map_or(left, |t| Duration::from_millis(t - now).min(left));
+                core = sh.hold(core, ready, peer)?;
+                continue;
+            }
+            let reply = match reply {
+                LeaseReply::Job {
+                    fingerprint,
+                    label,
+                    args,
+                    lease_ms,
+                    corr,
+                } => {
+                    if tracing {
+                        traces.push(TraceEvent {
+                            event: "leased",
+                            corr: corr.clone().unwrap_or_default(),
+                            fp: fingerprint.clone(),
+                            worker: worker.clone(),
+                        });
+                    }
+                    Reply::Job {
                         fingerprint,
                         label,
                         args,
                         lease_ms,
                         corr,
-                    } => {
-                        if tracing {
-                            traces.push(TraceEvent {
-                                event: "leased",
-                                corr: corr.clone().unwrap_or_default(),
-                                fp: fingerprint.clone(),
-                                worker: worker.clone(),
-                            });
-                        }
-                        Reply::Job {
-                            fingerprint,
-                            label,
-                            args,
-                            lease_ms,
-                            corr,
-                        }
                     }
-                    LeaseReply::Empty {
-                        retry_after_ms,
-                        active,
-                    } => Reply::Empty {
-                        retry_after_ms,
-                        active: active as u64,
-                    },
-                };
-                (reply, records)
-            }
-        }
+                }
+                LeaseReply::Empty {
+                    retry_after_ms,
+                    active,
+                } => Reply::Empty {
+                    retry_after_ms,
+                    active: active as u64,
+                },
+            };
+            break (reply, records);
+        },
         Request::Heartbeat {
             worker,
             fingerprint,
@@ -376,6 +437,7 @@ fn handle_request_line(sh: &Shared, line: &str) -> Option<String> {
                         metrics,
                         now,
                     );
+                    requeued = reply == IngestReply::BadDigest;
                     let verdict = match reply {
                         IngestReply::Accepted => "ok",
                         IngestReply::Duplicate => "duplicate",
@@ -416,6 +478,7 @@ fn handle_request_line(sh: &Shared, line: &str) -> Option<String> {
             let (reply, records) = core
                 .state
                 .fail(&fingerprint, attempts, &exit, permanent, now);
+            requeued = reply.requeued;
             if reply.quarantined {
                 // The tick path logs expiry-driven quarantines; reported
                 // failures that burn the last lease are poison too.
@@ -457,17 +520,29 @@ fn handle_request_line(sh: &Shared, line: &str) -> Option<String> {
                 records,
             )
         }
-        Request::Collect { fingerprints } => {
+        Request::Collect {
+            fingerprints,
+            seen,
+            wait_ms,
+        } => loop {
+            // Held while the client already holds every terminal record;
+            // a terminal transition journals, and so notifies.
             let (records, pending, unknown) = core.state.collect(&fingerprints);
-            (
-                Reply::Collected {
+            let news = unknown > 0 || pending == 0 || seen != Some(records.len() as u64);
+            let left = remaining(wait_ms);
+            if news || left.is_zero() {
+                let reply = Reply::Collected {
                     pending: pending as u64,
                     unknown: unknown as u64,
                     records,
-                },
-                Vec::new(),
-            )
-        }
+                };
+                break (reply, Vec::new());
+            }
+            if shutting_down() {
+                break (Reply::Draining, Vec::new());
+            }
+            core = sh.hold(core, left, peer)?;
+        },
     };
     if let Err(e) = core.journal_all(&records) {
         sh.journal_failures.fetch_add(1, Ordering::SeqCst);
@@ -484,6 +559,9 @@ fn handle_request_line(sh: &Shared, line: &str) -> Option<String> {
             }
             .to_line(),
         );
+    }
+    if !records.is_empty() || requeued {
+        sh.changed.notify_all();
     }
     drop(core);
     for t in traces {
@@ -611,6 +689,8 @@ pub fn run_queue(opts: &QueueOptions) -> i32 {
     };
     let sh = Arc::new(Shared {
         core: Mutex::new(Core { state, writer }),
+        changed: Condvar::new(),
+        held: AtomicU64::new(0),
         journal_path: journal_path.clone(),
         epoch: Instant::now(),
         faults,
@@ -623,13 +703,24 @@ pub fn run_queue(opts: &QueueOptions) -> i32 {
     });
 
     // Lease-expiry ticker: burned leases re-queue (or quarantine) even
-    // when no request traffic arrives to observe them.
+    // when no request traffic arrives to observe them. It sleeps until
+    // the earliest lease deadline has passed; a new lease notifies it.
     let tick_sh = Arc::clone(&sh);
     let ticker = std::thread::spawn(move || {
+        let mut core = tick_sh.core.lock().unwrap_or_else(PoisonError::into_inner);
         while !shutting_down() {
-            std::thread::sleep(Duration::from_millis(100));
             let now = tick_sh.now_ms();
-            let mut core = tick_sh.core.lock().unwrap_or_else(PoisonError::into_inner);
+            // `tick` expires a lease once `now` is past its deadline.
+            match core.state.next_deadline_ms() {
+                Some(d) if d < now => {}
+                due => {
+                    let until_due = due.map_or(READ_POLL, |d| {
+                        Duration::from_millis(d.saturating_add(1) - now)
+                    });
+                    core = wait(&tick_sh.changed, core, until_due);
+                    continue;
+                }
+            }
             let (records, expiries) = core.state.tick(now);
             if let Err(e) = core.journal_all(&records) {
                 tick_sh.journal_failures.fetch_add(1, Ordering::SeqCst);
@@ -640,6 +731,7 @@ pub fn run_queue(opts: &QueueOptions) -> i32 {
                     &format!("error: journal append failed: {e}"),
                 );
             }
+            tick_sh.changed.notify_all();
             let corrs: Vec<String> = expiries
                 .iter()
                 .map(|x| core.state.corr_of(&x.fingerprint).unwrap_or("").to_string())
@@ -675,14 +767,21 @@ pub fn run_queue(opts: &QueueOptions) -> i32 {
                     tick_sh.trace("lease_expired", corr, &fields);
                 }
             }
+            core = tick_sh.core.lock().unwrap_or_else(PoisonError::into_inner);
         }
     });
 
     let conn_handles = daemon.serve(&sh);
 
-    // Graceful drain: connection threads notice the flag via their read
-    // timeouts; then compact the journal so a restart replays a file
-    // proportional to the job count, not the churn.
+    // Graceful drain: held requests and the ticker wake on the notify
+    // (under the lock, so none of them misses it between its drain
+    // check and its wait), idle connection threads notice the flag via
+    // their read timeouts; then compact the journal so a restart
+    // replays a file proportional to the job count, not the churn.
+    {
+        let _core = sh.core.lock().unwrap_or_else(PoisonError::into_inner);
+        sh.changed.notify_all();
+    }
     for h in conn_handles {
         let _ = h.join();
     }

@@ -309,6 +309,31 @@ impl QueueState {
         )
     }
 
+    /// When the earliest backoff wait among queued jobs ends, if one
+    /// ends after `now_ms`: the next time a lease can succeed without
+    /// another transition.
+    pub fn next_ready_ms(&self, now_ms: u64) -> Option<u64> {
+        self.entries
+            .values()
+            .filter_map(|e| match e.slot {
+                Slot::Queued { not_before_ms } if not_before_ms > now_ms => Some(not_before_ms),
+                _ => None,
+            })
+            .min()
+    }
+
+    /// The earliest lease deadline, if any job is leased:
+    /// [`tick`](Self::tick) has nothing to expire before it passes.
+    pub fn next_deadline_ms(&self) -> Option<u64> {
+        self.entries
+            .values()
+            .filter_map(|e| match e.slot {
+                Slot::Leased { deadline_ms, .. } => Some(deadline_ms),
+                _ => None,
+            })
+            .min()
+    }
+
     /// Extends `worker`'s lease on `fp`. Returns false when the lease is
     /// lost (expired and re-dispatched, finished, or never granted) —
     /// the worker should abandon its attempt.
@@ -729,6 +754,25 @@ mod tests {
             JournalEvent::Done { worker, .. } => assert_eq!(worker.as_deref(), Some("w1")),
             other => panic!("expected done, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn wake_times_follow_deadlines_and_backoffs() {
+        let mut st = QueueState::new(100, 3);
+        assert_eq!((st.next_deadline_ms(), st.next_ready_ms(0)), (None, None));
+        st.submit(&[spec("f1"), spec("f2")]);
+        // Fresh jobs are leasable now: nothing to wait for.
+        assert_eq!(st.next_ready_ms(0), None);
+        let _ = st.lease("w1", 10);
+        let _ = st.lease("w2", 30);
+        assert_eq!(st.next_deadline_ms(), Some(110));
+        // Nothing is overdue until `now` passes the deadline.
+        assert!(st.tick(110).1.is_empty());
+        assert_eq!(st.tick(111).1.len(), 1);
+        // f1 waits out its 200 ms backoff; f2's lease is the next deadline.
+        assert_eq!(st.next_ready_ms(111), Some(311));
+        assert_eq!(st.next_ready_ms(311), None);
+        assert_eq!(st.next_deadline_ms(), Some(130));
     }
 
     #[test]

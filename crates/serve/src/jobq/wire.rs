@@ -6,22 +6,53 @@
 //! the wire format inherits the journal's digest discipline and both
 //! ends reuse one parser instead of re-describing `RunMetrics` here.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use barre_system::journal::json_escape;
 use barre_system::{JournalRecord, Json};
 
 use super::state::JobSpec;
 
+/// Longest the coordinator holds a `collect` or `lease` that carries a
+/// `wait_ms`; larger requests are clamped to it. Well under the 10 s
+/// read timeout [`exchange`] gives the reply.
+pub const MAX_WAIT_MS: u64 = 5_000;
+
+/// The `wait_ms` the dispatch client and the worker send: how often an
+/// idle one re-asks.
+pub(crate) const LONG_POLL_MS: u64 = 2_000;
+
+/// How often [`exchange_until`] checks whether to give up on a reply.
+const GIVE_UP_POLL: Duration = Duration::from_millis(20);
+
+/// Whether a long-poll sent at `sent` came back well before its hold
+/// ran out without news: a coordinator that predates long-polls answers
+/// at once, and the caller must pause rather than spin.
+pub(crate) fn answered_early(sent: Instant) -> bool {
+    sent.elapsed() < Duration::from_millis(LONG_POLL_MS / 2)
+}
+
 /// One request/reply exchange with the coordinator over a fresh
 /// connection. A fresh connection per exchange is deliberate: it makes
 /// every call independently survivable across coordinator crashes and
 /// restarts — there is no session state to lose.
 pub fn exchange(addr: &str, req: &Request) -> Result<Reply, String> {
+    exchange_until(addr, req, || false)
+}
+
+/// [`exchange`] that hangs up once `give_up()` holds while the reply is
+/// outstanding: a client or worker in a long-poll stops waiting on its
+/// own drain signal, and the coordinator drops a held request whose
+/// peer hung up.
+pub(crate) fn exchange_until(
+    addr: &str,
+    req: &Request,
+    give_up: impl Fn() -> bool,
+) -> Result<Reply, String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+    let _ = stream.set_read_timeout(Some(GIVE_UP_POLL));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let mut out = stream
         .try_clone()
@@ -34,10 +65,19 @@ pub fn exchange(addr: &str, req: &Request) -> Result<Reply, String> {
         .map_err(|e| format!("send: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => Err("connection closed without a reply".to_string()),
-        Ok(_) => Reply::from_line(line.trim()),
-        Err(e) => Err(format!("recv: {e}")),
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        // A timed-out read keeps the partial line it read in `line`.
+        match reader.read_line(&mut line) {
+            Ok(0) => return Err("connection closed without a reply".to_string()),
+            Ok(_) => return Reply::from_line(line.trim()),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if give_up() || Instant::now() >= deadline {
+                    return Err(format!("recv: {e}"));
+                }
+            }
+            Err(e) => return Err(format!("recv: {e}")),
+        }
     }
 }
 
@@ -53,6 +93,10 @@ pub enum Request {
     Lease {
         /// Worker identity.
         worker: String,
+        /// Hold an empty answer up to this long (clamped to
+        /// [`MAX_WAIT_MS`]) until a job becomes leasable. `None`
+        /// answers at once.
+        wait_ms: Option<u64>,
     },
     /// Extend a held lease.
     Heartbeat {
@@ -85,6 +129,12 @@ pub enum Request {
     Collect {
         /// Fingerprints the client is waiting on.
         fingerprints: Vec<String>,
+        /// Terminal records the client already holds.
+        seen: Option<u64>,
+        /// Hold the answer up to this long (clamped to [`MAX_WAIT_MS`])
+        /// while the terminal count still equals `seen`. `None` answers
+        /// at once.
+        wait_ms: Option<u64>,
     },
 }
 
@@ -184,6 +234,20 @@ fn want_u64(v: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing/invalid \"{key}\""))
 }
 
+/// An optional unsigned field: absent is `None`; present but not a
+/// `u64` (negative, fractional, too large, not a number) is an error.
+fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
+    v.get(key)
+        .map(|x| x.as_u64().ok_or_else(|| format!("invalid \"{key}\"")))
+        .transpose()
+}
+
+/// `,"key":n` for a present optional field; nothing when absent, so a
+/// request without it renders exactly as older peers wrote it.
+fn render_opt(key: &str, n: Option<u64>) -> String {
+    n.map(|n| format!(",\"{key}\":{n}")).unwrap_or_default()
+}
+
 fn want_bool(v: &Json, key: &str) -> Result<bool, String> {
     match v.get(key) {
         Some(Json::Bool(b)) => Ok(*b),
@@ -219,9 +283,11 @@ impl Request {
                     .collect();
                 format!("{{\"op\":\"submit\",\"jobs\":[{}]}}", parts.join(","))
             }
-            Request::Lease { worker } => {
-                format!("{{\"op\":\"lease\",\"worker\":{}}}", json_escape(worker))
-            }
+            Request::Lease { worker, wait_ms } => format!(
+                "{{\"op\":\"lease\",\"worker\":{}{}}}",
+                json_escape(worker),
+                render_opt("wait_ms", *wait_ms),
+            ),
             Request::Heartbeat {
                 worker,
                 fingerprint,
@@ -247,9 +313,15 @@ impl Request {
                 json_escape(fingerprint),
                 json_escape(exit),
             ),
-            Request::Collect { fingerprints } => format!(
-                "{{\"op\":\"collect\",\"fingerprints\":{}}}",
+            Request::Collect {
+                fingerprints,
+                seen,
+                wait_ms,
+            } => format!(
+                "{{\"op\":\"collect\",\"fingerprints\":{}{}{}}}",
                 render_args(fingerprints),
+                render_opt("seen", *seen),
+                render_opt("wait_ms", *wait_ms),
             ),
         }
     }
@@ -280,6 +352,7 @@ impl Request {
             }
             "lease" => Ok(Request::Lease {
                 worker: want_str(&v, "worker")?,
+                wait_ms: opt_u64(&v, "wait_ms")?,
             }),
             "heartbeat" => Ok(Request::Heartbeat {
                 worker: want_str(&v, "worker")?,
@@ -306,6 +379,8 @@ impl Request {
                     v.get("fingerprints")
                         .ok_or_else(|| "missing \"fingerprints\"".to_string())?,
                 )?,
+                seen: opt_u64(&v, "seen")?,
+                wait_ms: opt_u64(&v, "wait_ms")?,
             }),
             other => Err(format!("unknown op \"{other}\"")),
         }
@@ -480,6 +555,7 @@ mod tests {
         });
         roundtrip_req(Request::Lease {
             worker: "host-a:1".into(),
+            wait_ms: None,
         });
         roundtrip_req(Request::Heartbeat {
             worker: "w".into(),
@@ -494,7 +570,65 @@ mod tests {
         });
         roundtrip_req(Request::Collect {
             fingerprints: vec!["f1".into(), "f2".into()],
+            seen: None,
+            wait_ms: None,
         });
+    }
+
+    #[test]
+    fn long_poll_fields_roundtrip_and_stay_optional() {
+        for wait_ms in [None, Some(0), Some(LONG_POLL_MS), Some(u64::MAX)] {
+            roundtrip_req(Request::Lease {
+                worker: "w".into(),
+                wait_ms,
+            });
+            for seen in [None, Some(0), Some(3)] {
+                roundtrip_req(Request::Collect {
+                    fingerprints: vec!["f1".into()],
+                    seen,
+                    wait_ms,
+                });
+            }
+        }
+        // Without the new fields a request renders, and parses, exactly
+        // as a peer that predates long-polls writes it.
+        let old_lease = "{\"op\":\"lease\",\"worker\":\"w\"}";
+        let old_collect = "{\"op\":\"collect\",\"fingerprints\":[\"f1\",\"f2\"]}";
+        let lease = Request::from_line(old_lease).expect("old lease");
+        assert_eq!(
+            lease,
+            Request::Lease {
+                worker: "w".into(),
+                wait_ms: None
+            }
+        );
+        assert_eq!(lease.to_line(), old_lease);
+        let collect = Request::from_line(old_collect).expect("old collect");
+        assert_eq!(
+            collect,
+            Request::Collect {
+                fingerprints: vec!["f1".into(), "f2".into()],
+                seen: None,
+                wait_ms: None
+            }
+        );
+        assert_eq!(collect.to_line(), old_collect);
+    }
+
+    #[test]
+    fn malformed_long_poll_fields_are_rejected_by_name() {
+        for bad in ["-1", "1.5", "1e3", "\"10\"", "null", "18446744073709551616"] {
+            for line in [
+                format!("{{\"op\":\"lease\",\"worker\":\"w\",\"wait_ms\":{bad}}}"),
+                format!("{{\"op\":\"collect\",\"fingerprints\":[],\"wait_ms\":{bad}}}"),
+            ] {
+                let err = Request::from_line(&line).expect_err(&line);
+                assert!(err.contains("\"wait_ms\""), "{line}: {err}");
+            }
+            let line = format!("{{\"op\":\"collect\",\"fingerprints\":[],\"seen\":{bad}}}");
+            let err = Request::from_line(&line).expect_err(&line);
+            assert!(err.contains("\"seen\""), "{line}: {err}");
+        }
     }
 
     #[test]

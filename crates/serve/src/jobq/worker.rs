@@ -15,13 +15,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use barre_obs::log as olog;
 use barre_obs::{Field, FleetTracer, CORR_ENV};
 use barre_system::{metrics_digest, metrics_hist_digest, JournalEvent, JournalRecord};
 
-use super::wire::{exchange, Reply, Request};
+use super::wire::{answered_early, exchange, exchange_until, Reply, Request, LONG_POLL_MS};
 use crate::attempt::{backoff_delay, parse_child_metrics, run_attempt_cancellable_env};
 use crate::daemon;
 use crate::signal::{drain_exit_code, shutting_down, sleep_interruptible};
@@ -232,13 +232,17 @@ fn run_leased_job(
     }
 }
 
-/// One slot: lease → execute → report, until a drain signal.
+/// One slot: lease → execute → report, until a drain signal. An idle
+/// slot's lease is a long-poll: the coordinator holds it until a job is
+/// leasable, so a submit reaches an idle worker without a poll period.
 fn slot_loop(program: &Path, opts: &WorkerOptions, name: &str, tracer: Option<&FleetTracer>) {
+    let req = Request::Lease {
+        worker: name.to_string(),
+        wait_ms: Some(LONG_POLL_MS),
+    };
     while !shutting_down() {
-        let req = Request::Lease {
-            worker: name.to_string(),
-        };
-        match exchange(&opts.connect, &req) {
+        let sent = Instant::now();
+        match exchange_until(&opts.connect, &req, shutting_down) {
             Ok(Reply::Job {
                 fingerprint,
                 label,
@@ -256,9 +260,11 @@ fn slot_loop(program: &Path, opts: &WorkerOptions, name: &str, tracer: Option<&F
                 corr.as_deref().unwrap_or(""),
                 tracer,
             ),
-            Ok(Reply::Empty { retry_after_ms, .. }) => {
+            // A coordinator that predates long-polls answers at once.
+            Ok(Reply::Empty { retry_after_ms, .. }) if answered_early(sent) => {
                 sleep_interruptible(Duration::from_millis(retry_after_ms.clamp(50, 2_000)));
             }
+            Ok(Reply::Empty { .. }) => {}
             Ok(Reply::Draining) | Ok(_) => sleep_interruptible(Duration::from_millis(500)),
             Err(_) => sleep_interruptible(Duration::from_millis(500)),
         }

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use crate::attempt::{backoff_delay, parse_child_metrics, run_attempt};
 use crate::breaker::CircuitBreaker;
 use crate::cache::ResultCache;
-use crate::daemon::{self, Daemon, Service};
+use crate::daemon::{self, Daemon, Peer, Service};
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::{parse_request, render_ok, render_reject, render_shed, ValidRequest};
 use crate::signal::shutting_down;
@@ -133,7 +133,7 @@ impl Shared {
 impl Service for Shared {
     /// Answers one request, recording its wall-clock latency (line
     /// received → response ready) and streaming its trace summary.
-    fn handle_line(&self, line: &str) -> Option<String> {
+    fn handle_line(&self, line: &str, _peer: &Peer<'_>) -> Option<String> {
         let started = Instant::now();
         let resp = handle_request_line(self, line);
         let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);

@@ -1053,12 +1053,11 @@ impl Machine {
                     self.finish_l2_miss_at(p.chiplet, key, payload, done);
                     return;
                 }
-                // 2) Remote calculation through the RCFs (negative-cached:
-                // repeated misses skip the filter probes entirely).
+                // 2) Remote calculation through the RCFs.
                 let peer = self.chiplets[p.chiplet as usize]
                     .filters
-                    .as_mut()
-                    .and_then(|fb| fb.rcf_hit_cached(key.asid, key.vpn));
+                    .as_ref()
+                    .and_then(|fb| fb.rcf_hit(key.asid, key.vpn));
                 if let Some(peer) = peer {
                     self.m.peer_probes += 1;
                     self.m.rcf_remote_attempts += 1;
