@@ -39,7 +39,7 @@ use barre_obs::log as olog;
 use barre_obs::Field;
 use barre_system::{
     chaos_jobs, run_app, run_batch, run_pair, run_spec, speedup, summary_line, sweep_jobs,
-    BatchJob, LabeledJob, MmuKind, RunMetrics, SimError, SystemConfig, TranslationMode,
+    BatchJob, LabeledJob, RunMetrics, SimError, SystemConfig, TranslationMode,
 };
 use barre_workloads::{AppId, AppPair};
 
@@ -47,6 +47,7 @@ use barre_workloads::{AppId, AppPair};
 // and `barre serve` resolve names identically; re-exported here for the
 // existing callers.
 pub use barre_serve::request::{app_by_name, mode_by_name, page_size_by_name, policy_by_name};
+use barre_serve::request::{build_config, DEFAULT_SEED};
 
 pub mod lint_cmd;
 pub mod profile_cmd;
@@ -66,8 +67,9 @@ pub enum Command {
         cfg: Box<SystemConfig>,
         seed: u64,
         baseline: bool,
-        /// Print only the canonical metrics JSON line (the `barre serve`
-        /// child protocol); failures exit with [`SimError::exit_code`].
+        /// Print only the canonical metrics JSON line (what a `barre
+        /// serve` response carries); failures exit with
+        /// [`SimError::exit_code`].
         metrics_json: bool,
     },
     /// `barre profile` — run one app with a wall-clock probe on every
@@ -398,40 +400,7 @@ impl Args<'_> {
     /// The machine: the `--paper`/`--smoke` preset first, then every
     /// override on top of it, whatever order they were given in.
     fn config(&self) -> Result<Box<SystemConfig>, ParseError> {
-        let mut cfg = match (self.has("--paper"), self.has("--smoke")) {
-            (true, true) => return Err(err("--paper and --smoke are mutually exclusive")),
-            (true, false) => SystemConfig::paper(),
-            (false, true) => barre_system::smoke_config(),
-            (false, false) => SystemConfig::scaled(),
-        };
-        if let Some(v) = self.get("--mode") {
-            cfg.mode = mode_by_name(v).ok_or_else(|| err(format!("unknown mode {v}")))?;
-        }
-        if let Some(v) = self.get("--policy") {
-            cfg.policy = policy_by_name(v).ok_or_else(|| err(format!("unknown policy {v}")))?;
-        }
-        if let Some(v) = self.get("--page-size") {
-            cfg.page_size =
-                page_size_by_name(v).ok_or_else(|| err(format!("unknown page size {v}")))?;
-        }
-        if self.get("--ptws") == Some("inf") {
-            cfg.ptws = None;
-        } else if let Some(n) = self.parse("--ptws", "PTW count")? {
-            cfg.ptws = Some(n);
-        }
-        if let Some(n) = self.parse("--chiplets", "chiplet count")? {
-            cfg.topology = cfg.topology.with_chiplets(n);
-        }
-        if let Some(n) = self.count("--frames", "frame count")? {
-            cfg.frames_per_chiplet = Some(n);
-        }
-        if self.has("--gmmu") {
-            cfg.mmu = MmuKind::Gmmu;
-        }
-        if self.has("--migration") {
-            cfg.migration = Some(Default::default());
-        }
-        Ok(Box::new(cfg))
+        build_config(&self.flags).map(Box::new).map_err(err)
     }
 
     /// Local supervision or remote dispatch for `sweep` and `chaos`, at
@@ -499,7 +468,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         return Ok(Command::Help);
     }
     let a = scan(args)?;
-    let seed = a.parse("--seed", "seed")?.unwrap_or(0x15CA_2024);
+    let seed = a.parse("--seed", "seed")?.unwrap_or(DEFAULT_SEED);
     let out = a.path("--out");
     Ok(match a.cmd {
         "list" => Command::List,
@@ -1331,32 +1300,22 @@ pub fn execute(cmd: Command) -> i32 {
             baseline,
             metrics_json,
         } => {
-            // Deadline-test hook for the serve integration tests: a child
-            // that never finishes, so the daemon's watchdog must kill it.
-            if std::env::var("BARRE_TEST_RUN_HANG").is_ok() {
-                loop {
-                    std::thread::sleep(std::time::Duration::from_secs(3600));
-                }
-            }
-            if metrics_json {
-                // The `barre serve` child protocol: exactly one line of
-                // canonical metrics JSON on success; SimError exit codes
-                // tell the daemon permanent from transient failures.
-                return match run_app(app, &cfg, seed) {
-                    Ok(m) => {
-                        println!("{}", barre_system::metrics_to_json(&m));
-                        0
-                    }
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        e.exit_code()
-                    }
-                };
-            }
             let m = match run_app(app, &cfg, seed) {
                 Ok(m) => m,
+                // SimError exit codes tell permanent from transient
+                // failures when the metrics are what is asked for.
+                Err(e) if metrics_json => {
+                    eprintln!("error: {e}");
+                    return e.exit_code();
+                }
                 Err(e) => return report(&e),
             };
+            if metrics_json {
+                // One line of canonical metrics JSON: the line a `barre
+                // serve` response carries.
+                println!("{}", barre_system::metrics_to_json(&m));
+                return 0;
+            }
             println!(
                 "{}",
                 summary_line(&format!("{app}/{}", cfg.mode.label()), &m)
@@ -1686,6 +1645,133 @@ mod tests {
         assert!(p(&["sweep", "--dispatch", "h:1", "--supervise"]).is_err());
         assert!(p(&["sweep", "--dispatch", "h:1", "--timeout", "5"]).is_err());
         assert!(p(&["sweep", "--dispatch", "h:1", "--retries", "1"]).is_err());
+    }
+
+    /// Request lines over every request field: each value of each field
+    /// on a bare request, then a deterministic spread of combinations.
+    fn request_matrix() -> Vec<String> {
+        let apps: Vec<String> = AppId::all()
+            .iter()
+            .map(|a| format!("{:?}", a.name()))
+            .collect();
+        let q = |xs: &[&str]| xs.iter().map(|x| format!("{x:?}")).collect::<Vec<_>>();
+        let text = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let none = || vec![String::new()];
+        let with = |mut v: Vec<String>, rest: Vec<String>| {
+            v.extend(rest);
+            v
+        };
+        // (field, values); "" leaves the field out.
+        let dims: Vec<(&str, Vec<String>)> = vec![
+            ("app", apps),
+            ("smoke", with(none(), text(&["false", "true"]))),
+            ("paper", with(none(), text(&["true"]))),
+            (
+                "mode",
+                with(
+                    none(),
+                    q(&[
+                        "baseline",
+                        "valkyrie",
+                        "least",
+                        "shared-l2",
+                        "barre",
+                        "fbarre",
+                        "fbarre2",
+                        "fbarre1",
+                        "fbarre-nomerge",
+                        "fbarre4",
+                    ]),
+                ),
+            ),
+            (
+                "policy",
+                with(
+                    none(),
+                    q(&["lasp", "coda", "rr", "round-robin", "chunking"]),
+                ),
+            ),
+            (
+                "page_size",
+                with(none(), q(&["4k", "4kb", "64k", "64kb", "2m", "2mb"])),
+            ),
+            (
+                "ptws",
+                with(none(), with(text(&["1", "8", "65536"]), q(&["inf"]))),
+            ),
+            ("chiplets", with(none(), text(&["1", "2", "8", "16"]))),
+            ("gmmu", with(none(), text(&["false", "true"]))),
+            ("migration", with(none(), text(&["false", "true"]))),
+            ("frames", with(none(), text(&["1", "4096"]))),
+            (
+                "seed",
+                with(none(), text(&["0", "7", "18446744073709551615"])),
+            ),
+        ];
+        let line = |pick: &[usize]| {
+            let fields: Vec<String> = dims
+                .iter()
+                .zip(pick)
+                .filter(|((_, vals), &i)| !vals[i].is_empty())
+                .map(|((k, vals), &i)| format!("{k:?}:{}", vals[i]))
+                .collect();
+            format!("{{{}}}", fields.join(","))
+        };
+        let mut lines = Vec::new();
+        for (d, (_, vals)) in dims.iter().enumerate() {
+            for v in 0..vals.len() {
+                let mut pick = vec![0; dims.len()];
+                pick[d] = v;
+                lines.push(line(&pick));
+            }
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..400 {
+            let pick: Vec<usize> = dims
+                .iter()
+                .map(|(_, vals)| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x % vals.len() as u64) as usize
+                })
+                .collect();
+            lines.push(line(&pick));
+        }
+        // A request needs an app and takes at most one preset.
+        lines.retain(|l| {
+            l.contains("\"app\"") && !(l.contains("\"smoke\":true") && l.contains("\"paper\""))
+        });
+        lines
+    }
+
+    #[test]
+    fn serve_requests_build_the_machine_of_their_run_argv() {
+        let lines = request_matrix();
+        let mut fps = Vec::new();
+        for line in &lines {
+            let r =
+                barre_serve::request::parse_request(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let Ok(Command::Run {
+                app,
+                cfg,
+                seed,
+                metrics_json: true,
+                baseline: false,
+            }) = parse(&r.argv)
+            else {
+                panic!("{line}: argv {:?} is not a metrics-json run", r.argv);
+            };
+            assert_eq!((app, seed), (r.app, r.seed), "{line}");
+            assert_eq!(format!("{cfg:?}"), format!("{:?}", r.cfg), "{line}");
+            fps.push(r.fingerprint);
+        }
+        // Every fingerprint of the matrix, folded into one, as the
+        // daemon computed them before it ran simulations in-process:
+        // cache keys written by either build are the same keys.
+        let parts: Vec<&str> = fps.iter().map(String::as_str).collect();
+        assert_eq!(lines.len(), 406);
+        assert_eq!(barre_system::fingerprint(&parts), "42d4da14aa8d770d");
     }
 
     /// The argv a supervised or dispatched child is re-executed with is

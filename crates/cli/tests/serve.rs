@@ -1,8 +1,9 @@
 //! End-to-end tests for the `barre serve` daemon: admission control,
 //! deadlines, load shedding, the circuit breaker, the verified result
-//! cache, and graceful drain on SIGINT/SIGTERM — all driven over real
-//! TCP against the real binary, including a 1000-request soak against a
-//! saturated two-worker daemon.
+//! cache, graceful drain on SIGINT/SIGTERM, and answers equal to what
+//! `barre run --metrics-json` prints — all driven over real TCP against
+//! the real binary, including a 1000-request soak against a saturated
+//! two-worker daemon.
 
 #![cfg(unix)]
 
@@ -10,7 +11,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_barre");
 
@@ -122,6 +123,33 @@ impl Daemon {
     }
 }
 
+/// The pids of `pid`'s child processes, from every thread's
+/// `/proc/<pid>/task/<tid>/children`.
+#[cfg(target_os = "linux")]
+fn children_of(pid: u32) -> Vec<String> {
+    let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).expect("task dir");
+    let mut read = 0;
+    let mut kids = Vec::new();
+    for t in tasks.flatten() {
+        if let Ok(text) = std::fs::read_to_string(t.path().join("children")) {
+            read += 1;
+            kids.extend(text.split_whitespace().map(str::to_string));
+        }
+    }
+    assert!(read > 0, "no /proc/{pid}/task/*/children file");
+    kids
+}
+
+/// The raw `metrics` object of an `ok` response line.
+fn metrics_text(resp: &str) -> &str {
+    let at = resp
+        .find(",\"metrics\":")
+        .unwrap_or_else(|| panic!("no metrics in {resp}"));
+    resp[at + ",\"metrics\":".len()..]
+        .strip_suffix('}')
+        .unwrap_or_else(|| panic!("bad response end {resp}"))
+}
+
 fn json_u64(doc: &str, path: &[&str]) -> u64 {
     let v = barre_system::Json::parse(doc.trim()).unwrap_or_else(|e| panic!("bad JSON {e}: {doc}"));
     let mut cur = &v;
@@ -158,6 +186,9 @@ fn serve_cache_hits_are_byte_identical_and_survive_restart() {
     // Cold run, then a cache hit: byte-identical responses.
     let cold = d.request(GUPS);
     assert_eq!(str_field(&cold, "status"), "ok", "{cold}");
+    // The cold run simulated in the daemon itself: no child process.
+    #[cfg(target_os = "linux")]
+    assert_eq!(children_of(d.child.id()), Vec::<String>::new());
     let hit = d.request(GUPS);
     assert_eq!(cold, hit, "cache hit must be byte-identical to cold run");
     // Alias spellings collide on the same cache entry.
@@ -248,8 +279,10 @@ fn serve_cache_hits_are_byte_identical_and_survive_restart() {
 #[test]
 fn deadlines_fire_and_full_queue_sheds() {
     let dir = tmpdir("deadline");
-    // Every child hangs; workers=1, queue-cap=1. First request occupies
-    // the worker, second fills the queue, third is shed instantly.
+    // Scaled gups with one walker per chiplet simulates for seconds, far
+    // past the 600 ms deadline; workers=1, queue-cap=1. The first
+    // request occupies the worker, the second fills the queue, the third
+    // is shed instantly.
     let d = start_daemon(
         &dir,
         &[
@@ -264,8 +297,9 @@ fn deadlines_fire_and_full_queue_sheds() {
             "--cache-dir",
             "cache",
         ],
-        &[("BARRE_TEST_RUN_HANG", "1")],
+        &[],
     );
+    let long = |seed: u32| format!(r#"{{"app":"gups","ptws":1,"seed":{seed},"timeout_ms":600}}"#);
 
     let send = |line: &str| {
         let (r, mut w) = d.connect();
@@ -273,32 +307,194 @@ fn deadlines_fire_and_full_queue_sheds() {
         w.flush().expect("flush");
         (r, w)
     };
-    let (mut r1, _w1) = send(r#"{"app":"gups","smoke":true,"seed":1,"timeout_ms":900}"#);
+    let sent1 = Instant::now();
+    let (mut r1, _w1) = send(&long(1));
     std::thread::sleep(Duration::from_millis(150));
-    let (mut r2, _w2) = send(r#"{"app":"gups","smoke":true,"seed":2,"timeout_ms":900}"#);
+    let (mut r2, _w2) = send(&long(2));
     std::thread::sleep(Duration::from_millis(150));
     // Queue now holds request 2; this one must be shed without waiting.
-    let shed = d.request(r#"{"app":"gups","smoke":true,"seed":3,"timeout_ms":900}"#);
+    let shed = d.request(&long(3));
     assert_eq!(str_field(&shed, "status"), "shed", "{shed}");
     assert_eq!(json_u64(&shed, &["code"]), 429);
     assert!(json_u64(&shed, &["retry_after_ms"]) >= 1);
+    // The worker is busy simulating, in the daemon's own process.
+    #[cfg(target_os = "linux")]
+    assert_eq!(children_of(d.child.id()), Vec::<String>::new());
 
-    // Both admitted requests hit their wall-clock deadline.
+    // Both admitted requests hit their wall-clock deadline. The run
+    // checks its deadline every few thousand events, so the answer comes
+    // a fraction of a millisecond after it, far inside the slack here.
     let mut resp1 = String::new();
     r1.read_line(&mut resp1).expect("deadline response 1");
-    assert_eq!(str_field(&resp1, "status"), "timeout", "{resp1}");
-    assert_eq!(json_u64(&resp1, &["code"]), 504);
+    let took = sent1.elapsed();
+    assert_eq!(
+        resp1.trim_end(),
+        r#"{"status":"timeout","code":504,"error":"deadline exceeded"}"#
+    );
+    assert!(
+        took >= Duration::from_millis(600) && took < Duration::from_millis(1600),
+        "deadline answered after {took:?}"
+    );
     let mut resp2 = String::new();
     r2.read_line(&mut resp2).expect("deadline response 2");
     assert_eq!(str_field(&resp2, "status"), "timeout", "{resp2}");
+
+    // The cancelled run freed the worker: a small cell is answered now.
+    let asked = Instant::now();
+    let next = d.request(r#"{"app":"gemv","smoke":true,"seed":5}"#);
+    assert_eq!(str_field(&next, "status"), "ok", "{next}");
+    let took = asked.elapsed();
+    assert!(took < Duration::from_secs(5), "next request took {took:?}");
 
     let (_, stats) = d.http_get("/stats");
     assert_eq!(json_u64(&stats, &["requests", "timeouts"]), 2);
     assert_eq!(json_u64(&stats, &["requests", "shed"]), 1);
     assert_eq!(json_u64(&stats, &["queue", "max_depth"]), 1);
+    assert_eq!(json_u64(&stats, &["simulate_ms", "count"]), 3);
 
     let (exit, stderr) = d.stop("-TERM");
     assert_eq!(exit, 0, "stderr: {stderr}");
+}
+
+/// Every request shape answers exactly what `barre run --metrics-json`
+/// prints for the request's canonical argv, under the fingerprint the
+/// daemon has always given it, and failures answer with the bodies a
+/// `barre run` child's exit produced.
+#[test]
+fn in_process_answers_match_barre_run() {
+    let dir = tmpdir("equiv");
+    let d = start_daemon(
+        &dir,
+        &["--workers", "2", "--retries", "0", "--cache-dir", "cache"],
+        &[],
+    );
+    let mut lines: Vec<String> = [
+        "baseline",
+        "valkyrie",
+        "least",
+        "shared-l2",
+        "barre",
+        "fbarre",
+        "fbarre2",
+        "fbarre1",
+        "fbarre-nomerge",
+        "fbarre4",
+    ]
+    .iter()
+    .map(|m| format!(r#"{{"app":"gemv","smoke":true,"mode":"{m}"}}"#))
+    .collect();
+    lines.extend(
+        [
+            r#"{"app":"jac2d","smoke":true,"policy":"lasp"}"#,
+            r#"{"app":"jac2d","smoke":true,"policy":"coda","mode":"barre"}"#,
+            r#"{"app":"jac2d","smoke":true,"policy":"round-robin"}"#,
+            r#"{"app":"jac2d","smoke":true,"policy":"chunking","mode":"fbarre"}"#,
+            r#"{"app":"lu","smoke":true,"page_size":"4kb"}"#,
+            r#"{"app":"lu","smoke":true,"page_size":"64k","mode":"fbarre"}"#,
+            r#"{"app":"lu","smoke":true,"page_size":"2mb"}"#,
+            r#"{"app":"st2d","smoke":true,"ptws":"inf","mode":"barre"}"#,
+            r#"{"app":"st2d","smoke":true,"ptws":2}"#,
+            r#"{"app":"gemv","smoke":true,"chiplets":2}"#,
+            r#"{"app":"gemv","smoke":true,"chiplets":8,"mode":"fbarre"}"#,
+            r#"{"app":"gemv","smoke":true,"gmmu":true,"mode":"barre"}"#,
+            r#"{"app":"gemv","smoke":true,"migration":true,"frames":4096}"#,
+            r#"{"app":"gemv","smoke":true,"frames":40,"gmmu":false}"#,
+            r#"{"app":"gemv","smoke":true,"seed":0,"migration":false}"#,
+            r#"{"app":"gemv","smoke":true,"seed":18446744073709551615,"id":"max"}"#,
+            r#"{"app":"gemv","mode":"least"}"#,
+            r#"{"app":"gemv","paper":true,"smoke":false}"#,
+        ]
+        .map(str::to_string),
+    );
+    for line in &lines {
+        let req = barre_serve::request::parse_request(line).expect("valid request");
+        let resp = d.request(line);
+        assert_eq!(str_field(&resp, "status"), "ok", "{line}: {resp}");
+        assert_eq!(str_field(&resp, "fingerprint"), req.fingerprint, "{line}");
+        let out = Command::new(BIN)
+            .args(&req.argv)
+            .output()
+            .expect("barre run");
+        assert!(out.status.success(), "{line}: {:?}", req.argv);
+        let run = String::from_utf8(out.stdout).expect("utf-8");
+        assert_eq!(metrics_text(&resp), run.trim_end(), "{line}");
+    }
+    // Fingerprints the daemon gave these requests before it simulated
+    // in-process.
+    for (line, fp) in [
+        (GUPS, "fffe4f32e6015a31"),
+        (
+            r#"{"app":"gemv","smoke":true,"mode":"fbarre4","ptws":"inf","seed":2}"#,
+            "53e06729fde2d43e",
+        ),
+        (
+            r#"{"app":"lu","smoke":true,"mode":"barre","policy":"rr","gmmu":true,"id":"x"}"#,
+            "20693c4cf78f5c82",
+        ),
+    ] {
+        let req = barre_serve::request::parse_request(line).expect("valid request");
+        assert_eq!(req.fingerprint, fp, "{line}");
+    }
+    // Failure bodies, byte for byte as the child path answered them: a
+    // transient SimError and an invalid request. More than 16 chiplets
+    // (which panics the model) and a frame count the daemon could not
+    // allocate are rejected before any simulation starts.
+    for (line, body) in [
+        (
+            r#"{"app":"gups","smoke":true,"frames":1}"#,
+            r#"{"status":"failed","code":500,"error":"chiplet 0 is out of physical frames (exit:65)"}"#,
+        ),
+        (
+            r#"{"app":"nosuch"}"#,
+            r#"{"status":"error","code":400,"error":"unknown app nosuch"}"#,
+        ),
+        (
+            r#"{"app":"gups","smoke":true,"chiplets":64}"#,
+            r#"{"status":"error","code":400,"error":"chiplets 64 outside 1..=16"}"#,
+        ),
+        (
+            r#"{"app":"gups","smoke":true,"frames":35184372088832}"#,
+            r#"{"status":"error","code":400,"error":"frames 35184372088832 above 65536"}"#,
+        ),
+    ] {
+        assert_eq!(d.request(line), body, "{line}");
+    }
+    // The daemon still serves.
+    let after = d.request(r#"{"app":"gemv","smoke":true,"seed":9}"#);
+    assert_eq!(str_field(&after, "status"), "ok", "{after}");
+    #[cfg(target_os = "linux")]
+    assert_eq!(children_of(d.child.id()), Vec::<String>::new());
+    let (exit, _) = d.stop("-TERM");
+    assert_eq!(exit, 0);
+}
+
+/// A cache file written when every request ran in a `barre run` child
+/// warm-loads and answers its requests as hits.
+#[test]
+fn a_cache_written_by_child_runs_serves_hits() {
+    let dir = tmpdir("legacy");
+    std::fs::create_dir_all(dir.join("cache")).expect("mkdir");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/serve-cache-v1.jsonl");
+    std::fs::copy(&fixture, dir.join("cache").join("serve-cache.jsonl")).expect("copy fixture");
+    let d = start_daemon(&dir, &["--workers", "1", "--cache-dir", "cache"], &[]);
+    let lines = [
+        GUPS,
+        r#"{"app":"gemv","smoke":true,"mode":"fbarre4","ptws":"inf","seed":2}"#,
+        r#"{"app":"lu","smoke":true,"mode":"barre","policy":"rr","gmmu":true,"id":"x"}"#,
+        r#"{"app":"gups","smoke":true,"chiplets":3}"#,
+        r#"{"app":"gemv","smoke":true,"page_size":"2m","frames":2}"#,
+        r#"{"app":"gemv","smoke":true,"migration":true,"frames":40}"#,
+    ];
+    for line in lines {
+        let resp = d.request(line);
+        assert_eq!(str_field(&resp, "status"), "ok", "{line}: {resp}");
+    }
+    let (_, stats) = d.http_get("/stats");
+    assert_eq!(json_u64(&stats, &["requests", "cache_hits"]), 6, "{stats}");
+    assert_eq!(json_u64(&stats, &["requests", "ok"]), 0, "{stats}");
+    assert_eq!(json_u64(&stats, &["cache", "evictions"]), 0, "{stats}");
+    let (exit, _) = d.stop("-TERM");
+    assert_eq!(exit, 0);
 }
 
 #[test]

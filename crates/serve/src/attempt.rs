@@ -8,9 +8,10 @@
 //! finished child is answered the moment it exits; the cancel cadence
 //! only bounds how quickly a cancelled child is killed.
 //!
-//! Extracted from the sweep supervisor so the daemon's per-request
-//! deadline path and `barre sweep --supervise` share one classification
-//! and one deterministic backoff schedule.
+//! Shared by `barre sweep --supervise` and `barre worker`, so both
+//! classify a child's exit the same way. `barre serve` simulates
+//! in-process but retries on the same deterministic backoff schedule
+//! ([`backoff_delay`]).
 
 use std::io::Read;
 use std::path::Path;
@@ -130,27 +131,17 @@ fn signal_of(_status: std::process::ExitStatus) -> Option<i32> {
 /// against the wait; on timeout the child is SIGKILLed and whatever
 /// it wrote is kept for diagnostics.
 pub fn run_attempt(program: &Path, args: &[String], timeout: Option<Duration>) -> Attempt {
-    run_attempt_cancellable(program, args, timeout, &AtomicBool::new(false))
+    run_attempt_cancellable_env(program, args, &[], timeout, &AtomicBool::new(false))
 }
 
-/// [`run_attempt`] with an external cancellation flag: when `cancel`
-/// flips true mid-attempt the child is SIGKILLed and the attempt comes
-/// back with exit `"cancelled"`. Used by `barre worker` to abandon a
-/// child whose lease the coordinator has already re-dispatched —
-/// finishing it would only produce a duplicate result.
-pub fn run_attempt_cancellable(
-    program: &Path,
-    args: &[String],
-    timeout: Option<Duration>,
-    cancel: &AtomicBool,
-) -> Attempt {
-    run_attempt_cancellable_env(program, args, &[], timeout, cancel)
-}
-
-/// [`run_attempt_cancellable`] with extra environment variables for the
-/// child. Used by `barre worker` to hand the job's fleet-trace
-/// correlation id (`BARRE_CORR_ID`) to the simulating child without
-/// touching its argv — argv feeds the job fingerprint, env does not.
+/// [`run_attempt`] with an external cancellation flag and extra
+/// environment variables for the child. When `cancel` flips true
+/// mid-attempt the child is SIGKILLed and the attempt comes back with
+/// exit `"cancelled"`. Used by `barre worker` to abandon a child whose
+/// lease the coordinator has already re-dispatched — finishing it would
+/// only produce a duplicate result — and to hand the child the job's
+/// fleet-trace correlation id (`BARRE_CORR_ID`) without touching its
+/// argv: argv feeds the job fingerprint, env does not.
 pub fn run_attempt_cancellable_env(
     program: &Path,
     args: &[String],
@@ -274,7 +265,13 @@ mod tests {
     #[test]
     fn pre_set_cancel_kills_the_child_as_cancelled() {
         let cancel = AtomicBool::new(true);
-        let a = run_attempt_cancellable(Path::new("/bin/sleep"), &["5".to_string()], None, &cancel);
+        let a = run_attempt_cancellable_env(
+            Path::new("/bin/sleep"),
+            &["5".to_string()],
+            &[],
+            None,
+            &cancel,
+        );
         assert_eq!(a.exit, "cancelled");
         assert!(a.transient);
     }
@@ -306,7 +303,13 @@ mod tests {
             })
         };
         let t0 = Instant::now();
-        let a = run_attempt_cancellable(Path::new("/bin/sleep"), &["5".to_string()], None, &cancel);
+        let a = run_attempt_cancellable_env(
+            Path::new("/bin/sleep"),
+            &["5".to_string()],
+            &[],
+            None,
+            &cancel,
+        );
         let _ = flip.join();
         assert_eq!(a.exit, "cancelled");
         assert!(a.transient);

@@ -5,10 +5,11 @@
 //! order) plus a minimal hand-rolled HTTP/1.1 shim for `GET /healthz`,
 //! `GET /readyz`, `GET /stats` (JSON), and `GET /metrics` (Prometheus
 //! text exposition). Every request is validated into the
-//! same canonical job the CLI would run, executed in a crash-isolated
-//! child process (a self-exec of `barre run --metrics-json …`), and
-//! cached content-addressed by the journal fingerprint of its canonical
-//! argument vector.
+//! same canonical job the CLI would run (its machine built by the
+//! CLI's own [`request::build_config`]), simulated on a worker thread of
+//! the daemon, and cached content-addressed by the journal fingerprint
+//! of its canonical `barre run --metrics-json …` argument vector. The
+//! answer is byte-identical to what that command prints.
 //!
 //! Robustness machinery, in the order a request meets it:
 //!
@@ -16,7 +17,7 @@
 //!   out-of-range values are rejected immediately (`400`-style).
 //! * **Circuit breaker** — a fingerprint that keeps producing terminal
 //!   failures is quarantined ([`breaker`]) and answered `503` without
-//!   spawning anything.
+//!   simulating anything.
 //! * **Result cache** — completed runs are served from a torn-tail-
 //!   tolerant journal file through an in-memory offset index, each
 //!   record digest-verified as it is read back ([`cache`]); hits are
@@ -25,18 +26,23 @@
 //!   request is shed with a `429`-style response and a deterministic
 //!   `retry_after_ms` hint instead of queuing unboundedly.
 //! * **Deadline** — each request carries a wall-clock budget spanning
-//!   queue wait and all attempts; expiry kills the child (`504`).
-//!   Transient child failures retry with the supervisor's deterministic
-//!   capped backoff ([`attempt`]); permanent `SimError`s (exit 64)
-//!   return structured errors and never retry.
+//!   queue wait and all attempts; the running machine checks it every
+//!   [`barre_system::CANCEL_CHECK_PERIOD`] events and stops at expiry
+//!   (`504`). Transient `SimError`s and panics (caught on the worker)
+//!   retry with the supervisor's deterministic capped backoff
+//!   ([`attempt::backoff_delay`]); permanent `SimError`s return
+//!   structured errors and never retry. Failures read as the matching
+//!   `barre run` child exit would have (`exit:64`, `exit:65`,
+//!   `exit:101` for a panic).
 //! * **Graceful drain** — SIGINT/SIGTERM ([`signal`]) stops accepting,
 //!   lets queued and in-flight jobs finish (or hit their deadlines),
 //!   flushes a compacted cache index, and exits 0; a restart warm-loads
 //!   the cache.
 //!
-//! Per-request latency and queue depth are recorded in `barre-trace`
-//! fixed-bucket histograms and exposed via `/stats` (percentiles) and
-//! `/metrics` (cumulative buckets) ([`stats`]). Diagnostics are leveled
+//! Per-request latency, per-attempt simulate time and queue depth are
+//! recorded in `barre-trace` fixed-bucket histograms and exposed via
+//! `/stats` (percentiles) and `/metrics` (cumulative buckets)
+//! ([`stats`]). Diagnostics are leveled
 //! JSONL structured log events (`barre-obs`; `BARRE_LOG`, `--log-file`),
 //! including a per-request debug-level trace summary, and the daemon
 //! participates in fleet tracing (`BARRE_FLEET_TRACE`, `BARRE_CORR_ID`)
@@ -45,8 +51,9 @@
 //! The crate also hosts the serve-adjacent distributed dispatch stack
 //! ([`jobq`]): the `barre queue` lease-based job-queue coordinator, the
 //! `barre worker` executor, and the `barre sweep --dispatch` client —
-//! built on the same TCP/JSONL framing, drain signals, and
-//! crash-isolated attempt machinery as the daemon.
+//! built on the same TCP/JSONL framing and drain signals as the daemon.
+//! The worker keeps crash-isolated child attempts ([`attempt`]), which
+//! `barre sweep --supervise` uses too.
 //!
 //! Both daemons run on one skeleton, [`daemon`]: it owns bind, the
 //! `listening on <addr>` handshake, the accept loop, the per-connection

@@ -11,29 +11,44 @@
 //! | `policy`     | string        | mapping policy label                        |
 //! | `page_size`  | string        | `4k` / `64k` / `2m`                         |
 //! | `ptws`       | int or `"inf"`| page-table walkers per chiplet              |
-//! | `chiplets`   | int 1..=64    | chiplet count                               |
+//! | `chiplets`   | int 1..=16    | chiplet count                               |
 //! | `seed`       | int (u64)     | simulation seed                             |
 //! | `smoke`      | bool          | small fast configuration                    |
 //! | `paper`      | bool          | paper-scale configuration                   |
 //! | `gmmu`       | bool          | IOMMU → GMMU                                |
 //! | `migration`  | bool          | enable page migration                       |
-//! | `frames`     | int ≥1        | physical frames per chiplet (capacity cap)  |
+//! | `frames`     | int 1..=65536 | physical frames per chiplet (capacity cap)  |
 //! | `timeout_ms` | int           | per-request deadline override               |
 //!
 //! Unknown fields are rejected — a typo must fail loudly, not silently
-//! run the wrong simulation.
+//! run the wrong simulation. Numbers are bounded to what the model can
+//! build: a GPU map holds at most 16 chiplets (more panics the model),
+//! and each chiplet's frame allocator is a `frames`-long array, so an
+//! unbounded `frames` could ask the daemon for terabytes, and a failed
+//! allocation aborts the process where no panic handler can catch it.
+//! Auto-sizing never needs more than 8,960 frames (the largest app at
+//! 4 KiB pages on one chiplet).
 //!
 //! Validation resolves aliases (`fbarre2` → `fbarre`, `round-robin` →
 //! `rr`, `4kb` → `4k`) and renders the request as a **canonical argv**
-//! in a fixed flag order; the journal [`fingerprint`] of that argv is
-//! the request's content address, so equal simulations collide in the
-//! result cache no matter how the client spelled them. `id` and
+//! in a fixed flag order: the `barre run --metrics-json` command line
+//! that computes the same metrics. The journal [`fingerprint`] of that
+//! argv is the request's content address, so equal simulations collide
+//! in the result cache no matter how the client spelled them. `id` and
 //! `timeout_ms` are deliberately excluded from the argv: they change
 //! how a request is handled, never what it computes.
+//!
+//! The machine itself comes from [`build_config`], the one function
+//! that turns a preset and its overrides into a [`SystemConfig`] for
+//! both `barre run` and `barre serve`.
 
 use barre_system::journal::json_escape;
-use barre_system::{fingerprint, FBarreConfig, TranslationMode};
+use barre_system::{fingerprint, FBarreConfig, MmuKind, SystemConfig, TranslationMode};
 use barre_workloads::AppId;
+
+/// Seed of a `barre run` without `--seed`, and of a request without
+/// `seed`.
+pub const DEFAULT_SEED: u64 = 0x15CA_2024;
 
 /// Resolves an application by its Table I abbreviation.
 pub fn app_by_name(name: &str) -> Option<AppId> {
@@ -82,63 +97,123 @@ pub fn page_size_by_name(name: &str) -> Option<barre_mem::PageSize> {
     })
 }
 
-/// Canonical spelling of a mode label (aliases collapse so equal
-/// simulations get equal fingerprints).
-fn canonical_mode(name: &str) -> Option<&'static str> {
-    Some(match name {
-        "baseline" => "baseline",
-        "valkyrie" => "valkyrie",
-        "least" => "least",
-        "shared-l2" => "shared-l2",
-        "barre" => "barre",
-        "fbarre" | "fbarre2" => "fbarre",
-        "fbarre1" | "fbarre-nomerge" => "fbarre1",
-        "fbarre4" => "fbarre4",
-        _ => return None,
-    })
+/// The machine a command line describes: the `--paper`/`--smoke`
+/// preset first, then every override on top of it, whatever order they
+/// were given in. `flags` are `(flag, value)` pairs in command-line
+/// order, the last value of a repeated flag winning; flags that do not
+/// describe the machine (`--app`, `--seed`, …) are ignored.
+///
+/// # Errors
+///
+/// Both presets, or the first unknown label or malformed number.
+pub fn build_config(flags: &[(&str, Option<&str>)]) -> Result<SystemConfig, String> {
+    let has = |flag: &str| flags.iter().any(|(f, _)| *f == flag);
+    let last_value = |flag: &str| {
+        flags
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .and_then(|(_, v)| *v)
+    };
+    let number = |flag: &str, what: &str| -> Result<Option<usize>, String> {
+        last_value(flag)
+            .map(|v| v.parse().map_err(|_| format!("bad {what} {v}")))
+            .transpose()
+    };
+    let mut cfg = match (has("--paper"), has("--smoke")) {
+        (true, true) => return Err("--paper and --smoke are mutually exclusive".to_string()),
+        (true, false) => SystemConfig::paper(),
+        (false, true) => barre_system::smoke_config(),
+        (false, false) => SystemConfig::scaled(),
+    };
+    if let Some(v) = last_value("--mode") {
+        cfg.mode = mode_by_name(v).ok_or_else(|| format!("unknown mode {v}"))?;
+    }
+    if let Some(v) = last_value("--policy") {
+        cfg.policy = policy_by_name(v).ok_or_else(|| format!("unknown policy {v}"))?;
+    }
+    if let Some(v) = last_value("--page-size") {
+        cfg.page_size = page_size_by_name(v).ok_or_else(|| format!("unknown page size {v}"))?;
+    }
+    if last_value("--ptws") == Some("inf") {
+        cfg.ptws = None;
+    } else if let Some(n) = number("--ptws", "PTW count")? {
+        cfg.ptws = Some(n);
+    }
+    if let Some(n) = number("--chiplets", "chiplet count")? {
+        cfg.topology = cfg.topology.with_chiplets(n);
+    }
+    match number("--frames", "frame count")? {
+        Some(0) => return Err("--frames must be at least 1".to_string()),
+        n @ Some(_) => cfg.frames_per_chiplet = n,
+        None => {}
+    }
+    if has("--gmmu") {
+        cfg.mmu = MmuKind::Gmmu;
+    }
+    if has("--migration") {
+        cfg.migration = Some(Default::default());
+    }
+    Ok(cfg)
 }
 
-/// Canonical spelling of a policy label.
-fn canonical_policy(name: &str) -> Option<&'static str> {
-    Some(match name {
-        "lasp" => "lasp",
-        "coda" => "coda",
-        "rr" | "round-robin" => "rr",
-        "chunking" => "chunking",
-        _ => return None,
-    })
+/// Canonical mode, policy and page-size spellings, one per value.
+const MODES: [&str; 8] = [
+    "baseline",
+    "valkyrie",
+    "least",
+    "shared-l2",
+    "barre",
+    "fbarre",
+    "fbarre1",
+    "fbarre4",
+];
+const POLICIES: [&str; 4] = ["lasp", "coda", "rr", "chunking"];
+const PAGE_SIZES: [&str; 3] = ["4k", "64k", "2m"];
+
+/// Canonical spelling of a label: the one of `names` that `resolve`
+/// maps to the same value, so aliases collapse and equal simulations
+/// get equal fingerprints.
+fn canonical<T: PartialEq>(
+    name: &str,
+    names: &[&'static str],
+    resolve: fn(&str) -> Option<T>,
+) -> Option<&'static str> {
+    let value = resolve(name)?;
+    names
+        .iter()
+        .copied()
+        .find(|n| resolve(n).as_ref() == Some(&value))
 }
 
-/// Canonical spelling of a page-size label.
-fn canonical_page_size(name: &str) -> Option<&'static str> {
-    Some(match name {
-        "4k" | "4kb" => "4k",
-        "64k" | "64kb" => "64k",
-        "2m" | "2mb" => "2m",
-        _ => return None,
-    })
-}
-
-/// A validated request, ready to enqueue: the canonical child argv
-/// (starting with `run`), its fingerprint (the cache key), and the
+/// A validated request, ready to enqueue: the simulation it asks for,
+/// its canonical argv and fingerprint (the cache key), and the
 /// handling-only fields that stay out of the fingerprint.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ValidRequest {
     /// Client-supplied tag, echoed in every response to this request.
     pub id: Option<String>,
     /// Human label (`"gups/barre"`; `"gups/default"` without a mode).
     pub label: String,
-    /// Canonical argv the child is spawned with (after the binary name).
-    pub child_args: Vec<String>,
-    /// Journal fingerprint of `child_args` — the content address.
+    /// The `barre run --metrics-json` command line (after the binary
+    /// name) that computes the same metrics, in canonical flag order.
+    pub argv: Vec<String>,
+    /// Journal fingerprint of `argv` — the content address.
     pub fingerprint: String,
+    /// Application to simulate.
+    pub app: AppId,
+    /// Machine to simulate it on ([`build_config`] over `argv`'s flags).
+    pub cfg: Box<SystemConfig>,
+    /// Simulation seed.
+    pub seed: u64,
     /// Per-request deadline override in milliseconds.
     pub timeout_ms: Option<u64>,
 }
 
+#[derive(Default)]
 struct Fields {
     id: Option<String>,
-    app: Option<String>,
+    app: Option<AppId>,
     mode: Option<String>,
     policy: Option<String>,
     page_size: Option<String>,
@@ -171,6 +246,12 @@ fn want_bool(key: &str, v: &barre_system::Json) -> Result<bool, String> {
     }
 }
 
+/// The most chiplets a GPU map holds.
+const MAX_CHIPLETS: u64 = 16;
+
+/// The most physical frames per chiplet a request may ask for.
+const MAX_FRAMES: u64 = 65_536;
+
 /// Parses and validates one request line into a canonical job.
 ///
 /// # Errors
@@ -180,22 +261,7 @@ fn want_bool(key: &str, v: &barre_system::Json) -> Result<bool, String> {
 pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
     let v = barre_system::Json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
     let pairs = v.as_obj().ok_or("request must be a JSON object")?;
-    let mut f = Fields {
-        id: None,
-        app: None,
-        mode: None,
-        policy: None,
-        page_size: None,
-        ptws: None,
-        chiplets: None,
-        seed: None,
-        frames: None,
-        timeout_ms: None,
-        smoke: false,
-        paper: false,
-        gmmu: false,
-        migration: false,
-    };
+    let mut f = Fields::default();
     for (k, val) in pairs {
         match k.as_str() {
             "id" => {
@@ -210,15 +276,12 @@ pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
             }
             "app" => {
                 let name = want_str(k, val)?;
-                if app_by_name(&name).is_none() {
-                    return Err(format!("unknown app {name}"));
-                }
-                f.app = Some(name);
+                f.app = Some(app_by_name(&name).ok_or_else(|| format!("unknown app {name}"))?);
             }
             "mode" => {
                 let name = want_str(k, val)?;
                 f.mode = Some(
-                    canonical_mode(&name)
+                    canonical(&name, &MODES, mode_by_name)
                         .ok_or_else(|| format!("unknown mode {name}"))?
                         .to_string(),
                 );
@@ -226,7 +289,7 @@ pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
             "policy" => {
                 let name = want_str(k, val)?;
                 f.policy = Some(
-                    canonical_policy(&name)
+                    canonical(&name, &POLICIES, policy_by_name)
                         .ok_or_else(|| format!("unknown policy {name}"))?
                         .to_string(),
                 );
@@ -234,7 +297,7 @@ pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
             "page_size" => {
                 let name = want_str(k, val)?;
                 f.page_size = Some(
-                    canonical_page_size(&name)
+                    canonical(&name, &PAGE_SIZES, page_size_by_name)
                         .ok_or_else(|| format!("unknown page size {name}"))?
                         .to_string(),
                 );
@@ -253,8 +316,8 @@ pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
             },
             "chiplets" => {
                 let n = want_u64(k, val)?;
-                if !(1..=64).contains(&n) {
-                    return Err(format!("chiplets {n} outside 1..=64"));
+                if !(1..=MAX_CHIPLETS).contains(&n) {
+                    return Err(format!("chiplets {n} outside 1..={MAX_CHIPLETS}"));
                 }
                 f.chiplets = Some(n);
             }
@@ -263,6 +326,9 @@ pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
                 let n = want_u64(k, val)?;
                 if n == 0 {
                     return Err("frames must be at least 1".to_string());
+                }
+                if n > MAX_FRAMES {
+                    return Err(format!("frames {n} above {MAX_FRAMES}"));
                 }
                 f.frames = Some(n);
             }
@@ -281,62 +347,49 @@ pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
         }
     }
     let app = f.app.ok_or("missing required field app")?;
+    let name = app.name();
     if f.smoke && f.paper {
         return Err("smoke and paper are mutually exclusive".to_string());
     }
-    // Canonical argv: fixed flag order, so fingerprints are a pure
-    // function of request *content*.
-    let mut args: Vec<String> = vec!["run".into(), "--metrics-json".into()];
-    if f.smoke {
-        args.push("--smoke".into());
+    // Canonical flags: fixed order, so fingerprints are a pure function
+    // of request *content*.
+    let switch = |on: bool, flag: &'static str| on.then_some((flag, None));
+    let flags: Vec<(&str, Option<String>)> = [
+        Some(("--metrics-json", None)),
+        switch(f.smoke, "--smoke"),
+        switch(f.paper, "--paper"),
+        Some(("--app", Some(name.to_string()))),
+        f.mode.clone().map(|m| ("--mode", Some(m))),
+        f.policy.map(|p| ("--policy", Some(p))),
+        f.page_size.map(|p| ("--page-size", Some(p))),
+        f.ptws.map(|p| ("--ptws", Some(p))),
+        f.chiplets.map(|c| ("--chiplets", Some(c.to_string()))),
+        switch(f.gmmu, "--gmmu"),
+        switch(f.migration, "--migration"),
+        f.frames.map(|n| ("--frames", Some(n.to_string()))),
+        f.seed.map(|s| ("--seed", Some(s.to_string()))),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    let pairs: Vec<(&str, Option<&str>)> = flags.iter().map(|(k, v)| (*k, v.as_deref())).collect();
+    let cfg = build_config(&pairs)?;
+    let mut argv = vec!["run".to_string()];
+    for (k, v) in flags {
+        argv.push(k.to_string());
+        argv.extend(v);
     }
-    if f.paper {
-        args.push("--paper".into());
-    }
-    args.push("--app".into());
-    args.push(app.clone());
-    if let Some(m) = &f.mode {
-        args.push("--mode".into());
-        args.push(m.clone());
-    }
-    if let Some(p) = &f.policy {
-        args.push("--policy".into());
-        args.push(p.clone());
-    }
-    if let Some(ps) = &f.page_size {
-        args.push("--page-size".into());
-        args.push(ps.clone());
-    }
-    if let Some(p) = &f.ptws {
-        args.push("--ptws".into());
-        args.push(p.clone());
-    }
-    if let Some(c) = f.chiplets {
-        args.push("--chiplets".into());
-        args.push(c.to_string());
-    }
-    if f.gmmu {
-        args.push("--gmmu".into());
-    }
-    if f.migration {
-        args.push("--migration".into());
-    }
-    if let Some(n) = f.frames {
-        args.push("--frames".into());
-        args.push(n.to_string());
-    }
-    if let Some(s) = f.seed {
-        args.push("--seed".into());
-        args.push(s.to_string());
-    }
-    let parts: Vec<&str> = args.iter().map(String::as_str).collect();
+    let parts: Vec<&str> = argv.iter().map(String::as_str).collect();
     let fp = fingerprint(&parts);
-    let label = format!("{app}/{}", f.mode.as_deref().unwrap_or("default"));
+    let label = format!("{name}/{}", f.mode.as_deref().unwrap_or("default"));
     Ok(ValidRequest {
         id: f.id,
         label,
-        child_args: args,
+        argv,
         fingerprint: fp,
+        app,
+        cfg: Box::new(cfg),
+        seed: f.seed.unwrap_or(DEFAULT_SEED),
         timeout_ms: f.timeout_ms,
     })
 }
@@ -404,8 +457,8 @@ mod tests {
     fn minimal_request_parses_and_is_canonical() {
         let r = parse_request(r#"{"app":"gups"}"#).expect("parse");
         assert_eq!(r.label, "gups/default");
-        assert_eq!(r.child_args[0], "run");
-        assert_eq!(r.child_args[1], "--metrics-json");
+        assert_eq!(r.argv[0], "run");
+        assert_eq!(r.argv[1], "--metrics-json");
         assert!(r.id.is_none() && r.timeout_ms.is_none());
     }
 
@@ -418,7 +471,7 @@ mod tests {
         )
         .expect("b");
         assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.child_args, b.child_args);
+        assert_eq!(a.argv, b.argv);
     }
 
     #[test]
@@ -449,9 +502,12 @@ mod tests {
             r#"{"app":"gups","typo_field":1}"#,
             r#"{"app":"gups","smoke":true,"paper":true}"#,
             r#"{"app":"gups","chiplets":0}"#,
-            r#"{"app":"gups","chiplets":65}"#,
+            r#"{"app":"gups","chiplets":17}"#,
+            r#"{"app":"gups","chiplets":64}"#,
             r#"{"app":"gups","ptws":0}"#,
             r#"{"app":"gups","frames":0}"#,
+            r#"{"app":"gups","frames":65537}"#,
+            r#"{"app":"gups","smoke":true,"frames":35184372088832}"#,
             r#"{"app":"gups","timeout_ms":0}"#,
             r#"{"app":"gups","smoke":"yes"}"#,
             r#"{"app":"gups","id":"a\tb"}"#,
@@ -463,35 +519,35 @@ mod tests {
     #[test]
     fn ptws_inf_and_numbers_parse() {
         let a = parse_request(r#"{"app":"gups","ptws":"inf"}"#).expect("inf");
-        assert!(a.child_args.contains(&"inf".to_string()));
+        assert!(a.argv.contains(&"inf".to_string()));
         let b = parse_request(r#"{"app":"gups","ptws":8}"#).expect("8");
-        assert!(b.child_args.contains(&"8".to_string()));
+        assert!(b.argv.contains(&"8".to_string()));
         assert_ne!(a.fingerprint, b.fingerprint);
     }
 
     #[test]
     fn name_helpers_cover_all_labels() {
-        for m in [
-            "baseline",
-            "valkyrie",
-            "least",
-            "shared-l2",
-            "barre",
-            "fbarre",
-            "fbarre1",
-            "fbarre4",
-        ] {
+        for m in MODES {
             assert!(mode_by_name(m).is_some(), "{m}");
-            assert!(canonical_mode(m).is_some(), "{m}");
+            assert_eq!(canonical(m, &MODES, mode_by_name), Some(m));
         }
-        for p in ["lasp", "coda", "rr", "chunking"] {
+        for p in POLICIES {
             assert!(policy_by_name(p).is_some(), "{p}");
-            assert!(canonical_policy(p).is_some(), "{p}");
+            assert_eq!(canonical(p, &POLICIES, policy_by_name), Some(p));
         }
-        for s in ["4k", "64k", "2m"] {
+        for s in PAGE_SIZES {
             assert!(page_size_by_name(s).is_some(), "{s}");
-            assert!(canonical_page_size(s).is_some(), "{s}");
+            assert_eq!(canonical(s, &PAGE_SIZES, page_size_by_name), Some(s));
         }
+        for (alias, name) in [("fbarre2", "fbarre"), ("fbarre-nomerge", "fbarre1")] {
+            assert_eq!(canonical(alias, &MODES, mode_by_name), Some(name));
+        }
+        assert_eq!(
+            canonical("round-robin", &POLICIES, policy_by_name),
+            Some("rr")
+        );
+        assert_eq!(canonical("2mb", &PAGE_SIZES, page_size_by_name), Some("2m"));
+        assert_eq!(canonical("warp", &MODES, mode_by_name), None);
     }
 
     #[test]

@@ -3,16 +3,19 @@
 //!
 //! The skeleton owns the listener and one thread per connection; each
 //! JSONL request line it hands over passes through cache → breaker →
-//! admission queue to a fixed pool of worker threads, each of which
-//! executes jobs in crash-isolated children (`barre run --metrics-json`)
-//! under the per-request deadline with supervisor-style retry
-//! classification. See the crate docs for the full request path.
+//! admission queue to a fixed pool of worker threads. A worker builds
+//! and runs the request's machine itself, under the per-request
+//! deadline (a cancel check the machine makes every few thousand
+//! events) and with supervisor-style retry classification; a panicking
+//! simulation is caught and retried like a crashed child. The daemon
+//! starts no process. See the crate docs for the full request path.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::attempt::{backoff_delay, parse_child_metrics, run_attempt};
+use crate::attempt::backoff_delay;
 use crate::breaker::CircuitBreaker;
 use crate::cache::ResultCache;
 use crate::daemon::{self, Daemon, Peer, Service};
@@ -22,7 +25,7 @@ use crate::signal::shutting_down;
 use crate::stats::{bump, Gauges, ServeStats};
 use barre_obs::log as olog;
 use barre_obs::Field;
-use barre_system::JournalEvent;
+use barre_system::{build_machine, JournalEvent, RunMetrics, SimError};
 
 /// How the daemon runs: bind address, worker pool size, queue bound,
 /// cache location, default deadline, retry budget, breaker threshold.
@@ -74,10 +77,24 @@ struct Job {
     reply: mpsc::Sender<String>,
 }
 
+/// Runs one request's simulation on the calling thread, giving up at
+/// the deadline.
+type Simulate = fn(&ValidRequest, Instant) -> Result<RunMetrics, SimError>;
+
+/// Builds and runs a request's machine. The machine asks the clock
+/// every [`barre_system::CANCEL_CHECK_PERIOD`] events and stops with
+/// [`SimError::Cancelled`] once `deadline` has passed.
+fn simulate(req: &ValidRequest, deadline: Instant) -> Result<RunMetrics, SimError> {
+    let mut machine = build_machine(&[req.app.spec()], &req.cfg, req.seed)?;
+    machine.set_cancel_check(Box::new(move || Instant::now() >= deadline));
+    machine.run()
+}
+
 /// Everything the connection threads and workers share.
 struct Shared {
     opts: ServeOptions,
-    program: PathBuf,
+    /// [`simulate`], except where a test injects a failing one.
+    simulate: Simulate,
     cache: ResultCache,
     breaker: CircuitBreaker,
     stats: ServeStats,
@@ -152,8 +169,11 @@ impl Service for Shared {
 }
 
 /// Runs one admitted job to a terminal response: cache re-check, breaker
-/// re-check, then child attempts under the request deadline with
-/// supervisor retry classification.
+/// re-check, then simulation attempts under the request deadline with
+/// supervisor retry classification. Failures answer exactly as a
+/// `barre run --metrics-json` child's exit would have: a permanent
+/// [`SimError`] is a 422 (`exit:64`), a transient one is retried and
+/// then a 500 (`exit:65`), and a panic is retried like a crash.
 fn execute_job(sh: &Shared, job: &Job) -> String {
     let req = &job.req;
     let id = req.id.as_deref();
@@ -181,44 +201,43 @@ fn execute_job(sh: &Shared, job: &Job) -> String {
     let max_attempts = sh.opts.retries.saturating_add(1);
     let mut attempt = 1u32;
     loop {
-        let now = Instant::now();
-        if now >= deadline {
+        let started = Instant::now();
+        if started >= deadline {
             bump(&sh.stats.timeouts);
             sh.breaker.record_failure(fp);
             return render_reject(id, "timeout", 504, "deadline exceeded");
         }
-        let a = run_attempt(&sh.program, &req.child_args, Some(deadline - now));
+        let outcome = catch_unwind(AssertUnwindSafe(|| (sh.simulate)(req, deadline)));
+        sh.stats
+            .record_simulate_ms(u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX));
         // Every outcome that does not return here is a transient failure;
         // `why` becomes the 500's detail once the retries run out.
-        let why = if a.exit == "ok" {
-            match parse_child_metrics(&a.stdout) {
-                Ok(metrics) => {
-                    sh.breaker.record_success(fp);
-                    bump(&sh.stats.ok_cold);
-                    let rec = sh.cache.insert(fp, &req.label, metrics);
-                    return sh.render_cached(&rec, id);
-                }
-                // Zero exit, unreadable metrics: protocol failure,
-                // retried like any transient fault.
-                Err(why) => format!("badoutput:{why}"),
+        let why = match outcome {
+            Ok(Ok(metrics)) => {
+                sh.breaker.record_success(fp);
+                bump(&sh.stats.ok_cold);
+                let rec = sh.cache.insert(fp, &req.label, metrics);
+                return sh.render_cached(&rec, id);
             }
-        } else if a.exit == "timeout" {
-            bump(&sh.stats.timeouts);
-            sh.breaker.record_failure(fp);
-            return render_reject(id, "timeout", 504, "deadline exceeded");
-        } else {
-            let detail = a
-                .stderr
-                .lines()
-                .find_map(|l| l.strip_prefix("error: "))
-                .unwrap_or(&a.exit);
-            let why = format!("{} ({})", detail, a.exit);
-            if !a.transient {
-                bump(&sh.stats.failed_permanent);
+            Ok(Err(SimError::Cancelled { .. })) => {
+                bump(&sh.stats.timeouts);
                 sh.breaker.record_failure(fp);
-                return render_reject(id, "failed", 422, &why);
+                return render_reject(id, "timeout", 504, "deadline exceeded");
             }
-            why
+            Ok(Err(e)) => {
+                let text = e.to_string();
+                let detail = text.lines().next().unwrap_or_default();
+                let why = format!("{detail} (exit:{})", e.exit_code());
+                if e.is_permanent() {
+                    bump(&sh.stats.failed_permanent);
+                    sh.breaker.record_failure(fp);
+                    return render_reject(id, "failed", 422, &why);
+                }
+                why
+            }
+            // The default panic hook has printed the message on stderr;
+            // answer as the panicking `barre run` child exited.
+            Err(_) => "exit:101 (exit:101)".to_string(),
         };
         if attempt >= max_attempts {
             bump(&sh.stats.failed_transient);
@@ -367,25 +386,13 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
             ),
         );
     }
-    let program = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            olog::error(
-                "serve",
-                "startup_failed",
-                &[],
-                &format!("error: cannot resolve own binary: {e}"),
-            );
-            return 1;
-        }
-    };
     let Some(daemon) = Daemon::bind("serve", &opts.host, opts.port) else {
         return 1;
     };
     let workers = barre_sim::pool::resolve_jobs(opts.workers);
     let sh = Arc::new(Shared {
         opts: opts.clone(),
-        program,
+        simulate,
         cache,
         breaker: CircuitBreaker::new(opts.breaker_threshold),
         stats: ServeStats::new(),
@@ -431,5 +438,71 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
             );
             1
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::Ordering;
+
+    /// A simulation that panics on seed 13, fails permanently on seed
+    /// 15, and otherwise returns at once.
+    fn scripted(req: &ValidRequest, _deadline: Instant) -> Result<RunMetrics, SimError> {
+        match req.seed {
+            13 => panic!("injected simulation panic"),
+            15 => Err(SimError::InvalidConfig("injected\nsecond line".into())),
+            _ => Ok(RunMetrics::default()),
+        }
+    }
+
+    #[test]
+    fn a_panicking_simulation_is_a_500_and_the_worker_survives() {
+        let dir = std::env::temp_dir().join(format!("barre-serve-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (cache, _) = ResultCache::open(&dir).expect("cache");
+        let sh = Arc::new(Shared {
+            opts: ServeOptions {
+                retries: 1,
+                ..ServeOptions::default()
+            },
+            simulate: scripted,
+            cache,
+            breaker: CircuitBreaker::new(2),
+            stats: ServeStats::new(),
+            queue: BoundedQueue::new(4),
+            workers: 1,
+        });
+        let worker = {
+            let sh = Arc::clone(&sh);
+            std::thread::spawn(move || worker_loop(&sh))
+        };
+        let bad = r#"{"app":"gemv","smoke":true,"seed":13}"#;
+        let fp = parse_request(bad).expect("valid").fingerprint;
+        // Each request panics twice (one retry), then fails as a child
+        // that panicked did; the breaker counts one failure per request.
+        let failed = r#"{"status":"failed","code":500,"error":"exit:101 (exit:101)"}"#;
+        assert_eq!(handle_request_line(&sh, bad), failed);
+        assert_eq!(sh.stats.retries.load(Ordering::Relaxed), 1);
+        assert!(!sh.breaker.is_open(&fp));
+        assert_eq!(handle_request_line(&sh, bad), failed);
+        assert!(sh.breaker.is_open(&fp));
+        assert_eq!(sh.stats.failed_transient.load(Ordering::Relaxed), 2);
+        let quarantined = handle_request_line(&sh, bad);
+        assert!(quarantined.contains("\"code\":503"), "{quarantined}");
+        // The one worker is still there to answer the next request.
+        let ok = handle_request_line(&sh, r#"{"app":"gemv","smoke":true,"seed":14}"#);
+        assert!(ok.starts_with("{\"status\":\"ok\""), "{ok}");
+        // A permanent error is a 422 on its first attempt, worded as the
+        // child's first `error:` line and its exit status.
+        let permanent = handle_request_line(&sh, r#"{"app":"gemv","smoke":true,"seed":15}"#);
+        assert_eq!(
+            permanent,
+            r#"{"status":"failed","code":422,"error":"invalid configuration: injected (exit:64)"}"#
+        );
+        assert_eq!(sh.stats.retries.load(Ordering::Relaxed), 2);
+        sh.queue.close();
+        assert!(worker.join().is_ok(), "the worker thread died");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,12 +1,15 @@
 //! Daemon counters and `barre-trace` histograms behind `GET /stats`.
 //!
 //! Counters are relaxed atomics (monotonic, saturating); the
-//! per-request latency and admission-queue-depth distributions use the
-//! fixed-bucket [`LatencyHistogram`], so `/stats` percentiles are
-//! deterministic functions of the samples, byte-stable across hosts.
+//! per-request latency, per-attempt simulate time and
+//! admission-queue-depth distributions use the fixed-bucket
+//! [`LatencyHistogram`], so `/stats` percentiles are deterministic
+//! functions of the samples, byte-stable across hosts. A request's
+//! latency minus its simulate time is its admission wait plus its
+//! handling.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use barre_trace::LatencyHistogram;
 
@@ -58,12 +61,17 @@ pub struct ServeStats {
     pub quarantined: AtomicU64,
     /// Requests refused because a drain was in progress (`503`).
     pub rejected_draining: AtomicU64,
-    /// Child retry attempts (beyond each request's first attempt).
+    /// Simulation retry attempts (beyond each request's first attempt).
     pub retries: AtomicU64,
     /// Largest queue depth observed at admission.
     pub max_depth: AtomicU64,
     latency_ms: Mutex<LatencyHistogram>,
+    simulate_ms: Mutex<LatencyHistogram>,
     depth_hist: Mutex<LatencyHistogram>,
+}
+
+fn lock(h: &Mutex<LatencyHistogram>) -> MutexGuard<'_, LatencyHistogram> {
+    h.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ServeStats {
@@ -74,18 +82,18 @@ impl ServeStats {
 
     /// Records one completed request's wall-clock latency (ms).
     pub fn record_latency_ms(&self, ms: u64) {
-        self.latency_ms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(ms);
+        lock(&self.latency_ms).record(ms);
+    }
+
+    /// Records one simulation attempt's wall-clock time (ms), from the
+    /// machine's build to its result.
+    pub fn record_simulate_ms(&self, ms: u64) {
+        lock(&self.simulate_ms).record(ms);
     }
 
     /// Records the queue depth observed after an admission.
     pub fn record_depth(&self, depth: u64) {
-        self.depth_hist
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(depth);
+        lock(&self.depth_hist).record(depth);
         self.max_depth.fetch_max(depth, Ordering::Relaxed);
     }
 
@@ -93,10 +101,7 @@ impl ServeStats {
     /// before any sample exists — the basis of the `retry_after_ms`
     /// load-shed hint.
     pub fn mean_service_ms(&self) -> u64 {
-        let g = self
-            .latency_ms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let g = lock(&self.latency_ms);
         if g.count() == 0 {
             return 1000;
         }
@@ -113,16 +118,11 @@ impl ServeStats {
     /// Renders the `/stats` JSON body (one line).
     pub fn render(&self, g: &Gauges) -> String {
         let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let lat = self
-            .latency_ms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let dep = self
-            .depth_hist
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
+        let (lat, sim, dep) = (
+            lock(&self.latency_ms).clone(),
+            lock(&self.simulate_ms).clone(),
+            lock(&self.depth_hist).clone(),
+        );
         format!(
             concat!(
                 "{{\"draining\":{drain},",
@@ -135,7 +135,9 @@ impl ServeStats {
                 "\"cache\":{{\"entries\":{ce},\"evictions\":{ev}}},",
                 "\"breaker\":{{\"open\":{bo}}},",
                 "\"latency_ms\":{{\"count\":{lc},\"mean\":{lm:.3},\"p50\":{lp50},",
-                "\"p95\":{lp95},\"p99\":{lp99},\"max\":{lmax}}}}}"
+                "\"p95\":{lp95},\"p99\":{lp99},\"max\":{lmax}}},",
+                "\"simulate_ms\":{{\"count\":{sc},\"mean\":{sm:.3},\"p50\":{sp50},",
+                "\"p95\":{sp95},\"p99\":{sp99},\"max\":{smax}}}}}"
             ),
             drain = g.draining,
             rx = c(&self.received),
@@ -165,6 +167,12 @@ impl ServeStats {
             lp95 = lat.p95(),
             lp99 = lat.p99(),
             lmax = lat.max(),
+            sc = sim.count(),
+            sm = sim.mean(),
+            sp50 = sim.p50(),
+            sp95 = sim.p95(),
+            sp99 = sim.p99(),
+            smax = sim.max(),
         )
     }
 
@@ -173,16 +181,11 @@ impl ServeStats {
     /// under the `barre_serve_` prefix.
     pub fn render_prometheus(&self, g: &Gauges) -> String {
         let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let lat = self
-            .latency_ms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let dep = self
-            .depth_hist
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
+        let (lat, sim, dep) = (
+            lock(&self.latency_ms).clone(),
+            lock(&self.simulate_ms).clone(),
+            lock(&self.depth_hist).clone(),
+        );
         let mut p = barre_obs::PromText::new();
         p.counter(
             "barre_serve_requests_received_total",
@@ -236,7 +239,7 @@ impl ServeStats {
         );
         p.counter(
             "barre_serve_child_retries_total",
-            "Child retry attempts beyond each request's first attempt.",
+            "Simulation retry attempts beyond each request's first attempt.",
             c(&self.retries),
         );
         p.counter(
@@ -285,6 +288,11 @@ impl ServeStats {
             &lat,
         );
         p.histogram(
+            "barre_serve_simulate_ms",
+            "Wall-clock time of each simulation attempt in milliseconds.",
+            &sim,
+        );
+        p.histogram(
             "barre_serve_queue_depth_observed",
             "Admission-queue depth observed at each admission.",
             &dep,
@@ -305,6 +313,7 @@ mod tests {
         bump(&s.cache_hits);
         s.record_latency_ms(12);
         s.record_latency_ms(40);
+        s.record_simulate_ms(9);
         s.record_depth(3);
         let body = s.render(&Gauges {
             queue_depth: 1,
@@ -332,6 +341,12 @@ mod tests {
                 .and_then(barre_system::Json::as_u64),
             Some(2)
         );
+        let sim = v.get("simulate_ms").expect("simulate_ms");
+        assert_eq!(
+            sim.get("count").and_then(barre_system::Json::as_u64),
+            Some(1)
+        );
+        assert_eq!(sim.get("max").and_then(barre_system::Json::as_u64), Some(9));
     }
 
     #[test]
@@ -340,6 +355,8 @@ mod tests {
         bump(&s.received);
         bump(&s.shed);
         s.record_latency_ms(12);
+        s.record_simulate_ms(5);
+        s.record_simulate_ms(7);
         s.record_depth(3);
         let body = s.render_prometheus(&Gauges {
             queue_depth: 2,
@@ -373,6 +390,11 @@ mod tests {
             body.contains("# TYPE barre_serve_request_latency_ms histogram"),
             "{body}"
         );
+        assert!(
+            body.contains("# TYPE barre_serve_simulate_ms histogram"),
+            "{body}"
+        );
+        assert!(body.contains("barre_serve_simulate_ms_count 2\n"), "{body}");
     }
 
     #[test]

@@ -64,6 +64,16 @@ pub enum SimError {
         /// Number of pool workers that panicked.
         workers: usize,
     },
+    /// The caller's cancel check ([`Machine::set_cancel_check`]) asked
+    /// the run to stop — a deadline passed, not a fault of the model.
+    ///
+    /// [`Machine::set_cancel_check`]: crate::Machine::set_cancel_check
+    Cancelled {
+        /// Events processed when the run stopped.
+        processed: u64,
+        /// Simulated cycle at that point.
+        cycle: Cycle,
+    },
 }
 
 /// Child-process exit code for a *permanent* failure: the same inputs
@@ -89,7 +99,8 @@ impl SimError {
             SimError::OutOfFrames { .. }
             | SimError::NoProgress { .. }
             | SimError::EventBudgetExceeded { .. }
-            | SimError::WorkerPanicked { .. } => false,
+            | SimError::WorkerPanicked { .. }
+            | SimError::Cancelled { .. } => false,
         }
     }
 
@@ -141,6 +152,9 @@ impl std::fmt::Display for SimError {
                 f,
                 "{workers} sweep worker thread(s) panicked; batch discarded"
             ),
+            SimError::Cancelled { processed, cycle } => {
+                write!(f, "run cancelled after {processed} events at cycle {cycle}")
+            }
         }
     }
 }

@@ -51,7 +51,9 @@ pub use journal::{
     metrics_hist_digest, metrics_to_json, read_journal, read_journal_lenient, verified_done_index,
     JournalError, JournalEvent, JournalRecord, JournalWriter, Json, JOURNAL_FILE,
 };
-pub use machine::{L2Payload, Machine, EVENT_CLASSES, POP_SAMPLE_PERIOD, PROBE_POPPED};
+pub use machine::{
+    L2Payload, Machine, CANCEL_CHECK_PERIOD, EVENT_CLASSES, POP_SAMPLE_PERIOD, PROBE_POPPED,
+};
 pub use metrics::{geomean, speedup, RunMetrics};
 pub use runner::{
     build_machine, chaos_jobs, run_app, run_batch, run_pair, run_spec, smoke_config, summary_line,

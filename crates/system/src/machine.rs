@@ -170,6 +170,11 @@ pub const PROBE_POPPED: usize = EVENT_CLASSES.len();
 /// One pop in this many is reported to the event probe on its own.
 pub const POP_SAMPLE_PERIOD: u64 = 256;
 
+/// Events between two calls of a cancel check
+/// ([`Machine::set_cancel_check`]): a fraction of a millisecond of host
+/// time on the smoke and scaled configurations.
+pub const CANCEL_CHECK_PERIOD: u64 = 2048;
+
 impl Ev {
     /// Index of this event's class in [`EVENT_CLASSES`].
     fn class(&self) -> usize {
@@ -322,6 +327,9 @@ pub struct Machine {
     /// Wall-clock attribution hook ([`Machine::set_event_probe`]);
     /// `None` (the default) costs one branch per event.
     event_probe: Option<fn(usize)>,
+    /// Caller's cancel check ([`Machine::set_cancel_check`]), asked
+    /// once every [`CANCEL_CHECK_PERIOD`] events.
+    cancel_check: Option<Box<dyn FnMut() -> bool + Send>>,
     /// Accumulated conservation-law violations (sanitizer builds only).
     #[cfg(feature = "sanitizer")]
     san: crate::sanitizer::SanitizerReport,
@@ -491,6 +499,7 @@ impl Machine {
             #[cfg(debug_assertions)]
             alloc_probe: None,
             event_probe: None,
+            cancel_check: None,
             #[cfg(feature = "sanitizer")]
             san: crate::sanitizer::SanitizerReport::default(),
             cfg,
@@ -518,6 +527,16 @@ impl Machine {
     /// `RunMetrics` are unchanged.
     pub fn set_event_probe(&mut self, probe: fn(usize)) {
         self.event_probe = Some(probe);
+    }
+
+    /// Installs a cancel check: every [`CANCEL_CHECK_PERIOD`] events the
+    /// machine calls `check`, and stops with [`SimError::Cancelled`] once
+    /// it returns `true`. The check sees no simulation state and
+    /// schedules nothing, so a run it lets finish has the same
+    /// `RunMetrics` as one without it. `barre serve` uses it to end a
+    /// run at its request's deadline.
+    pub fn set_cancel_check(&mut self, check: Box<dyn FnMut() -> bool + Send>) {
+        self.cancel_check = Some(check);
     }
 
     /// Runs the machine to completion and returns the measurements.
@@ -616,6 +635,16 @@ impl Machine {
             // reads counters, schedules nothing).
             if self.tracer.is_enabled() && self.queue.processed().is_multiple_of(SANITIZER_EPOCH) {
                 self.trace_sample();
+            }
+            if self.queue.processed().is_multiple_of(CANCEL_CHECK_PERIOD) {
+                if let Some(check) = self.cancel_check.as_mut() {
+                    if check() {
+                        return Err(SimError::Cancelled {
+                            processed: self.queue.processed(),
+                            cycle: self.now,
+                        });
+                    }
+                }
             }
             if self.queue.processed() >= budget {
                 return Err(SimError::EventBudgetExceeded {
