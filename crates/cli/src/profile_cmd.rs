@@ -10,6 +10,13 @@
 //! what the queue's pop costs on its own. The probe is passive: the
 //! run's `RunMetrics` are byte-identical to `barre run`'s, and the last
 //! line printed is their canonical JSON.
+//!
+//! The probe is not free: each call reads the clock and updates the
+//! tally, and every class's ns/event carries one call. After the run the
+//! probe is timed over back-to-back calls and that cost is printed per
+//! call and in total, so a class's figure can be read net of it. Back to
+//! back, the probe's code and data stay hot, so the calibrated cost is a
+//! lower bound on what it adds inside the run.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -23,6 +30,9 @@ use barre_workloads::AppId;
 
 /// Probe indexes: the event classes, then the sampled pop.
 const SLOTS: usize = EVENT_CLASSES.len() + 1;
+
+/// Back-to-back probe calls timed to calibrate one call's cost.
+const CALIBRATION_CALLS: u32 = 200_000;
 
 /// Calls and nanoseconds charged to each probe index since `last`.
 struct Tally {
@@ -56,6 +66,30 @@ struct Profile {
     wall_ns: u64,
     count: [u64; SLOTS],
     ns: [u64; SLOTS],
+    /// Calibrated wall cost of one probe call.
+    probe_ns: f64,
+}
+
+/// Installs a fresh tally starting at `start`.
+fn start_tally(start: Instant) {
+    TALLY.set(Some(Tally {
+        last: start,
+        count: [0; SLOTS],
+        ns: [0; SLOTS],
+    }));
+}
+
+/// Wall nanoseconds per probe call, timed over [`CALIBRATION_CALLS`]
+/// back-to-back calls into a scratch tally.
+fn probe_cost_ns() -> f64 {
+    let start = Instant::now();
+    start_tally(start);
+    for _ in 0..CALIBRATION_CALLS {
+        probe(std::hint::black_box(0));
+    }
+    let ns = start.elapsed().as_nanos() as f64;
+    TALLY.take();
+    ns / f64::from(CALIBRATION_CALLS)
 }
 
 /// Runs `app` under `cfg` with the probe installed. Building the machine
@@ -64,11 +98,7 @@ fn profile(app: AppId, cfg: &SystemConfig, seed: u64) -> Result<Profile, barre_s
     let mut machine = build_machine(&[app.spec()], cfg, seed)?;
     machine.set_event_probe(probe);
     let start = Instant::now();
-    TALLY.set(Some(Tally {
-        last: start,
-        count: [0; SLOTS],
-        ns: [0; SLOTS],
-    }));
+    start_tally(start);
     let result = machine.run();
     let wall_ns = start.elapsed().as_nanos() as u64;
     let tally = TALLY.take();
@@ -79,6 +109,7 @@ fn profile(app: AppId, cfg: &SystemConfig, seed: u64) -> Result<Profile, barre_s
         wall_ns,
         count,
         ns,
+        probe_ns: probe_cost_ns(),
     })
 }
 
@@ -115,6 +146,16 @@ fn render(label: &str, p: &Profile) -> String {
         "sum_ns={sum_ns} wall_ns={} ({:.1}% of wall)",
         p.wall_ns,
         100.0 * sum_ns as f64 / p.wall_ns.max(1) as f64
+    );
+    let calls: u64 = p.count.iter().sum();
+    let probe_total_ns = p.probe_ns * calls as f64;
+    let _ = writeln!(
+        out,
+        "probe overhead: {:.1} ns/call (calibrated over {CALIBRATION_CALLS} back-to-back calls) \
+         x {calls} calls = {:.1} ms, {:.1}% of wall; each ns/event above includes one call",
+        p.probe_ns,
+        probe_total_ns / 1e6,
+        100.0 * probe_total_ns / p.wall_ns.max(1) as f64
     );
     let m = &p.metrics;
     let applied = m
@@ -176,8 +217,10 @@ mod tests {
         );
         let sum: u64 = p.ns.iter().sum();
         assert!(sum <= p.wall_ns, "classes {sum} ns > wall {} ns", p.wall_ns);
+        assert!(p.probe_ns > 0.0);
         let text = render("gemv/fbarre", &p);
         assert!(text.contains("FilterUpd"), "{text}");
+        assert!(text.contains("probe overhead: "), "{text}");
         assert_eq!(text.lines().last(), Some(metrics_to_json(&plain).as_str()));
     }
 }

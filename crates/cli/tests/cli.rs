@@ -49,3 +49,21 @@ fn a_flag_the_command_would_ignore_exits_2_with_empty_stdout() {
     assert!(out.stdout.is_empty());
     assert!(stderr.contains("unknown flag --app for sweep"), "{stderr}");
 }
+
+#[test]
+fn more_than_sixteen_chiplets_is_an_invalid_configuration() {
+    // A GPU map names at most 16 chiplets; 17 used to panic while
+    // building the machine (exit 101).
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_barre"))
+        .args(["run", "--smoke", "--app", "gups", "--chiplets", "17"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        stderr
+            .contains("error: invalid configuration: 17 chiplets exceed the GPU map's limit of 16"),
+        "{stderr}"
+    );
+}

@@ -1,7 +1,8 @@
 //! Hot-path contracts for the F-Barre sweep: pinned golden metric
 //! fingerprints for the full 9-app × 3-mode smoke sweep and for the
-//! configuration variants the sweep never reaches, and the
-//! zero-allocation assertion for the F-Barre probe path.
+//! configuration variants the sweep never reaches, the
+//! zero-allocation assertion for the F-Barre probe path, and a budget of
+//! heap allocations per simulated event.
 //!
 //! The fingerprints pin [`barre_system::metrics_digest`] (an FNV-64 of
 //! the canonical all-integer metrics JSON), so *any* behavioural drift
@@ -252,4 +253,48 @@ fn fbarre_probe_path_is_allocation_free() {
         let m = machine.run().expect("run");
         assert!(m.events_processed > 0);
     }
+}
+
+/// Heap allocations per simulated event during [`barre_system::Machine::run`]
+/// (after `build_machine`), per app: the highest rate over the three
+/// bench modes, plus 20 %. Measured (baseline / barre / fbarre):
+/// gemv 0.058 / 0.058 / 0.045, jac2d 0.048 / 0.048 / 0.031, gups
+/// 0.125 / 0.125 / 0.021, spmv 0.125 / 0.123 / 0.051. Warp issue, the
+/// TLBs and the MSHR files allocate nothing; what remains is each
+/// tag-cache set's first fill, slab warm-up, and two vectors per IOMMU
+/// walk (`Iommu::dispatch` and `Iommu::complete_walk` return theirs),
+/// which is most of the gups and spmv rate without F-Barre. A path that
+/// starts allocating per warp or per fill again fails here.
+const ALLOCS_PER_EVENT: &[(AppId, f64)] = &[
+    (AppId::Gemv, 0.058 * 1.2),
+    (AppId::Jac2d, 0.048 * 1.2),
+    (AppId::Gups, 0.125 * 1.2),
+    (AppId::Spmv, 0.125 * 1.2),
+];
+
+#[test]
+fn run_allocations_per_event_stay_within_budget() {
+    use barre_system::build_machine;
+
+    let mut report = Vec::new();
+    for &(app, budget) in ALLOCS_PER_EVENT {
+        let name = app.name();
+        for (mode, cfg) in bench_modes() {
+            let machine = build_machine(&[app.spec()], &cfg, SEED).expect("assemble");
+            let before = alloc_count();
+            let m = machine.run().expect("run");
+            let allocs = alloc_count() - before;
+            let rate = allocs as f64 / m.events_processed as f64;
+            report.push(format!(
+                "{name}/{mode}: {allocs} allocs / {} events = {rate:.3}",
+                m.events_processed
+            ));
+            assert!(
+                rate <= budget,
+                "{name}/{mode}: {rate:.3} allocs/event > {budget}\n{}",
+                report.join("\n")
+            );
+        }
+    }
+    println!("{}", report.join("\n"));
 }

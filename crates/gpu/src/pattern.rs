@@ -8,7 +8,9 @@
 //! thousands of L2 TLB misses *per kilo warp instruction*.
 //!
 //! Workload kernels implement [`AccessPattern`]; the system model pulls
-//! one warp instruction at a time as warp slots free up.
+//! one warp instruction at a time as warp slots free up, written in place
+//! into a buffer it reuses, so issuing a warp neither allocates nor copies
+//! its lanes.
 
 use barre_mem::VirtAddr;
 
@@ -16,12 +18,97 @@ use barre_mem::VirtAddr;
 /// the paper models uses 32-lane warp instructions, which we follow).
 pub const WARP_LANES: usize = 32;
 
+/// The lane addresses of one warp instruction: at most [`WARP_LANES`],
+/// stored inline so issuing a warp never touches the heap. Reads as a
+/// slice of [`VirtAddr`].
+#[derive(Clone)]
+pub struct Lanes {
+    len: u8,
+    addrs: [VirtAddr; WARP_LANES],
+}
+
+impl Lanes {
+    /// No lanes.
+    pub const fn new() -> Self {
+        Self {
+            len: 0,
+            addrs: [VirtAddr(0); WARP_LANES],
+        }
+    }
+
+    /// Appends a lane; a lane beyond the [`WARP_LANES`]th is dropped, as
+    /// a warp has no lane to carry it.
+    pub fn push(&mut self, addr: VirtAddr) {
+        if let Some(slot) = self.addrs.get_mut(self.len as usize) {
+            *slot = addr;
+            self.len += 1;
+        }
+    }
+
+    /// Drops every lane.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The lanes as a slice.
+    pub fn as_slice(&self) -> &[VirtAddr] {
+        &self.addrs[..self.len as usize]
+    }
+}
+
+impl Default for Lanes {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::ops::Deref for Lanes {
+    type Target = [VirtAddr];
+
+    fn deref(&self) -> &[VirtAddr] {
+        self.as_slice()
+    }
+}
+
+impl<'a> IntoIterator for &'a Lanes {
+    type Item = &'a VirtAddr;
+    type IntoIter = std::slice::Iter<'a, VirtAddr>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl Extend<VirtAddr> for Lanes {
+    /// Appends lanes up to [`WARP_LANES`] in all (see [`Lanes::push`]).
+    fn extend<I: IntoIterator<Item = VirtAddr>>(&mut self, iter: I) {
+        let room = WARP_LANES - self.len as usize;
+        for a in iter.into_iter().take(room) {
+            self.push(a);
+        }
+    }
+}
+
+impl PartialEq for Lanes {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Lanes {}
+
+impl std::fmt::Debug for Lanes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
 /// One warp-level memory instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WarpAccess {
     /// Lane byte addresses (1..=32; coalesced patterns may carry fewer
     /// representative addresses when all lanes share a page run).
-    pub addrs: Vec<VirtAddr>,
+    pub addrs: Lanes,
     /// Whether the instruction writes.
     pub write: bool,
 }
@@ -34,7 +121,8 @@ impl WarpAccess {
         // addresses at the block's first and last byte cover every page
         // the hardware would translate.
         let last = base.0 + (lanes.max(1) as u64 * elem_bytes).saturating_sub(1);
-        let mut addrs = vec![base];
+        let mut addrs = Lanes::new();
+        addrs.push(base);
         if last != base.0 {
             addrs.push(VirtAddr(last));
         }
@@ -49,6 +137,13 @@ impl WarpAccess {
         self.write = true;
         self
     }
+
+    /// Replaces the instruction with `lanes` and `write`.
+    pub fn set(&mut self, lanes: impl IntoIterator<Item = VirtAddr>, write: bool) {
+        self.addrs.clear();
+        self.addrs.extend(lanes);
+        self.write = write;
+    }
 }
 
 /// A finite stream of warp-level memory instructions.
@@ -56,8 +151,16 @@ impl WarpAccess {
 /// Implementations must be deterministic: the same constructed pattern
 /// yields the same stream.
 pub trait AccessPattern {
+    /// Writes the next warp instruction over `out` and returns `true`,
+    /// or returns `false` (leaving `out` as it was) when the CTA has
+    /// finished.
+    fn next_into(&mut self, out: &mut WarpAccess) -> bool;
+
     /// The next warp instruction, or `None` when the CTA has finished.
-    fn next_warp(&mut self) -> Option<WarpAccess>;
+    fn next_warp(&mut self) -> Option<WarpAccess> {
+        let mut w = WarpAccess::default();
+        self.next_into(&mut w).then_some(w)
+    }
 
     /// Warp-level instructions executed per memory instruction (including
     /// the access itself) — the MPKI denominator. Default 10.
@@ -96,14 +199,14 @@ impl LinearSweep {
 }
 
 impl AccessPattern for LinearSweep {
-    fn next_warp(&mut self) -> Option<WarpAccess> {
+    fn next_into(&mut self, out: &mut WarpAccess) -> bool {
         if self.next >= self.end {
-            return None;
+            return false;
         }
         let bytes = self.warp_bytes.min(self.end - self.next);
-        let a = WarpAccess::coalesced(VirtAddr(self.next), WARP_LANES, bytes / WARP_LANES as u64);
+        *out = WarpAccess::coalesced(VirtAddr(self.next), WARP_LANES, bytes / WARP_LANES as u64);
         self.next += self.warp_bytes;
-        Some(a)
+        true
     }
 
     fn insns_per_access(&self) -> u64 {
@@ -137,6 +240,23 @@ mod tests {
     fn insns_override() {
         let p = LinearSweep::new(VirtAddr(0), VirtAddr(64)).with_insns_per_access(3);
         assert_eq!(p.insns_per_access(), 3);
+    }
+
+    #[test]
+    fn lanes_hold_at_most_a_warp_and_compare_by_their_live_prefix() {
+        let mut w = WarpAccess::default();
+        w.set((0..40).map(VirtAddr), false);
+        assert_eq!(w.addrs.len(), WARP_LANES);
+        assert_eq!(w.addrs.last(), Some(&VirtAddr(31)));
+        // A reused instruction keeps stale lanes past its length; they
+        // must not count.
+        w.set([VirtAddr(3)], true);
+        let mut fresh = Lanes::new();
+        fresh.push(VirtAddr(3));
+        assert_eq!(w.addrs, fresh);
+        assert_ne!(w.addrs, Lanes::new());
+        assert!(w.write);
+        assert_eq!(format!("{:?}", w.addrs), format!("{:?}", [VirtAddr(3)]));
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //!
 //! Unknown fields are rejected — a typo must fail loudly, not silently
 //! run the wrong simulation. Numbers are bounded to what the model can
-//! build: a GPU map holds at most 16 chiplets (more panics the model),
-//! and each chiplet's frame allocator is a `frames`-long array, so an
-//! unbounded `frames` could ask the daemon for terabytes, and a failed
-//! allocation aborts the process where no panic handler can catch it.
+//! build: a GPU map holds at most 16 chiplets (`SystemConfig::validate`
+//! rejects more), and each chiplet's frame allocator is a `frames`-long
+//! array, so an unbounded `frames` could ask the daemon for terabytes,
+//! and a failed allocation aborts the process where no panic handler can
+//! catch it.
 //! Auto-sizing never needs more than 8,960 frames (the largest app at
 //! 4 KiB pages on one chiplet).
 //!

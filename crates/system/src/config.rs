@@ -1,5 +1,6 @@
 //! System configuration (Table II) and translation-mode selection.
 
+use barre_core::group::GPU_MAP_MAX;
 use barre_gpu::Topology;
 use barre_mapping::PolicyKind;
 use barre_mem::PageSize;
@@ -379,6 +380,12 @@ impl SystemConfig {
         if self.topology.n_chiplets == 0 || self.topology.total_cus() == 0 {
             return bad("topology has no chiplets or no CUs".into());
         }
+        if self.topology.n_chiplets > GPU_MAP_MAX {
+            return bad(format!(
+                "{} chiplets exceed the GPU map's limit of {GPU_MAP_MAX}",
+                self.topology.n_chiplets
+            ));
+        }
         if self.l1_tlb_entries == 0 {
             return bad("l1_tlb_entries must be nonzero".into());
         }
@@ -600,5 +607,11 @@ mod tests {
         let mut c = SystemConfig::scaled();
         c.watchdog_cycles = Some(0);
         assert!(c.validate().is_err());
+
+        let mut c = SystemConfig::scaled();
+        c.topology = c.topology.with_chiplets(17);
+        assert!(c.validate().is_err());
+        c.topology = c.topology.with_chiplets(16);
+        assert!(c.validate().is_ok());
     }
 }

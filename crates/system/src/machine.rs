@@ -17,7 +17,7 @@ use std::ops::ControlFlow;
 use barre_core::fbarre::{FilterBank, FilterCmd};
 use barre_core::{CoalInfo, CoalMode, PecBuffer, PecEntry, PecLogic};
 use barre_filters::{Filter, IdealFilter};
-use barre_gpu::pattern::AccessPattern;
+use barre_gpu::pattern::{AccessPattern, Lanes, WarpAccess, WARP_LANES};
 use barre_gpu::{CtaScheduler, GmmuConfig, GmmuUnit, Mesh, TagCache};
 use barre_iommu::{
     AtsRequest, AtsResponse, Iommu, IommuConfig, ATS_REQUEST_BYTES, ATS_RESPONSE_BYTES,
@@ -25,7 +25,7 @@ use barre_iommu::{
 use barre_mapping::Acud;
 use barre_mem::{ChipletId, FrameAllocator, GlobalPfn, PageTable, Vpn};
 use barre_sim::{Cycle, EventQueue, FaultInjector, Link};
-use barre_tlb::{MshrFile, MshrOutcome, Tlb, TlbKey};
+use barre_tlb::{MshrFile, MshrOutcome, Tlb, TlbKey, WaiterLinks};
 use barre_trace::{Sample, Stage, TraceOptions, TraceRecorder, Tracer};
 
 use crate::config::{MmuKind, SystemConfig, TranslationMode};
@@ -214,7 +214,7 @@ struct WarpInst {
     pages_left: u32,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PageReq {
     inst: u32,
     asid: u16,
@@ -233,11 +233,78 @@ struct PageReq {
     /// Cycle this request entered the L2 miss path (fill-span anchor;
     /// 0 until the first primary/merged MSHR allocation).
     miss_at: Cycle,
+    /// Next waiter on the same L2 MSHR register, while this request
+    /// waits in one ([`PageLinks`]).
+    next_waiter: u32,
+}
+
+/// The page-request slab as the L2 MSHR files' waiter lists: a waiting
+/// request's `next_waiter` links it to the one merged after it.
+struct PageLinks<'a>(&'a mut [PageReq]);
+
+impl WaiterLinks for PageLinks<'_> {
+    fn link(&mut self, w: u32) -> &mut u32 {
+        &mut self.0[w as usize].next_waiter
+    }
+}
+
+/// Slots in [`PageDedup`]'s table: twice a warp's lanes, so at most half
+/// of them are ever taken.
+const DEDUP_CELLS: usize = 2 * WARP_LANES;
+
+/// The warp coalescer's page dedup, reused across warps: the distinct
+/// pages of one instruction's lanes in first-occurrence order, found in
+/// O(1) per lane through a small open-addressed table whose cells are
+/// stamped per warp, so it is never cleared.
+struct PageDedup {
+    /// `(vpn, page offset)` of each distinct page, in lane order.
+    pages: Vec<(Vpn, u64)>,
+    /// `(vpn, stamp)` per cell; a cell is taken when its stamp is current.
+    seen: [(u64, u32); DEDUP_CELLS],
+    stamp: u32,
+}
+
+impl PageDedup {
+    fn new() -> Self {
+        Self {
+            pages: Vec::with_capacity(WARP_LANES),
+            seen: [(0, 0); DEDUP_CELLS],
+            stamp: 0,
+        }
+    }
+
+    /// Replaces `pages` with the distinct pages of `lanes`.
+    fn distinct_pages(&mut self, lanes: &Lanes, page_shift: u32) {
+        self.pages.clear();
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen = [(0, 0); DEDUP_CELLS];
+            self.stamp = 1;
+        }
+        for a in lanes {
+            let vpn = a.vpn(page_shift);
+            let mut cell = (vpn.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
+            // At most `WARP_LANES` lanes, so an untaken cell is always
+            // reached within the table.
+            for _ in 0..DEDUP_CELLS {
+                let (v, stamp) = self.seen[cell];
+                if stamp != self.stamp {
+                    self.seen[cell] = (vpn.0, self.stamp);
+                    self.pages.push((vpn, a.page_offset(page_shift)));
+                    break;
+                }
+                if v == vpn.0 {
+                    break;
+                }
+                cell = (cell + 1) % DEDUP_CELLS;
+            }
+        }
+    }
 }
 
 struct ChipletState {
     l2_tlb: Tlb<L2Payload>,
-    l2_mshr: MshrFile<TlbKey, Option<u32>>,
+    l2_mshr: MshrFile<TlbKey>,
     l1_tlbs: Vec<Tlb<GlobalPfn>>,
     l1d: Vec<TagCache>,
     l2d: TagCache,
@@ -317,6 +384,11 @@ pub struct Machine {
     scratch_members: Vec<barre_core::GroupMember>,
     /// Reused sharer-peer buffer for the broadcast path.
     scratch_peers: Vec<ChipletId>,
+    /// The warp instruction [`Machine::issue`] has its CTA's pattern
+    /// write in place, reused across warps.
+    warp: WarpAccess,
+    /// Reused page dedup for [`Machine::issue`].
+    dedup: PageDedup,
     /// Heap-allocation counter hook for the zero-alloc hot-path
     /// assertion. A test harness that owns a counting global allocator
     /// installs its counter via [`Machine::set_alloc_probe`]; the probe
@@ -496,6 +568,8 @@ impl Machine {
             trace_seq: 0,
             scratch_members: Vec::new(),
             scratch_peers: Vec::new(),
+            warp: WarpAccess::default(),
+            dedup: PageDedup::new(),
             #[cfg(debug_assertions)]
             alloc_probe: None,
             event_probe: None,
@@ -815,58 +889,45 @@ impl Machine {
                 .cfg
                 .max_warps_per_cta
                 .is_some_and(|cap| stream.warps >= cap);
-            let warp = if capped {
-                None
-            } else {
-                stream.pattern.next_warp()
-            };
-            match warp {
-                None => {
-                    // CTA finished; loop to fetch the next one.
-                    self.cus[chiplet as usize][cu as usize].slots[slot as usize] = None;
-                    continue;
-                }
-                Some(w) => {
-                    stream.warps += 1;
-                    let insns = stream.pattern.insns_per_access();
-                    let asid = stream.asid;
-                    self.m.warp_mem_instructions += 1;
-                    self.m.warp_instructions += insns;
-                    // Hardware warp coalescer: dedup pages across lanes.
-                    let mut pages: Vec<(Vpn, u64)> = Vec::with_capacity(4);
-                    for a in &w.addrs {
-                        let vpn = a.vpn(self.page_shift);
-                        if !pages.iter().any(|(v, _)| *v == vpn) {
-                            pages.push((vpn, a.page_offset(self.page_shift)));
-                        }
-                    }
-                    let inst = self.alloc_inst(WarpInst {
-                        chiplet,
-                        cu,
-                        slot,
-                        pages_left: pages.len() as u32,
-                    });
-                    for (vpn, off) in pages {
-                        self.trace_seq += 1;
-                        let page = self.alloc_page(PageReq {
-                            inst,
-                            asid,
-                            vpn,
-                            page_off: off,
-                            write: w.write,
-                            chiplet,
-                            cu,
-                            pfn: None,
-                            attempts: 0,
-                            trace_id: self.trace_seq,
-                            issued_at: now,
-                            miss_at: 0,
-                        });
-                        self.queue.push(now, Ev::Translate { page });
-                    }
-                    return;
-                }
+            if capped || !stream.pattern.next_into(&mut self.warp) {
+                // CTA finished; loop to fetch the next one.
+                self.cus[chiplet as usize][cu as usize].slots[slot as usize] = None;
+                continue;
             }
+            stream.warps += 1;
+            let insns = stream.pattern.insns_per_access();
+            let asid = stream.asid;
+            self.m.warp_mem_instructions += 1;
+            self.m.warp_instructions += insns;
+            // Hardware warp coalescer: dedup pages across lanes.
+            self.dedup.distinct_pages(&self.warp.addrs, self.page_shift);
+            let inst = self.alloc_inst(WarpInst {
+                chiplet,
+                cu,
+                slot,
+                pages_left: self.dedup.pages.len() as u32,
+            });
+            for i in 0..self.dedup.pages.len() {
+                let (vpn, off) = self.dedup.pages[i];
+                self.trace_seq += 1;
+                let page = self.alloc_page(PageReq {
+                    inst,
+                    asid,
+                    vpn,
+                    page_off: off,
+                    write: self.warp.write,
+                    chiplet,
+                    cu,
+                    pfn: None,
+                    attempts: 0,
+                    trace_id: self.trace_seq,
+                    issued_at: now,
+                    miss_at: 0,
+                    next_waiter: 0,
+                });
+                self.queue.push(now, Ev::Translate { page });
+            }
+            return;
         }
     }
 
@@ -874,26 +935,26 @@ impl Machine {
 
     fn translate(&mut self, page: u32) {
         let now = self.now;
-        let p = self.pages[page as usize].clone();
-        let key = TlbKey {
-            asid: p.asid,
-            vpn: p.vpn,
-        };
+        let PageReq {
+            asid,
+            vpn,
+            chiplet,
+            cu,
+            trace_id,
+            issued_at,
+            ..
+        } = self.pages[page as usize];
+        let key = TlbKey { asid, vpn };
         self.m.l1_tlb_lookups += 1;
         let l1_done = now + self.cfg.l1_tlb_latency;
         self.tracer
-            .span(Stage::TlbL1, p.trace_id, p.chiplet as u16, now, l1_done);
-        let cu_idx = self.cfg.topology.cu_index_flat(p.cu);
-        let cu_l1 = &mut self.chiplets[p.chiplet as usize].l1_tlbs[cu_idx];
+            .span(Stage::TlbL1, trace_id, chiplet as u16, now, l1_done);
+        let cu_idx = self.cfg.topology.cu_index_flat(cu);
+        let cu_l1 = &mut self.chiplets[chiplet as usize].l1_tlbs[cu_idx];
         if let Some(&pfn) = cu_l1.lookup(key) {
             self.pages[page as usize].pfn = Some(pfn);
-            self.tracer.span(
-                Stage::CuIssue,
-                p.trace_id,
-                p.chiplet as u16,
-                p.issued_at,
-                l1_done,
-            );
+            self.tracer
+                .span(Stage::CuIssue, trace_id, chiplet as u16, issued_at, l1_done);
             self.queue
                 .push(now + self.cfg.l1_tlb_latency, Ev::MemStart { page });
             return;
@@ -901,7 +962,7 @@ impl Machine {
         self.m.l1_tlb_misses += 1;
         // Valkyrie: probe sibling L1s in the chiplet.
         if matches!(self.cfg.mode, TranslationMode::Valkyrie) {
-            let ch = &mut self.chiplets[p.chiplet as usize];
+            let ch = &mut self.chiplets[chiplet as usize];
             let hit = ch
                 .l1_tlbs
                 .iter()
@@ -910,14 +971,14 @@ impl Machine {
                 .flatten();
             if let Some(pfn) = hit {
                 self.m.l1_peer_hits += 1;
-                let idx = self.cfg.topology.cu_index_flat(p.cu);
+                let idx = self.cfg.topology.cu_index_flat(cu);
                 ch.l1_tlbs[idx].insert(key, pfn);
                 self.pages[page as usize].pfn = Some(pfn);
                 self.tracer.span(
                     Stage::CuIssue,
-                    p.trace_id,
-                    p.chiplet as u16,
-                    p.issued_at,
+                    trace_id,
+                    chiplet as u16,
+                    issued_at,
                     now + self.cfg.l1_tlb_latency + L1_PEER_PROBE,
                 );
                 self.queue.push(
@@ -934,49 +995,47 @@ impl Machine {
     /// Also the MSHR-retry entry point.
     fn l2_miss_path(&mut self, page: u32) {
         let now = self.now;
-        let p = self.pages[page as usize].clone();
-        let key = TlbKey {
-            asid: p.asid,
-            vpn: p.vpn,
-        };
+        let PageReq {
+            asid,
+            vpn,
+            chiplet,
+            cu,
+            trace_id,
+            issued_at,
+            ..
+        } = self.pages[page as usize];
+        let key = TlbKey { asid, vpn };
         let t1 = now + self.cfg.l1_tlb_latency + self.cfg.l2_tlb_latency;
         self.m.l2_tlb_lookups += 1;
         let hit = match &mut self.shared_l2 {
             Some(shared) => shared.lookup(key).copied(),
-            None => self.chiplets[p.chiplet as usize]
-                .l2_tlb
-                .lookup(key)
-                .copied(),
+            None => self.chiplets[chiplet as usize].l2_tlb.lookup(key).copied(),
         };
         if let Some(payload) = hit {
             self.tracer.span(
                 Stage::TlbL2,
-                p.trace_id,
-                p.chiplet as u16,
+                trace_id,
+                chiplet as u16,
                 now + self.cfg.l1_tlb_latency,
                 t1,
             );
-            self.tracer.span(
-                Stage::CuIssue,
-                p.trace_id,
-                p.chiplet as u16,
-                p.issued_at,
-                t1,
-            );
-            self.fill_l1(p.chiplet, p.cu, key, payload.pfn);
+            self.tracer
+                .span(Stage::CuIssue, trace_id, chiplet as u16, issued_at, t1);
+            self.fill_l1(chiplet, cu, key, payload.pfn);
             self.pages[page as usize].pfn = Some(payload.pfn);
             self.queue.push(t1, Ev::MemStart { page });
             return;
         }
-        match self.chiplets[p.chiplet as usize]
-            .l2_mshr
-            .allocate(key, Some(page))
-        {
+        match self.chiplets[chiplet as usize].l2_mshr.allocate(
+            key,
+            Some(page),
+            &mut PageLinks(&mut self.pages),
+        ) {
             MshrOutcome::Merged => {
                 self.tracer.span(
                     Stage::TlbL2,
-                    p.trace_id,
-                    p.chiplet as u16,
+                    trace_id,
+                    chiplet as u16,
                     now + self.cfg.l1_tlb_latency,
                     t1,
                 );
@@ -1003,8 +1062,8 @@ impl Machine {
                 // ride the same outstanding translation.
                 self.tracer.span(
                     Stage::TlbL2,
-                    p.trace_id,
-                    p.chiplet as u16,
+                    trace_id,
+                    chiplet as u16,
                     now + self.cfg.l1_tlb_latency,
                     t1,
                 );
@@ -1023,7 +1082,7 @@ impl Machine {
                     .wrapping_mul(0xBF58_476D_1CE4_E5B9);
                 let replay = mix % 240;
                 self.downstream(page, key, t1 + replay);
-                self.maybe_prefetch(p.chiplet, key, t1 + replay);
+                self.maybe_prefetch(chiplet, key, t1 + replay);
             }
         }
     }
@@ -1058,7 +1117,12 @@ impl Machine {
         {
             return;
         }
-        if self.chiplets[chiplet as usize].l2_mshr.allocate(next, None) == MshrOutcome::Primary {
+        let links = &mut PageLinks(&mut self.pages);
+        if self.chiplets[chiplet as usize]
+            .l2_mshr
+            .allocate(next, None, links)
+            == MshrOutcome::Primary
+        {
             self.m.prefetches += 1;
             self.send_ats_inner(chiplet, next, t, true);
         }
@@ -1066,11 +1130,13 @@ impl Machine {
 
     /// Mode-specific path below a primary L2 miss.
     fn downstream(&mut self, page: u32, key: TlbKey, t: Cycle) {
-        let p = self.pages[page as usize].clone();
+        let PageReq {
+            chiplet, trace_id, ..
+        } = self.pages[page as usize];
         match self.cfg.mode {
             TranslationMode::FBarre(f) if f.peer_sharing => {
                 // 1) Local calculation through the LCF.
-                let (local, lcf_hits) = self.chiplet_calculate(p.chiplet, key);
+                let (local, lcf_hits) = self.chiplet_calculate(chiplet, key);
                 self.m.lcf_hits += lcf_hits;
                 if let Some(payload) = local {
                     self.m.lcf_true_hits += 1;
@@ -1078,12 +1144,12 @@ impl Machine {
                     self.m.lcf_translations += 1;
                     let done = t + 1 + self.cfg.l2_tlb_latency + CHIPLET_PEC_CALC;
                     self.tracer
-                        .span(Stage::PecLookup, p.trace_id, p.chiplet as u16, t, done);
-                    self.finish_l2_miss_at(p.chiplet, key, payload, done);
+                        .span(Stage::PecLookup, trace_id, chiplet as u16, t, done);
+                    self.finish_l2_miss_at(chiplet, key, payload, done);
                     return;
                 }
                 // 2) Remote calculation through the RCFs.
-                let peer = self.chiplets[p.chiplet as usize]
+                let peer = self.chiplets[chiplet as usize]
                     .filters
                     .as_ref()
                     .and_then(|fb| fb.rcf_hit(key.asid, key.vpn));
@@ -1093,7 +1159,7 @@ impl Machine {
                     let at = if f.oracle_traffic {
                         t + self.cfg.mesh_latency
                     } else {
-                        self.filter_vc[p.chiplet as usize].send(t, PEER_MSG_BYTES)
+                        self.filter_vc[chiplet as usize].send(t, PEER_MSG_BYTES)
                     };
                     self.queue.push(at, Ev::PeerProbe { page, at: peer.0 });
                     return;
@@ -1101,7 +1167,7 @@ impl Machine {
                 self.send_ats(page, key, t);
             }
             TranslationMode::Least => {
-                let me = p.chiplet as usize;
+                let me = chiplet as usize;
                 let fkey = barre_core::fbarre::filter_key(key.asid, key.vpn);
                 let peer = (0..self.chiplets.len())
                     .find(|&c| c != me && self.least_trackers[c].contains(fkey));
@@ -1109,7 +1175,7 @@ impl Machine {
                     self.m.peer_probes += 1;
                     // Like F-Barre's probes, Least's tracker probes are
                     // small control messages on their own traffic class.
-                    let at = self.filter_vc[p.chiplet as usize].send(t, PEER_MSG_BYTES);
+                    let at = self.filter_vc[chiplet as usize].send(t, PEER_MSG_BYTES);
                     self.queue.push(
                         at,
                         Ev::PeerProbe {
@@ -1587,11 +1653,8 @@ impl Machine {
 
     fn peer_probe(&mut self, page: u32, at: u8) {
         let now = self.now;
-        let p = self.pages[page as usize].clone();
-        let key = TlbKey {
-            asid: p.asid,
-            vpn: p.vpn,
-        };
+        let PageReq { asid, vpn, .. } = self.pages[page as usize];
+        let key = TlbKey { asid, vpn };
         let reply_ready = now + 1 + self.cfg.l2_tlb_latency + CHIPLET_PEC_CALC;
         let result: Option<L2Payload> = match self.cfg.mode {
             TranslationMode::Least => self.chiplets[at as usize].l2_tlb.probe(key).copied(),
@@ -1612,11 +1675,10 @@ impl Machine {
 
     fn peer_reply(&mut self, page: u32, result: Option<L2Payload>) {
         let now = self.now;
-        let p = self.pages[page as usize].clone();
-        let key = TlbKey {
-            asid: p.asid,
-            vpn: p.vpn,
-        };
+        let PageReq {
+            asid, vpn, chiplet, ..
+        } = self.pages[page as usize];
+        let key = TlbKey { asid, vpn };
         let current = self.page_tables[key.asid as usize]
             .lookup(key.vpn)
             .map(|pte| pte.pfn());
@@ -1626,7 +1688,7 @@ impl Machine {
                     self.m.rcf_remote_hits += 1;
                 }
                 self.m.intra_mcm_translations += 1;
-                self.finish_l2_miss_at(p.chiplet, key, payload, now);
+                self.finish_l2_miss_at(chiplet, key, payload, now);
             }
             _ => {
                 self.m.peer_probe_nacks += 1;
@@ -1669,17 +1731,24 @@ impl Machine {
         if let Some((ekey, epayload)) = evicted {
             self.track_l2(chiplet, ekey, epayload, FilterCmd::Delete, t);
         }
-        let waiters = self.chiplets[c].l2_mshr.complete(key);
-        for w in waiters.into_iter().flatten() {
-            let p = self.pages[w as usize].clone();
-            self.fill_l1(p.chiplet, p.cu, key, payload.pfn);
+        let mut waiters = self.chiplets[c].l2_mshr.complete(key);
+        while let Some(w) = waiters.next(&mut PageLinks(&mut self.pages)) {
+            let PageReq {
+                chiplet: at,
+                cu,
+                trace_id,
+                issued_at,
+                miss_at,
+                ..
+            } = self.pages[w as usize];
+            self.fill_l1(at, cu, key, payload.pfn);
             self.pages[w as usize].pfn = Some(payload.pfn);
             // Per-waiter fill span (miss to wake) plus the whole-journey
             // span; prefetch fills have no waiters and trace nothing.
             self.tracer
-                .span(Stage::Fill, p.trace_id, p.chiplet as u16, p.miss_at, t);
+                .span(Stage::Fill, trace_id, at as u16, miss_at, t);
             self.tracer
-                .span(Stage::CuIssue, p.trace_id, p.chiplet as u16, p.issued_at, t);
+                .span(Stage::CuIssue, trace_id, at as u16, issued_at, t);
             self.queue.push(t, Ev::MemStart { page: w });
         }
     }
@@ -1785,10 +1854,19 @@ impl Machine {
 
     fn mem_start(&mut self, page: u32) {
         let now = self.now;
-        let p = self.pages[page as usize].clone();
+        let PageReq {
+            asid,
+            vpn,
+            page_off,
+            write,
+            chiplet,
+            cu,
+            pfn,
+            ..
+        } = self.pages[page as usize];
         // Translation always precedes the data access; an untranslated
         // page here is an event-ordering bug — drop the access.
-        let Some(pfn) = p.pfn else {
+        let Some(pfn) = pfn else {
             return;
         };
         // The page may have migrated while this access was in flight
@@ -1797,9 +1875,7 @@ impl Machine {
         // and, crucially, instead of feeding the migration engine a
         // stale home that it would "migrate" (and double-free) again.
         if self.cfg.migration.is_some() {
-            let current = self.page_tables[p.asid as usize]
-                .lookup(p.vpn)
-                .map(|e| e.pfn());
+            let current = self.page_tables[asid as usize].lookup(vpn).map(|e| e.pfn());
             if current != Some(pfn) {
                 self.queue.push(now, Ev::Translate { page });
                 return;
@@ -1807,7 +1883,7 @@ impl Machine {
         }
         // Migration engine observes every data access.
         if self.acud.is_some() {
-            if let Some(done) = self.try_migration(&p, pfn, now) {
+            if let Some(done) = self.try_migration(asid, vpn, chiplet, pfn, now) {
                 // The access restarts after migration (retranslate: the
                 // page moved, TLBs were shot down).
                 self.queue.push(done, Ev::Translate { page });
@@ -1816,12 +1892,12 @@ impl Machine {
         }
         self.m.data_accesses += 1;
         let paddr = barre_mem::PhysAddr(
-            (pfn.0 << self.page_shift) | (p.page_off & ((1 << self.page_shift) - 1)),
+            (pfn.0 << self.page_shift) | (page_off & ((1 << self.page_shift) - 1)),
         );
         let home = pfn.chiplet();
-        let local = home.0 == p.chiplet;
-        let cu_idx = self.cfg.topology.cu_index_flat(p.cu);
-        let l1_hit = self.chiplets[p.chiplet as usize].l1d[cu_idx].access(paddr);
+        let local = home.0 == chiplet;
+        let cu_idx = self.cfg.topology.cu_index_flat(cu);
+        let l1_hit = self.chiplets[chiplet as usize].l1d[cu_idx].access(paddr);
         if l1_hit {
             self.queue
                 .push(now + self.cfg.l1d_latency, Ev::MemDone { page });
@@ -1833,14 +1909,14 @@ impl Machine {
             self.m.remote_data_accesses += 1;
             // Stores carry the line with the request; loads send a small
             // request and fetch the line on the reply.
-            let req_bytes = if p.write {
+            let req_bytes = if write {
                 self.cfg.line_bytes
             } else {
                 self.cfg.line_bytes / 2
             };
             self.mesh.send(
                 now + self.cfg.l1d_latency,
-                ChipletId(p.chiplet),
+                ChipletId(chiplet),
                 home,
                 req_bytes,
             )
@@ -1860,9 +1936,9 @@ impl Machine {
         let t_done = if local {
             t_data
         } else {
-            let reply_bytes = if p.write { 8 } else { self.cfg.line_bytes };
+            let reply_bytes = if write { 8 } else { self.cfg.line_bytes };
             self.mesh
-                .send(t_data, home, ChipletId(p.chiplet), reply_bytes)
+                .send(t_data, home, ChipletId(chiplet), reply_bytes)
         };
         self.queue.push(t_done, Ev::MemDone { page });
     }
@@ -1870,27 +1946,34 @@ impl Machine {
     /// Checks ACUD counters; performs a migration when triggered. Returns
     /// the cycle the migration completes (the triggering access then
     /// retries), or `None` when no migration happens.
-    fn try_migration(&mut self, p: &PageReq, pfn: GlobalPfn, now: Cycle) -> Option<Cycle> {
+    fn try_migration(
+        &mut self,
+        asid: u16,
+        vpn: Vpn,
+        chiplet: u8,
+        pfn: GlobalPfn,
+        now: Cycle,
+    ) -> Option<Cycle> {
         let acud = self.acud.as_mut()?;
-        let decision = acud.record(p.asid, p.vpn, ChipletId(p.chiplet), pfn.chiplet())?;
+        let decision = acud.record(asid, vpn, ChipletId(chiplet), pfn.chiplet())?;
         // Destination must have a free frame.
         let local = self.frames[decision.to.index()].alloc_any()?;
         let acud = self.acud.as_mut()?;
-        acud.migrated(p.asid, p.vpn);
+        acud.migrated(asid, vpn);
         self.m.migrations += 1;
         let old = pfn;
         let new = GlobalPfn::compose(decision.to, local);
         self.frames[old.chiplet().index()].free(old.local());
         // Rewrite the PTE: new frame, excluded from its coalescing group.
-        self.page_tables[p.asid as usize].update(p.vpn, |pte| pte.with_pfn(new).with_coal_bits(0));
+        self.page_tables[asid as usize].update(vpn, |pte| pte.with_pfn(new).with_coal_bits(0));
         // Remaining group members drop the leaving chiplet from their
         // bitmaps (§VI). Their cached translations still carry the old
         // bitmap, so the shootdown must cover the whole group — a member
         // entry left in a TLB could otherwise calculate the migrated
         // page's *old* frame.
-        let group = self.exclude_from_group(p.asid, p.vpn, old.chiplet());
-        for vpn in group.into_iter().chain(std::iter::once(p.vpn)) {
-            let key = TlbKey { asid: p.asid, vpn };
+        let group = self.exclude_from_group(asid, vpn, old.chiplet());
+        for member in group.into_iter().chain(std::iter::once(vpn)) {
+            let key = TlbKey { asid, vpn: member };
             for c in 0..self.chiplets.len() {
                 let evicted = self.chiplets[c].l2_tlb.invalidate(key);
                 if let Some(epayload) = evicted {
@@ -1903,7 +1986,7 @@ impl Machine {
             if let Some(shared) = &mut self.shared_l2 {
                 shared.invalidate(key);
             }
-            self.iommu.invalidate(p.asid, vpn);
+            self.iommu.invalidate(asid, member);
         }
         // Invalidate cached lines of the old frame.
         let page_bytes = 1u64 << self.page_shift;
@@ -1957,13 +2040,13 @@ impl Machine {
     fn mem_done(&mut self, page: u32) {
         let now = self.now;
         self.last_progress = now;
-        let p = self.pages[page as usize].clone();
+        let i = self.pages[page as usize].inst;
         self.free_page(page);
-        let inst = &mut self.insts[p.inst as usize];
+        let inst = &mut self.insts[i as usize];
         inst.pages_left -= 1;
         if inst.pages_left == 0 {
             let (chiplet, cu, slot) = (inst.chiplet, inst.cu, inst.slot);
-            self.free_inst(p.inst);
+            self.free_inst(i);
             // Compute gap before the stream's next memory instruction,
             // plus a small deterministic per-warp jitter (instruction-mix
             // variation). Without it, streams served by synchronized

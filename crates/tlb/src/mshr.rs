@@ -6,6 +6,14 @@
 //! chiplet can have outstanding — Fig 4 shows that scaling this number
 //! barely helps, which is the paper's argument that the bottleneck is
 //! translation *processing*, not miss *tracking*.
+//!
+//! Waiters are `u32` ids of records the caller owns (the machine's page
+//! requests). Each register keeps the head and tail of a list threaded
+//! through those records' link fields ([`WaiterLinks`]), so merging a
+//! waiter and completing a register allocate nothing.
+
+/// End of a waiter list.
+const NIL: u32 = u32::MAX;
 
 /// Result of trying to allocate an MSHR for a missing key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,28 +26,72 @@ pub enum MshrOutcome {
     Full,
 }
 
-/// An MSHR file keyed by `K` with waiter records `T`.
+/// The caller's waiter records, each with one `u32` link field that the
+/// MSHR file owns while the record waits in a register.
+pub trait WaiterLinks {
+    /// The link field of waiter `w`.
+    fn link(&mut self, w: u32) -> &mut u32;
+}
+
+/// A plain link array, indexed by waiter id.
+impl WaiterLinks for [u32] {
+    fn link(&mut self, w: u32) -> &mut u32 {
+        &mut self[w as usize]
+    }
+}
+
+/// The waiters of a completed register, in merge order. Their links stay
+/// valid until a waiter is merged into a register again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Waiters {
+    next: u32,
+}
+
+impl Waiters {
+    /// The next waiter, or `None` when the list is exhausted.
+    pub fn next(&mut self, links: &mut (impl WaiterLinks + ?Sized)) -> Option<u32> {
+        let w = self.next;
+        if w == NIL {
+            return None;
+        }
+        self.next = *links.link(w);
+        Some(w)
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Register<K> {
+    key: K,
+    head: u32,
+    tail: u32,
+}
+
+/// An MSHR file keyed by `K`.
 ///
 /// # Example
 ///
 /// ```
 /// use barre_tlb::{MshrFile, MshrOutcome};
 ///
-/// let mut m: MshrFile<u64, &str> = MshrFile::new(2);
-/// assert_eq!(m.allocate(7, "warp-a"), MshrOutcome::Primary);
-/// assert_eq!(m.allocate(7, "warp-b"), MshrOutcome::Merged);
-/// assert_eq!(m.complete(7), vec!["warp-a", "warp-b"]);
+/// let mut links = vec![0u32; 4]; // one link per waiter id
+/// let mut m: MshrFile<u64> = MshrFile::new(2);
+/// assert_eq!(m.allocate(7, Some(2), &mut links[..]), MshrOutcome::Primary);
+/// assert_eq!(m.allocate(7, Some(0), &mut links[..]), MshrOutcome::Merged);
+/// let mut w = m.complete(7);
+/// assert_eq!(w.next(&mut links[..]), Some(2));
+/// assert_eq!(w.next(&mut links[..]), Some(0));
+/// assert_eq!(w.next(&mut links[..]), None);
 /// ```
 #[derive(Debug, Clone)]
-pub struct MshrFile<K, T> {
-    entries: Vec<(K, Vec<T>)>,
+pub struct MshrFile<K> {
+    entries: Vec<Register<K>>,
     capacity: usize,
     merges: u64,
     stalls: u64,
     peak: usize,
 }
 
-impl<K: PartialEq + Copy, T> MshrFile<K, T> {
+impl<K: PartialEq + Copy> MshrFile<K> {
     /// Creates a file with `capacity` registers.
     ///
     /// # Panics
@@ -56,10 +108,23 @@ impl<K: PartialEq + Copy, T> MshrFile<K, T> {
         }
     }
 
-    /// Registers a miss on `key` with waiter `waiter`.
-    pub fn allocate(&mut self, key: K, waiter: T) -> MshrOutcome {
-        if let Some((_, waiters)) = self.entries.iter_mut().find(|(k, _)| *k == key) {
-            waiters.push(waiter);
+    /// Registers a miss on `key`. `waiter` (`None` for a miss nobody
+    /// waits on, such as a prefetch) joins the end of the key's list.
+    pub fn allocate(
+        &mut self,
+        key: K,
+        waiter: Option<u32>,
+        links: &mut (impl WaiterLinks + ?Sized),
+    ) -> MshrOutcome {
+        if let Some(r) = self.entries.iter_mut().find(|r| r.key == key) {
+            if let Some(w) = waiter {
+                *links.link(w) = NIL;
+                match r.tail {
+                    NIL => r.head = w,
+                    t => *links.link(t) = w,
+                }
+                r.tail = w;
+            }
             self.merges += 1;
             return MshrOutcome::Merged;
         }
@@ -67,23 +132,32 @@ impl<K: PartialEq + Copy, T> MshrFile<K, T> {
             self.stalls += 1;
             return MshrOutcome::Full;
         }
-        self.entries.push((key, vec![waiter]));
+        let w = waiter.unwrap_or(NIL);
+        if w != NIL {
+            *links.link(w) = NIL;
+        }
+        self.entries.push(Register {
+            key,
+            head: w,
+            tail: w,
+        });
         self.peak = self.peak.max(self.entries.len());
         MshrOutcome::Primary
     }
 
     /// Whether `key` has an in-flight miss.
     pub fn is_pending(&self, key: K) -> bool {
-        self.entries.iter().any(|(k, _)| *k == key)
+        self.entries.iter().any(|r| r.key == key)
     }
 
-    /// Completes the miss on `key`, returning all merged waiters
-    /// (empty if the key was not pending).
-    pub fn complete(&mut self, key: K) -> Vec<T> {
-        match self.entries.iter().position(|(k, _)| *k == key) {
-            Some(i) => self.entries.swap_remove(i).1,
-            None => Vec::new(),
-        }
+    /// Completes the miss on `key`, handing back its waiters in merge
+    /// order (none if the key was not pending).
+    pub fn complete(&mut self, key: K) -> Waiters {
+        let next = match self.entries.iter().position(|r| r.key == key) {
+            Some(i) => self.entries.swap_remove(i).head,
+            None => NIL,
+        };
+        Waiters { next }
     }
 
     /// Registers currently in use.
@@ -115,66 +189,76 @@ impl<K: PartialEq + Copy, T> MshrFile<K, T> {
     pub fn peak(&self) -> usize {
         self.peak
     }
-
-    /// Drops all pending entries (shootdown), returning their waiters.
-    pub fn drain(&mut self) -> Vec<(K, Vec<T>)> {
-        std::mem::take(&mut self.entries)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn drain(mut w: Waiters, links: &mut [u32]) -> Vec<u32> {
+        std::iter::from_fn(|| w.next(links)).collect()
+    }
+
     #[test]
     fn primary_then_merge() {
-        let mut m: MshrFile<u32, u32> = MshrFile::new(4);
-        assert_eq!(m.allocate(1, 100), MshrOutcome::Primary);
-        assert_eq!(m.allocate(1, 101), MshrOutcome::Merged);
-        assert_eq!(m.allocate(2, 200), MshrOutcome::Primary);
+        let mut links = [0u32; 8];
+        let mut m: MshrFile<u32> = MshrFile::new(4);
+        assert_eq!(m.allocate(1, Some(5), &mut links[..]), MshrOutcome::Primary);
+        assert_eq!(m.allocate(1, Some(3), &mut links[..]), MshrOutcome::Merged);
+        assert_eq!(m.allocate(2, Some(7), &mut links[..]), MshrOutcome::Primary);
         assert!(m.is_pending(1));
         assert_eq!(m.merges(), 1);
-        assert_eq!(m.complete(1), vec![100, 101]);
+        assert_eq!(drain(m.complete(1), &mut links), vec![5, 3]);
         assert!(!m.is_pending(1));
         assert_eq!(m.in_use(), 1);
+        assert_eq!(drain(m.complete(2), &mut links), vec![7]);
+    }
+
+    #[test]
+    fn waiters_come_back_in_merge_order_and_ids_are_reusable() {
+        let mut links = [0u32; 8];
+        let mut m: MshrFile<u32> = MshrFile::new(2);
+        // A prefetch register: no waiter until demand misses merge in.
+        assert_eq!(m.allocate(9, None, &mut links[..]), MshrOutcome::Primary);
+        for w in [4, 0, 6, 2] {
+            assert_eq!(m.allocate(9, Some(w), &mut links[..]), MshrOutcome::Merged);
+        }
+        assert_eq!(drain(m.complete(9), &mut links), vec![4, 0, 6, 2]);
+        // The same ids wait again, on two keys at once.
+        m.allocate(1, Some(6), &mut links[..]);
+        m.allocate(2, Some(4), &mut links[..]);
+        m.allocate(1, Some(0), &mut links[..]);
+        m.allocate(2, Some(2), &mut links[..]);
+        assert_eq!(drain(m.complete(2), &mut links), vec![4, 2]);
+        assert_eq!(drain(m.complete(1), &mut links), vec![6, 0]);
     }
 
     #[test]
     fn full_rejects_new_keys_but_merges_existing() {
-        let mut m: MshrFile<u32, u32> = MshrFile::new(1);
-        assert_eq!(m.allocate(1, 0), MshrOutcome::Primary);
-        assert_eq!(m.allocate(2, 0), MshrOutcome::Full);
-        assert_eq!(m.allocate(1, 1), MshrOutcome::Merged);
+        let mut links = [0u32; 4];
+        let mut m: MshrFile<u32> = MshrFile::new(1);
+        assert_eq!(m.allocate(1, Some(0), &mut links[..]), MshrOutcome::Primary);
+        assert_eq!(m.allocate(2, Some(1), &mut links[..]), MshrOutcome::Full);
+        assert_eq!(m.allocate(1, Some(1), &mut links[..]), MshrOutcome::Merged);
         assert_eq!(m.stalls(), 1);
         assert!(m.is_full());
     }
 
     #[test]
     fn complete_unknown_is_empty() {
-        let mut m: MshrFile<u32, u32> = MshrFile::new(2);
-        assert!(m.complete(9).is_empty());
+        let mut m: MshrFile<u32> = MshrFile::new(2);
+        assert_eq!(drain(m.complete(9), &mut []), Vec::<u32>::new());
     }
 
     #[test]
     fn peak_tracks_high_water() {
-        let mut m: MshrFile<u32, ()> = MshrFile::new(8);
+        let mut m: MshrFile<u32> = MshrFile::new(8);
         for k in 0..5 {
-            m.allocate(k, ());
+            m.allocate(k, None, &mut [][..]);
         }
         m.complete(0);
         m.complete(1);
         assert_eq!(m.peak(), 5);
         assert_eq!(m.in_use(), 3);
-    }
-
-    #[test]
-    fn drain_returns_everything() {
-        let mut m: MshrFile<u32, u8> = MshrFile::new(4);
-        m.allocate(1, 10);
-        m.allocate(1, 11);
-        m.allocate(2, 20);
-        let drained = m.drain();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(m.in_use(), 0);
     }
 }

@@ -33,14 +33,14 @@ impl Chain {
 }
 
 impl AccessPattern for Chain {
-    fn next_warp(&mut self) -> Option<WarpAccess> {
-        while self.current < self.parts.len() {
-            if let Some(a) = self.parts[self.current].next_warp() {
-                return Some(a);
+    fn next_into(&mut self, out: &mut WarpAccess) -> bool {
+        while let Some(part) = self.parts.get_mut(self.current) {
+            if part.next_into(out) {
+                return true;
             }
             self.current += 1;
         }
-        None
+        false
     }
 
     fn insns_per_access(&self) -> u64 {
@@ -86,23 +86,23 @@ impl RowStream {
 }
 
 impl AccessPattern for RowStream {
-    fn next_warp(&mut self) -> Option<WarpAccess> {
+    fn next_into(&mut self, out: &mut WarpAccess) -> bool {
         if self.passes_left == 0 || self.bytes == 0 {
-            return None;
+            return false;
         }
-        let a = WarpAccess {
-            addrs: vec![
+        out.set(
+            [
                 VirtAddr(self.base + self.offset),
                 VirtAddr(self.base + (self.offset + WARP_BYTES - 1).min(self.bytes - 1)),
             ],
-            write: self.write,
-        };
+            self.write,
+        );
         self.offset += WARP_BYTES;
         if self.offset >= self.bytes {
             self.offset = 0;
             self.passes_left -= 1;
         }
-        Some(a)
+        true
     }
 
     fn insns_per_access(&self) -> u64 {
@@ -191,27 +191,25 @@ impl ColStream {
 }
 
 impl AccessPattern for ColStream {
-    fn next_warp(&mut self) -> Option<WarpAccess> {
+    fn next_into(&mut self, out: &mut WarpAccess) -> bool {
         if self.col >= self.col_end {
-            return None;
+            return false;
         }
         let total_blocks = self.rows.div_ceil(WARP_LANES as u64);
         let block = (self.row_block + self.block_offset) % total_blocks;
         let first_row = block * WARP_LANES as u64;
         let lanes = (self.rows - first_row).min(WARP_LANES as u64);
-        let addrs = (0..lanes)
-            .map(|l| VirtAddr(self.base + (first_row + l) * self.pitch + self.col * ELEM))
-            .collect();
-        let a = WarpAccess {
-            addrs,
-            write: self.write,
-        };
+        out.set(
+            (0..lanes)
+                .map(|l| VirtAddr(self.base + (first_row + l) * self.pitch + self.col * ELEM)),
+            self.write,
+        );
         self.row_block += 1;
         if self.row_block * WARP_LANES as u64 >= self.rows {
             self.row_block = 0;
             self.col += 1;
         }
-        Some(a)
+        true
     }
 
     fn insns_per_access(&self) -> u64 {
@@ -250,19 +248,18 @@ impl RandGather {
 }
 
 impl AccessPattern for RandGather {
-    fn next_warp(&mut self) -> Option<WarpAccess> {
+    fn next_into(&mut self, out: &mut WarpAccess) -> bool {
         if self.remaining == 0 {
-            return None;
+            return false;
         }
         self.remaining -= 1;
         let slots = self.bytes / ELEM;
-        let addrs = (0..WARP_LANES)
-            .map(|_| VirtAddr(self.base + self.rng.next_below(slots) * ELEM))
-            .collect();
-        Some(WarpAccess {
-            addrs,
-            write: self.write,
-        })
+        let (base, rng) = (self.base, &mut self.rng);
+        out.set(
+            (0..WARP_LANES).map(|_| VirtAddr(base + rng.next_below(slots) * ELEM)),
+            self.write,
+        );
+        true
     }
 
     fn insns_per_access(&self) -> u64 {
@@ -301,19 +298,18 @@ impl ZipfGather {
 }
 
 impl AccessPattern for ZipfGather {
-    fn next_warp(&mut self) -> Option<WarpAccess> {
+    fn next_into(&mut self, out: &mut WarpAccess) -> bool {
         if self.remaining == 0 {
-            return None;
+            return false;
         }
         self.remaining -= 1;
         let slots = self.bytes / ELEM;
-        let addrs = (0..WARP_LANES)
-            .map(|_| VirtAddr(self.base + self.rng.zipf_like(slots) * ELEM))
-            .collect();
-        Some(WarpAccess {
-            addrs,
-            write: false,
-        })
+        let (base, rng) = (self.base, &mut self.rng);
+        out.set(
+            (0..WARP_LANES).map(|_| VirtAddr(base + rng.zipf_like(slots) * ELEM)),
+            false,
+        );
+        true
     }
 
     fn insns_per_access(&self) -> u64 {
@@ -353,18 +349,18 @@ impl Butterfly {
 }
 
 impl AccessPattern for Butterfly {
-    fn next_warp(&mut self) -> Option<WarpAccess> {
+    fn next_into(&mut self, out: &mut WarpAccess) -> bool {
         if self.stride >= self.bytes {
-            return None;
+            return false;
         }
         // Touch the pair (offset, offset + stride).
-        let a = WarpAccess {
-            addrs: vec![
+        out.set(
+            [
                 VirtAddr(self.base + self.offset),
                 VirtAddr(self.base + self.offset + self.stride),
             ],
-            write: true,
-        };
+            true,
+        );
         self.offset += WARP_BYTES;
         // Skip the upper half of each 2*stride block.
         if self.offset % (2 * self.stride) >= self.stride {
@@ -374,7 +370,7 @@ impl AccessPattern for Butterfly {
             self.offset = 0;
             self.stride *= 2;
         }
-        Some(a)
+        true
     }
 
     fn insns_per_access(&self) -> u64 {
@@ -444,9 +440,9 @@ impl StencilRows {
 }
 
 impl AccessPattern for StencilRows {
-    fn next_warp(&mut self) -> Option<WarpAccess> {
+    fn next_into(&mut self, out: &mut WarpAccess) -> bool {
         if self.row >= self.rows {
-            return None;
+            return false;
         }
         let r = self.first_row + self.row;
         let neighbor = match self.phase {
@@ -458,10 +454,7 @@ impl AccessPattern for StencilRows {
         let write = self.phase == 3;
         let grid = if write { self.write_base } else { self.base };
         let addr = grid + neighbor * self.pitch + self.offset;
-        let a = WarpAccess {
-            addrs: vec![VirtAddr(addr), VirtAddr(addr + WARP_BYTES - 1)],
-            write,
-        };
+        out.set([VirtAddr(addr), VirtAddr(addr + WARP_BYTES - 1)], write);
         self.phase += 1;
         if self.phase == 4 {
             self.phase = 0;
@@ -471,7 +464,7 @@ impl AccessPattern for StencilRows {
                 self.row += 1;
             }
         }
-        Some(a)
+        true
     }
 
     fn insns_per_access(&self) -> u64 {
@@ -517,9 +510,9 @@ impl Wavefront {
 }
 
 impl AccessPattern for Wavefront {
-    fn next_warp(&mut self) -> Option<WarpAccess> {
+    fn next_into(&mut self, out: &mut WarpAccess) -> bool {
         if self.diag >= 2 * self.n - 1 {
-            return None;
+            return false;
         }
         // Cells on diagonal d: (i, d - i) for valid i.
         let lo = self.diag.saturating_sub(self.n - 1);
@@ -529,22 +522,20 @@ impl AccessPattern for Wavefront {
         if first > hi {
             self.diag += 1;
             self.block = 0;
-            return self.next_warp();
+            return self.next_into(out);
         }
         let lanes = (hi - first + 1).min(WARP_LANES as u64);
-        let addrs = (0..lanes)
-            .map(|l| {
-                let i = first + l;
-                let j = self.diag - i;
-                VirtAddr(self.base + (i * self.pitch_elems + j) * ELEM)
-            })
-            .collect();
+        let (base, pitch, diag) = (self.base, self.pitch_elems, self.diag);
+        out.set(
+            (first..first + lanes).map(|i| VirtAddr(base + (i * pitch + diag - i) * ELEM)),
+            true,
+        );
         self.block += 1;
         if self.block * WARP_LANES as u64 >= len {
             self.block = 0;
             self.diag += 1;
         }
-        Some(WarpAccess { addrs, write: true })
+        true
     }
 
     fn insns_per_access(&self) -> u64 {
