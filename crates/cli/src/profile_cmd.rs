@@ -11,6 +11,11 @@
 //! run's `RunMetrics` are byte-identical to `barre run`'s, and the last
 //! line printed is their canonical JSON.
 //!
+//! F-Barre runs also print the RCF counters the machine hands its
+//! counter sink when the run ends: packets applied in full versus copied
+//! from a peer replica, and the inserts dropped and removes that found
+//! nothing inside the filters (`RunMetrics` counts only VC drops).
+//!
 //! The probe is not free: each call reads the clock and updates the
 //! tally, and every class's ns/event carries one call. After the run the
 //! probe is timed over back-to-back calls and that cost is printed per
@@ -22,6 +27,7 @@ use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use barre_core::fbarre::RcfCounters;
 use barre_system::{
     build_machine, metrics_to_json, RunMetrics, SystemConfig, EVENT_CLASSES, POP_SAMPLE_PERIOD,
     PROBE_POPPED,
@@ -43,6 +49,7 @@ struct Tally {
 
 thread_local! {
     static TALLY: RefCell<Option<Tally>> = const { RefCell::new(None) };
+    static RCF: RefCell<RcfCounters> = RefCell::new(RcfCounters::default());
 }
 
 /// The probe installed on the machine: one clock read per call.
@@ -63,6 +70,8 @@ fn probe(index: usize) {
 /// One profiled run: its metrics, wall time, and per-index tallies.
 struct Profile {
     metrics: RunMetrics,
+    /// The F-Barre RCFs' host-side counters (zero without them).
+    rcf: RcfCounters,
     wall_ns: u64,
     count: [u64; SLOTS],
     ns: [u64; SLOTS],
@@ -97,15 +106,18 @@ fn probe_cost_ns() -> f64 {
 fn profile(app: AppId, cfg: &SystemConfig, seed: u64) -> Result<Profile, barre_system::SimError> {
     let mut machine = build_machine(&[app.spec()], cfg, seed)?;
     machine.set_event_probe(probe);
+    machine.set_rcf_counter_sink(|c| RCF.set(c));
     let start = Instant::now();
     start_tally(start);
     let result = machine.run();
     let wall_ns = start.elapsed().as_nanos() as u64;
     let tally = TALLY.take();
     let metrics = result?;
+    let rcf = RCF.take();
     let (count, ns) = tally.map_or(([0; SLOTS], [0; SLOTS]), |t| (t.count, t.ns));
     Ok(Profile {
         metrics,
+        rcf,
         wall_ns,
         count,
         ns,
@@ -169,6 +181,22 @@ fn render(label: &str, p: &Profile) -> String {
             ns as f64 / applied as f64
         );
     }
+    let rcf = &p.rcf;
+    let packets = rcf.packets_applied + rcf.packets_replayed;
+    if packets > 0 {
+        let _ = writeln!(
+            out,
+            "RCF packets: {} applied in full, {} replayed ({:.1}% replayed)",
+            rcf.packets_applied,
+            rcf.packets_replayed,
+            100.0 * rcf.packets_replayed as f64 / packets as f64
+        );
+        let _ = writeln!(
+            out,
+            "RCF updates lost in the filters: {} insert drops, {} absent removes",
+            rcf.insert_drops, rcf.absent_removes
+        );
+    }
     if let (Some(&ns), Some(&count)) = (p.ns.get(PROBE_POPPED), p.count.get(PROBE_POPPED)) {
         if count > 0 {
             let _ = writeln!(
@@ -221,6 +249,12 @@ mod tests {
         let text = render("gemv/fbarre", &p);
         assert!(text.contains("FilterUpd"), "{text}");
         assert!(text.contains("probe overhead: "), "{text}");
+        assert!(
+            p.rcf.packets_applied > 0 && p.rcf.packets_replayed > 0,
+            "{:?}",
+            p.rcf
+        );
+        assert!(text.contains("RCF packets: "), "{text}");
         assert_eq!(text.lines().last(), Some(metrics_to_json(&plain).as_str()));
     }
 }

@@ -257,19 +257,19 @@ fn fbarre_probe_path_is_allocation_free() {
 
 /// Heap allocations per simulated event during [`barre_system::Machine::run`]
 /// (after `build_machine`), per app: the highest rate over the three
-/// bench modes, plus 20 %. Measured (baseline / barre / fbarre):
-/// gemv 0.058 / 0.058 / 0.045, jac2d 0.048 / 0.048 / 0.031, gups
-/// 0.125 / 0.125 / 0.021, spmv 0.125 / 0.123 / 0.051. Warp issue, the
-/// TLBs and the MSHR files allocate nothing; what remains is each
-/// tag-cache set's first fill, slab warm-up, and two vectors per IOMMU
-/// walk (`Iommu::dispatch` and `Iommu::complete_walk` return theirs),
-/// which is most of the gups and spmv rate without F-Barre. A path that
-/// starts allocating per warp or per fill again fails here.
+/// bench modes, plus 20 %. Measured (baseline / barre / fbarre): gemv
+/// 0.058 / 0.058 / 0.045 and jac2d 0.048 / 0.048 / 0.031 when their rows
+/// were pinned (0.042 and 0.025 in every mode since IOMMU walks write
+/// into reused buffers), gups 0.0019 / 0.0020 / 0.0029, spmv 0.0030 /
+/// 0.0030 / 0.0037. Warp issue, the TLBs, the MSHR files and the walk
+/// dispatch and completion allocate nothing; what remains is each
+/// tag-cache set's first fill and slab warm-up. A path that starts
+/// allocating per warp, per walk or per fill again fails here.
 const ALLOCS_PER_EVENT: &[(AppId, f64)] = &[
     (AppId::Gemv, 0.058 * 1.2),
     (AppId::Jac2d, 0.048 * 1.2),
-    (AppId::Gups, 0.125 * 1.2),
-    (AppId::Spmv, 0.125 * 1.2),
+    (AppId::Gups, 0.003 * 1.2),
+    (AppId::Spmv, 0.004 * 1.2),
 ];
 
 #[test]

@@ -25,6 +25,12 @@ pub const FILTER_UPDATE_BITS: u64 = 44;
 /// insert under the unbounded walk) on irregular workloads.
 pub const FILTER_KICK_BUDGET: usize = 8;
 
+/// Fingerprint width of the bank's filters (Table II).
+const FP_BITS: u32 = 9;
+
+/// Salt of the RCFs' shared seed.
+const RCF_SALT: u64 = 0x2CF_0000;
+
 /// Filter-update command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterCmd {
@@ -52,12 +58,127 @@ pub fn filter_key(asid: u16, vpn: Vpn) -> u64 {
     ((asid as u64) << 40) ^ vpn.0
 }
 
+/// One state of an RCF table, as far as the replica memo knows it.
+///
+/// Two RCFs whose ids match ([`same`](Self::same)) hold the same table:
+/// buckets, `len`, drop counts and kick RNG. Fresh ids come from the
+/// machine's [`StateIds`]; an RCF's initial id is derived from its
+/// geometry, seed and kick budget, so RCFs built alike start out as
+/// replicas. [`UNKNOWN`](Self::UNKNOWN) matches nothing, not even
+/// itself: it marks a table changed outside the memo path, and it is
+/// the default.
+#[derive(Debug, Clone, Copy, Default)]
+struct StateId(u64);
+
+impl StateId {
+    /// A state no memo can vouch for.
+    const UNKNOWN: StateId = StateId(0);
+
+    /// The id of a freshly built filter of this shape. The top bit keeps
+    /// it apart from every id [`StateIds`] hands out; a hash collision
+    /// between two shapes is caught by [`CuckooFilter::replay`], which
+    /// refuses filters of different shape.
+    fn initial(rows: usize, fp_bits: u32, seed: u64, max_kicks: usize) -> Self {
+        let mut h = seed ^ 0x9E37_79B9_7F4A_7C15;
+        for x in [rows as u64, fp_bits as u64, max_kicks as u64] {
+            h = (h ^ x).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h ^= h >> 31;
+        }
+        StateId(h | 1 << 63)
+    }
+
+    /// Whether both ids name one known table state.
+    fn same(self, other: StateId) -> bool {
+        self.0 != 0 && self.0 == other.0
+    }
+}
+
+/// The source of fresh RCF state ids for the replica memo
+/// ([`FilterBank::apply_batch`]): one per machine, so ids are unique
+/// among the banks that exchange packets.
+#[derive(Debug, Default)]
+pub struct StateIds {
+    issued: u64,
+}
+
+impl StateIds {
+    /// An id no RCF has held.
+    fn fresh(&mut self) -> StateId {
+        self.issued += 1;
+        StateId(self.issued & !(1 << 63))
+    }
+}
+
+/// One advertisement packet as a receiver applies it: `sender`'s `cmd`
+/// for every VPN of `vpns`, in order.
+#[derive(Debug, Clone, Copy)]
+pub struct Packet<'a> {
+    /// Add or delete.
+    pub cmd: FilterCmd,
+    /// Chiplet whose TLB changed.
+    pub sender: ChipletId,
+    /// Address space of the VPNs.
+    pub asid: u16,
+    /// The advertised VPNs.
+    pub vpns: &'a [Vpn],
+}
+
+/// What the first full application of one packet left behind for the
+/// packet's other receivers: the RCF state it started from (`pre`), the
+/// state it produced (`post`), and the chiplet whose RCF holds the
+/// record. A fresh (default) memo names no recorder.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PacketMemo {
+    pre: StateId,
+    post: StateId,
+    recorder: Option<ChipletId>,
+}
+
+impl PacketMemo {
+    /// The chiplet whose bank applied the packet in full, if any did.
+    pub fn recorder(&self) -> Option<ChipletId> {
+        self.recorder
+    }
+}
+
+/// Host-side counters of a bank's RCFs. They describe the simulator's
+/// work, not the modeled machine, and stay out of the run's metrics.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RcfCounters {
+    /// Inserts dropped when the kick budget ran out.
+    pub insert_drops: u64,
+    /// Removes that found no fingerprint to clear.
+    pub absent_removes: u64,
+    /// Packets applied key by key (and recorded).
+    pub packets_applied: u64,
+    /// Packets copied from the recorder's result instead.
+    pub packets_replayed: u64,
+}
+
+impl std::ops::AddAssign for RcfCounters {
+    fn add_assign(&mut self, o: Self) {
+        self.insert_drops += o.insert_drops;
+        self.absent_removes += o.absent_removes;
+        self.packets_applied += o.packets_applied;
+        self.packets_replayed += o.packets_replayed;
+    }
+}
+
+/// One RCF and the state the memo knows it by.
+#[derive(Debug)]
+struct Rcf {
+    filter: CuckooFilter,
+    state: StateId,
+}
+
 /// The filter bank of one chiplet.
 #[derive(Debug)]
 pub struct FilterBank {
     chiplet: ChipletId,
     lcf: CuckooFilter,
-    rcfs: Vec<Option<CuckooFilter>>,
+    rcfs: Vec<Option<Rcf>>,
+    packets_applied: u64,
+    packets_replayed: u64,
 }
 
 impl FilterBank {
@@ -70,21 +191,37 @@ impl FilterBank {
     /// the RCFs are still independent tables (one per peer), they merely
     /// alias identically. The LCF keeps its own seed.
     ///
+    /// Banks built with the same `rows` and `seed` hold identical RCFs,
+    /// and an RCF's table is a function of its initial state and the
+    /// packets it applied. So the RCFs tracking one sender in different
+    /// banks stay replicas while they take the same packet stream, which
+    /// lets [`apply_batch`](Self::apply_batch) copy a packet's result
+    /// instead of recomputing it.
+    ///
     /// # Panics
     ///
     /// Panics if `chiplet` is outside `n_chiplets` or `rows` is not a
     /// power of two.
     pub fn new(chiplet: ChipletId, n_chiplets: usize, rows: usize, seed: u64) -> Self {
         assert!(chiplet.index() < n_chiplets, "chiplet outside the MCM");
-        let mk =
-            |salt: u64| CuckooFilter::with_max_kicks(rows, 4, 9, seed ^ salt, FILTER_KICK_BUDGET);
+        let mk = |salt: u64| {
+            CuckooFilter::with_max_kicks(rows, 4, FP_BITS, seed ^ salt, FILTER_KICK_BUDGET)
+        };
+        let initial = StateId::initial(rows, FP_BITS, seed ^ RCF_SALT, FILTER_KICK_BUDGET);
         let rcfs = (0..n_chiplets)
-            .map(|p| (p != chiplet.index()).then(|| mk(0x2CF_0000)))
+            .map(|p| {
+                (p != chiplet.index()).then(|| Rcf {
+                    filter: mk(RCF_SALT),
+                    state: initial,
+                })
+            })
             .collect();
         Self {
             chiplet,
             lcf: mk(0x10CA1),
             rcfs,
+            packets_applied: 0,
+            packets_replayed: 0,
         }
     }
 
@@ -111,21 +248,61 @@ impl FilterBank {
 
     /// Applies a peer's filter-update message to the matching RCF.
     /// Messages from unknown peers (or from this chiplet itself) are
-    /// ignored, as a best-effort receiver would.
+    /// ignored, as a best-effort receiver would. The update bypasses the
+    /// replica memo, so no memo can vouch for the RCF's state afterwards.
     pub fn apply_update(&mut self, upd: FilterUpdate) {
-        self.apply_batch(upd.cmd, upd.sender, upd.asid, &[upd.vpn]);
-    }
-
-    /// Applies one advertisement packet — `sender`'s `cmd` for every VPN
-    /// of `vpns`, in order — with one RCF lookup for the whole batch: the
-    /// filters end as one [`apply_update`](Self::apply_update) per VPN
-    /// would leave them.
-    pub fn apply_batch(&mut self, cmd: FilterCmd, sender: ChipletId, asid: u16, vpns: &[Vpn]) {
-        let Some(Some(rcf)) = self.rcfs.get_mut(sender.index()) else {
+        let Some(Some(rcf)) = self.rcfs.get_mut(upd.sender.index()) else {
             return;
         };
-        let keys = vpns.iter().map(|&vpn| filter_key(asid, vpn));
-        rcf.apply_all(cmd == FilterCmd::Add, keys);
+        rcf.filter
+            .apply_all(upd.cmd == FilterCmd::Add, [filter_key(upd.asid, upd.vpn)]);
+        rcf.state = StateId::UNKNOWN;
+    }
+
+    /// Applies one advertisement packet to the sender's RCF, leaving it
+    /// as one [`apply_update`](Self::apply_update) per VPN would.
+    ///
+    /// `memo` travels with the packet to all its receivers, and
+    /// `recorder` is the bank it names ([`PacketMemo::recorder`]). When
+    /// this RCF holds the memo's `pre` state and the recorder's RCF
+    /// still holds `post`, the packet's result is copied from the
+    /// recorder ([`CuckooFilter::replay`]). Otherwise the packet is
+    /// applied key by key and recorded, and the memo is pointed at this
+    /// bank. The RCF then holds `post` if it started from `pre`, and
+    /// else a fresh state from `ids`, which becomes the memo's `post`.
+    pub fn apply_batch(
+        &mut self,
+        packet: Packet<'_>,
+        memo: &mut PacketMemo,
+        recorder: Option<&FilterBank>,
+        ids: &mut StateIds,
+    ) {
+        let Some(Some(rcf)) = self.rcfs.get_mut(packet.sender.index()) else {
+            return;
+        };
+        let source = recorder
+            .and_then(|b| b.rcfs.get(packet.sender.index()))
+            .and_then(Option::as_ref)
+            .filter(|src| rcf.state.same(memo.pre) && src.state.same(memo.post));
+        if let Some(src) = source {
+            if rcf.filter.replay(&src.filter) {
+                rcf.state = memo.post;
+                self.packets_replayed += 1;
+                return;
+            }
+        }
+        let keys = packet.vpns.iter().map(|&vpn| filter_key(packet.asid, vpn));
+        rcf.filter.apply_all(packet.cmd == FilterCmd::Add, keys);
+        // A packet applied to the `pre` table always yields the `post`
+        // table, so a receiver that had to recompute (its recorder moved
+        // on) still joins the replicas at `post`.
+        if !rcf.state.same(memo.pre) {
+            memo.pre = rcf.state;
+            memo.post = ids.fresh();
+        }
+        memo.recorder = Some(self.chiplet);
+        rcf.state = memo.post;
+        self.packets_applied += 1;
     }
 
     /// Probes every RCF with `vpn`; returns the first peer whose filter
@@ -135,7 +312,7 @@ impl FilterBank {
         let key = filter_key(asid, vpn);
         let mut hash = None;
         self.rcfs.iter().enumerate().find_map(|(p, rcf)| {
-            let rcf = rcf.as_ref()?;
+            let rcf = &rcf.as_ref()?.filter;
             let h = *hash.get_or_insert_with(|| rcf.key_hash(key));
             rcf.contains_hashed(h).then_some(ChipletId(p as u8))
         })
@@ -156,7 +333,7 @@ impl FilterBank {
             .iter()
             .enumerate()
             .filter_map(|(p, rcf)| {
-                let rcf = rcf.as_ref()?;
+                let rcf = &rcf.as_ref()?.filter;
                 let h = *hash.get_or_insert_with(|| rcf.key_hash(key));
                 rcf.contains_hashed(h).then_some(ChipletId(p as u8))
             })
@@ -165,17 +342,34 @@ impl FilterBank {
 
     /// Resets every filter — the TLB-shootdown path of §VI ("we reset all
     /// LCFs and RCFs such that any residue values do not lead to
-    /// mispredictions").
+    /// mispredictions"). The kick RNGs and drop counts are not reset, so
+    /// no memo can vouch for the RCFs' states afterwards.
     pub fn shootdown(&mut self) {
         self.lcf.clear();
         for rcf in self.rcfs.iter_mut().flatten() {
-            rcf.clear();
+            rcf.filter.clear();
+            rcf.state = StateId::UNKNOWN;
         }
     }
 
     /// Total fingerprints across LCF and RCFs (occupancy diagnostics).
     pub fn total_entries(&self) -> usize {
-        self.lcf.len() + self.rcfs.iter().flatten().map(Filter::len).sum::<usize>()
+        let rcfs = self.rcfs.iter().flatten().map(|r| r.filter.len());
+        self.lcf.len() + rcfs.sum::<usize>()
+    }
+
+    /// The host-side counters of this bank's RCFs.
+    pub fn rcf_counters(&self) -> RcfCounters {
+        let mut c = RcfCounters {
+            packets_applied: self.packets_applied,
+            packets_replayed: self.packets_replayed,
+            ..RcfCounters::default()
+        };
+        for rcf in self.rcfs.iter().flatten() {
+            c.insert_drops += rcf.filter.dropped();
+            c.absent_removes += rcf.filter.absent_removes();
+        }
+        c
     }
 }
 
@@ -307,6 +501,7 @@ mod tests {
         // One bank takes the stream as batches, the other one update at
         // a time; occupancy and probe answers must agree.
         let (mut batched, mut single) = (bank(0), bank(0));
+        let mut ids = StateIds::default();
         let mut rng = barre_sim::Rng::new(0xBA7C);
         for round in 0..400u64 {
             let cmd = if rng.next_below(3) == 0 {
@@ -318,7 +513,13 @@ mod tests {
             let vpns: Vec<Vpn> = (0..=rng.next_below(16))
                 .map(|_| Vpn(rng.next_below(700)))
                 .collect();
-            batched.apply_batch(cmd, sender, 0, &vpns);
+            let packet = Packet {
+                cmd,
+                sender,
+                asid: 0,
+                vpns: &vpns,
+            };
+            batched.apply_batch(packet, &mut PacketMemo::default(), None, &mut ids);
             for &vpn in &vpns {
                 single.apply_update(FilterUpdate {
                     cmd,
@@ -342,6 +543,136 @@ mod tests {
         for v in 0..700 {
             assert_eq!(batched.rcf_hits(0, Vpn(v)), single.rcf_hits(0, Vpn(v)));
         }
+    }
+
+    /// Delivers `packet` to `banks[r]`, with the bank its memo names.
+    fn deliver(
+        banks: &mut [FilterBank],
+        r: usize,
+        packet: Packet<'_>,
+        memo: &mut PacketMemo,
+        ids: &mut StateIds,
+    ) {
+        let at = |c: ChipletId| banks.iter().position(|b| b.chiplet() == c);
+        let recorder = memo.recorder().and_then(at).filter(|&i| i != r);
+        match recorder.and_then(|i| banks.get_disjoint_mut([r, i]).ok()) {
+            Some([receiver, recorder]) => receiver.apply_batch(packet, memo, Some(recorder), ids),
+            None => banks[r].apply_batch(packet, memo, None, ids),
+        }
+    }
+
+    #[test]
+    fn replicas_through_the_memo_match_plain_filters() {
+        // Sender 0 broadcasts to its RCF replicas in banks 1..=3, and
+        // three plain filters of the RCF's shape take the same packets
+        // through `apply_all`. Each receiver takes its packets in send
+        // order, and one delivery in eight goes to a random receiver, so a
+        // recorder may move on before a peer catches up. Some broadcasts reach only
+        // part of the peers and receivers now and then take an update
+        // outside the memo path; both split the replicas for good, so
+        // the banks start over every epoch (one id source throughout).
+        // Groups longer than 16 VPNs go out as consecutive chunks, as the
+        // machine sends them.
+        let sender = ChipletId(0);
+        let shape = || CuckooFilter::with_max_kicks(256, 4, FP_BITS, 99 ^ RCF_SALT, 8);
+        let mut ids = StateIds::default();
+        let mut rng = barre_sim::Rng::new(0x3E9_11CA);
+        let (mut chunked, mut partial, mut outside) = (0, 0, 0);
+        let mut total = RcfCounters::default();
+        for epoch in 0..40 {
+            let mut banks: Vec<FilterBank> = (1..4).map(bank).collect();
+            let mut plain = [shape(), shape(), shape()];
+            let mut packets: Vec<(FilterCmd, Vec<Vpn>, PacketMemo)> = Vec::new();
+            let mut inbox: [std::collections::VecDeque<usize>; 3] = Default::default();
+            let mut live: Vec<Vpn> = Vec::new();
+            for step in 0..1500u32 {
+                if rng.next_below(4) == 0 {
+                    let delete =
+                        live.len() > 40 && rng.next_below(4) < 1 + (live.len() > 800) as u64 * 2;
+                    let n = match rng.next_below(8) {
+                        0 => 17 + rng.next_below(24),
+                        _ => 1 + rng.next_below(16),
+                    };
+                    let group: Vec<Vpn> = (0..n.min(live.len() as u64 + 40))
+                        .map(|_| match delete && !live.is_empty() {
+                            true => live.swap_remove(rng.index(live.len())),
+                            false => Vpn(rng.next_below(4000)),
+                        })
+                        .collect();
+                    if !delete {
+                        live.extend(&group);
+                    }
+                    let cmd = [FilterCmd::Add, FilterCmd::Delete][delete as usize];
+                    let to: Vec<usize> = match rng.next_below(300) {
+                        0 => (0..3).filter(|_| rng.next_below(2) == 0).collect(),
+                        _ => vec![0, 1, 2],
+                    };
+                    chunked += (group.len() > 16) as u32;
+                    partial += (to.len() < 3) as u32;
+                    for chunk in group.chunks(16) {
+                        packets.push((cmd, chunk.to_vec(), PacketMemo::default()));
+                        for &r in &to {
+                            inbox[r].push_back(packets.len() - 1);
+                        }
+                    }
+                    continue;
+                }
+                // Mostly the oldest packet in flight next, as the
+                // machine's FIFO filter channel delivers them.
+                let oldest =
+                    (0..3).min_by_key(|&r| inbox[r].front().copied().unwrap_or(usize::MAX));
+                let r = match rng.next_below(8) {
+                    0 => rng.index(3),
+                    _ => oldest.unwrap_or(0),
+                };
+                if rng.next_below(3000) == 0 {
+                    let vpn = Vpn(rng.next_below(4000));
+                    banks[r].apply_update(FilterUpdate {
+                        cmd: FilterCmd::Add,
+                        sender,
+                        asid: 0,
+                        vpn,
+                    });
+                    plain[r].insert(filter_key(0, vpn));
+                    outside += 1;
+                } else if let Some(k) = inbox[r].pop_front() {
+                    let (cmd, vpns, memo) = &mut packets[k];
+                    let packet = Packet {
+                        cmd: *cmd,
+                        sender,
+                        asid: 0,
+                        vpns,
+                    };
+                    deliver(&mut banks, r, packet, memo, &mut ids);
+                    let keys = vpns.iter().map(|&v| filter_key(0, v));
+                    plain[r].apply_all(*cmd == FilterCmd::Add, keys);
+                } else {
+                    continue;
+                }
+                let got = &banks[r].rcfs[sender.index()].as_ref().unwrap().filter;
+                let want = &plain[r];
+                let ctx = format!("epoch {epoch}, step {step}, receiver {}", r + 1);
+                assert_eq!(got.len(), want.len(), "len, {ctx}");
+                assert_eq!(got.dropped(), want.dropped(), "dropped, {ctx}");
+                assert!(got == want, "bucket words or kick draws differ, {ctx}");
+            }
+            for b in &banks {
+                total += b.rcf_counters();
+            }
+        }
+        assert!(
+            chunked > 100 && partial > 20 && outside > 5,
+            "{chunked} chunked, {partial} partial, {outside} outside the memo"
+        );
+        // Both paths run thousands of times.
+        assert!(
+            total.packets_replayed > 5000 && total.packets_applied > 5000,
+            "{total:?}"
+        );
+        assert!(
+            total.insert_drops > 0 && total.absent_removes > 0,
+            "{total:?}"
+        );
     }
 
     #[test]

@@ -97,7 +97,11 @@ pub struct CuckooFilter {
     seed: u64,
     kick_rng: Rng,
     dropped: u64,
+    absent_removes: u64,
     max_kicks: usize,
+    /// Rows the last [`apply_all`](Self::apply_all) wrote, in write order
+    /// (a row may repeat). Reused across calls.
+    written: Vec<u16>,
     // alt_xor[fp] = hash(fp) & (rows - 1), so the partial-key relocation
     // `i2 = i1 ^ hash(fp)` is a table lookup instead of a 64-bit mix on
     // every probe. 2^fp_bits entries, built once at construction.
@@ -159,7 +163,9 @@ impl CuckooFilter {
             seed,
             kick_rng: Rng::new(seed ^ 0xC0FF_EE00),
             dropped: 0,
+            absent_removes: 0,
             max_kicks,
+            written: Vec::new(),
             alt_xor,
         }
     }
@@ -193,6 +199,11 @@ impl CuckooFilter {
     /// Items dropped due to insertion failure (over-full table).
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// Removes that found no matching fingerprint.
+    pub fn absent_removes(&self) -> u64 {
+        self.absent_removes
     }
 
     /// The theoretical false-positive upper bound `2·ways / 2^fp_bits`
@@ -267,9 +278,10 @@ impl CuckooFilter {
         }
     }
 
-    /// [`Filter::insert`] of the key `h` was computed from.
+    /// [`Filter::insert`] of the key `h` was computed from. With `LOG`,
+    /// every row the insert writes is appended to `written`.
     #[inline]
-    fn insert_hashed(&mut self, h: KeyHash) -> bool {
+    fn insert_hashed<const LOG: bool>(&mut self, h: KeyHash) -> bool {
         let KeyHash { fp, i1, i2 } = h;
         let fp = fp as u64;
         // The first free slot of `i1`, else of `i2`.
@@ -277,6 +289,9 @@ impl CuckooFilter {
         if let (true, Some(b)) = (free != 0, self.buckets.get_mut(row)) {
             *b |= fp << (16 * (free.trailing_zeros() / 16));
             self.len += 1;
+            if LOG {
+                self.written.push(row as u16);
+            }
             return true;
         }
         // Relocate: kick a random resident fingerprint. The draws are
@@ -288,6 +303,7 @@ impl CuckooFilter {
             buckets,
             kick_rng,
             alt_xor,
+            written,
             ..
         } = self;
         let mut row = if kick_rng.next_u64() >> 63 == 0 {
@@ -304,10 +320,16 @@ impl CuckooFilter {
             // Swap `fp` into the victim's lane; the victim moves on.
             let victim = (*b >> shift) & 0xFFFF;
             *b ^= (victim ^ fp) << shift;
+            if LOG {
+                written.push(row as u16);
+            }
             fp = victim;
             let xor = alt_xor.get(fp as usize).copied().unwrap_or(0);
             row = (row ^ xor as usize) & mask;
             if buckets.get_mut(row).is_some_and(|b| place(b, fp)) {
+                if LOG {
+                    written.push(row as u16);
+                }
                 self.len += 1;
                 return true;
             }
@@ -319,9 +341,10 @@ impl CuckooFilter {
         false
     }
 
-    /// [`Filter::remove`] of the key `h` was computed from.
+    /// [`Filter::remove`] of the key `h` was computed from. With `LOG`,
+    /// the row it clears is appended to `written`.
     #[inline]
-    fn remove_hashed(&mut self, h: KeyHash) -> bool {
+    fn remove_hashed<const LOG: bool>(&mut self, h: KeyHash) -> bool {
         let KeyHash { fp, i1, i2 } = h;
         // The first slot holding `fp` in `i1`, else in `i2`.
         let lanes = LANE_LSB * fp as u64;
@@ -330,9 +353,15 @@ impl CuckooFilter {
             (true, Some(b)) => {
                 *b &= !(0xFFFF << (16 * (hit.trailing_zeros() / 16)));
                 self.len -= 1;
+                if LOG {
+                    self.written.push(row as u16);
+                }
                 true
             }
-            _ => false,
+            _ => {
+                self.absent_removes += 1;
+                false
+            }
         }
     }
 
@@ -341,7 +370,12 @@ impl CuckooFilter {
     /// per key would. Keys are hashed 16 at a time before the first of
     /// them is applied, so the hashing overlaps instead of waiting behind
     /// each insert's data-dependent kick chain and its mispredicted exit.
+    ///
+    /// The rows the keys write are noted, so that a filter that held this
+    /// one's state before the call can be brought to its state after it
+    /// by [`replay`](Self::replay).
     pub fn apply_all(&mut self, insert: bool, keys: impl IntoIterator<Item = u64>) {
+        self.written.clear();
         let mut keys = keys.into_iter();
         let mut hashes = [KeyHash {
             fp: 0,
@@ -359,24 +393,73 @@ impl CuckooFilter {
             }
             for &h in hashes.iter().take(n) {
                 if insert {
-                    self.insert_hashed(h);
+                    self.insert_hashed::<true>(h);
                 } else {
-                    self.remove_hashed(h);
+                    self.remove_hashed::<true>(h);
                 }
             }
         }
     }
+
+    /// Brings this filter to `src`'s state by copying the rows `src`'s
+    /// last [`apply_all`](Self::apply_all) wrote, its
+    /// `len`, its drop and absent-remove counts and its kick RNG. The
+    /// result is `src`'s table only if this filter holds the state `src`
+    /// held before that call and `src` has not changed since; the caller
+    /// tracks that. Returns `false`, changing nothing, when the two
+    /// filters differ in geometry, seed or kick budget.
+    pub fn replay(&mut self, src: &CuckooFilter) -> bool {
+        let same_shape = self.rows == src.rows
+            && self.fp_bits == src.fp_bits
+            && self.seed == src.seed
+            && self.max_kicks == src.max_kicks;
+        if !same_shape {
+            return false;
+        }
+        for &row in &src.written {
+            if let (Some(dst), Some(&word)) = (
+                self.buckets.get_mut(row as usize),
+                src.buckets.get(row as usize),
+            ) {
+                *dst = word;
+            }
+        }
+        self.len = src.len;
+        self.dropped = src.dropped;
+        self.absent_removes = src.absent_removes;
+        self.kick_rng.clone_from(&src.kick_rng);
+        true
+    }
 }
+
+/// Two filters are equal when they hold the same table: geometry, seed,
+/// kick budget, bucket words, `len`, drop and absent-remove counts, and
+/// kick RNG state. The rows an apply recorded are bookkeeping, not state.
+impl PartialEq for CuckooFilter {
+    fn eq(&self, o: &Self) -> bool {
+        self.rows == o.rows
+            && self.fp_bits == o.fp_bits
+            && self.seed == o.seed
+            && self.max_kicks == o.max_kicks
+            && self.buckets == o.buckets
+            && self.len == o.len
+            && self.dropped == o.dropped
+            && self.absent_removes == o.absent_removes
+            && self.kick_rng == o.kick_rng
+    }
+}
+
+impl Eq for CuckooFilter {}
 
 impl Filter for CuckooFilter {
     #[inline]
     fn insert(&mut self, key: u64) -> bool {
-        self.insert_hashed(self.key_hash(key))
+        self.insert_hashed::<false>(self.key_hash(key))
     }
 
     #[inline]
     fn remove(&mut self, key: u64) -> bool {
-        self.remove_hashed(self.key_hash(key))
+        self.remove_hashed::<false>(self.key_hash(key))
     }
 
     fn contains(&self, key: u64) -> bool {
@@ -714,6 +797,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn replay_copies_the_recorded_rows_and_the_kick_state() {
+        // A small table so inserts kick; the replica follows `src` by
+        // replay alone, and both must then take the same next packet
+        // identically (same rows, same kick draws).
+        let mut src = CuckooFilter::with_max_kicks(8, 4, 9, 5, 4);
+        let mut replica = src.clone();
+        let mut rng = Rng::new(0x5E9_1A7);
+        for round in 0..300u64 {
+            let insert = rng.next_below(3) != 0;
+            let keys: Vec<u64> = (0..=rng.next_below(12))
+                .map(|_| rng.next_below(90))
+                .collect();
+            src.apply_all(insert, keys.iter().copied());
+            assert!(replica.replay(&src));
+            assert_eq!(replica.buckets, src.buckets, "round {round}");
+            assert_eq!(
+                (replica.len, replica.dropped, replica.absent_removes),
+                (src.len, src.dropped, src.absent_removes),
+                "round {round}"
+            );
+            assert_eq!(
+                replica.kick_rng.clone().next_u64(),
+                src.kick_rng.clone().next_u64()
+            );
+        }
+        assert!(src.dropped() > 0 && src.absent_removes() > 0);
+        let other = CuckooFilter::with_max_kicks(8, 4, 9, 6, 4);
+        assert!(!replica.replay(&other), "a different seed must not replay");
+        assert_eq!(replica.buckets, src.buckets);
     }
 
     #[test]

@@ -122,14 +122,16 @@ impl GmmuUnit {
         true
     }
 
-    /// Starts walks on idle walkers. `pte_home` locates the chiplet whose
+    /// Starts walks on idle walkers, replacing `started` with
+    /// `(walker, done_at)` for each. `pte_home` locates the chiplet whose
     /// memory holds the leaf PTE (MGvm co-locates it with the data).
     pub fn dispatch(
         &mut self,
         now: Cycle,
         pte_home: impl Fn(u16, Vpn) -> Option<ChipletId>,
-    ) -> Vec<(usize, Cycle)> {
-        let mut started = Vec::new();
+        started: &mut Vec<(usize, Cycle)>,
+    ) {
+        started.clear();
         while let Some(slot) = self.walks.iter().position(Option::is_none) {
             let Some(req) = self.queue.pop_front() else {
                 break;
@@ -152,10 +154,10 @@ impl GmmuUnit {
             });
             started.push((slot, done_at));
         }
-        started
     }
 
-    /// Completes the walk on `walker`. With Barre attached, the walked
+    /// Completes the walk on `walker`, replacing `out` with its
+    /// responses. With Barre attached, the walked
     /// PTE serves the rest of its coalescing group from the local queue
     /// through the same [`PecUnit::complete`] pass as
     /// [`barre_iommu::Iommu::complete_walk`], so calculated responses
@@ -166,12 +168,14 @@ impl GmmuUnit {
         walker: usize,
         now: Cycle,
         lookup: impl Fn(u16, Vpn) -> Option<Pte>,
-    ) -> Vec<(Cycle, AtsResponse)> {
+        out: &mut Vec<(Cycle, AtsResponse)>,
+    ) {
+        out.clear();
         // A completion event for an idle or out-of-range walker is a
         // scheduling bug upstream; respond with no translations instead
         // of tearing the simulation down.
         let Some(walk) = self.walks.get_mut(walker).and_then(Option::take) else {
-            return Vec::new();
+            return;
         };
         debug_assert!(now >= walk.done_at);
         if walk.remote {
@@ -185,9 +189,8 @@ impl GmmuUnit {
             started_at: walk.started_at,
             tlb_hit: false,
         };
-        let out = self.pec.complete(walked, now, true, &mut self.queue);
+        self.pec.complete(walked, now, true, &mut self.queue, out);
         self.coalesced.add(out.len() as u64 - 1);
-        out
     }
 
     /// Whether the unit has no queued or in-flight work.
@@ -203,6 +206,29 @@ mod tests {
     use barre_core::CoalInfo;
     use barre_mem::virt_alloc::VpnRange;
     use barre_mem::{FrameAllocator, PageTable};
+
+    /// [`GmmuUnit::dispatch`] into a fresh vector.
+    fn dispatch(
+        g: &mut GmmuUnit,
+        now: Cycle,
+        pte_home: impl Fn(u16, Vpn) -> Option<ChipletId>,
+    ) -> Vec<(usize, Cycle)> {
+        let mut started = Vec::new();
+        g.dispatch(now, pte_home, &mut started);
+        started
+    }
+
+    /// [`GmmuUnit::complete_walk`] into a fresh vector.
+    fn complete(
+        g: &mut GmmuUnit,
+        walker: usize,
+        now: Cycle,
+        lookup: impl Fn(u16, Vpn) -> Option<Pte>,
+    ) -> Vec<(Cycle, AtsResponse)> {
+        let mut out = Vec::new();
+        g.complete_walk(walker, now, lookup, &mut out);
+        out
+    }
 
     fn fig7a() -> (PageTable, PecEntry) {
         let mut frames: Vec<FrameAllocator> = (0..4).map(|_| FrameAllocator::new(256)).collect();
@@ -241,11 +267,11 @@ mod tests {
         g.enqueue(req(1, 0x1));
         g.enqueue(req(2, 0x4));
         let home = |_: u16, v: Vpn| pt.lookup(v).map(|p| p.pfn().chiplet());
-        let started = g.dispatch(0, home);
+        let started = dispatch(&mut g, 0, home);
         assert_eq!(started[0].1, 300);
         assert_eq!(started[1].1, 500);
-        g.complete_walk(started[0].0, 300, |_, v| pt.lookup(v));
-        g.complete_walk(started[1].0, 500, |_, v| pt.lookup(v));
+        complete(&mut g, started[0].0, 300, |_, v| pt.lookup(v));
+        complete(&mut g, started[1].0, 500, |_, v| pt.lookup(v));
         assert_eq!(g.local_walks.get(), 1);
         assert_eq!(g.remote_walks.get(), 1);
     }
@@ -264,11 +290,11 @@ mod tests {
         g.register_pec(pec);
         g.enqueue(req(1, 0x1)); // local walk
         let home = |_: u16, v: Vpn| pt.lookup(v).map(|p| p.pfn().chiplet());
-        let started = g.dispatch(0, home);
+        let started = dispatch(&mut g, 0, home);
         // 0x4 and 0xA would both be remote walks; they pend instead.
         g.enqueue(req(2, 0x4));
         g.enqueue(req(3, 0xA));
-        let rsp = g.complete_walk(started[0].0, 300, |_, v| pt.lookup(v));
+        let rsp = complete(&mut g, started[0].0, 300, |_, v| pt.lookup(v));
         assert_eq!(rsp.len(), 3);
         assert_eq!(g.coalesced.get(), 2);
         assert_eq!(g.remote_walks.get(), 0);
@@ -293,9 +319,9 @@ mod tests {
         );
         g.register_pec(pec);
         g.enqueue(req(1, 0x1));
-        let started = g.dispatch(0, |_, _| Some(ChipletId(0)));
+        let started = dispatch(&mut g, 0, |_, _| Some(ChipletId(0)));
         g.enqueue(req(2, 0x4));
-        let gmmu = g.complete_walk(started[0].0, 300, lookup);
+        let gmmu = complete(&mut g, started[0].0, 300, lookup);
 
         let mut io = barre_iommu::Iommu::new(barre_iommu::IommuConfig {
             barre: true,
@@ -304,9 +330,10 @@ mod tests {
         });
         io.register_pec(pec);
         io.enqueue(req(1, 0x1));
-        let started = io.dispatch(0);
+        let (mut started, mut iommu) = (Vec::new(), Vec::new());
+        io.dispatch(0, &mut started);
         io.enqueue(req(2, 0x4));
-        let iommu = io.complete_walk(started[0].0, 500, lookup);
+        io.complete_walk(started[0].0, 500, lookup, &mut iommu);
 
         let calculated = |rsp: &[(Cycle, AtsResponse)]| {
             rsp.iter()
@@ -341,8 +368,8 @@ mod tests {
         assert!(g.is_idle());
         g.enqueue(req(1, 0x1));
         assert!(!g.is_idle());
-        let s = g.dispatch(0, |_, _| Some(ChipletId(0)));
-        g.complete_walk(s[0].0, 300, |_, v| pt.lookup(v));
+        let s = dispatch(&mut g, 0, |_, _| Some(ChipletId(0)));
+        complete(&mut g, s[0].0, 300, |_, v| pt.lookup(v));
         assert!(g.is_idle());
     }
 }

@@ -97,7 +97,7 @@ struct Walk {
 ///
 /// Drive it with [`enqueue`](Self::enqueue) on ATS arrival, then
 /// [`dispatch`](Self::dispatch) to start walks (schedule a completion
-/// event per returned `(ptw, done_at)`), then
+/// event per `(ptw, done_at)` it writes), then
 /// [`complete_walk`](Self::complete_walk) when each fires.
 #[derive(Debug)]
 pub struct Iommu {
@@ -178,10 +178,11 @@ impl Iommu {
         self.queue.len()
     }
 
-    /// Assigns queued requests to idle PTWs. Returns `(ptw, done_at)` for
-    /// every started walk; the caller schedules a completion event each.
-    pub fn dispatch(&mut self, now: Cycle) -> Vec<(usize, Cycle)> {
-        let mut started = Vec::new();
+    /// Assigns queued requests to idle PTWs. Replaces `started` with
+    /// `(ptw, done_at)` for every started walk; the caller schedules a
+    /// completion event each.
+    pub fn dispatch(&mut self, now: Cycle, started: &mut Vec<(usize, Cycle)>) {
+        started.clear();
         loop {
             if self.queue.is_empty() {
                 break;
@@ -221,7 +222,6 @@ impl Iommu {
             });
             started.push((ptw, done_at));
         }
-        started
     }
 
     fn idle_ptw(&mut self) -> Option<usize> {
@@ -274,20 +274,22 @@ impl Iommu {
 
     /// Completes the walk on `ptw` at `now`. `lookup` resolves
     /// `(asid, vpn)` to the leaf PTE (the actual radix-table access).
-    /// Returns the responses of [`PecUnit::complete`], each with the cycle
-    /// it is ready to leave the IOMMU, plus the multicast ones when
-    /// configured.
+    /// Replaces `out` with the responses of [`PecUnit::complete`], each
+    /// with the cycle it is ready to leave the IOMMU, plus the multicast
+    /// ones when configured.
     pub fn complete_walk(
         &mut self,
         ptw: usize,
         now: Cycle,
         lookup: impl Fn(u16, Vpn) -> Option<Pte>,
-    ) -> Vec<(Cycle, AtsResponse)> {
+        out: &mut Vec<(Cycle, AtsResponse)>,
+    ) {
+        out.clear();
         // A completion event for an idle or out-of-range PTW is a
         // scheduling bug upstream; respond with no translations instead
         // of tearing the simulation down.
         let Some(walk) = self.walks.get_mut(ptw).and_then(Option::take) else {
-            return Vec::new();
+            return;
         };
         debug_assert!(now >= walk.done_at, "completion fired early");
         self.stats.ptw_busy.add(now - walk.started_at);
@@ -313,10 +315,9 @@ impl Iommu {
             started_at: walk.started_at,
             tlb_hit: walk.tlb_hit,
         };
-        let mut out = self
-            .pec
-            .complete(walked, now, self.cfg.ship_pec_entry, &mut self.queue);
-        for (ready, rsp) in &out {
+        self.pec
+            .complete(walked, now, self.cfg.ship_pec_entry, &mut self.queue, out);
+        for (ready, rsp) in out.iter() {
             self.stats.ats_latency.record(ready - rsp.req.issued_at);
             if rsp.coalesced {
                 self.stats.coalesced.inc();
@@ -325,9 +326,8 @@ impl Iommu {
         // Each multicast response consumes outbound bandwidth whether or
         // not anyone wanted it — the reason the paper rejects this design.
         if self.cfg.multicast {
-            self.pec.multicast(&mut out, now, &mut self.multicast_seq);
+            self.pec.multicast(out, now, &mut self.multicast_seq);
         }
-        out
     }
 
     /// Invalidates an IOMMU TLB entry (page migration / shootdown).
@@ -360,6 +360,25 @@ mod tests {
     use barre_core::CoalInfo;
     use barre_mem::virt_alloc::VpnRange;
     use barre_mem::{ChipletId, FrameAllocator, PageTable};
+
+    /// [`Iommu::dispatch`] into a fresh vector.
+    fn dispatch(io: &mut Iommu, now: Cycle) -> Vec<(usize, Cycle)> {
+        let mut started = Vec::new();
+        io.dispatch(now, &mut started);
+        started
+    }
+
+    /// [`Iommu::complete_walk`] into a fresh vector.
+    fn complete(
+        io: &mut Iommu,
+        ptw: usize,
+        now: Cycle,
+        lookup: impl Fn(u16, Vpn) -> Option<Pte>,
+    ) -> Vec<(Cycle, AtsResponse)> {
+        let mut out = Vec::new();
+        io.complete_walk(ptw, now, lookup, &mut out);
+        out
+    }
 
     fn req(id: u64, vpn: u64, at: Cycle) -> AtsRequest {
         AtsRequest {
@@ -397,11 +416,11 @@ mod tests {
         let mut io = Iommu::new(IommuConfig::default());
         let (pt, _) = fig7a_table(CoalMode::Base, 1);
         assert!(io.enqueue(req(1, 0x1, 0)));
-        let started = io.dispatch(0);
+        let started = dispatch(&mut io, 0);
         assert_eq!(started.len(), 1);
         let (ptw, done) = started[0];
         assert_eq!(done, 500);
-        let rsp = io.complete_walk(ptw, done, |a, v| pt.lookup(v).filter(|_| a == 0));
+        let rsp = complete(&mut io, ptw, done, |a, v| pt.lookup(v).filter(|_| a == 0));
         assert_eq!(rsp.len(), 1);
         assert!(rsp[0].1.pfn.is_some());
         assert!(!rsp[0].1.coalesced);
@@ -429,7 +448,7 @@ mod tests {
         for i in 0..5 {
             io.enqueue(req(i, 0x10 + i, 0));
         }
-        assert_eq!(io.dispatch(0).len(), 2);
+        assert_eq!(dispatch(&mut io, 0).len(), 2);
         assert_eq!(io.active_walks(), 2);
         assert_eq!(io.queue_len(), 3);
     }
@@ -443,7 +462,7 @@ mod tests {
         for i in 0..40 {
             io.enqueue(req(i, 0x10 + i, 0));
         }
-        assert_eq!(io.dispatch(0).len(), 40);
+        assert_eq!(dispatch(&mut io, 0).len(), 40);
     }
 
     #[test]
@@ -456,14 +475,14 @@ mod tests {
         io.register_pec(pec);
         // 0x1, 0x4, 0x7, 0xA are one group: walk 0x1, the rest pend.
         io.enqueue(req(1, 0x1, 0));
-        let started = io.dispatch(0);
+        let started = dispatch(&mut io, 0);
         assert_eq!(started.len(), 1);
         // These arrive while the walk is in flight (16 PTWs idle, but we
         // hold dispatch to model them still queued).
         io.enqueue(req(2, 0x4, 10));
         io.enqueue(req(3, 0xA, 10));
         io.enqueue(req(4, 0x2, 10)); // different group
-        let rsp = io.complete_walk(started[0].0, 500, |_, v| pt.lookup(v));
+        let rsp = complete(&mut io, started[0].0, 500, |_, v| pt.lookup(v));
         let coalesced: Vec<u64> = rsp
             .iter()
             .filter(|(_, r)| r.coalesced)
@@ -494,8 +513,8 @@ mod tests {
             });
             io.register_pec(pec);
             io.enqueue(req(1, 0x1, 0));
-            let s = io.dispatch(0);
-            let rsp = io.complete_walk(s[0].0, 500, |_, v| pt.lookup(v));
+            let s = dispatch(&mut io, 0);
+            let rsp = complete(&mut io, s[0].0, 500, |_, v| pt.lookup(v));
             assert_eq!(rsp[0].1.pec_entry.is_some(), ship);
         }
     }
@@ -511,19 +530,19 @@ mod tests {
         });
         io.register_pec(pec);
         io.enqueue(req(1, 0x1, 0));
-        let s1 = io.dispatch(0);
+        let s1 = dispatch(&mut io, 0);
         assert_eq!(s1.len(), 1);
         // 0x4 (same group as in-flight 0x1) sits at the head; 0x2 behind.
         io.enqueue(req(2, 0x4, 1));
         io.enqueue(req(3, 0x2, 1));
         // The single PTW frees at 500; the scheduler should skip 0x4 and
         // walk 0x2 instead.
-        let rsp = io.complete_walk(s1[0].0, 500, |_, v| pt.lookup(v));
+        let rsp = complete(&mut io, s1[0].0, 500, |_, v| pt.lookup(v));
         // 0x4 got coalesced already by the completing walk...
         assert!(rsp
             .iter()
             .any(|(_, r)| r.req.vpn == Vpn(0x4) && r.coalesced));
-        let s2 = io.dispatch(500);
+        let s2 = dispatch(&mut io, 500);
         assert_eq!(s2.len(), 1);
         // ...so the next walk is 0x2 regardless; but the rotation stat
         // only moves when a coalescible head is skipped while its walk is
@@ -531,8 +550,8 @@ mod tests {
         io.enqueue(req(4, 0x5, 501)); // same group as in-flight 0x2
         io.enqueue(req(5, 0xA1, 501)); // unrelated
                                        // no free PTWs -> nothing started
-        assert!(io.dispatch(501).is_empty());
-        let rsp2 = io.complete_walk(s2[0].0, 1000, |_, v| pt.lookup(v));
+        assert!(dispatch(&mut io, 501).is_empty());
+        let rsp2 = complete(&mut io, s2[0].0, 1000, |_, v| pt.lookup(v));
         assert!(rsp2
             .iter()
             .any(|(_, r)| r.req.vpn == Vpn(0x5) && r.coalesced));
@@ -547,21 +566,21 @@ mod tests {
         });
         // First translation: TLB miss, 200 + 500 cycles.
         io.enqueue(req(1, 0x1, 0));
-        let s = io.dispatch(0);
+        let s = dispatch(&mut io, 0);
         assert_eq!(s[0].1, 700);
-        io.complete_walk(s[0].0, 700, |_, v| pt.lookup(v));
+        complete(&mut io, s[0].0, 700, |_, v| pt.lookup(v));
         // Second translation of the same page: 200-cycle TLB hit.
         io.enqueue(req(2, 0x1, 1000));
-        let s = io.dispatch(1000);
+        let s = dispatch(&mut io, 1000);
         assert_eq!(s[0].1, 1200);
-        let rsp = io.complete_walk(s[0].0, 1200, |_, v| pt.lookup(v));
+        let rsp = complete(&mut io, s[0].0, 1200, |_, v| pt.lookup(v));
         assert!(rsp[0].1.iommu_tlb_hit);
         assert_eq!(io.stats().walks.get(), 1);
         assert_eq!(io.stats().iommu_tlb.hits(), 1);
         // Invalidation forces a fresh walk.
         io.invalidate(0, Vpn(0x1));
         io.enqueue(req(3, 0x1, 2000));
-        let s = io.dispatch(2000);
+        let s = dispatch(&mut io, 2000);
         assert_eq!(s[0].1, 2700);
     }
 
@@ -570,8 +589,8 @@ mod tests {
         let mut io = Iommu::new(IommuConfig::default());
         let pt = PageTable::new(0);
         io.enqueue(req(1, 0x1, 0));
-        let s = io.dispatch(0);
-        let rsp = io.complete_walk(s[0].0, 500, |_, v| pt.lookup(v));
+        let s = dispatch(&mut io, 0);
+        let rsp = complete(&mut io, s[0].0, 500, |_, v| pt.lookup(v));
         assert!(rsp[0].1.pfn.is_none());
     }
 
@@ -596,11 +615,11 @@ mod tests {
         });
         io.register_pec(pec);
         io.enqueue(req(1, 0x1, 0));
-        let s = io.dispatch(0);
+        let s = dispatch(&mut io, 0);
         // Pending: same-chiplet sibling 0x2 (merged run) and remote 0xB.
         io.enqueue(req(2, 0x2, 1));
         io.enqueue(req(3, 0xB, 1));
-        let rsp = io.complete_walk(s[0].0, 500, |_, v| pt.lookup(v));
+        let rsp = complete(&mut io, s[0].0, 500, |_, v| pt.lookup(v));
         let coalesced: Vec<u64> = rsp
             .iter()
             .filter(|(_, r)| r.coalesced)

@@ -84,7 +84,8 @@ impl PecUnit {
                 })
     }
 
-    /// Serves `walk` at `now`: the walked request's own response first,
+    /// Serves `walk` at `now`, replacing `out` with the responses: the
+    /// walked request's own response first,
     /// then, under Barre, a calculated response for each request in
     /// `queue` that is in the walked PTE's coalescing group. Those leave
     /// the queue in order, each ready `calc_latency` after the one
@@ -100,9 +101,11 @@ impl PecUnit {
         now: Cycle,
         ship: bool,
         queue: &mut VecDeque<AtsRequest>,
-    ) -> Vec<(Cycle, AtsResponse)> {
+        out: &mut Vec<(Cycle, AtsResponse)>,
+    ) {
         self.group = None;
         self.members.clear();
+        out.clear();
         let coal_bits = walk.pte.filter(|_| self.barre).map_or(0, Pte::coal_bits);
         let info = if self.barre {
             CoalInfo::decode(coal_bits, self.logic.mode())
@@ -110,7 +113,7 @@ impl PecUnit {
             None
         };
         let entry = info.and_then(|_| self.buffer.lookup(walk.req.asid, walk.req.vpn).copied());
-        let mut out = vec![(
+        out.push((
             now,
             AtsResponse {
                 req: walk.req,
@@ -121,9 +124,9 @@ impl PecUnit {
                 iommu_tlb_hit: walk.tlb_hit,
                 walk_started_at: walk.started_at,
             },
-        )];
+        ));
         let (Some(info), Some(entry), Some(pte)) = (info, entry, walk.pte) else {
-            return out;
+            return;
         };
         let source = GroupSource {
             walked: walk.req,
@@ -155,7 +158,6 @@ impl PecUnit {
             }
         });
         self.group = Some(source);
-        out
     }
 
     /// Speculative multicast (§IV-B) of the last completed walk's group:
@@ -316,6 +318,8 @@ mod tests {
                 slow.register(entry);
                 let mut rng = Rng::new(0x9EC0 ^ u64::from(ship) ^ u64::from(merged) << 4);
                 let mut served = 0usize;
+                // One response buffer for every round, as the IOMMU reuses it.
+                let mut got = Vec::new();
                 for round in 0..300u64 {
                     let mut queue = VecDeque::new();
                     for i in 0..rng.next_below(24) {
@@ -350,7 +354,7 @@ mod tests {
                         tlb_hit: false,
                     };
                     let mut q_fast = queue.clone();
-                    let got = fast.complete(walk, 1000 + round, ship, &mut q_fast);
+                    fast.complete(walk, 1000 + round, ship, &mut q_fast, &mut got);
                     let want = reference_complete(&mut slow, walk, 1000 + round, ship, &mut queue);
                     assert_eq!(got, want, "{mode:?} ship {ship} round {round}");
                     assert_eq!(q_fast, queue, "{mode:?} ship {ship} round {round}");
@@ -378,7 +382,8 @@ mod tests {
             started_at: 0,
             tlb_hit: false,
         };
-        let mut out = unit.complete(walk(0x40), 10, false, &mut VecDeque::new());
+        let mut out = Vec::new();
+        unit.complete(walk(0x40), 10, false, &mut VecDeque::new(), &mut out);
         let mut seq = 0;
         unit.multicast(&mut out, 10, &mut seq);
         // The walked page plus the three other members of its group.
@@ -387,7 +392,7 @@ mod tests {
         assert_eq!(seq, 3);
         assert_eq!(out.last().map(|&(r, _)| r), Some(16));
         // A walk without a group (outside the data) multicasts nothing.
-        let mut out = unit.complete(walk(0x10), 10, false, &mut VecDeque::new());
+        unit.complete(walk(0x10), 10, false, &mut VecDeque::new(), &mut out);
         unit.multicast(&mut out, 10, &mut seq);
         assert_eq!(out.len(), 1);
     }

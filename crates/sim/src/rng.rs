@@ -15,7 +15,7 @@
 /// let mut b = Rng::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64()); // fully deterministic
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rng {
     s: [u64; 4],
 }

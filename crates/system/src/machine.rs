@@ -14,7 +14,7 @@
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
-use barre_core::fbarre::{FilterBank, FilterCmd};
+use barre_core::fbarre::{FilterBank, FilterCmd, Packet, PacketMemo, RcfCounters, StateIds};
 use barre_core::{CoalInfo, CoalMode, PecBuffer, PecEntry, PecLogic};
 use barre_filters::{Filter, IdealFilter};
 use barre_gpu::pattern::{AccessPattern, Lanes, WarpAccess, WARP_LANES};
@@ -65,16 +65,22 @@ const ATS_TRACE_ID_BASE: u64 = 1 << 62;
 /// identical order.
 const FILTER_BATCH_MAX: usize = 16;
 
-/// One peer-bound advertisement packet: the whole group's filter updates
-/// share a command, sender, and ASID, so the packet stores the VPNs
-/// inline instead of heap-allocating a `Vec<FilterUpdate>` per packet.
-/// Packets wait in the machine's batch slab; the event carries the slot.
+/// One advertisement packet, shared by every peer it is sent to: the
+/// whole group's filter updates share a command, sender, and ASID, so the
+/// packet stores the VPNs inline instead of heap-allocating a
+/// `Vec<FilterUpdate>` per packet. Packets wait in the machine's batch
+/// slab; each receiver's event carries the slot, and the last receiver
+/// frees it.
 #[derive(Debug, Clone, Copy)]
 struct FilterBatch {
     cmd: FilterCmd,
     sender: ChipletId,
     asid: u16,
     len: u8,
+    /// Receivers whose `Ev::FilterUpd` has not fired yet.
+    receivers: u8,
+    /// The first full application's record, for the later receivers.
+    memo: PacketMemo,
     vpns: [Vpn; FILTER_BATCH_MAX],
 }
 
@@ -356,6 +362,8 @@ pub struct Machine {
     queue: EventQueue<Ev>,
     /// Filter-update packets in flight (`Ev::FilterUpd` payloads).
     batches: PayloadSlab<FilterBatch>,
+    /// Fresh RCF state ids for the filter banks' replica memo.
+    rcf_states: StateIds,
     /// ATS responses in flight (`Ev::RespArrive` payloads).
     responses: PayloadSlab<AtsResponse>,
     now: Cycle,
@@ -384,6 +392,12 @@ pub struct Machine {
     scratch_members: Vec<barre_core::GroupMember>,
     /// Reused sharer-peer buffer for the broadcast path.
     scratch_peers: Vec<ChipletId>,
+    /// Reused batch-slot buffer for the broadcast path.
+    scratch_slots: Vec<u32>,
+    /// Reused `(walker, done_at)` buffer for IOMMU and GMMU dispatch.
+    walks_started: Vec<(usize, Cycle)>,
+    /// Reused response buffer for completed IOMMU and GMMU walks.
+    walk_responses: Vec<(Cycle, AtsResponse)>,
     /// The warp instruction [`Machine::issue`] has its CTA's pattern
     /// write in place, reused across warps.
     warp: WarpAccess,
@@ -399,6 +413,9 @@ pub struct Machine {
     /// Wall-clock attribution hook ([`Machine::set_event_probe`]);
     /// `None` (the default) costs one branch per event.
     event_probe: Option<fn(usize)>,
+    /// Receiver of the RCF counters at the end of a completed run
+    /// ([`Machine::set_rcf_counter_sink`]).
+    rcf_counter_sink: Option<fn(RcfCounters)>,
     /// Caller's cancel check ([`Machine::set_cancel_check`]), asked
     /// once every [`CANCEL_CHECK_PERIOD`] events.
     cancel_check: Option<Box<dyn FnMut() -> bool + Send>>,
@@ -555,6 +572,7 @@ impl Machine {
             req_track: ReqSlab::with_capacity(page_slots),
             queue: EventQueue::with_capacity(page_slots),
             batches: PayloadSlab::new(),
+            rcf_states: StateIds::default(),
             responses: PayloadSlab::new(),
             now: 0,
             m: RunMetrics::default(),
@@ -568,11 +586,15 @@ impl Machine {
             trace_seq: 0,
             scratch_members: Vec::new(),
             scratch_peers: Vec::new(),
+            scratch_slots: Vec::new(),
+            walks_started: Vec::new(),
+            walk_responses: Vec::new(),
             warp: WarpAccess::default(),
             dedup: PageDedup::new(),
             #[cfg(debug_assertions)]
             alloc_probe: None,
             event_probe: None,
+            rcf_counter_sink: None,
             cancel_check: None,
             #[cfg(feature = "sanitizer")]
             san: crate::sanitizer::SanitizerReport::default(),
@@ -601,6 +623,15 @@ impl Machine {
     /// `RunMetrics` are unchanged.
     pub fn set_event_probe(&mut self, probe: fn(usize)) {
         self.event_probe = Some(probe);
+    }
+
+    /// Installs a sink for the filter banks' RCF counters, summed over
+    /// the chiplets (all zero without F-Barre peer sharing): a run that
+    /// completes calls `sink` once with them. They count the simulator's
+    /// work, not the modeled machine's, so they stay out of `RunMetrics`,
+    /// and the sink sees nothing else.
+    pub fn set_rcf_counter_sink(&mut self, sink: fn(RcfCounters)) {
+        self.rcf_counter_sink = Some(sink);
     }
 
     /// Installs a cancel check: every [`CANCEL_CHECK_PERIOD`] events the
@@ -793,17 +824,7 @@ impl Machine {
             }
             Ev::PeerProbe { page, at } => self.peer_probe(page, at),
             Ev::PeerReply { page, result } => self.peer_reply(page, result),
-            Ev::FilterUpd { at, batch } => {
-                let batch = self.batches.take(batch);
-                let filters = self
-                    .chiplets
-                    .get_mut(at as usize)
-                    .and_then(|c| c.filters.as_mut());
-                if let (Some(f), Some(b)) = (filters, batch) {
-                    let vpns = b.vpns.get(..b.len as usize).unwrap_or(&[]);
-                    f.apply_batch(b.cmd, b.sender, b.asid, vpns);
-                }
-            }
+            Ev::FilterUpd { at, batch } => self.filter_upd(at, batch),
             Ev::MemStart { page } => self.mem_start(page),
             Ev::MemDone { page } => self.mem_done(page),
             Ev::MshrRetry { page } => self.l2_miss_path(page),
@@ -815,6 +836,38 @@ impl Machine {
             Ev::FallbackDone { chiplet, key } => self.fallback_done(chiplet, key),
         }
         Ok(())
+    }
+
+    /// Applies the shared packet in slot `batch` to chiplet `at`'s RCF for
+    /// its sender, through the packet's replica memo; the last receiver
+    /// frees the slot.
+    fn filter_upd(&mut self, at: u8, batch: u32) {
+        let Some(b) = self.batches.get_mut(batch) else {
+            return;
+        };
+        b.receivers = b.receivers.saturating_sub(1);
+        let last = b.receivers == 0;
+        let at = at as usize;
+        let recorder = b.memo.recorder().map(ChipletId::index);
+        let (receiver, recorder) = match recorder
+            .filter(|&r| r != at)
+            .and_then(|r| self.chiplets.get_disjoint_mut([at, r]).ok())
+        {
+            Some([receiver, recorder]) => (Some(receiver), recorder.filters.as_ref()),
+            None => (self.chiplets.get_mut(at), None),
+        };
+        if let Some(f) = receiver.and_then(|c| c.filters.as_mut()) {
+            let packet = Packet {
+                cmd: b.cmd,
+                sender: b.sender,
+                asid: b.asid,
+                vpns: b.vpns.get(..b.len as usize).unwrap_or(&[]),
+            };
+            f.apply_batch(packet, &mut b.memo, recorder, &mut self.rcf_states);
+        }
+        if last {
+            self.batches.release(batch);
+        }
     }
 
     /// Builds the watchdog's abort error: state dump plus the metrics
@@ -1411,8 +1464,10 @@ impl Machine {
     }
 
     fn iommu_dispatch(&mut self) {
-        let started = self.iommu.dispatch(self.now);
-        self.schedule_walks(started, |ptw| Ev::WalkDone { ptw });
+        let mut started = std::mem::take(&mut self.walks_started);
+        self.iommu.dispatch(self.now, &mut started);
+        self.schedule_walks(&started, |ptw| Ev::WalkDone { ptw });
+        self.walks_started = started;
     }
 
     fn gmmu_dispatch(&mut self, c: usize) {
@@ -1425,21 +1480,24 @@ impl Machine {
         let Some(g) = chiplets[c].gmmu.as_mut() else {
             return;
         };
-        let started = g.dispatch(now, |asid, vpn| {
+        let pte_home = |asid: u16, vpn| {
             page_tables
                 .get(asid as usize)
                 .and_then(|pt| pt.lookup(vpn))
                 .map(|pte| pte.pfn().chiplet())
-        });
+        };
+        g.dispatch(now, pte_home, &mut self.walks_started);
+        let started = std::mem::take(&mut self.walks_started);
         let chiplet = c as u8;
-        self.schedule_walks(started, |walker| Ev::GmmuWalkDone { chiplet, walker });
+        self.schedule_walks(&started, |walker| Ev::GmmuWalkDone { chiplet, walker });
+        self.walks_started = started;
     }
 
     /// Schedules the completion of each started `(walker, done_at)`.
     /// Fault: a walker stall (DRAM refresh collisions, memory
     /// contention) extends the walk.
-    fn schedule_walks(&mut self, started: Vec<(usize, Cycle)>, done: impl Fn(usize) -> Ev) {
-        for (walker, at) in started {
+    fn schedule_walks(&mut self, started: &[(usize, Cycle)], done: impl Fn(usize) -> Ev) {
+        for &(walker, at) in started {
             let stall = self
                 .injector
                 .as_mut()
@@ -1451,11 +1509,14 @@ impl Machine {
     fn walk_done(&mut self, ptw: usize) {
         let now = self.now;
         let Machine {
-            iommu, page_tables, ..
+            iommu,
+            page_tables,
+            walk_responses,
+            ..
         } = self;
-        let responses = iommu.complete_walk(ptw, now, |asid, vpn| {
-            page_tables.get(asid as usize).and_then(|pt| pt.lookup(vpn))
-        });
+        let lookup = |asid: u16, vpn| page_tables.get(asid as usize).and_then(|pt| pt.lookup(vpn));
+        iommu.complete_walk(ptw, now, lookup, walk_responses);
+        let responses = std::mem::take(walk_responses);
         // Refill the queue from the PCIe overflow buffer.
         while self.iommu.has_queue_space() {
             let Some(r) = self.iommu_overflow.pop_front() else {
@@ -1465,7 +1526,8 @@ impl Machine {
             debug_assert!(accepted);
         }
         self.iommu_dispatch();
-        self.deliver(responses);
+        self.deliver(&responses);
+        self.walk_responses = responses;
     }
 
     fn gmmu_walk_done(&mut self, chiplet: u8, walker: usize) {
@@ -1474,14 +1536,15 @@ impl Machine {
         let Machine {
             chiplets,
             page_tables,
+            walk_responses,
             ..
         } = self;
         let Some(g) = chiplets[c].gmmu.as_mut() else {
             return;
         };
-        let responses = g.complete_walk(walker, now, |asid, vpn| {
-            page_tables.get(asid as usize).and_then(|pt| pt.lookup(vpn))
-        });
+        let lookup = |asid: u16, vpn| page_tables.get(asid as usize).and_then(|pt| pt.lookup(vpn));
+        g.complete_walk(walker, now, lookup, walk_responses);
+        let responses = std::mem::take(walk_responses);
         let mut i = 0;
         while i < self.iommu_overflow.len() {
             let r = self.iommu_overflow[i];
@@ -1498,16 +1561,17 @@ impl Machine {
             i += 1;
         }
         self.gmmu_dispatch(c);
-        self.deliver(responses);
+        self.deliver(&responses);
+        self.walk_responses = responses;
     }
 
     /// Sends completed-walk responses to their chiplets: over PCIe from
     /// the IOMMU, on package from a GMMU. A faulted response vanishes,
     /// though on PCIe it still occupies the link; the chiplet's deadline
     /// timer recovers it through retry or fallback.
-    fn deliver(&mut self, responses: Vec<(Cycle, AtsResponse)>) {
+    fn deliver(&mut self, responses: &[(Cycle, AtsResponse)]) {
         let pcie = self.cfg.mmu == MmuKind::Iommu;
-        for (ready, resp) in responses {
+        for &(ready, resp) in responses {
             if self
                 .injector
                 .as_mut()
@@ -1813,6 +1877,8 @@ impl Machine {
         peers.sort_unstable();
         peers.dedup();
         let oracle = matches!(self.cfg.mode, TranslationMode::FBarre(f) if f.oracle_traffic);
+        let mut slots = std::mem::take(&mut self.scratch_slots);
+        slots.clear();
         for &peer in &peers {
             // One batched message per peer carries the whole group's
             // advertisement (n × 43-bit records in a single mesh packet).
@@ -1828,26 +1894,37 @@ impl Machine {
                 }
                 vc.send(t, bytes)
             };
-            // Inline-array batches; a group larger than FILTER_BATCH_MAX
-            // is split into consecutive same-cycle events, which the peer
-            // applies back-to-back in the original order.
-            for chunk in members.chunks(FILTER_BATCH_MAX) {
-                let mut batch = FilterBatch {
-                    cmd,
-                    sender: ChipletId(chiplet),
-                    asid: key.asid,
-                    len: chunk.len() as u8,
-                    vpns: [Vpn(0); FILTER_BATCH_MAX],
-                };
-                for (slot, m) in batch.vpns.iter_mut().zip(chunk) {
-                    *slot = m.vpn;
+            // Inline-array batches, stored once for all peers; a group
+            // larger than FILTER_BATCH_MAX is split into consecutive
+            // same-cycle events, which the peer applies back-to-back in
+            // the original order.
+            if slots.is_empty() {
+                for chunk in members.chunks(FILTER_BATCH_MAX) {
+                    let mut batch = FilterBatch {
+                        cmd,
+                        sender: ChipletId(chiplet),
+                        asid: key.asid,
+                        len: chunk.len() as u8,
+                        receivers: 0,
+                        memo: PacketMemo::default(),
+                        vpns: [Vpn(0); FILTER_BATCH_MAX],
+                    };
+                    for (slot, m) in batch.vpns.iter_mut().zip(chunk) {
+                        *slot = m.vpn;
+                    }
+                    slots.push(self.batches.insert(batch));
                 }
-                let batch = self.batches.insert(batch);
+            }
+            for &batch in &slots {
+                if let Some(b) = self.batches.get_mut(batch) {
+                    b.receivers += 1;
+                }
                 self.queue.push(at, Ev::FilterUpd { at: peer.0, batch });
             }
         }
         self.scratch_members = members;
         self.scratch_peers = peers;
+        self.scratch_slots = slots;
     }
 
     // ----- data access -----
@@ -2137,6 +2214,13 @@ impl Machine {
 
     fn finalize(mut self) -> RunMetrics {
         self.harvest();
+        if let Some(sink) = self.rcf_counter_sink {
+            let mut counters = RcfCounters::default();
+            for f in self.chiplets.iter().filter_map(|c| c.filters.as_ref()) {
+                counters += f.rcf_counters();
+            }
+            sink(counters);
+        }
         self.m
     }
 }

@@ -113,9 +113,10 @@ impl ReqSlab {
 }
 
 /// Event payloads too large to ride inside the event itself: stored once
-/// when the event is scheduled and taken once when it fires, so the event
-/// carries a 4-byte slot index. Slots are reused through a free list, so
-/// the slab's length is the run's peak count of in-flight payloads.
+/// when the event is scheduled and taken once when it (or the last of the
+/// events sharing it) fires, so the event carries a 4-byte slot index.
+/// Slots are reused through a free list, so the slab's length is the
+/// run's peak count of in-flight payloads.
 #[derive(Debug)]
 pub(crate) struct PayloadSlab<T> {
     items: Vec<T>,
@@ -148,11 +149,23 @@ impl<T: Copy> PayloadSlab<T> {
     }
 
     /// Releases slot `i`, returning its payload. Each slot handed out by
-    /// [`insert`](Self::insert) must be taken exactly once.
+    /// [`insert`](Self::insert) must be taken or
+    /// [`release`](Self::release)d exactly once.
     pub fn take(&mut self, i: u32) -> Option<T> {
         let item = self.items.get(i as usize).copied()?;
-        self.free.push(i);
+        self.release(i);
         Some(item)
+    }
+
+    /// The payload in slot `i`, in place: several events may share one
+    /// payload, and the last of them releases it.
+    pub fn get_mut(&mut self, i: u32) -> Option<&mut T> {
+        self.items.get_mut(i as usize)
+    }
+
+    /// Releases slot `i` without reading it.
+    pub fn release(&mut self, i: u32) {
+        self.free.push(i);
     }
 }
 

@@ -93,12 +93,14 @@ fn five_translations_cover_nineteen_pages() {
     let mut now = 0;
     let mut walks = 0;
     let mut served = 0;
+    let (mut started, mut out) = (Vec::new(), Vec::new());
     while !iommu.is_idle() {
-        let started = iommu.dispatch(now);
-        for (ptw, done) in started {
+        iommu.dispatch(now, &mut started);
+        for &(ptw, done) in &started {
             walks += 1;
             now = done;
-            served += iommu.complete_walk(ptw, now, |_, v| pt.lookup(v)).len();
+            iommu.complete_walk(ptw, now, |_, v| pt.lookup(v), &mut out);
+            served += out.len();
         }
     }
     assert_eq!(served, 19, "every page translated");
@@ -126,11 +128,13 @@ fn without_barre_nineteen_walks() {
     }
     let mut now = 0;
     let mut walks = 0;
+    let (mut started, mut out) = (Vec::new(), Vec::new());
     while !iommu.is_idle() {
-        for (ptw, done) in iommu.dispatch(now) {
+        iommu.dispatch(now, &mut started);
+        for &(ptw, done) in &started {
             walks += 1;
             now = done;
-            iommu.complete_walk(ptw, now, |_, v| pt.lookup(v));
+            iommu.complete_walk(ptw, now, |_, v| pt.lookup(v), &mut out);
         }
     }
     assert_eq!(walks, 19, "one walk per page without Barre");
@@ -164,10 +168,13 @@ fn fig7b_latency_is_cut_by_more_than_half() {
         }
         let mut now = 0;
         let mut last_ready = 0;
+        let (mut started, mut out) = (Vec::new(), Vec::new());
         while !iommu.is_idle() {
-            for (ptw, done) in iommu.dispatch(now) {
+            iommu.dispatch(now, &mut started);
+            for &(ptw, done) in &started {
                 now = done;
-                for (ready, _) in iommu.complete_walk(ptw, now, |_, v| pt.lookup(v)) {
+                iommu.complete_walk(ptw, now, |_, v| pt.lookup(v), &mut out);
+                for &(ready, _) in &out {
                     last_ready = last_ready.max(ready);
                 }
             }
