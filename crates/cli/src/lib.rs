@@ -1275,16 +1275,26 @@ pub fn execute(cmd: Command) -> i32 {
         }
         Command::List => {
             println!(
-                "{:<8} {:<20} {:>12} {:>6}",
-                "abbr", "name", "paper MPKI", "class"
+                "{:<8} {:<20} {:>12} {:>6} {:>6}",
+                "abbr", "name", "paper MPKI", "class", "seeded"
             );
+            // Whether a run reads its seed, from the seed tap of the
+            // app's smoke machine: a `no` app computes the same metrics
+            // at every seed.
+            let smoke = barre_system::smoke_config();
             for a in AppId::all() {
+                let seeded = match barre_system::build_machine(&[a.spec()], &smoke, DEFAULT_SEED) {
+                    Ok(m) if m.seed_free() => "no",
+                    Ok(_) => "yes",
+                    Err(_) => "?",
+                };
                 println!(
-                    "{:<8} {:<20} {:>12.3} {:>6}",
+                    "{:<8} {:<20} {:>12.3} {:>6} {:>6}",
                     a.name(),
                     a.full_name(),
                     a.paper_mpki(),
-                    a.category()
+                    a.category(),
+                    seeded
                 );
             }
             0

@@ -468,6 +468,100 @@ fn in_process_answers_match_barre_run() {
     assert_eq!(exit, 0);
 }
 
+/// The answer a fresh daemon, with an empty cache, gives `line`.
+fn cold_answer(dir: &Path, tag: &str, line: &str) -> String {
+    let cache = format!("fresh-{tag}");
+    let d = start_daemon(dir, &["--workers", "1", "--cache-dir", &cache], &[]);
+    let resp = d.request(line);
+    let (exit, _) = d.stop("-TERM");
+    assert_eq!(exit, 0);
+    resp
+}
+
+/// `barre run --metrics-json`'s output for `line`'s canonical argv.
+fn barre_run_metrics(line: &str) -> String {
+    let req = barre_serve::request::parse_request(line).expect("valid request");
+    let out = Command::new(BIN)
+        .args(&req.argv)
+        .output()
+        .expect("barre run");
+    assert!(out.status.success(), "{line}: {:?}", req.argv);
+    String::from_utf8(out.stdout)
+        .expect("utf-8")
+        .trim_end()
+        .to_string()
+}
+
+/// gemv never reads its seed, so the daemon simulates it once and
+/// answers every other seed from that record, byte-identical to a cold
+/// answer; gups reads its seed and is simulated per seed. The record
+/// survives a restart.
+#[test]
+fn seed_free_runs_are_simulated_once_for_every_seed() {
+    let dir = tmpdir("seedfree");
+    let d = start_daemon(&dir, &["--workers", "1", "--cache-dir", "cache"], &[]);
+    let gemv = |seed: &str| format!(r#"{{"app":"gemv","smoke":true{seed}}}"#);
+    let lines: Vec<String> = (1..=5)
+        .map(|s| gemv(&format!(",\"seed\":{s}")))
+        .chain([gemv("")])
+        .collect();
+    let answers: Vec<String> = lines.iter().map(|l| d.request(l)).collect();
+    let (_, stats) = d.http_get("/stats");
+    assert_eq!(json_u64(&stats, &["requests", "ok"]), 1, "{stats}");
+    assert_eq!(json_u64(&stats, &["requests", "cache_hits"]), 5, "{stats}");
+    assert_eq!(
+        json_u64(&stats, &["requests", "seed_free_hits"]),
+        5,
+        "{stats}"
+    );
+    assert_eq!(json_u64(&stats, &["cache", "entries"]), 1, "{stats}");
+    let (_, metrics) = d.http_get("/metrics");
+    assert!(
+        metrics.contains("barre_serve_cache_seed_free_hits_total 5\n"),
+        "{metrics}"
+    );
+    for (k, (line, resp)) in lines.iter().zip(&answers).enumerate() {
+        let req = barre_serve::request::parse_request(line).expect("valid request");
+        assert_eq!(str_field(resp, "fingerprint"), req.fingerprint, "{line}");
+        assert_eq!(resp, &cold_answer(&dir, &k.to_string(), line), "{line}");
+        assert_eq!(metrics_text(resp), barre_run_metrics(line), "{line}");
+    }
+
+    // gups draws its addresses from the seed: every seed runs cold.
+    let gups: Vec<String> = [1, 2]
+        .iter()
+        .map(|s| d.request(&format!(r#"{{"app":"gups","smoke":true,"seed":{s}}}"#)))
+        .collect();
+    assert_ne!(str_field(&gups[0], "digest"), str_field(&gups[1], "digest"));
+    let (_, stats) = d.http_get("/stats");
+    assert_eq!(json_u64(&stats, &["requests", "ok"]), 3, "{stats}");
+    assert_eq!(
+        json_u64(&stats, &["requests", "seed_free_hits"]),
+        5,
+        "{stats}"
+    );
+    assert_eq!(json_u64(&stats, &["cache", "entries"]), 3, "{stats}");
+    let (exit, _) = d.stop("-TERM");
+    assert_eq!(exit, 0);
+
+    // After a restart the warm-loaded seed-free record answers a seed
+    // no daemon has seen.
+    let d2 = start_daemon(&dir, &["--workers", "1", "--cache-dir", "cache"], &[]);
+    let line = gemv(",\"seed\":6");
+    let resp = d2.request(&line);
+    let (_, stats) = d2.http_get("/stats");
+    assert_eq!(json_u64(&stats, &["requests", "ok"]), 0, "{stats}");
+    assert_eq!(
+        json_u64(&stats, &["requests", "seed_free_hits"]),
+        1,
+        "{stats}"
+    );
+    let (exit, _) = d2.stop("-TERM");
+    assert_eq!(exit, 0);
+    assert_eq!(resp, cold_answer(&dir, "6", &line));
+    assert_eq!(metrics_text(&resp), barre_run_metrics(&line));
+}
+
 /// A cache file written when every request ran in a `barre run` child
 /// warm-loads and answers its requests as hits.
 #[test]
@@ -729,7 +823,9 @@ fn soak_1000_requests_against_saturated_daemon() {
     );
     assert!(json_u64(&stats, &["queue", "max_depth"]) <= 8, "{stats}");
     assert_eq!(json_u64(&stats, &["requests", "received"]), 1000);
-    assert_eq!(json_u64(&stats, &["cache", "entries"]), 4);
+    // The two gemv configs differ only in their seed, which gemv never
+    // reads: they share one seed-free record.
+    assert_eq!(json_u64(&stats, &["cache", "entries"]), 3);
 
     // The final exposition agrees with /stats.
     let (_, metrics) = d.http_get("/metrics");
@@ -738,7 +834,7 @@ fn soak_1000_requests_against_saturated_daemon() {
         "{metrics}"
     );
     assert!(
-        metrics.contains("barre_serve_cache_entries 4\n"),
+        metrics.contains("barre_serve_cache_entries 3\n"),
         "{metrics}"
     );
 
@@ -748,11 +844,11 @@ fn soak_1000_requests_against_saturated_daemon() {
         !stderr.to_lowercase().contains("panic"),
         "daemon panicked during soak: {stderr}"
     );
-    // The flushed index warm-loads: 4 verified entries, nothing skipped.
+    // The flushed index warm-loads: 3 verified entries, nothing skipped.
     let index = dir.join("cache").join("serve-cache.jsonl");
     let (records, skipped) = barre_system::read_journal_lenient(&index).expect("index parses");
     let (verified, dropped) = barre_system::verified_done_index(&records);
     assert_eq!(skipped, 0);
     assert_eq!(dropped, 0);
-    assert_eq!(verified.len(), 4);
+    assert_eq!(verified.len(), 3);
 }

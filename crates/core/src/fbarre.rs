@@ -340,18 +340,6 @@ impl FilterBank {
             .collect()
     }
 
-    /// Resets every filter — the TLB-shootdown path of §VI ("we reset all
-    /// LCFs and RCFs such that any residue values do not lead to
-    /// mispredictions"). The kick RNGs and drop counts are not reset, so
-    /// no memo can vouch for the RCFs' states afterwards.
-    pub fn shootdown(&mut self) {
-        self.lcf.clear();
-        for rcf in self.rcfs.iter_mut().flatten() {
-            rcf.filter.clear();
-            rcf.state = StateId::UNKNOWN;
-        }
-    }
-
     /// Total fingerprints across LCF and RCFs (occupancy diagnostics).
     pub fn total_entries(&self) -> usize {
         let rcfs = self.rcfs.iter().flatten().map(|r| r.filter.len());
@@ -452,22 +440,6 @@ mod tests {
             vpn: Vpn(0x99),
         });
         assert_eq!(gpu0.rcf_hit(0, Vpn(0x99)), None);
-    }
-
-    #[test]
-    fn shootdown_clears_everything() {
-        let mut gpu0 = bank(0);
-        gpu0.lcf_insert(0, Vpn(1));
-        gpu0.apply_update(FilterUpdate {
-            cmd: FilterCmd::Add,
-            sender: ChipletId(1),
-            asid: 0,
-            vpn: Vpn(2),
-        });
-        assert!(gpu0.total_entries() > 0);
-        gpu0.shootdown();
-        assert_eq!(gpu0.total_entries(), 0);
-        assert!(!gpu0.lcf_contains(0, Vpn(1)));
     }
 
     #[test]

@@ -43,6 +43,6 @@ pub trait Filter {
         self.len() == 0
     }
 
-    /// Drops all contents (TLB shootdown resets every LCF/RCF, §VI).
+    /// Drops all contents.
     fn clear(&mut self);
 }

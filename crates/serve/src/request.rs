@@ -12,7 +12,7 @@
 //! | `page_size`  | string        | `4k` / `64k` / `2m`                         |
 //! | `ptws`       | int or `"inf"`| page-table walkers per chiplet              |
 //! | `chiplets`   | int 1..=16    | chiplet count                               |
-//! | `seed`       | int (u64)     | simulation seed                             |
+//! | `seed`       | int (u64)     | simulation seed; ignored by seed-free runs  |
 //! | `smoke`      | bool          | small fast configuration                    |
 //! | `paper`      | bool          | paper-scale configuration                   |
 //! | `gmmu`       | bool          | IOMMU → GMMU                                |
@@ -38,6 +38,12 @@
 //! in the result cache no matter how the client spelled them. `id` and
 //! `timeout_ms` are deliberately excluded from the argv: they change
 //! how a request is handled, never what it computes.
+//!
+//! A request also has a **seed-free** address: the fingerprint of its
+//! argv without `--seed`, behind a domain tag. A run whose machine never
+//! reads its seed (`Machine::seed_free`) computes the same metrics for
+//! every seed, so the cache files it under that address and every seed
+//! of the same simulation finds it there.
 //!
 //! The machine itself comes from [`build_config`], the one function
 //! that turns a preset and its overrides into a [`SystemConfig`] for
@@ -201,6 +207,9 @@ pub struct ValidRequest {
     pub argv: Vec<String>,
     /// Journal fingerprint of `argv` — the content address.
     pub fingerprint: String,
+    /// The address of the same simulation at any seed: the fingerprint
+    /// of a `seed-free` domain tag and `argv` without `--seed`.
+    pub seed_free_fingerprint: String,
     /// Application to simulate.
     pub app: AppId,
     /// Machine to simulate it on ([`build_config`] over `argv`'s flags).
@@ -252,6 +261,12 @@ const MAX_CHIPLETS: u64 = 16;
 
 /// The most physical frames per chiplet a request may ask for.
 const MAX_FRAMES: u64 = 65_536;
+
+/// First part of every seed-free fingerprint. Every exact argv starts
+/// with `run`, so without it the seed-free address of a request would be
+/// the exact address of the same request without `seed`, which runs at
+/// [`DEFAULT_SEED`].
+const SEED_FREE_DOMAIN: &str = "seed-free";
 
 /// Parses and validates one request line into a canonical job.
 ///
@@ -382,12 +397,18 @@ pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
     }
     let parts: Vec<&str> = argv.iter().map(String::as_str).collect();
     let fp = fingerprint(&parts);
+    // `--seed` and its value come last.
+    let seedless: Vec<&str> = std::iter::once(SEED_FREE_DOMAIN)
+        .chain(parts.iter().copied().take_while(|&p| p != "--seed"))
+        .collect();
+    let seed_free_fp = fingerprint(&seedless);
     let label = format!("{name}/{}", f.mode.as_deref().unwrap_or("default"));
     Ok(ValidRequest {
         id: f.id,
         label,
         argv,
         fingerprint: fp,
+        seed_free_fingerprint: seed_free_fp,
         app,
         cfg: Box::new(cfg),
         seed: f.seed.unwrap_or(DEFAULT_SEED),
@@ -490,6 +511,24 @@ mod tests {
         let a = parse_request(r#"{"app":"gemv","seed":1}"#).expect("a");
         let b = parse_request(r#"{"app":"gemv","seed":2}"#).expect("b");
         assert_ne!(a.fingerprint, b.fingerprint);
+    }
+
+    #[test]
+    fn seed_free_fingerprint_ignores_only_the_seed() {
+        let a = parse_request(r#"{"app":"gemv","smoke":true,"seed":1}"#).expect("a");
+        let b = parse_request(r#"{"app":"gemv","smoke":true,"seed":2}"#).expect("b");
+        let none = parse_request(r#"{"app":"gemv","smoke":true}"#).expect("none");
+        assert_eq!(a.seed_free_fingerprint, b.seed_free_fingerprint);
+        assert_eq!(a.seed_free_fingerprint, none.seed_free_fingerprint);
+        // Domain-separated from every exact address, including the one
+        // of the request without a seed.
+        for r in [&a, &b, &none] {
+            assert_ne!(r.seed_free_fingerprint, none.fingerprint);
+            assert_ne!(r.seed_free_fingerprint, r.fingerprint);
+        }
+        let barre =
+            parse_request(r#"{"app":"gemv","smoke":true,"mode":"barre","seed":1}"#).expect("barre");
+        assert_ne!(barre.seed_free_fingerprint, a.seed_free_fingerprint);
     }
 
     #[test]

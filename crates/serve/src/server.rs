@@ -78,16 +78,18 @@ struct Job {
 }
 
 /// Runs one request's simulation on the calling thread, giving up at
-/// the deadline.
-type Simulate = fn(&ValidRequest, Instant) -> Result<RunMetrics, SimError>;
+/// the deadline. Returns the metrics and whether the run was seed-free
+/// ([`barre_system::Machine::seed_free`]).
+type Simulate = fn(&ValidRequest, Instant) -> Result<(RunMetrics, bool), SimError>;
 
 /// Builds and runs a request's machine. The machine asks the clock
 /// every [`barre_system::CANCEL_CHECK_PERIOD`] events and stops with
 /// [`SimError::Cancelled`] once `deadline` has passed.
-fn simulate(req: &ValidRequest, deadline: Instant) -> Result<RunMetrics, SimError> {
+fn simulate(req: &ValidRequest, deadline: Instant) -> Result<(RunMetrics, bool), SimError> {
     let mut machine = build_machine(&[req.app.spec()], &req.cfg, req.seed)?;
+    let seed_free = machine.seed_free();
     machine.set_cancel_check(Box::new(move || Instant::now() >= deadline));
-    machine.run()
+    Ok((machine.run()?, seed_free))
 }
 
 /// Everything the connection threads and workers share.
@@ -126,7 +128,27 @@ impl Shared {
             .min(60_000)
     }
 
-    fn render_cached(&self, rec: &barre_system::JournalRecord, id: Option<&str>) -> String {
+    /// The cached answer to `req`: under its exact address first (every
+    /// record a seeded or older daemon wrote), then under its seed-free
+    /// one. Counts the hit.
+    fn cached(&self, req: &ValidRequest) -> Option<String> {
+        let rec = match self.cache.get(&req.fingerprint) {
+            Some(rec) => rec,
+            None => {
+                let rec = self.cache.get(&req.seed_free_fingerprint)?;
+                bump(&self.stats.seed_free_hits);
+                rec
+            }
+        };
+        bump(&self.stats.cache_hits);
+        Some(self.render_cached(&rec, req))
+    }
+
+    /// `req`'s `ok` response from a cache record, under the request's own
+    /// fingerprint and label, so it is byte-identical to a cold answer
+    /// whichever address the record sits at.
+    fn render_cached(&self, rec: &barre_system::JournalRecord, req: &ValidRequest) -> String {
+        let id = req.id.as_deref();
         match &rec.event {
             JournalEvent::Done {
                 digest,
@@ -135,8 +157,8 @@ impl Shared {
                 ..
             } => render_ok(
                 id,
-                &rec.fingerprint,
-                &rec.label,
+                &req.fingerprint,
+                &req.label,
                 digest,
                 hist_digest.as_deref().unwrap_or(""),
                 &barre_system::metrics_to_json(metrics),
@@ -180,9 +202,8 @@ fn execute_job(sh: &Shared, job: &Job) -> String {
     let fp = &req.fingerprint;
     // Duplicate requests admitted before the first finished: serve the
     // cached result the moment it exists.
-    if let Some(rec) = sh.cache.get(fp) {
-        bump(&sh.stats.cache_hits);
-        return sh.render_cached(&rec, id);
+    if let Some(resp) = sh.cached(req) {
+        return resp;
     }
     if sh.breaker.is_open(fp) {
         bump(&sh.stats.quarantined);
@@ -213,11 +234,18 @@ fn execute_job(sh: &Shared, job: &Job) -> String {
         // Every outcome that does not return here is a transient failure;
         // `why` becomes the 500's detail once the retries run out.
         let why = match outcome {
-            Ok(Ok(metrics)) => {
+            Ok(Ok((metrics, seed_free))) => {
                 sh.breaker.record_success(fp);
                 bump(&sh.stats.ok_cold);
-                let rec = sh.cache.insert(fp, &req.label, metrics);
-                return sh.render_cached(&rec, id);
+                // One record per result: a seed-free run serves every
+                // seed of its simulation from the seed-free address.
+                let key = if seed_free {
+                    &req.seed_free_fingerprint
+                } else {
+                    fp
+                };
+                let rec = sh.cache.insert(key, &req.label, metrics);
+                return sh.render_cached(&rec, req);
             }
             Ok(Err(SimError::Cancelled { .. })) => {
                 bump(&sh.stats.timeouts);
@@ -282,9 +310,8 @@ fn handle_request_line(sh: &Shared, line: &str) -> String {
             "fingerprint quarantined by circuit breaker",
         );
     }
-    if let Some(rec) = sh.cache.get(&req.fingerprint) {
-        bump(&sh.stats.cache_hits);
-        return sh.render_cached(&rec, id);
+    if let Some(resp) = sh.cached(&req) {
+        return resp;
     }
     if shutting_down() {
         bump(&sh.stats.rejected_draining);
@@ -448,11 +475,11 @@ mod tests {
 
     /// A simulation that panics on seed 13, fails permanently on seed
     /// 15, and otherwise returns at once.
-    fn scripted(req: &ValidRequest, _deadline: Instant) -> Result<RunMetrics, SimError> {
+    fn scripted(req: &ValidRequest, _deadline: Instant) -> Result<(RunMetrics, bool), SimError> {
         match req.seed {
             13 => panic!("injected simulation panic"),
             15 => Err(SimError::InvalidConfig("injected\nsecond line".into())),
-            _ => Ok(RunMetrics::default()),
+            _ => Ok((RunMetrics::default(), false)),
         }
     }
 

@@ -7,6 +7,10 @@
 //! functions of the samples, byte-stable across hosts. A request's
 //! latency minus its simulate time is its admission wait plus its
 //! handling.
+//!
+//! `GET /stats` (JSON) and `GET /metrics` (Prometheus text) expose the
+//! same numbers. Each is declared once, in `ROWS`, with its JSON key,
+//! Prometheus name and help text; both bodies render from that table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -47,6 +51,9 @@ pub struct ServeStats {
     pub ok_cold: AtomicU64,
     /// Requests answered from the verified result cache.
     pub cache_hits: AtomicU64,
+    /// Cache hits served from a seed-free record, one that answers every
+    /// seed of its simulation (a subset of `cache_hits`).
+    pub seed_free_hits: AtomicU64,
     /// Requests rejected by validation (`400`).
     pub invalid: AtomicU64,
     /// Requests shed by the full admission queue (`429`).
@@ -115,173 +122,75 @@ impl ServeStats {
         }
     }
 
-    /// Renders the `/stats` JSON body (one line).
+    /// Renders the `/stats` JSON body (one line): the rows of `ROWS`
+    /// laid out by `STATS_LAYOUT`, then the queue-depth percentiles and
+    /// the two latency summaries.
     pub fn render(&self, g: &Gauges) -> String {
-        let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let (lat, sim, dep) = (
-            lock(&self.latency_ms).clone(),
-            lock(&self.simulate_ms).clone(),
-            lock(&self.depth_hist).clone(),
-        );
+        let (lat, sim, dep) = self.histograms();
+        let section = |name: &str| -> String {
+            let keys = STATS_LAYOUT
+                .iter()
+                .find(|(s, _)| *s == name)
+                .map(|(_, keys)| *keys)
+                .unwrap_or_default();
+            let fields: Vec<String> = keys
+                .iter()
+                .filter_map(|&key| ROWS.iter().find(|r| r.stats == (name, key)))
+                .map(|r| {
+                    let v = (r.read)(self, g);
+                    match r.kind {
+                        Kind::Flag => format!("\"{}\":{}", r.stats.1, v != 0),
+                        Kind::Counter | Kind::Gauge => format!("\"{}\":{v}", r.stats.1),
+                    }
+                })
+                .collect();
+            fields.join(",")
+        };
+        let summary = |h: &LatencyHistogram| {
+            format!(
+                "{{\"count\":{},\"mean\":{:.3},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
+                h.count(),
+                h.mean(),
+                h.p50(),
+                h.p95(),
+                h.p99(),
+                h.max()
+            )
+        };
         format!(
             concat!(
-                "{{\"draining\":{drain},",
-                "\"requests\":{{\"received\":{rx},\"ok\":{ok},\"cache_hits\":{hits},",
-                "\"invalid\":{inv},\"shed\":{shed},\"timeouts\":{to},",
-                "\"failed_permanent\":{fp},\"failed_transient\":{ft},",
-                "\"quarantined\":{q},\"rejected_draining\":{rd},\"retries\":{rt}}},",
-                "\"queue\":{{\"depth\":{qd},\"cap\":{qc},\"workers\":{w},\"max_depth\":{md},",
-                "\"depth_p50\":{dp50},\"depth_p95\":{dp95},\"depth_p99\":{dp99}}},",
-                "\"cache\":{{\"entries\":{ce},\"evictions\":{ev}}},",
-                "\"breaker\":{{\"open\":{bo}}},",
-                "\"latency_ms\":{{\"count\":{lc},\"mean\":{lm:.3},\"p50\":{lp50},",
-                "\"p95\":{lp95},\"p99\":{lp99},\"max\":{lmax}}},",
-                "\"simulate_ms\":{{\"count\":{sc},\"mean\":{sm:.3},\"p50\":{sp50},",
-                "\"p95\":{sp95},\"p99\":{sp99},\"max\":{smax}}}}}"
+                "{{{top},\"requests\":{{{requests}}},",
+                "\"queue\":{{{queue},\"depth_p50\":{dp50},\"depth_p95\":{dp95},\"depth_p99\":{dp99}}},",
+                "\"cache\":{{{cache}}},\"breaker\":{{{breaker}}},",
+                "\"latency_ms\":{lat},\"simulate_ms\":{sim}}}"
             ),
-            drain = g.draining,
-            rx = c(&self.received),
-            ok = c(&self.ok_cold),
-            hits = c(&self.cache_hits),
-            inv = c(&self.invalid),
-            shed = c(&self.shed),
-            to = c(&self.timeouts),
-            fp = c(&self.failed_permanent),
-            ft = c(&self.failed_transient),
-            q = c(&self.quarantined),
-            rd = c(&self.rejected_draining),
-            rt = c(&self.retries),
-            qd = g.queue_depth,
-            qc = g.queue_cap,
-            w = g.workers,
-            md = c(&self.max_depth),
+            top = section(""),
+            requests = section("requests"),
+            queue = section("queue"),
             dp50 = dep.p50(),
             dp95 = dep.p95(),
             dp99 = dep.p99(),
-            ce = g.cache_entries,
-            ev = g.cache_evictions,
-            bo = g.breaker_open,
-            lc = lat.count(),
-            lm = lat.mean(),
-            lp50 = lat.p50(),
-            lp95 = lat.p95(),
-            lp99 = lat.p99(),
-            lmax = lat.max(),
-            sc = sim.count(),
-            sm = sim.mean(),
-            sp50 = sim.p50(),
-            sp95 = sim.p95(),
-            sp99 = sim.p99(),
-            smax = sim.max(),
+            cache = section("cache"),
+            breaker = section("breaker"),
+            lat = summary(&lat),
+            sim = summary(&sim),
         )
     }
 
-    /// Renders the `GET /metrics` Prometheus text exposition — the same
-    /// counters as [`render`](ServeStats::render), one snapshot, names
-    /// under the `barre_serve_` prefix.
+    /// Renders the `GET /metrics` Prometheus text exposition — the rows
+    /// of `ROWS` in table order, then the three histograms, one
+    /// snapshot, names under the `barre_serve_` prefix.
     pub fn render_prometheus(&self, g: &Gauges) -> String {
-        let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let (lat, sim, dep) = (
-            lock(&self.latency_ms).clone(),
-            lock(&self.simulate_ms).clone(),
-            lock(&self.depth_hist).clone(),
-        );
+        let (lat, sim, dep) = self.histograms();
         let mut p = barre_obs::PromText::new();
-        p.counter(
-            "barre_serve_requests_received_total",
-            "Request lines received (any outcome).",
-            c(&self.received),
-        );
-        p.counter(
-            "barre_serve_requests_ok_cold_total",
-            "Cold successes (simulation actually ran).",
-            c(&self.ok_cold),
-        );
-        p.counter(
-            "barre_serve_cache_hits_total",
-            "Requests answered from the verified result cache.",
-            c(&self.cache_hits),
-        );
-        p.counter(
-            "barre_serve_requests_invalid_total",
-            "Requests rejected by validation (400).",
-            c(&self.invalid),
-        );
-        p.counter(
-            "barre_serve_requests_shed_total",
-            "Requests shed by the full admission queue (429).",
-            c(&self.shed),
-        );
-        p.counter(
-            "barre_serve_requests_timeout_total",
-            "Requests that hit their wall-clock deadline (504).",
-            c(&self.timeouts),
-        );
-        p.counter(
-            "barre_serve_requests_failed_permanent_total",
-            "Permanent simulation failures (422).",
-            c(&self.failed_permanent),
-        );
-        p.counter(
-            "barre_serve_requests_failed_transient_total",
-            "Transient failures that exhausted their retries (500).",
-            c(&self.failed_transient),
-        );
-        p.counter(
-            "barre_serve_requests_quarantined_total",
-            "Requests refused by the circuit breaker (503).",
-            c(&self.quarantined),
-        );
-        p.counter(
-            "barre_serve_requests_rejected_draining_total",
-            "Requests refused because a drain was in progress (503).",
-            c(&self.rejected_draining),
-        );
-        p.counter(
-            "barre_serve_child_retries_total",
-            "Simulation retry attempts beyond each request's first attempt.",
-            c(&self.retries),
-        );
-        p.counter(
-            "barre_serve_cache_evictions_total",
-            "Cache evictions from digest verification failures.",
-            g.cache_evictions,
-        );
-        p.gauge(
-            "barre_serve_queue_depth",
-            "Current admission-queue depth.",
-            g.queue_depth as u64,
-        );
-        p.gauge(
-            "barre_serve_queue_cap",
-            "Admission-queue capacity.",
-            g.queue_cap as u64,
-        );
-        p.gauge(
-            "barre_serve_queue_max_depth",
-            "Largest queue depth observed at admission.",
-            c(&self.max_depth),
-        );
-        p.gauge(
-            "barre_serve_workers",
-            "Simulation worker-pool size.",
-            g.workers as u64,
-        );
-        p.gauge(
-            "barre_serve_cache_entries",
-            "Entries in the verified result cache.",
-            g.cache_entries as u64,
-        );
-        p.gauge(
-            "barre_serve_breaker_open",
-            "Quarantined fingerprints (open breaker circuits).",
-            g.breaker_open as u64,
-        );
-        p.gauge_bool(
-            "barre_serve_draining",
-            "Whether a drain is in progress.",
-            g.draining,
-        );
+        for r in &ROWS {
+            let v = (r.read)(self, g);
+            match r.kind {
+                Kind::Counter => p.counter(r.prom, r.help, v),
+                Kind::Gauge => p.gauge(r.prom, r.help, v),
+                Kind::Flag => p.gauge_bool(r.prom, r.help, v != 0),
+            }
+        }
         p.histogram(
             "barre_serve_request_latency_ms",
             "Completed-request wall-clock latency in milliseconds.",
@@ -299,7 +208,213 @@ impl ServeStats {
         );
         p.render()
     }
+
+    /// One snapshot of the request-latency, simulate-time and
+    /// queue-depth histograms.
+    fn histograms(&self) -> (LatencyHistogram, LatencyHistogram, LatencyHistogram) {
+        (
+            lock(&self.latency_ms).clone(),
+            lock(&self.simulate_ms).clone(),
+            lock(&self.depth_hist).clone(),
+        )
+    }
 }
+
+/// How a row is exposed: a Prometheus counter, a gauge, or a 0/1 gauge
+/// that `/stats` renders as a JSON boolean.
+enum Kind {
+    Counter,
+    Gauge,
+    Flag,
+}
+
+/// One number both bodies expose, declared once.
+struct Row {
+    /// `/stats` section (`""` for the top level) and key.
+    stats: (&'static str, &'static str),
+    kind: Kind,
+    /// Prometheus name.
+    prom: &'static str,
+    /// Prometheus `# HELP` text.
+    help: &'static str,
+    read: fn(&ServeStats, &Gauges) -> u64,
+}
+
+fn load(c: &AtomicU64) -> u64 {
+    c.load(Ordering::Relaxed)
+}
+
+/// Every counter and gauge of `/stats` and `/metrics`, in `/metrics`
+/// order.
+const ROWS: [Row; 20] = [
+    Row {
+        stats: ("requests", "received"),
+        kind: Kind::Counter,
+        prom: "barre_serve_requests_received_total",
+        help: "Request lines received (any outcome).",
+        read: |s, _| load(&s.received),
+    },
+    Row {
+        stats: ("requests", "ok"),
+        kind: Kind::Counter,
+        prom: "barre_serve_requests_ok_cold_total",
+        help: "Cold successes (simulation actually ran).",
+        read: |s, _| load(&s.ok_cold),
+    },
+    Row {
+        stats: ("requests", "cache_hits"),
+        kind: Kind::Counter,
+        prom: "barre_serve_cache_hits_total",
+        help: "Requests answered from the verified result cache.",
+        read: |s, _| load(&s.cache_hits),
+    },
+    Row {
+        stats: ("requests", "seed_free_hits"),
+        kind: Kind::Counter,
+        prom: "barre_serve_cache_seed_free_hits_total",
+        help: "Cache hits served from a seed-free record (a subset of cache hits).",
+        read: |s, _| load(&s.seed_free_hits),
+    },
+    Row {
+        stats: ("requests", "invalid"),
+        kind: Kind::Counter,
+        prom: "barre_serve_requests_invalid_total",
+        help: "Requests rejected by validation (400).",
+        read: |s, _| load(&s.invalid),
+    },
+    Row {
+        stats: ("requests", "shed"),
+        kind: Kind::Counter,
+        prom: "barre_serve_requests_shed_total",
+        help: "Requests shed by the full admission queue (429).",
+        read: |s, _| load(&s.shed),
+    },
+    Row {
+        stats: ("requests", "timeouts"),
+        kind: Kind::Counter,
+        prom: "barre_serve_requests_timeout_total",
+        help: "Requests that hit their wall-clock deadline (504).",
+        read: |s, _| load(&s.timeouts),
+    },
+    Row {
+        stats: ("requests", "failed_permanent"),
+        kind: Kind::Counter,
+        prom: "barre_serve_requests_failed_permanent_total",
+        help: "Permanent simulation failures (422).",
+        read: |s, _| load(&s.failed_permanent),
+    },
+    Row {
+        stats: ("requests", "failed_transient"),
+        kind: Kind::Counter,
+        prom: "barre_serve_requests_failed_transient_total",
+        help: "Transient failures that exhausted their retries (500).",
+        read: |s, _| load(&s.failed_transient),
+    },
+    Row {
+        stats: ("requests", "quarantined"),
+        kind: Kind::Counter,
+        prom: "barre_serve_requests_quarantined_total",
+        help: "Requests refused by the circuit breaker (503).",
+        read: |s, _| load(&s.quarantined),
+    },
+    Row {
+        stats: ("requests", "rejected_draining"),
+        kind: Kind::Counter,
+        prom: "barre_serve_requests_rejected_draining_total",
+        help: "Requests refused because a drain was in progress (503).",
+        read: |s, _| load(&s.rejected_draining),
+    },
+    Row {
+        stats: ("requests", "retries"),
+        kind: Kind::Counter,
+        prom: "barre_serve_child_retries_total",
+        help: "Simulation retry attempts beyond each request's first attempt.",
+        read: |s, _| load(&s.retries),
+    },
+    Row {
+        stats: ("cache", "evictions"),
+        kind: Kind::Counter,
+        prom: "barre_serve_cache_evictions_total",
+        help: "Cache evictions from digest verification failures.",
+        read: |_, g| g.cache_evictions,
+    },
+    Row {
+        stats: ("queue", "depth"),
+        kind: Kind::Gauge,
+        prom: "barre_serve_queue_depth",
+        help: "Current admission-queue depth.",
+        read: |_, g| g.queue_depth as u64,
+    },
+    Row {
+        stats: ("queue", "cap"),
+        kind: Kind::Gauge,
+        prom: "barre_serve_queue_cap",
+        help: "Admission-queue capacity.",
+        read: |_, g| g.queue_cap as u64,
+    },
+    Row {
+        stats: ("queue", "max_depth"),
+        kind: Kind::Gauge,
+        prom: "barre_serve_queue_max_depth",
+        help: "Largest queue depth observed at admission.",
+        read: |s, _| load(&s.max_depth),
+    },
+    Row {
+        stats: ("queue", "workers"),
+        kind: Kind::Gauge,
+        prom: "barre_serve_workers",
+        help: "Simulation worker-pool size.",
+        read: |_, g| g.workers as u64,
+    },
+    Row {
+        stats: ("cache", "entries"),
+        kind: Kind::Gauge,
+        prom: "barre_serve_cache_entries",
+        help: "Entries in the verified result cache.",
+        read: |_, g| g.cache_entries as u64,
+    },
+    Row {
+        stats: ("breaker", "open"),
+        kind: Kind::Gauge,
+        prom: "barre_serve_breaker_open",
+        help: "Quarantined fingerprints (open breaker circuits).",
+        read: |_, g| g.breaker_open as u64,
+    },
+    Row {
+        stats: ("", "draining"),
+        kind: Kind::Flag,
+        prom: "barre_serve_draining",
+        help: "Whether a drain is in progress.",
+        read: |_, g| u64::from(g.draining),
+    },
+];
+
+/// Where `/stats` puts the rows: each section (`""` for the top level)
+/// with its keys in order. The two documents order some rows
+/// differently, so the JSON layout is listed apart from `ROWS`.
+const STATS_LAYOUT: [(&str, &[&str]); 5] = [
+    ("", &["draining"]),
+    (
+        "requests",
+        &[
+            "received",
+            "ok",
+            "cache_hits",
+            "seed_free_hits",
+            "invalid",
+            "shed",
+            "timeouts",
+            "failed_permanent",
+            "failed_transient",
+            "quarantined",
+            "rejected_draining",
+            "retries",
+        ],
+    ),
+    ("queue", &["depth", "cap", "workers", "max_depth"]),
+    ("cache", &["entries", "evictions"]),
+    ("breaker", &["open"]),
+];
 
 #[cfg(test)]
 mod tests {
@@ -395,6 +510,86 @@ mod tests {
             "{body}"
         );
         assert!(body.contains("barre_serve_simulate_ms_count 2\n"), "{body}");
+    }
+
+    /// A state in which every counter, gauge and histogram differs.
+    fn busy() -> (ServeStats, Gauges) {
+        let s = ServeStats::new();
+        for (i, c) in [
+            &s.received,
+            &s.ok_cold,
+            &s.cache_hits,
+            &s.invalid,
+            &s.shed,
+            &s.timeouts,
+            &s.failed_permanent,
+            &s.failed_transient,
+            &s.quarantined,
+            &s.rejected_draining,
+            &s.retries,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            c.store(101 + i as u64, Ordering::Relaxed);
+        }
+        s.seed_free_hits.store(55, Ordering::Relaxed);
+        s.record_depth(3);
+        s.record_depth(7);
+        s.record_latency_ms(12);
+        s.record_latency_ms(40);
+        s.record_simulate_ms(9);
+        let g = Gauges {
+            queue_depth: 1,
+            queue_cap: 64,
+            workers: 2,
+            cache_entries: 5,
+            cache_evictions: 6,
+            breaker_open: 1,
+            draining: true,
+        };
+        (s, g)
+    }
+
+    /// Both bodies, rendered from the one table, equal what the two
+    /// hand-written renderers produced for the same state before the
+    /// table existed (the fixtures), apart from the rows added since.
+    #[test]
+    fn table_renders_the_pre_table_bodies() {
+        let (s, g) = busy();
+        let stats = s.render(&g);
+        assert_eq!(
+            stats.replacen("\"seed_free_hits\":55,", "", 1),
+            include_str!("../tests/fixtures/stats-v1.json")
+        );
+        let metrics = s.render_prometheus(&g);
+        let new_lines = [
+            "# HELP barre_serve_cache_seed_free_hits_total Cache hits served from a seed-free record (a subset of cache hits).\n",
+            "# TYPE barre_serve_cache_seed_free_hits_total counter\n",
+            "barre_serve_cache_seed_free_hits_total 55\n",
+        ];
+        let mut old = metrics.clone();
+        for line in new_lines {
+            assert!(old.contains(line), "{metrics}");
+            old = old.replacen(line, "", 1);
+        }
+        assert_eq!(old, include_str!("../tests/fixtures/metrics-v1.prom"));
+    }
+
+    #[test]
+    fn stats_layout_places_every_row_once() {
+        let mut placed: Vec<(&str, &str)> = STATS_LAYOUT
+            .iter()
+            .flat_map(|(section, keys)| keys.iter().map(move |k| (*section, *k)))
+            .collect();
+        let mut rows: Vec<(&str, &str)> = ROWS.iter().map(|r| r.stats).collect();
+        placed.sort_unstable();
+        rows.sort_unstable();
+        assert_eq!(placed, rows);
+        let mut names: Vec<&str> = ROWS.iter().map(|r| r.prom).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), ROWS.len());
     }
 
     #[test]

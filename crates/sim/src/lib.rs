@@ -40,7 +40,7 @@ pub use fault::{FaultCounts, FaultInjector, FaultPlan};
 pub use link::Link;
 pub use pool::PoolError;
 pub use queue::EventQueue;
-pub use rng::Rng;
+pub use rng::{Rng, SeedTap};
 pub use stats::{Counter, Histogram, RatioStat};
 
 /// Simulation time, in GPU core cycles (the model assumes a 1 GHz clock, so

@@ -4,6 +4,8 @@
 //! stochastic choice (workload addresses, hash seeds) flows from a
 //! user-provided seed through [`Rng`], a xoshiro256** generator seeded via
 //! SplitMix64 (the initialization recommended by the xoshiro authors).
+//! A run's seed reaches its consumers only through a [`SeedTap`], which
+//! records whether any of them read it.
 
 /// A seedable xoshiro256** PRNG.
 ///
@@ -105,9 +107,65 @@ impl Rng {
     }
 }
 
+/// A run's seed, held privately, with a record of whether anything read
+/// it.
+///
+/// Every consumer of a run's seed derives its value through the tap, so
+/// a tap still [`untouched`](SeedTap::untouched) once the run is built
+/// proves the run computes the same thing for every seed.
+///
+/// # Example
+///
+/// ```
+/// use barre_sim::{Rng, SeedTap};
+/// let mut tap = SeedTap::new(42);
+/// assert!(tap.untouched());
+/// assert_eq!(tap.rng(7), Rng::new(42 ^ 7));
+/// assert!(!tap.untouched());
+/// ```
+#[derive(Debug)]
+pub struct SeedTap {
+    seed: u64,
+    read: bool,
+}
+
+impl SeedTap {
+    /// A tap over `seed` that nothing has read yet.
+    pub fn new(seed: u64) -> Self {
+        Self { seed, read: false }
+    }
+
+    /// The seed XOR `salt`; records the read.
+    pub fn salted(&mut self, salt: u64) -> u64 {
+        self.read = true;
+        self.seed ^ salt
+    }
+
+    /// A generator seeded with the seed XOR `salt`; records the read.
+    pub fn rng(&mut self, salt: u64) -> Rng {
+        Rng::new(self.salted(salt))
+    }
+
+    /// Whether nothing has read the seed.
+    pub fn untouched(&self) -> bool {
+        !self.read
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seed_tap_records_reads_and_derives_as_before() {
+        let mut tap = SeedTap::new(0xBA22E);
+        assert!(tap.untouched());
+        assert_eq!(tap.salted(3), 0xBA22E ^ 3);
+        assert!(!tap.untouched());
+        let mut a = SeedTap::new(9).rng(5);
+        let mut b = Rng::new(9 ^ 5);
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
 
     #[test]
     fn deterministic_across_instances() {

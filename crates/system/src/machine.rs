@@ -24,7 +24,7 @@ use barre_iommu::{
 };
 use barre_mapping::Acud;
 use barre_mem::{ChipletId, FrameAllocator, GlobalPfn, PageTable, Vpn};
-use barre_sim::{Cycle, EventQueue, FaultInjector, Link};
+use barre_sim::{Cycle, EventQueue, FaultInjector, Link, SeedTap};
 use barre_tlb::{MshrFile, MshrOutcome, Tlb, TlbKey, WaiterLinks};
 use barre_trace::{Sample, Stage, TraceOptions, TraceRecorder, Tracer};
 
@@ -371,6 +371,8 @@ pub struct Machine {
     /// Fault decision engine; `None` on fault-free runs (so they make no
     /// extra RNG draws and stay cycle-identical to pre-fault builds).
     injector: Option<FaultInjector>,
+    /// Whether building the machine left the run seed unread.
+    seed_free: bool,
     /// Whether ATS sends arm retry deadlines: requires a retry config
     /// AND a plan that can lose/delay ATS traffic. On fault-free runs no
     /// timer events are scheduled — an always-armed timer would extend
@@ -433,7 +435,7 @@ impl Machine {
         master_pecs: Vec<PecEntry>,
         plans: Vec<barre_core::MappingPlan>,
         sched: CtaScheduler,
-        seed: u64,
+        mut tap: SeedTap,
     ) -> Self {
         let n = cfg.topology.n_chiplets;
         let page_shift = cfg.page_size.shift();
@@ -540,6 +542,8 @@ impl Machine {
         // bound makes the hot loop allocation-free after warm-up.
         let warp_slots = n * cfg.topology.cus_per_chiplet() * cfg.cu_slots;
         let page_slots = warp_slots * 4;
+        let injector = (!cfg.fault_plan.is_empty())
+            .then(|| FaultInjector::new(cfg.fault_plan, tap.salted(0xFA01_7FA0)));
         Self {
             pec_logic: PecLogic::new(coal_mode),
             page_shift,
@@ -576,8 +580,8 @@ impl Machine {
             responses: PayloadSlab::new(),
             now: 0,
             m: RunMetrics::default(),
-            injector: (!cfg.fault_plan.is_empty())
-                .then(|| FaultInjector::new(cfg.fault_plan, seed ^ 0xFA01_7FA0)),
+            injector,
+            seed_free: tap.untouched(),
             arm_deadlines: cfg.ats_retry.is_some() && cfg.fault_plan.affects_ats(),
             ats_pending: AtsPendingTable::new(n),
             ats_epoch: 0,
@@ -600,6 +604,21 @@ impl Machine {
             san: crate::sanitizer::SanitizerReport::default(),
             cfg,
         }
+    }
+
+    /// Whether this run cannot depend on its seed: nothing read the
+    /// seed while the machine was built. The seed reaches a machine only
+    /// through the [`SeedTap`] that [`build_machine`] routes every read
+    /// through (the per-CTA address-stream generators of the apps that
+    /// draw random numbers, and the fault injector of a non-empty fault
+    /// plan), and nothing reads it after the build, so two builds that
+    /// differ only in their seed run identically when this is `true`.
+    /// The configuration's own `seed` field (filter hashes) is not the
+    /// run seed.
+    ///
+    /// [`build_machine`]: crate::build_machine
+    pub fn seed_free(&self) -> bool {
+        self.seed_free
     }
 
     /// Installs a heap-allocation counter for the zero-alloc hot-path
@@ -2047,7 +2066,9 @@ impl Machine {
         // bitmaps (§VI). Their cached translations still carry the old
         // bitmap, so the shootdown must cover the whole group — a member
         // entry left in a TLB could otherwise calculate the migrated
-        // page's *old* frame.
+        // page's *old* frame. Under F-Barre each evicted L2 entry retracts
+        // its own filter entry (a `Delete` update); §VI's full reset of
+        // every LCF and RCF on a shootdown is not modeled.
         let group = self.exclude_from_group(asid, vpn, old.chiplet());
         for member in group.into_iter().chain(std::iter::once(vpn)) {
             let key = TlbKey { asid, vpn: member };

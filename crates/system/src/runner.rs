@@ -11,6 +11,7 @@ use barre_core::driver::{AllocError, BarreAllocator, MappingPlan};
 use barre_core::{CoalMode, PecEntry};
 use barre_gpu::{Cta, CtaId, CtaScheduler};
 use barre_mem::{FrameAllocator, GlobalPfn, PageTable, Pte, PteFlags, VirtAddr, VirtAllocator};
+use barre_sim::SeedTap;
 use barre_trace::{TraceOptions, TraceRecorder};
 use barre_workloads::{AppId, AppPair, WorkloadSpec};
 
@@ -77,6 +78,9 @@ pub fn build_machine(
     let mut plans: Vec<MappingPlan> = Vec::with_capacity(n_datasets);
     let mut ctas = Vec::with_capacity(total_ctas);
     let mut next_cta = 0u32;
+    // Every read of the run seed goes through this one tap, so the
+    // machine can tell whether its run depends on the seed at all.
+    let mut tap = SeedTap::new(seed);
 
     for (asid, spec) in specs.iter().enumerate() {
         let asid = asid as u16;
@@ -114,7 +118,8 @@ pub fn build_machine(
         let n_ctas = spec.n_ctas(cfg.topology.total_cus());
         for cta in 0..n_ctas {
             let home = cfg.policy.cta_home(cta, n_ctas, n).chiplet;
-            let pattern = spec.cta_pattern(cta, n_ctas, &bases, seed ^ ((asid as u64) << 32));
+            let pattern =
+                spec.cta_pattern_tapped(cta, n_ctas, &bases, &mut tap, (asid as u64) << 32);
             ctas.push(Cta {
                 id: CtaId(next_cta),
                 asid,
@@ -138,7 +143,7 @@ pub fn build_machine(
         master_pecs,
         plans,
         sched,
-        seed,
+        tap,
     ))
 }
 

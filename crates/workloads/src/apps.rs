@@ -10,7 +10,7 @@
 use barre_gpu::pattern::AccessPattern;
 use barre_mapping::DataHint;
 use barre_mem::VirtAddr;
-use barre_sim::Rng;
+use barre_sim::SeedTap;
 
 use crate::patterns::{
     Butterfly, Chain, ColStream, RandGather, RowStream, StencilRows, Wavefront, ZipfGather, ELEM,
@@ -550,11 +550,29 @@ impl WorkloadSpec {
         bases: &[VirtAddr],
         seed: u64,
     ) -> Box<dyn AccessPattern> {
+        self.cta_pattern_tapped(cta, n_ctas, bases, &mut SeedTap::new(seed), 0)
+    }
+
+    /// [`cta_pattern`](Self::cta_pattern) with the seed behind `tap`,
+    /// XORed with `salt`. Only the apps whose streams draw random numbers
+    /// read the tap; the others leave it untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bases` does not match the dataset count.
+    pub fn cta_pattern_tapped(
+        &self,
+        cta: u64,
+        n_ctas: u64,
+        bases: &[VirtAddr],
+        tap: &mut SeedTap,
+        salt: u64,
+    ) -> Box<dyn AccessPattern> {
         let ds = self.datasets();
         assert_eq!(bases.len(), ds.len(), "one base per dataset required");
         let insns = self.insns_per_warp();
         let d = self.dims();
-        let rng = Rng::new(seed ^ (cta.wrapping_mul(0x9E37_79B9)) ^ 0xBA22E);
+        let mut rng = || tap.rng(salt ^ (cta.wrapping_mul(0x9E37_79B9)) ^ 0xBA22E);
         // CTA's slice of an `n`-element space.
         let slice = |n: u64| -> (u64, u64) {
             let lo = n * cta / n_ctas;
@@ -609,7 +627,7 @@ impl WorkloadSpec {
             }
             AppId::Pr => Box::new(Chain::new(
                 vec![
-                    Box::new(ZipfGather::new(bases[0], d.aux, 768, rng)),
+                    Box::new(ZipfGather::new(bases[0], d.aux, 768, rng())),
                     Box::new(RowStream::new(bases[1], (512u64 << 10) / n_ctas, 1)),
                 ],
                 insns,
@@ -617,7 +635,7 @@ impl WorkloadSpec {
             AppId::Cov => row_slice_with_insns(row_slice(bases[0], d.passes as u32), insns),
             AppId::Sssp => Box::new(Chain::new(
                 vec![
-                    Box::new(ZipfGather::new(bases[0], d.aux, 512, rng)),
+                    Box::new(ZipfGather::new(bases[0], d.aux, 512, rng())),
                     Box::new(RowStream::new(bases[1], (512u64 << 10) / n_ctas, 1)),
                 ],
                 insns,
@@ -649,7 +667,7 @@ impl WorkloadSpec {
                 Box::new(Chain::new(
                     vec![
                         row_slice(bases[0], d.passes as u32),
-                        Box::new(RandGather::new(bases[0], bytes, 2, rng)),
+                        Box::new(RandGather::new(bases[0], bytes, 2, rng())),
                     ],
                     insns,
                 ))
@@ -669,7 +687,7 @@ impl WorkloadSpec {
                 Box::new(Chain::new(
                     vec![
                         row_slice(bases[0], 1),
-                        Box::new(RandGather::new(bases[0], bytes, 2, rng)),
+                        Box::new(RandGather::new(bases[0], bytes, 2, rng())),
                         Box::new(RowStream::new(bases[1], d.aux, 1)),
                     ],
                     insns,
@@ -709,12 +727,12 @@ impl WorkloadSpec {
                 Box::new(Chain::new(
                     vec![
                         row_slice(bases[0], 1),
-                        Box::new(RandGather::new(bases[1], bytes, 48, rng)),
+                        Box::new(RandGather::new(bases[1], bytes, 48, rng())),
                     ],
                     insns,
                 ))
             }
-            AppId::Gups => Box::new(RandGather::new(bases[0], d.aux, 96, rng).with_insns(insns)),
+            AppId::Gups => Box::new(RandGather::new(bases[0], d.aux, 96, rng()).with_insns(insns)),
             AppId::Bicg => {
                 // q = A p (streaming rows) then s = Aᵀ r (page-wide
                 // gather over the transposed layout).
@@ -722,7 +740,7 @@ impl WorkloadSpec {
                 Box::new(Chain::new(
                     vec![
                         row_slice(bases[0], 1),
-                        Box::new(RandGather::new(bases[0], bytes, 128, rng)),
+                        Box::new(RandGather::new(bases[0], bytes, 128, rng())),
                         Box::new(RowStream::new(bases[1], d.aux, 1)),
                     ],
                     insns,
@@ -731,7 +749,7 @@ impl WorkloadSpec {
             AppId::Spmv => Box::new(Chain::new(
                 vec![
                     Box::new(RowStream::new(bases[0], (512u64 << 10) / n_ctas, 1)),
-                    Box::new(RandGather::new(bases[1], d.aux, 96, rng)),
+                    Box::new(RandGather::new(bases[1], d.aux, 96, rng())),
                 ],
                 insns,
             )),
@@ -741,7 +759,7 @@ impl WorkloadSpec {
                 // lane of every memory instruction touches a fresh page —
                 // the highest-pressure stream in Table I.
                 let bytes = d.rows * d.cols * ELEM;
-                let mut r2 = rng;
+                let mut r2 = rng();
                 let rb = r2.fork();
                 Box::new(Chain::new(
                     vec![

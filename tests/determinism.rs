@@ -2,8 +2,10 @@
 //! metrics; different seeds actually change the stochastic workloads;
 //! and configuration knobs change only what they should.
 
+use barre_chord::sim::FaultPlan;
 use barre_chord::system::{
-    run_app as try_run_app, smoke_config, FBarreConfig, RunMetrics, SystemConfig, TranslationMode,
+    build_machine, metrics_to_json, run_app as try_run_app, smoke_config, FBarreConfig, RunMetrics,
+    SystemConfig, TranslationMode,
 };
 use barre_chord::workloads::AppId;
 
@@ -87,5 +89,63 @@ fn mode_changes_translation_but_not_work() {
             "{} changed the data accesses",
             mode.label()
         );
+    }
+}
+
+/// The apps whose smoke machine never reads its seed: their access
+/// streams draw no random numbers.
+const SEED_FREE: [AppId; 10] = [
+    AppId::Gemv,
+    AppId::Corr,
+    AppId::Adi,
+    AppId::Fft,
+    AppId::Fwt,
+    AppId::Cov,
+    AppId::Jac2d,
+    AppId::Fdtd2d,
+    AppId::Nw,
+    AppId::St2d,
+];
+
+fn seed_free(app: AppId, cfg: &SystemConfig) -> bool {
+    build_machine(&[app.spec()], cfg, 1)
+        .expect("build failed")
+        .seed_free()
+}
+
+#[test]
+fn seed_free_machines_compute_the_same_bytes_at_every_seed() {
+    let smoke = smoke_config();
+    let free: Vec<AppId> = AppId::all()
+        .into_iter()
+        .filter(|&a| seed_free(a, &smoke))
+        .collect();
+    assert_eq!(free, SEED_FREE);
+    let fbarre = smoke
+        .clone()
+        .with_mode(TranslationMode::FBarre(FBarreConfig::default()));
+    for app in SEED_FREE {
+        for cfg in [&smoke, &fbarre] {
+            assert!(seed_free(app, cfg), "{app}");
+            let a = metrics_to_json(&run_app(app, cfg, 1));
+            let b = metrics_to_json(&run_app(app, cfg, 2));
+            assert_eq!(a, b, "{app} depends on its seed");
+        }
+    }
+    // A fault plan draws from the seed whatever the app.
+    let faulty = smoke.clone().with_fault_plan(FaultPlan {
+        pcie_spike_rate: 0.01,
+        pcie_spike_cycles: 100,
+        ..FaultPlan::default()
+    });
+    for app in AppId::all() {
+        assert!(!seed_free(app, &faulty), "{app} under a fault plan");
+    }
+    // The seeded apps' answers do move with the seed, so the byte
+    // comparison above can fail.
+    for app in [AppId::Gups, AppId::Spmv, AppId::Pr] {
+        let a = metrics_to_json(&run_app(app, &smoke, 1));
+        let b = metrics_to_json(&run_app(app, &smoke, 2));
+        assert_ne!(a, b, "{app} ignores its seed");
     }
 }
