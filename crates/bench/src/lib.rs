@@ -1,54 +1,18 @@
-//! Shared experiment-harness utilities.
+//! The experiment harness: the figure registry behind `barre repro`,
+//! and the wall-clock sweep behind `barre bench`.
 //!
-//! Every paper table/figure has a bench target under `benches/` (all
-//! `harness = false`); each builds its configurations, runs the app sweep
-//! through [`sweep`], and prints the same rows/series the paper reports.
-//! `EXPERIMENTS.md` records the measured outputs next to the paper's
-//! numbers.
+//! [`figures::registry`] holds one entry per paper table or figure: its
+//! cells (workloads, `SystemConfig`, seed) and an extractor that turns
+//! their `RunMetrics` into a uniform [`results::Table`].
+//! [`results::run`] simulates each distinct cell of a selection once on
+//! the run-level worker pool. The committed `RESULTS.json` is the whole
+//! registry's output, and `EXPERIMENTS.md` embeds its tables.
 
-use barre_system::{geomean, run_batch, RunMetrics, SimError, SystemConfig};
-use barre_workloads::{AppId, WorkloadSpec};
+use barre_system::SimError;
 
+pub mod figures;
+pub mod results;
 pub mod wallclock;
-
-/// All 19 applications, Table I order.
-pub fn apps_all() -> Vec<AppId> {
-    AppId::all().to_vec()
-}
-
-/// The balanced low/mid/high subset the paper uses for its heaviest
-/// sweeps (§VII-H4 "a balanced number of workloads from each TLB MPKI
-/// class").
-pub fn apps_balanced() -> Vec<AppId> {
-    vec![
-        AppId::Gemv,
-        AppId::Fft,
-        AppId::Pr,
-        AppId::Jac2d,
-        AppId::Lu,
-        AppId::St2d,
-        AppId::Matr,
-        AppId::Gups,
-        AppId::Spmv,
-    ]
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(figure: &str, what: &str, paper: &str) {
-    println!("================================================================");
-    println!("{figure}: {what}");
-    println!("paper reference: {paper}");
-    println!("================================================================");
-}
-
-/// Runs `apps × cfgs`, returning `results[app][cfg]`.
-pub fn sweep(apps: &[AppId], cfgs: &[(String, SystemConfig)], seed: u64) -> Vec<Vec<RunMetrics>> {
-    sweep_specs_or_exit(
-        &apps.iter().map(|a| a.spec()).collect::<Vec<_>>(),
-        cfgs,
-        seed,
-    )
-}
 
 /// A sweep failure: which configuration died, and the underlying error.
 #[derive(Debug)]
@@ -67,152 +31,5 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Runs `specs × cfgs` on the run-level worker pool, returning
-/// `results[spec][cfg]`.
-///
-/// `jobs` picks the worker count (`None` → `BARRE_JOBS` env var →
-/// available parallelism); the results are identical at any count
-/// because each simulation is single-threaded and the pool returns them
-/// in input order.
-///
-/// # Errors
-///
-/// [`SweepError`] naming the first configuration (in `specs × cfgs`
-/// order) whose run failed, or the pool failure itself.
-pub fn try_sweep_specs(
-    specs: &[WorkloadSpec],
-    cfgs: &[(String, SystemConfig)],
-    seed: u64,
-    jobs: Option<usize>,
-) -> Result<Vec<Vec<RunMetrics>>, SweepError> {
-    let batch: Vec<barre_system::BatchJob> = specs
-        .iter()
-        .flat_map(|spec| cfgs.iter().map(move |(_, cfg)| (*spec, cfg.clone(), seed)))
-        .collect();
-    let threads = barre_sim::pool::resolve_jobs(jobs);
-    let flat = run_batch(batch, threads).map_err(|error| SweepError {
-        label: "<worker pool>".into(),
-        error,
-    })?;
-    let mut rows = Vec::with_capacity(specs.len());
-    let mut it = flat.into_iter().enumerate();
-    for _ in 0..specs.len() {
-        let mut row = Vec::with_capacity(cfgs.len());
-        for _ in 0..cfgs.len() {
-            // The batch is exactly specs.len()*cfgs.len() long; a short
-            // pool result is already a pool error above.
-            let Some((i, res)) = it.next() else { break };
-            row.push(res.map_err(|error| SweepError {
-                label: cfgs[i % cfgs.len()].0.clone(),
-                error,
-            })?);
-        }
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-/// Runs `specs × cfgs`, exiting the process with a labeled error message
-/// on failure — what the fig-bench binaries want: a `SimError` in a
-/// hand-checked configuration is fatal, but it should die as a
-/// diagnosable one-line error, not a panic with a backtrace.
-pub fn sweep_specs_or_exit(
-    specs: &[WorkloadSpec],
-    cfgs: &[(String, SystemConfig)],
-    seed: u64,
-) -> Vec<Vec<RunMetrics>> {
-    try_sweep_specs(specs, cfgs, seed, None).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    })
-}
-
-/// Prints a speedup table: one row per app, one column per non-baseline
-/// config (speedup over column 0), plus a geometric-mean footer row.
-pub fn print_speedups(
-    apps: &[AppId],
-    cfgs: &[(String, SystemConfig)],
-    results: &[Vec<RunMetrics>],
-) {
-    print!("{:<8}", "app");
-    for (label, _) in &cfgs[1..] {
-        print!("{label:>18}");
-    }
-    println!();
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); cfgs.len() - 1];
-    for (a, row) in apps.iter().zip(results) {
-        print!("{:<8}", a.name());
-        for (i, m) in row[1..].iter().enumerate() {
-            let sp = barre_system::speedup(&row[0], m);
-            columns[i].push(sp);
-            print!("{sp:>17.3}x");
-        }
-        println!();
-    }
-    print!("{:<8}", "geomean");
-    for col in &columns {
-        print!("{:>17.3}x", geomean(col.iter().copied()));
-    }
-    println!();
-}
-
-/// Convenience: `(label, cfg)` pair.
-pub fn cfg(label: &str, cfg: SystemConfig) -> (String, SystemConfig) {
-    (label.to_string(), cfg)
-}
-
 /// Standard experiment seed (fixed for reproducibility).
 pub const SEED: u64 = 0x15CA_2024;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn balanced_subset_covers_all_classes() {
-        use barre_workloads::Category;
-        let apps = apps_balanced();
-        for c in [Category::Low, Category::Mid, Category::High] {
-            assert_eq!(
-                apps.iter().filter(|a| a.category() == c).count(),
-                3,
-                "class {c} misrepresented"
-            );
-        }
-    }
-
-    #[test]
-    fn sweep_shape() {
-        let cfgs = vec![cfg("base", barre_system::smoke_config())];
-        let r = sweep(&[AppId::Gemv], &cfgs, 1);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].len(), 1);
-        assert!(r[0][0].total_cycles > 0);
-    }
-
-    #[test]
-    fn try_sweep_propagates_errors_with_label() {
-        let mut bad = barre_system::smoke_config();
-        bad.cu_slots = 0;
-        let cfgs = vec![cfg("ok", barre_system::smoke_config()), cfg("broken", bad)];
-        let err = try_sweep_specs(&[AppId::Gemv.spec()], &cfgs, 1, Some(2))
-            .expect_err("bad config must surface");
-        assert_eq!(err.label, "broken");
-        assert!(err.to_string().contains("config broken:"));
-    }
-
-    #[test]
-    fn sweep_is_thread_count_invariant() {
-        let specs = [AppId::Gemv.spec(), AppId::Gups.spec()];
-        let cfgs = vec![
-            cfg("base", barre_system::smoke_config()),
-            cfg(
-                "barre",
-                barre_system::smoke_config().with_mode(barre_system::TranslationMode::Barre),
-            ),
-        ];
-        let serial = try_sweep_specs(&specs, &cfgs, SEED, Some(1)).expect("serial");
-        let parallel = try_sweep_specs(&specs, &cfgs, SEED, Some(4)).expect("parallel");
-        assert_eq!(serial, parallel);
-    }
-}

@@ -18,7 +18,8 @@ use barre_system::journal::json_escape;
 use barre_system::{run_spec, smoke_config, RunMetrics, SystemConfig, TranslationMode};
 use barre_workloads::AppId;
 
-use crate::{apps_balanced, SweepError, SEED};
+use crate::figures::BALANCED;
+use crate::{SweepError, SEED};
 
 /// One `(app, mode)` cell of the sweep.
 #[derive(Debug)]
@@ -79,7 +80,7 @@ pub fn bench_apps(quick: bool) -> Vec<AppId> {
     if quick {
         vec![AppId::Gemv, AppId::Jac2d, AppId::Gups]
     } else {
-        apps_balanced()
+        BALANCED.to_vec()
     }
 }
 

@@ -14,6 +14,7 @@
 //! barre pair  --a gemv --b gups --mode fbarre
 //! barre chaos --app gups --mode barre [--rates 0.001,0.01,0.05]
 //! barre bench [--json] [--quick] [--jobs 8] [--out BENCH_sweep.json]
+//! barre repro [fig15 fig16 ...] --out RESULTS.json
 //! barre merge --out merged shard-a/ shard-b/ [BENCH_a.json ...]
 //! ```
 //!
@@ -130,6 +131,13 @@ pub enum Command {
         /// `--gate <ratio>`: exit nonzero when any mode is more than
         /// `ratio` times slower than the same app's baseline.
         gate: Option<f64>,
+    },
+    /// `barre repro` — run registry figures (each distinct cell once),
+    /// print their tables and write them as `RESULTS.json`.
+    Repro {
+        /// Registry names; empty runs every figure.
+        figures: Vec<String>,
+        out: std::path::PathBuf,
     },
     /// `barre lint` — run the determinism & panic-safety analyzer.
     Lint { opts: lint_cmd::LintOpts },
@@ -256,6 +264,7 @@ const COMMANDS: &[(&str, usize, &[Flags])] = &[
     ("chaos", 0, &[CONFIG_FLAGS, RUNNER_FLAGS, "--app= --seed= --rates="]),
     ("bench", 0, &["--json --quick --jobs= --out= --gate=?"]),
     ("merge", usize::MAX, &["--out="]),
+    ("repro", usize::MAX, &["--out="]),
     ("lint", 0, &["--root= --json --sarif --baseline= --no-baseline --write-baseline --changed-since= --max-waivers= --fix --parallel-readiness"]),
     ("trace", 1, &[CONFIG_FLAGS, "--app= --seed= --out= --window= --filter="]),
     ("report", usize::MAX, &["--top= --bench-diff --threshold= --fleet --out="]),
@@ -546,6 +555,14 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 r => r,
             },
         },
+        "repro" => {
+            let figures: Vec<String> = a.operands.iter().map(|f| f.to_string()).collect();
+            barre_bench::figures::select(&figures).map_err(err)?;
+            Command::Repro {
+                figures,
+                out: out.ok_or_else(|| err("repro needs --out <path>"))?,
+            }
+        }
         "merge" if a.operands.is_empty() => {
             return Err(err(
                 "merge needs at least one journal or bench-report input",
@@ -727,6 +744,8 @@ USAGE:
   barre chaos --app <name> [flags]        sweep ATS drop rates (fault injection)
   barre bench [--json] [--quick] [flags]  timed smoke sweep + serial/parallel cross-check
   barre merge --out <dir> <inputs...>     fold shard journals / bench reports into one
+  barre repro [FIGURE ...] --out <path>   run paper figures (all when none named; each distinct
+                                          simulation once), print their tables, write RESULTS.json
   barre lint  [flags]                     determinism & panic-safety analyzer
                                           (exit 0 clean, 1 violations, 2 usage/budget error)
   barre trace <app> [flags]               run one app traced; write trace.json (Perfetto-loadable)
@@ -760,6 +779,7 @@ FLAGS:
   --threshold <ratio>                  report --bench-diff: regression cutoff (default 1.5)
   --out <path>                         bench: report path (default BENCH_sweep.json)
                                        merge: output directory (default merged/)
+                                       repro: where RESULTS.json goes (required)
                                        trace: export path (default trace.json; .jsonl = compact)
   --window <n>                         trace: span-ring retention (default 65536 spans)
   --filter stage=<s1,s2,...>           trace: stages kept in the span ring (histograms
@@ -1264,6 +1284,37 @@ fn run_merge(out: &std::path::Path, inputs: &[std::path::PathBuf]) -> i32 {
     0
 }
 
+/// Runs the selected registry figures on the worker pool (`BARRE_JOBS`
+/// workers), prints their tables and writes them to `out`.
+fn run_repro(figures: &[String], out: &std::path::Path) -> i32 {
+    use barre_bench::results;
+    let threads = barre_sim::pool::resolve_jobs(None);
+    let run = barre_bench::figures::select(figures)
+        .and_then(|f| results::run(&f, threads, results::Cell::run).map_err(|e| e.to_string()))
+        .and_then(|r| {
+            std::fs::write(out, results::to_json(&r.tables))
+                .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+            Ok(r)
+        });
+    match run {
+        Ok(r) => {
+            print!("{}", results::render(&r.tables));
+            eprintln!(
+                "repro: {} figures, {} cells, {} distinct cells simulated; wrote {}",
+                r.tables.len(),
+                r.cells,
+                r.simulated,
+                out.display()
+            );
+            0
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            1
+        }
+    }
+}
+
 /// Executes a parsed command, printing to stdout. Returns the process
 /// exit code (0 on success, 1 when the simulation reports a
 /// [`SimError`]).
@@ -1443,6 +1494,7 @@ pub fn execute(cmd: Command) -> i32 {
         Command::Queue { opts } => barre_serve::jobq::run_queue(&opts),
         Command::Worker { opts } => barre_serve::jobq::run_worker(&opts),
         Command::Merge { out, inputs } => run_merge(&out, &inputs),
+        Command::Repro { figures, out } => run_repro(&figures, &out),
         Command::Bench {
             quick,
             json,
@@ -1977,6 +2029,27 @@ mod tests {
     #[test]
     fn empty_args_is_help() {
         assert!(matches!(p(&[]).unwrap(), Command::Help));
+    }
+
+    #[test]
+    fn parses_repro_figures_and_out() {
+        match p(&["repro", "fig15", "table1", "--out", "r.json"]).unwrap() {
+            Command::Repro { figures, out } => {
+                assert_eq!(figures, ["fig15", "table1"]);
+                assert_eq!(out, std::path::PathBuf::from("r.json"));
+            }
+            other => panic!("wrong command {other:?}"),
+        }
+        match p(&["repro", "--out", "r.json"]).unwrap() {
+            Command::Repro { figures, .. } => assert!(figures.is_empty()),
+            other => panic!("wrong command {other:?}"),
+        }
+        assert!(p(&["repro", "fig15"]).unwrap_err().0.contains("--out"));
+        assert!(p(&["repro", "fig99", "--out", "r.json"])
+            .unwrap_err()
+            .0
+            .contains("unknown figure fig99"));
+        assert!(p(&["repro", "--jobs", "2", "--out", "r.json"]).is_err());
     }
 
     #[test]

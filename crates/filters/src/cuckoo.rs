@@ -469,11 +469,6 @@ impl Filter for CuckooFilter {
     fn len(&self) -> usize {
         self.len
     }
-
-    fn clear(&mut self) {
-        self.buckets.fill(0);
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -564,17 +559,6 @@ mod tests {
         assert!(f.contains(42)); // one copy left
         assert!(f.remove(42));
         assert!(!f.contains(42));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut f = CuckooFilter::paper_default(6);
-        for k in 0..50 {
-            f.insert(k);
-        }
-        f.clear();
-        assert!(f.is_empty());
-        assert!(!f.contains(7));
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl Filter for IdealFilter {
     fn len(&self) -> usize {
         self.len
     }
-
-    fn clear(&mut self) {
-        self.counts.clear();
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -130,14 +125,5 @@ mod tests {
         assert_eq!(f.dropped(), 1);
         f.remove(1);
         assert!(f.insert(3));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut f = IdealFilter::with_capacity(4);
-        f.insert(1);
-        f.clear();
-        assert!(f.is_empty());
-        assert!(f.insert(9));
     }
 }

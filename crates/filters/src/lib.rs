@@ -42,7 +42,4 @@ pub trait Filter {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops all contents.
-    fn clear(&mut self);
 }

@@ -111,8 +111,8 @@ impl fmt::Display for RatioStat {
 /// (Fig 5 uses this to plot the gap distribution of consecutive IOMMU
 /// requests).
 ///
-/// Bucket `i` counts samples in `[2^(i-1), 2^i)`; bucket 0 counts zeros
-/// and ones.
+/// Bucket 0 counts zeros and ones; bucket `i ≥ 1` counts samples in
+/// `[2^i, 2^(i+1))`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
@@ -173,8 +173,8 @@ impl Histogram {
         self.sum
     }
 
-    /// The raw bucket counts, including empty buckets (bucket `i` counts
-    /// samples in `[2^(i-1), 2^i)`; bucket 0 counts zeros and ones).
+    /// The raw bucket counts, including empty buckets (bucket 0 counts
+    /// zeros and ones; bucket `i ≥ 1` counts samples in `[2^i, 2^(i+1))`).
     /// Together with [`Histogram::count`], [`Histogram::sum`] and
     /// [`Histogram::max`] this is the histogram's full state, which the
     /// run journal serializes so a resumed sweep reproduces metrics
@@ -197,22 +197,37 @@ impl Histogram {
         }
     }
 
-    /// `(bucket_upper_bound, count)` pairs for nonempty buckets.
+    /// `(largest value the bucket holds, count)` pairs for nonempty
+    /// buckets: bucket `i` is labelled `2^(i+1) − 1`, so every sample it
+    /// counts is `≤` its label.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (1u64 << i, c))
+            .map(|(i, &c)| (Self::upper_bound(i), c))
     }
 
-    /// Fraction of samples ≤ `value`.
+    /// The largest value bucket `i` holds, `2^(i+1) − 1`.
+    fn upper_bound(i: usize) -> u64 {
+        u64::MAX >> (63 - i.min(63))
+    }
+
+    /// Fraction of samples known to be `≤ value`: the buckets whose whole
+    /// range lies at or below it. Exact when `value` is a bucket label
+    /// (`2^k − 1`); otherwise a lower bound, since the bucket holding
+    /// `value` also holds larger samples.
     pub fn fraction_le(&self, value: u64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
-        let b = Self::bucket_of(value);
-        let below: u64 = self.buckets.iter().take(b + 1).sum();
+        let below: u64 = self
+            .buckets
+            .iter()
+            .enumerate()
+            .take_while(|&(i, _)| Self::upper_bound(i) <= value)
+            .map(|(_, &c)| c)
+            .sum();
         below as f64 / self.count as f64
     }
 }
@@ -267,9 +282,32 @@ mod tests {
         h.record(3);
         h.record(1024);
         let b: Vec<_> = h.buckets().collect();
-        assert_eq!(b, vec![(1, 2), (2, 2), (1024, 1)]);
+        assert_eq!(b, vec![(1, 2), (3, 2), (2047, 1)]);
         assert_eq!(h.count(), 5);
         assert_eq!(h.max(), 1024);
+    }
+
+    #[test]
+    fn histogram_labels_bound_their_samples() {
+        for k in 2..63u32 {
+            let p = 1u64 << k;
+            let mut h = Histogram::new();
+            for v in [p - 1, p, p + 1] {
+                h.record(v);
+            }
+            // 2^k − 1 closes bucket k−1; 2^k and 2^k + 1 open bucket k.
+            let b: Vec<_> = h.buckets().collect();
+            assert_eq!(b, vec![(p - 1, 1), (2 * p - 1, 2)], "k={k}");
+            assert_eq!(h.fraction_le(p - 2), 0.0, "k={k}");
+            assert!((h.fraction_le(p - 1) - 1.0 / 3.0).abs() < 1e-12, "k={k}");
+            assert!((h.fraction_le(p) - 1.0 / 3.0).abs() < 1e-12, "k={k}");
+            assert!((h.fraction_le(p + 1) - 1.0 / 3.0).abs() < 1e-12, "k={k}");
+            assert_eq!(h.fraction_le(2 * p - 1), 1.0, "k={k}");
+        }
+        let mut top = Histogram::new();
+        top.record(u64::MAX);
+        assert_eq!(top.buckets().collect::<Vec<_>>(), vec![(u64::MAX, 1)]);
+        assert_eq!(top.fraction_le(u64::MAX), 1.0);
     }
 
     #[test]
@@ -279,8 +317,9 @@ mod tests {
             h.record(v);
         }
         assert!((h.mean() - 250.75).abs() < 1e-9);
-        assert!(h.fraction_le(1) >= 0.75);
-        assert_eq!(h.fraction_le(1024), 1.0);
+        assert_eq!(h.fraction_le(1), 0.75);
+        assert_eq!(h.fraction_le(1000), 0.75);
+        assert_eq!(h.fraction_le(1023), 1.0);
     }
 
     #[test]

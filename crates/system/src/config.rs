@@ -177,7 +177,7 @@ impl Default for AtsRetryConfig {
 }
 
 /// Full machine configuration. Defaults reproduce Table II.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Package structure.
     pub topology: Topology,

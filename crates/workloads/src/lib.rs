@@ -17,8 +17,8 @@
 //! * CSR gathers with power-law column skew (`pr`, `sssp`, `spmv`),
 //! * uniform random updates (`gups`).
 //!
-//! [`AppId::paper_mpki`] records Table I's measured MPKI; the
-//! `table1_mpki` bench prints paper-vs-measured per app.
+//! [`AppId::paper_mpki`] records Table I's measured MPKI; the `table1`
+//! figure of `barre repro` prints paper-vs-measured per app.
 
 pub mod apps;
 pub mod multi;
