@@ -147,16 +147,6 @@ pub fn analyze_workspace(root: &Path, opts: &AnalyzeOptions) -> io::Result<LintR
     Ok(analyze_sources(&sources, opts))
 }
 
-/// Analyzes a workspace with default options (no baseline). Kept as the
-/// stable entry point for callers that predate [`AnalyzeOptions`].
-///
-/// # Errors
-///
-/// See [`analyze_workspace`].
-pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
-    analyze_workspace(root, &AnalyzeOptions::default())
-}
-
 /// Recursively collects `.rs` files below `dir`, storing paths relative
 /// to `root`. Directory entries are sorted before descending so the walk
 /// order never depends on the filesystem.

@@ -12,12 +12,12 @@ use barre_filters::CuckooFilter;
 use barre_mapping::PolicyKind;
 use barre_mem::PageSize;
 use barre_system::{
-    geomean, speedup, DemandPagingConfig, FBarreConfig, MigrationConfig, MmuKind, RunMetrics,
+    geomean, speedup, DemandPagingConfig, FBarreConfig, MigrationConfig, MmuKind, Run, RunMetrics,
     SystemConfig, TranslationMode,
 };
 use barre_workloads::{AppId, AppPair, Category, WorkloadSpec};
 
-use crate::results::{Cell, Fmt, Value};
+use crate::results::{Fmt, Value};
 use crate::SEED;
 
 /// One table row: its label and one value per column.
@@ -34,7 +34,7 @@ pub struct Figure {
     pub title: &'static str,
     pub(crate) key: &'static str,
     /// The simulations, in the order the extractor reads them.
-    pub cells: Vec<Cell>,
+    pub cells: Vec<Run>,
     pub(crate) columns: Vec<(String, Fmt)>,
     pub(crate) extract: Extract,
 }
@@ -87,7 +87,7 @@ fn count(name: &str, agg: Agg, i: usize, f: fn(&RunMetrics) -> u64) -> Col {
 }
 
 /// A labelled run of cells.
-type RowCells = (String, Vec<Cell>);
+type RowCells = (String, Vec<Run>);
 
 /// Rows of cells, then the footer label (empty for none).
 type Group = (Vec<RowCells>, &'static str);
@@ -162,8 +162,8 @@ fn rows(specs: &[WorkloadSpec], cfgs: &[SystemConfig], suffix: &str) -> Vec<RowC
         .collect()
 }
 
-fn cell(specs: Vec<WorkloadSpec>, cfg: &SystemConfig) -> Cell {
-    Cell {
+fn cell(specs: Vec<WorkloadSpec>, cfg: &SystemConfig) -> Run {
+    Run {
         specs,
         cfg: cfg.clone(),
         seed: SEED,

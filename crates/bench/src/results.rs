@@ -5,49 +5,10 @@
 use std::fmt::Write as _;
 
 use barre_system::journal::{json_escape, Json};
-use barre_system::{build_machine, RunMetrics, SimError, SystemConfig};
-use barre_workloads::WorkloadSpec;
+use barre_system::{Run, RunMetrics, SimError};
 
 use crate::figures::Figure;
 use crate::SweepError;
-
-/// One simulation: the workloads it co-runs (one app, or a Fig 27a
-/// pair), the machine, and the seed. Two cells that compare equal are
-/// the same simulation, so a selection runs each distinct cell once.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cell {
-    /// Co-scheduled workloads, one address space each.
-    pub specs: Vec<WorkloadSpec>,
-    /// The machine.
-    pub cfg: SystemConfig,
-    /// Run seed.
-    pub seed: u64,
-}
-
-impl Cell {
-    /// Simulates the cell.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`build_machine`] and the run can report.
-    pub fn run(&self) -> Result<RunMetrics, SimError> {
-        build_machine(&self.specs, &self.cfg, self.seed)?.run()
-    }
-
-    /// Names the cell in an error: its apps (`+`-joined, with any
-    /// footprint scale) and translation mode, e.g. `gemv+gups / Barre`.
-    pub fn label(&self) -> String {
-        let apps: Vec<String> = self
-            .specs
-            .iter()
-            .map(|s| match s.scale {
-                1 => s.app.name().to_string(),
-                n => format!("{} x{n}", s.app.name()),
-            })
-            .collect();
-        format!("{} / {}", apps.join("+"), self.cfg.mode.label())
-    }
-}
 
 /// How a column's numbers print.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -305,8 +266,9 @@ pub struct Outcome {
 }
 
 /// Runs the selected figures: collects their cells, simulates each
-/// distinct cell once with `simulate` (in production [`Cell::run`]) on
-/// `threads` pool workers, and hands every figure its cells' metrics.
+/// distinct [`Run`] once with `simulate` (in production
+/// [`Run::simulate`]) on `threads` pool workers, and hands every figure
+/// its cells' metrics.
 ///
 /// # Errors
 ///
@@ -314,9 +276,9 @@ pub struct Outcome {
 pub fn run(
     figures: &[Figure],
     threads: usize,
-    simulate: fn(&Cell) -> Result<RunMetrics, SimError>,
+    simulate: fn(&Run) -> Result<RunMetrics, SimError>,
 ) -> Result<Outcome, SweepError> {
-    let mut distinct: Vec<&Cell> = Vec::new();
+    let mut distinct: Vec<&Run> = Vec::new();
     let index: Vec<Vec<usize>> = figures
         .iter()
         .map(|f| {

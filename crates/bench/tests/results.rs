@@ -11,8 +11,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use barre_bench::figures::{registry, select, BALANCED};
-use barre_bench::results::{from_json, run, to_json, Cell, Table, Value};
-use barre_system::{RunMetrics, SimError};
+use barre_bench::results::{from_json, run, to_json, Table, Value};
+use barre_system::{Run, RunMetrics, SimError};
 use barre_workloads::{AppId, Category};
 
 fn repo_file(name: &str) -> String {
@@ -89,13 +89,13 @@ fn experiments_md_blocks_match_results_json() {
 #[test]
 fn fig5_regenerates_the_committed_records() {
     let figs = select(&["fig5".to_string()]).expect("known");
-    let fresh = run(&figs, 2, Cell::run).expect("fig5 simulates");
+    let fresh = run(&figs, 2, Run::simulate).expect("fig5 simulates");
     assert_eq!(fresh.tables, vec![table("fig5")]);
 }
 
 static SIMULATED: AtomicUsize = AtomicUsize::new(0);
 
-fn count(_: &Cell) -> Result<RunMetrics, SimError> {
+fn count(_: &Run) -> Result<RunMetrics, SimError> {
     SIMULATED.fetch_add(1, Ordering::Relaxed);
     Ok(RunMetrics::default())
 }
@@ -117,7 +117,7 @@ fn a_registry_run_simulates_each_distinct_cell_once() {
 
 /// A fake simulator whose metrics depend on the cell alone, so a result
 /// handed to the wrong cell changes some table.
-fn fingerprint(c: &Cell) -> Result<RunMetrics, SimError> {
+fn fingerprint(c: &Run) -> Result<RunMetrics, SimError> {
     let h = format!("{c:?}")
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
@@ -137,7 +137,7 @@ fn a_registry_run_gives_the_same_tables_on_any_worker_count() {
 }
 
 /// Fails every cell that runs gups.
-fn gups_fails(c: &Cell) -> Result<RunMetrics, SimError> {
+fn gups_fails(c: &Run) -> Result<RunMetrics, SimError> {
     if c.specs.iter().any(|s| s.app == AppId::Gups) {
         Err(SimError::InvalidConfig("injected".into()))
     } else {

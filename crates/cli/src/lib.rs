@@ -39,10 +39,10 @@
 use barre_obs::log as olog;
 use barre_obs::Field;
 use barre_system::{
-    chaos_jobs, run_app, run_batch, run_pair, run_spec, speedup, summary_line, sweep_jobs,
-    BatchJob, LabeledJob, RunMetrics, SimError, SystemConfig, TranslationMode,
+    chaos_jobs, run_batch, speedup, summary_line, sweep_jobs, LabeledJob, Run, RunMetrics,
+    SimError, SystemConfig, TranslationMode,
 };
-use barre_workloads::{AppId, AppPair};
+use barre_workloads::AppId;
 
 // Request-vocabulary helpers live with the daemon's validator so the CLI
 // and `barre serve` resolve names identically; re-exported here for the
@@ -64,9 +64,7 @@ pub enum Command {
     Table2 { cfg: Box<SystemConfig> },
     /// `barre run` — run one app under one mode, print a summary line.
     Run {
-        app: AppId,
-        cfg: Box<SystemConfig>,
-        seed: u64,
+        run: Box<Run>,
         baseline: bool,
         /// Print only the canonical metrics JSON line (what a `barre
         /// serve` response carries); failures exit with
@@ -75,11 +73,7 @@ pub enum Command {
     },
     /// `barre profile` — run one app with a wall-clock probe on every
     /// event; print the cost per event class, then the metrics JSON.
-    Profile {
-        app: AppId,
-        cfg: Box<SystemConfig>,
-        seed: u64,
-    },
+    Profile { run: Box<Run> },
     /// `barre sweep` — run a set of apps, print speedups vs baseline.
     Sweep {
         apps: Vec<AppId>,
@@ -96,11 +90,7 @@ pub enum Command {
         job_index: Option<usize>,
     },
     /// `barre pair` — co-run two apps (§VII-I).
-    Pair {
-        pair: AppPair,
-        cfg: Box<SystemConfig>,
-        seed: u64,
-    },
+    Pair { run: Box<Run> },
     /// `barre chaos` — sweep ATS fault-injection rates for one app.
     Chaos {
         app: AppId,
@@ -145,9 +135,7 @@ pub enum Command {
     /// the trace (Chrome-trace JSON, or JSONL when `--out` ends in
     /// `.jsonl`).
     Trace {
-        app: AppId,
-        cfg: Box<SystemConfig>,
-        seed: u64,
+        run: Box<Run>,
         out: std::path::PathBuf,
         opts: barre_trace::TraceOptions,
     },
@@ -268,7 +256,7 @@ const COMMANDS: &[(&str, usize, &[Flags])] = &[
     ("lint", 0, &["--root= --json --sarif --baseline= --no-baseline --write-baseline --changed-since= --max-waivers= --fix --parallel-readiness"]),
     ("trace", 1, &[CONFIG_FLAGS, "--app= --seed= --out= --window= --filter="]),
     ("report", usize::MAX, &["--top= --bench-diff --threshold= --fleet --out="]),
-    ("serve", 0, &[DAEMON_FLAGS, "--workers= --queue-cap= --cache-dir= --timeout= --retries= --breaker="]),
+    ("serve", 0, &[DAEMON_FLAGS, "--workers= --queue-cap= --cache-dir= --timeout= --breaker="]),
     ("queue", 0, &[DAEMON_FLAGS, "--journal= --lease= --max-leases="]),
     ("worker", 0, &["--connect= --name= --jobs= --timeout= --log-file="]),
 ];
@@ -412,6 +400,16 @@ impl Args<'_> {
         build_config(&self.flags).map(Box::new).map_err(err)
     }
 
+    /// The simulation of `apps`, co-running on [`Args::config`]'s
+    /// machine at `seed`.
+    fn run(&self, apps: &[AppId], seed: u64) -> Result<Box<Run>, ParseError> {
+        Ok(Box::new(Run {
+            specs: apps.iter().map(|a| a.spec()).collect(),
+            cfg: *self.config()?,
+            seed,
+        }))
+    }
+
     /// Local supervision or remote dispatch for `sweep` and `chaos`, at
     /// most one of them. `--dispatch` hands the jobs to a `barre queue`
     /// coordinator whose workers own supervision, so there
@@ -483,16 +481,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "list" => Command::List,
         "table2" => Command::Table2 { cfg: a.config()? },
         "run" => Command::Run {
-            app: a.app("--app")?,
-            cfg: a.config()?,
-            seed,
+            run: a.run(&[a.app("--app")?], seed)?,
             baseline: a.has("--baseline"),
             metrics_json: a.has("--metrics-json"),
         },
         "profile" => Command::Profile {
-            app: a.app("--app")?,
-            cfg: a.config()?,
-            seed,
+            run: a.run(&[a.app("--app")?], seed)?,
         },
         "sweep" => {
             let (sup, dispatch) = a.runner()?;
@@ -511,12 +505,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             }
         }
         "pair" => Command::Pair {
-            pair: AppPair {
-                a: a.app("--a")?,
-                b: a.app("--b")?,
-            },
-            cfg: a.config()?,
-            seed,
+            run: a.run(&[a.app("--a")?, a.app("--b")?], seed)?,
         },
         "chaos" => {
             let (sup, dispatch) = a.runner()?;
@@ -615,9 +604,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 (None, None) => return Err(err("trace needs an app (positional or --app <name>)")),
             };
             Command::Trace {
-                app,
-                cfg: a.config()?,
-                seed,
+                run: a.run(&[app], seed)?,
                 out: out.unwrap_or_else(|| std::path::PathBuf::from("trace.json")),
                 opts: barre_trace::TraceOptions {
                     window: a.count("--window", "window")?.unwrap_or(defaults.window),
@@ -637,7 +624,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 .unwrap_or(o.queue_cap);
             o.cache_dir = a.path("--cache-dir").unwrap_or(o.cache_dir);
             o.timeout = a.seconds("--timeout", "timeout")?.unwrap_or(o.timeout);
-            o.retries = a.parse("--retries", "retry count")?.unwrap_or(o.retries);
             o.breaker_threshold = a
                 .parse("--breaker", "breaker threshold")?
                 .unwrap_or(o.breaker_threshold);
@@ -829,7 +815,6 @@ SERVE FLAGS:
   --cache-dir <dir>                    verified result-cache location (default serve-cache/)
   --timeout <secs>                     default per-request deadline, queue wait included
                                        (default 60; requests may override with timeout_ms)
-  --retries <n>                        serve: transient-failure retries per request (default 1)
   --breaker <n>                        quarantine a config fingerprint after n consecutive
                                        failures (default 3; 0 disables the circuit breaker)
 
@@ -871,8 +856,7 @@ fn run_child_job(labeled: &[LabeledJob], index: usize) -> i32 {
         return supervisor::EXIT_USAGE;
     };
     child_test_hooks(index);
-    let (spec, cfg, seed) = l.job.clone();
-    match run_spec(spec, &cfg, seed) {
+    match l.run.simulate() {
         Ok(m) => {
             println!("{}", barre_system::metrics_to_json(&m));
             0
@@ -919,8 +903,8 @@ fn collect_metrics(
 ) -> Result<Vec<RunMetrics>, i32> {
     let threads = barre_sim::pool::resolve_jobs(jobs);
     let Some(sup) = sup else {
-        let batch: Vec<BatchJob> = labeled.iter().map(|l| l.job.clone()).collect();
-        let results = run_batch(batch, threads).map_err(|e| report(&e))?;
+        let runs: Vec<Run> = labeled.iter().map(|l| l.run.clone()).collect();
+        let results = run_batch(&runs, threads).map_err(|e| report(&e))?;
         let mut out = Vec::with_capacity(labeled.len());
         for (l, res) in labeled.iter().zip(results) {
             match res {
@@ -940,7 +924,7 @@ fn collect_metrics(
             return Err(1);
         }
     };
-    let journal = supervisor::journal_file_of(&sup.journal);
+    let journal = barre_system::journal_file_of(&sup.journal);
     if run.resumed > 0 {
         olog::info(
             "supervisor",
@@ -1026,7 +1010,7 @@ fn collect_dispatched(labeled: &[LabeledJob], d: &DispatchOpts) -> Result<Vec<Ru
             }
         })
         .collect();
-    let journal = supervisor::journal_file_of(&d.journal);
+    let journal = barre_system::journal_file_of(&d.journal);
     let outcome = match barre_serve::jobq::dispatch_sweep(&d.addr, &jobs, &journal) {
         Ok(o) => o,
         Err(e) => {
@@ -1171,7 +1155,7 @@ fn run_merge(out: &std::path::Path, inputs: &[std::path::PathBuf]) -> i32 {
                 }
             }
         } else {
-            let path = supervisor::journal_file_of(p);
+            let path = barre_system::journal_file_of(p);
             // Lenient read: a shard that survived a crash may carry torn
             // or corrupt lines anywhere, not just at the tail. Skipped
             // lines are surfaced, never silently dropped.
@@ -1290,7 +1274,7 @@ fn run_repro(figures: &[String], out: &std::path::Path) -> i32 {
     use barre_bench::results;
     let threads = barre_sim::pool::resolve_jobs(None);
     let run = barre_bench::figures::select(figures)
-        .and_then(|f| results::run(&f, threads, results::Cell::run).map_err(|e| e.to_string()))
+        .and_then(|f| results::run(&f, threads, Run::simulate).map_err(|e| e.to_string()))
         .and_then(|r| {
             std::fs::write(out, results::to_json(&r.tables))
                 .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
@@ -1355,13 +1339,11 @@ pub fn execute(cmd: Command) -> i32 {
             0
         }
         Command::Run {
-            app,
-            cfg,
-            seed,
+            run,
             baseline,
             metrics_json,
         } => {
-            let m = match run_app(app, &cfg, seed) {
+            let m = match run.simulate() {
                 Ok(m) => m,
                 // SimError exit codes tell permanent from transient
                 // failures when the metrics are what is asked for.
@@ -1377,17 +1359,21 @@ pub fn execute(cmd: Command) -> i32 {
                 println!("{}", barre_system::metrics_to_json(&m));
                 return 0;
             }
+            let apps = run.apps();
             println!(
                 "{}",
-                summary_line(&format!("{app}/{}", cfg.mode.label()), &m)
+                summary_line(&format!("{apps}/{}", run.cfg.mode.label()), &m)
             );
             if baseline {
-                let base_cfg = (*cfg.clone()).with_mode(TranslationMode::Baseline);
-                let b = match run_app(app, &base_cfg, seed) {
+                let base = Run {
+                    cfg: run.cfg.clone().with_mode(TranslationMode::Baseline),
+                    ..*run
+                };
+                let b = match base.simulate() {
                     Ok(b) => b,
                     Err(e) => return report(&e),
                 };
-                println!("{}", summary_line(&format!("{app}/baseline"), &b));
+                println!("{}", summary_line(&format!("{apps}/baseline"), &b));
                 println!("speedup: {:.3}x", speedup(&b, &m));
             }
             0
@@ -1420,12 +1406,12 @@ pub fn execute(cmd: Command) -> i32 {
             print!("{}", render_sweep(&apps, &cfg, &metrics));
             0
         }
-        Command::Pair { pair, cfg, seed } => {
-            let m: RunMetrics = match run_pair(pair, &cfg, seed) {
+        Command::Pair { run } => {
+            let m: RunMetrics = match run.simulate() {
                 Ok(m) => m,
                 Err(e) => return report(&e),
             };
-            println!("{}", summary_line(&pair.label(), &m));
+            println!("{}", summary_line(&run.apps(), &m));
             0
         }
         Command::Lint { opts } => lint_cmd::run_lint(&opts),
@@ -1454,14 +1440,8 @@ pub fn execute(cmd: Command) -> i32 {
             print!("{}", render_chaos(&rates, &metrics));
             0
         }
-        Command::Profile { app, cfg, seed } => profile_cmd::run(app, &cfg, seed),
-        Command::Trace {
-            app,
-            cfg,
-            seed,
-            out,
-            opts,
-        } => trace_cmd::run_trace(app, &cfg, seed, &out, &opts),
+        Command::Profile { run } => profile_cmd::run(&run),
+        Command::Trace { run, out, opts } => trace_cmd::run_trace(&run, &out, &opts),
         Command::Report { input, top } => trace_cmd::run_report(&input, top),
         Command::FleetReport { dirs, out } => trace_cmd::run_fleet_report(&dirs, out.as_deref()),
         Command::BenchDiff {
@@ -1550,10 +1530,10 @@ mod tests {
     fn parses_run() {
         let cmd = p(&["run", "--app", "gups", "--mode", "fbarre", "--seed", "7"]).unwrap();
         match cmd {
-            Command::Run { app, cfg, seed, .. } => {
-                assert_eq!(app, AppId::Gups);
-                assert_eq!(seed, 7);
-                assert!(matches!(cfg.mode, TranslationMode::FBarre(_)));
+            Command::Run { run, .. } => {
+                assert_eq!(run.specs, [AppId::Gups.spec()]);
+                assert_eq!(run.seed, 7);
+                assert!(matches!(run.cfg.mode, TranslationMode::FBarre(_)));
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -1563,11 +1543,11 @@ mod tests {
     fn parses_profile() {
         let cmd = p(&["profile", "--smoke", "--app", "gups", "--mode", "fbarre"]).unwrap();
         match cmd {
-            Command::Profile { app, cfg, seed } => {
-                assert_eq!(app, AppId::Gups);
-                assert_eq!(seed, 0x15CA_2024);
-                assert!(matches!(cfg.mode, TranslationMode::FBarre(_)));
-                assert_eq!(cfg.topology, barre_system::smoke_config().topology);
+            Command::Profile { run } => {
+                assert_eq!(run.specs, [AppId::Gups.spec()]);
+                assert_eq!(run.seed, 0x15CA_2024);
+                assert!(matches!(run.cfg.mode, TranslationMode::FBarre(_)));
+                assert_eq!(run.cfg.topology, barre_system::smoke_config().topology);
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -1592,9 +1572,9 @@ mod tests {
     fn parses_pair_and_topology() {
         let cmd = p(&["pair", "--a", "gemv", "--b", "gups", "--chiplets", "8"]).unwrap();
         match cmd {
-            Command::Pair { pair, cfg, .. } => {
-                assert_eq!(pair.a, AppId::Gemv);
-                assert_eq!(cfg.topology.n_chiplets, 8);
+            Command::Pair { run } => {
+                assert_eq!(run.specs, [AppId::Gemv.spec(), AppId::Gups.spec()]);
+                assert_eq!(run.cfg.topology.n_chiplets, 8);
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -1815,17 +1795,14 @@ mod tests {
             let r =
                 barre_serve::request::parse_request(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             let Ok(Command::Run {
-                app,
-                cfg,
-                seed,
+                run,
                 metrics_json: true,
                 baseline: false,
             }) = parse(&r.argv)
             else {
                 panic!("{line}: argv {:?} is not a metrics-json run", r.argv);
             };
-            assert_eq!((app, seed), (r.app, r.seed), "{line}");
-            assert_eq!(format!("{cfg:?}"), format!("{:?}", r.cfg), "{line}");
+            assert_eq!(*run, r.run, "{line}");
             fps.push(r.fingerprint);
         }
         // Every fingerprint of the matrix, folded into one, as the
@@ -1834,6 +1811,28 @@ mod tests {
         let parts: Vec<&str> = fps.iter().map(String::as_str).collect();
         assert_eq!(lines.len(), 406);
         assert_eq!(barre_system::fingerprint(&parts), "42d4da14aa8d770d");
+    }
+
+    /// A registry cell is the simulation `barre run` describes for its
+    /// app, mode and the registry seed: one `Run`, whichever front end
+    /// built it.
+    #[test]
+    fn a_fig15_cell_is_the_run_of_its_run_argv() {
+        let fig = barre_bench::figures::select(&["fig15".to_string()]).expect("fig15");
+        let cells = &fig[0].cells;
+        let seed = barre_bench::SEED.to_string();
+        // Each row holds its app's cells in column order: baseline,
+        // Valkyrie, Least, Barre, F-Barre with 1, 2 and 4 merged.
+        let modes = [(0, "baseline"), (3, "barre"), (5, "fbarre"), (10, "barre")];
+        for (i, mode) in modes {
+            let cell = &cells[i];
+            let app = cell.specs[0].app.name();
+            let argv = ["run", "--app", app, "--mode", mode, "--seed", &seed];
+            let Ok(Command::Run { run, .. }) = p(&argv) else {
+                panic!("{argv:?} is not a run");
+            };
+            assert_eq!(*run, *cell, "{argv:?}");
+        }
     }
 
     /// The argv a supervised or dispatched child is re-executed with is
@@ -1928,7 +1927,7 @@ mod tests {
     #[test]
     fn presets_apply_before_overrides_in_any_order() {
         let cfg = |line: &[&str]| match p(line).unwrap() {
-            Command::Run { cfg, .. } => format!("{cfg:?}"),
+            Command::Run { run, .. } => format!("{:?}", run.cfg),
             other => panic!("wrong command {other:?}"),
         };
         let want = cfg(&[
@@ -2021,7 +2020,7 @@ mod tests {
     fn ptws_inf_parses() {
         let cmd = p(&["run", "--app", "gemv", "--ptws", "inf"]).unwrap();
         match cmd {
-            Command::Run { cfg, .. } => assert_eq!(cfg.ptws, None),
+            Command::Run { run, .. } => assert_eq!(run.cfg.ptws, None),
             other => panic!("wrong command {other:?}"),
         }
     }
@@ -2142,15 +2141,9 @@ mod tests {
         ])
         .unwrap()
         {
-            Command::Trace {
-                app,
-                cfg,
-                out,
-                opts,
-                ..
-            } => {
-                assert_eq!(app, AppId::Gups);
-                assert!(matches!(cfg.mode, TranslationMode::FBarre(_)));
+            Command::Trace { run, out, opts } => {
+                assert_eq!(run.specs, [AppId::Gups.spec()]);
+                assert!(matches!(run.cfg.mode, TranslationMode::FBarre(_)));
                 assert_eq!(out, std::path::PathBuf::from("/tmp/t.jsonl"));
                 assert_eq!(opts.window, 128);
                 assert!(opts.filter.contains(barre_trace::Stage::Ptw));
@@ -2160,8 +2153,8 @@ mod tests {
         }
         // --app form and defaults.
         match p(&["trace", "--app", "gemv"]).unwrap() {
-            Command::Trace { app, out, opts, .. } => {
-                assert_eq!(app, AppId::Gemv);
+            Command::Trace { run, out, opts } => {
+                assert_eq!(run.specs, [AppId::Gemv.spec()]);
                 assert_eq!(out, std::path::PathBuf::from("trace.json"));
                 assert_eq!(opts.window, 65_536);
                 assert!(opts.filter.contains(barre_trace::Stage::TlbL1));

@@ -29,10 +29,8 @@ use std::time::Instant;
 
 use barre_core::fbarre::RcfCounters;
 use barre_system::{
-    build_machine, metrics_to_json, RunMetrics, SystemConfig, EVENT_CLASSES, POP_SAMPLE_PERIOD,
-    PROBE_POPPED,
+    metrics_to_json, Run, RunMetrics, EVENT_CLASSES, POP_SAMPLE_PERIOD, PROBE_POPPED,
 };
-use barre_workloads::AppId;
 
 /// Probe indexes: the event classes, then the sampled pop.
 const SLOTS: usize = EVENT_CLASSES.len() + 1;
@@ -101,10 +99,10 @@ fn probe_cost_ns() -> f64 {
     ns / f64::from(CALIBRATION_CALLS)
 }
 
-/// Runs `app` under `cfg` with the probe installed. Building the machine
-/// is not part of the profile.
-fn profile(app: AppId, cfg: &SystemConfig, seed: u64) -> Result<Profile, barre_system::SimError> {
-    let mut machine = build_machine(&[app.spec()], cfg, seed)?;
+/// Simulates `run` with the probe installed. Building the machine is
+/// not part of the profile.
+fn profile(run: &Run) -> Result<Profile, barre_system::SimError> {
+    let mut machine = run.build()?;
     machine.set_event_probe(probe);
     machine.set_rcf_counter_sink(|c| RCF.set(c));
     let start = Instant::now();
@@ -212,10 +210,10 @@ fn render(label: &str, p: &Profile) -> String {
 
 /// `barre profile`: prints the table and the metrics JSON; exit code 0,
 /// or the run's [`barre_system::SimError::exit_code`].
-pub fn run(app: AppId, cfg: &SystemConfig, seed: u64) -> i32 {
-    match profile(app, cfg, seed) {
+pub fn run(run: &Run) -> i32 {
+    match profile(run) {
         Ok(p) => {
-            let label = format!("{}/{}", app.name(), cfg.mode.label());
+            let label = format!("{}/{}", run.apps(), run.cfg.mode.label());
             print!("{}", render(&label, &p));
             0
         }
@@ -234,8 +232,9 @@ mod tests {
     fn profile_is_passive_and_accounts_for_the_wall() {
         let cfg = barre_system::smoke_config()
             .with_mode(barre_system::TranslationMode::FBarre(Default::default()));
-        let p = profile(AppId::Gemv, &cfg, 7).unwrap();
-        let plain = barre_system::run_app(AppId::Gemv, &cfg, 7).unwrap();
+        let run = Run::app(barre_workloads::AppId::Gemv, cfg, 7);
+        let p = profile(&run).unwrap();
+        let plain = run.simulate().unwrap();
         assert_eq!(metrics_to_json(&p.metrics), metrics_to_json(&plain));
         let events: u64 = p.count.iter().take(EVENT_CLASSES.len()).sum();
         assert_eq!(events, plain.events_processed);

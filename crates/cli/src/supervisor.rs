@@ -27,8 +27,8 @@ use std::time::Duration;
 use barre_serve::attempt::{parse_child_metrics, run_attempt, Attempt};
 use barre_serve::signal::sleep_interruptible;
 use barre_system::journal::{
-    completed_index, fingerprint, metrics_digest, metrics_hist_digest, read_journal, JournalError,
-    JournalEvent, JournalRecord, JournalWriter, JOURNAL_FILE,
+    completed_index, fingerprint, journal_file_of, read_journal, JournalError, JournalEvent,
+    JournalRecord, JournalWriter,
 };
 use barre_system::{LabeledJob, RunMetrics};
 
@@ -141,17 +141,6 @@ pub struct SupervisedRun {
     pub interrupted: bool,
 }
 
-/// Resolves a `--journal`/`--resume` path to the journal file: a path
-/// ending in `.jsonl` is used as-is, anything else is treated as the
-/// journal directory and gets [`JOURNAL_FILE`] appended.
-pub fn journal_file_of(path: &Path) -> PathBuf {
-    if path.extension().is_some_and(|e| e == "jsonl") {
-        path.to_path_buf()
-    } else {
-        path.join(JOURNAL_FILE)
-    }
-}
-
 /// The fingerprint identifying job `index` of a sweep launched with
 /// `child_args`: stable across supervisor and resume invocations, and
 /// across shards launched with the same command line.
@@ -232,18 +221,13 @@ fn supervise_job(
             match parse_child_metrics(&a.stdout) {
                 Ok(metrics) => {
                     let metrics = Box::new(metrics);
-                    writer.append(&JournalRecord {
-                        fingerprint: fp.to_string(),
-                        label: label.to_string(),
-                        event: JournalEvent::Done {
-                            attempts: attempt,
-                            exit: a.exit,
-                            digest: metrics_digest(&metrics),
-                            hist_digest: Some(metrics_hist_digest(&metrics)),
-                            worker: worker_identity(),
-                            metrics: metrics.clone(),
-                        },
-                    })?;
+                    writer.append(&JournalRecord::done(
+                        fp,
+                        label,
+                        attempt,
+                        worker_identity(),
+                        metrics.clone(),
+                    ))?;
                     return Ok(JobOutcome::Done(metrics));
                 }
                 Err(why) => {
@@ -382,6 +366,7 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use barre_system::JOURNAL_FILE;
 
     #[test]
     fn journal_path_resolution() {

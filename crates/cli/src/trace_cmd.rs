@@ -19,25 +19,18 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
-use barre_system::{trace_app, JournalEvent, Json, SystemConfig};
+use barre_system::{JournalEvent, Json, Run};
 use barre_trace::export::{chrome_trace, jsonl, TraceMeta};
 use barre_trace::json::json_escape;
 use barre_trace::{LatencyHistogram, Stage, TraceOptions};
-use barre_workloads::AppId;
 
 /// Journeys shown by default in the slowest-journeys table.
 pub const DEFAULT_TOP: usize = 10;
 
-/// Runs `app` traced and writes the export to `out`. Returns the
+/// Simulates `run` traced and writes the export to `out`. Returns the
 /// process exit code.
-pub fn run_trace(
-    app: AppId,
-    cfg: &SystemConfig,
-    seed: u64,
-    out: &Path,
-    opts: &TraceOptions,
-) -> i32 {
-    let (m, rec) = match trace_app(app, cfg, seed, opts) {
+pub fn run_trace(run: &Run, out: &Path, opts: &TraceOptions) -> i32 {
+    let (m, rec) = match run.build().and_then(|machine| machine.run_traced(opts)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -45,9 +38,9 @@ pub fn run_trace(
         }
     };
     let meta = TraceMeta {
-        app: app.name().to_string(),
-        mode: cfg.mode.label(),
-        seed,
+        app: run.apps(),
+        mode: run.cfg.mode.label(),
+        seed: run.seed,
         window: opts.window as u64,
     };
     let doc = if out.extension().is_some_and(|e| e == "jsonl") {
@@ -61,9 +54,9 @@ pub fn run_trace(
     }
     println!(
         "traced {}/{} seed={}: {} cycles, {} span(s) recorded ({} dropped, {} filtered), {} sample(s)",
-        app.name(),
+        meta.app,
         meta.mode,
-        seed,
+        run.seed,
         m.total_cycles,
         rec.ring().recorded(),
         rec.ring().dropped(),
@@ -332,7 +325,7 @@ fn render_trace_report(t: &TraceDoc, top: usize) -> String {
 /// percentile tables need a trace export; journals carry aggregate
 /// metrics only.
 fn report_journal(input: &Path, _doc: &str) -> i32 {
-    let path = crate::supervisor::journal_file_of(input);
+    let path = barre_system::journal_file_of(input);
     let records = match barre_system::read_journal(&path) {
         Ok(r) => r,
         Err(e) => {

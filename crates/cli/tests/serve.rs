@@ -292,8 +292,6 @@ fn deadlines_fire_and_full_queue_sheds() {
             "1",
             "--breaker",
             "0",
-            "--retries",
-            "0",
             "--cache-dir",
             "cache",
         ],
@@ -363,11 +361,7 @@ fn deadlines_fire_and_full_queue_sheds() {
 #[test]
 fn in_process_answers_match_barre_run() {
     let dir = tmpdir("equiv");
-    let d = start_daemon(
-        &dir,
-        &["--workers", "2", "--retries", "0", "--cache-dir", "cache"],
-        &[],
-    );
+    let d = start_daemon(&dir, &["--workers", "2", "--cache-dir", "cache"], &[]);
     let mut lines: Vec<String> = [
         "baseline",
         "valkyrie",
@@ -596,16 +590,7 @@ fn breaker_quarantines_a_crashing_config() {
     let dir = tmpdir("breaker");
     let d = start_daemon(
         &dir,
-        &[
-            "--workers",
-            "1",
-            "--breaker",
-            "2",
-            "--retries",
-            "0",
-            "--cache-dir",
-            "cache",
-        ],
+        &["--workers", "1", "--breaker", "2", "--cache-dir", "cache"],
         &[],
     );
     // frames:1 exhausts physical frames instantly — a deterministic

@@ -325,27 +325,6 @@ impl FilterBank {
         self.rcf_hit(asid, vpn)
     }
 
-    /// All peers whose RCF hits (for multi-candidate probing studies).
-    pub fn rcf_hits(&self, asid: u16, vpn: Vpn) -> Vec<ChipletId> {
-        let key = filter_key(asid, vpn);
-        let mut hash = None;
-        self.rcfs
-            .iter()
-            .enumerate()
-            .filter_map(|(p, rcf)| {
-                let rcf = &rcf.as_ref()?.filter;
-                let h = *hash.get_or_insert_with(|| rcf.key_hash(key));
-                rcf.contains_hashed(h).then_some(ChipletId(p as u8))
-            })
-            .collect()
-    }
-
-    /// Total fingerprints across LCF and RCFs (occupancy diagnostics).
-    pub fn total_entries(&self) -> usize {
-        let rcfs = self.rcfs.iter().flatten().map(|r| r.filter.len());
-        self.lcf.len() + rcfs.sum::<usize>()
-    }
-
     /// The host-side counters of this bank's RCFs.
     pub fn rcf_counters(&self) -> RcfCounters {
         let mut c = RcfCounters {
@@ -367,6 +346,25 @@ mod tests {
 
     fn bank(c: u8) -> FilterBank {
         FilterBank::new(ChipletId(c), 4, 256, 99)
+    }
+
+    /// Every peer whose RCF holds `vpn` (ASID 0).
+    fn rcf_hits(bank: &FilterBank, vpn: Vpn) -> Vec<ChipletId> {
+        let key = filter_key(0, vpn);
+        (0..bank.rcfs.len())
+            .filter(|&p| {
+                bank.rcfs[p]
+                    .as_ref()
+                    .is_some_and(|r| r.filter.contains_hashed(r.filter.key_hash(key)))
+            })
+            .map(|p| ChipletId(p as u8))
+            .collect()
+    }
+
+    /// Fingerprints across the LCF and the RCFs.
+    fn total_entries(bank: &FilterBank) -> usize {
+        let rcfs = bank.rcfs.iter().flatten().map(|r| r.filter.len());
+        bank.lcf.len() + rcfs.sum::<usize>()
     }
 
     #[test]
@@ -427,7 +425,7 @@ mod tests {
             });
         }
         assert_eq!(gpu0.rcf_hit(0, Vpn(0x20)), Some(ChipletId(2)));
-        assert_eq!(gpu0.rcf_hits(0, Vpn(0x30)), vec![ChipletId(3)]);
+        assert_eq!(gpu0.rcf_hit(0, Vpn(0x30)), Some(ChipletId(3)));
     }
 
     #[test]
@@ -501,8 +499,8 @@ mod tests {
                 });
             }
             assert_eq!(
-                batched.total_entries(),
-                single.total_entries(),
+                total_entries(&batched),
+                total_entries(&single),
                 "round {round}"
             );
             let probe = Vpn(rng.next_below(700));
@@ -513,7 +511,7 @@ mod tests {
             );
         }
         for v in 0..700 {
-            assert_eq!(batched.rcf_hits(0, Vpn(v)), single.rcf_hits(0, Vpn(v)));
+            assert_eq!(rcf_hits(&batched, Vpn(v)), rcf_hits(&single, Vpn(v)));
         }
     }
 

@@ -93,11 +93,6 @@ impl GpuMap {
         self.order().get(k).copied()
     }
 
-    /// Group position of `chiplet`, if it participates.
-    pub fn position_of(&self, chiplet: ChipletId) -> Option<usize> {
-        self.order().iter().position(|&c| c == chiplet)
-    }
-
     /// The raw order.
     pub fn order(&self) -> &[ChipletId] {
         // `len <= GPU_MAP_MAX` by construction.
@@ -321,8 +316,7 @@ mod tests {
         // Fig 10 right: 0th VPN on GPU1.
         let m = GpuMap::new(&[ChipletId(1), ChipletId(0), ChipletId(3), ChipletId(2)]);
         assert_eq!(m.chiplet_at(0), Some(ChipletId(1)));
-        assert_eq!(m.position_of(ChipletId(3)), Some(2));
-        assert_eq!(m.position_of(ChipletId(4)), None);
+        assert_eq!(m.chiplet_at(2), Some(ChipletId(3)));
         assert_eq!(m.chiplet_at(4), None);
     }
 

@@ -72,11 +72,6 @@ impl Mesh {
         self.latency
     }
 
-    /// Total bytes ever sent from `from`.
-    pub fn bytes_from(&self, from: ChipletId) -> u64 {
-        self.ports[from.index()].total_bytes()
-    }
-
     /// Total bytes across all ports.
     pub fn total_bytes(&self) -> u64 {
         self.ports.iter().map(Link::total_bytes).sum()
@@ -116,7 +111,7 @@ mod tests {
         m.send(0, ChipletId(0), ChipletId(1), 100);
         m.send(0, ChipletId(1), ChipletId(0), 100);
         assert_eq!(m.total_bytes(), 200);
-        assert_eq!(m.bytes_from(ChipletId(0)), 100);
+        assert_eq!(m.ports[0].total_bytes(), 100);
         assert_eq!(m.total_msgs(), 2);
     }
 }

@@ -132,12 +132,6 @@ impl WarpAccess {
         }
     }
 
-    /// Marks the instruction as a store.
-    pub fn as_write(mut self) -> Self {
-        self.write = true;
-        self
-    }
-
     /// Replaces the instruction with `lanes` and `write`.
     pub fn set(&mut self, lanes: impl IntoIterator<Item = VirtAddr>, write: bool) {
         self.addrs.clear();
@@ -190,12 +184,6 @@ impl LinearSweep {
             insns: 10,
         }
     }
-
-    /// Overrides the instructions-per-access ratio.
-    pub fn with_insns_per_access(mut self, insns: u64) -> Self {
-        self.insns = insns.max(1);
-        self
-    }
 }
 
 impl AccessPattern for LinearSweep {
@@ -224,7 +212,6 @@ mod tests {
         assert_eq!(a.addrs[0], VirtAddr(0x1000));
         assert_eq!(a.addrs[1], VirtAddr(0x10FF));
         assert!(!a.write);
-        assert!(WarpAccess::coalesced(VirtAddr(0), 32, 8).as_write().write);
     }
 
     #[test]
@@ -234,12 +221,6 @@ mod tests {
             .map(|a| a.addrs[0].0)
             .collect();
         assert_eq!(firsts, vec![0, 256]);
-    }
-
-    #[test]
-    fn insns_override() {
-        let p = LinearSweep::new(VirtAddr(0), VirtAddr(64)).with_insns_per_access(3);
-        assert_eq!(p.insns_per_access(), 3);
     }
 
     #[test]

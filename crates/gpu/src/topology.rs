@@ -73,18 +73,6 @@ impl Topology {
     pub fn chiplets(&self) -> impl Iterator<Item = ChipletId> {
         (0..self.n_chiplets).map(|i| ChipletId(i as u8))
     }
-
-    /// All CU ids of one chiplet, SA-major.
-    pub fn cus_of(&self, chiplet: ChipletId) -> impl Iterator<Item = CuId> + '_ {
-        let sas = self.sas_per_chiplet as u8;
-        let cus = self.cus_per_sa as u8;
-        (0..sas).flat_map(move |sa| (0..cus).map(move |cu| CuId { chiplet, sa, cu }))
-    }
-
-    /// Flat index of a CU within its chiplet.
-    pub fn cu_index(&self, cu: CuId) -> usize {
-        cu.sa as usize * self.cus_per_sa + cu.cu as usize
-    }
 }
 
 #[cfg(test)]
@@ -96,18 +84,7 @@ mod tests {
         let t = Topology::paper_default();
         assert_eq!(t.total_cus(), 256);
         assert_eq!(t.chiplets().count(), 4);
-        assert_eq!(t.cus_of(ChipletId(0)).count(), 64);
-    }
-
-    #[test]
-    fn cu_index_is_dense_and_unique() {
-        let t = Topology::scaled();
-        let mut seen = std::collections::BTreeSet::new();
-        for cu in t.cus_of(ChipletId(1)) {
-            assert!(seen.insert(t.cu_index(cu)));
-        }
-        assert_eq!(seen.len(), t.cus_per_chiplet());
-        assert_eq!(*seen.iter().max().unwrap(), t.cus_per_chiplet() - 1);
+        assert_eq!(t.cus_per_chiplet(), 64);
     }
 
     #[test]

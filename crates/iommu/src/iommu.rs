@@ -173,11 +173,6 @@ impl Iommu {
         self.queue.len() < self.cfg.pw_queue_entries
     }
 
-    /// Current PW-queue occupancy.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Assigns queued requests to idle PTWs. Replaces `started` with
     /// `(ptw, done_at)` for every started walk; the caller schedules a
     /// completion event each.
@@ -450,7 +445,7 @@ mod tests {
         }
         assert_eq!(dispatch(&mut io, 0).len(), 2);
         assert_eq!(io.active_walks(), 2);
-        assert_eq!(io.queue_len(), 3);
+        assert_eq!(io.queue.len(), 3);
     }
 
     #[test]
@@ -490,7 +485,7 @@ mod tests {
             .collect();
         assert_eq!(coalesced, vec![0x4, 0xA]);
         // The different-group request stays queued.
-        assert_eq!(io.queue_len(), 1);
+        assert_eq!(io.queue.len(), 1);
         // Calculated PFNs match the table.
         for (_, r) in &rsp {
             assert_eq!(r.pfn.unwrap(), pt.lookup(r.req.vpn).unwrap().pfn());

@@ -46,7 +46,6 @@ pub struct Acud {
     n_chiplets: usize,
     counters: BTreeMap<(u16, Vpn), Vec<u32>>,
     migrations: u64,
-    remote_hits_tracked: u64,
 }
 
 impl Acud {
@@ -63,7 +62,6 @@ impl Acud {
             n_chiplets,
             counters: BTreeMap::new(),
             migrations: 0,
-            remote_hits_tracked: 0,
         }
     }
 
@@ -86,7 +84,6 @@ impl Acud {
         if accessor == home {
             return None;
         }
-        self.remote_hits_tracked += 1;
         let counts = self
             .counters
             .entry((asid, vpn))
@@ -114,11 +111,6 @@ impl Acud {
         self.migrations
     }
 
-    /// Remote accesses the engine has counted.
-    pub fn remote_accesses(&self) -> u64 {
-        self.remote_hits_tracked
-    }
-
     /// The configured threshold.
     pub fn threshold(&self) -> u32 {
         self.threshold
@@ -135,7 +127,7 @@ mod tests {
         for _ in 0..100 {
             assert!(a.record(0, Vpn(1), ChipletId(0), ChipletId(0)).is_none());
         }
-        assert_eq!(a.remote_accesses(), 0);
+        assert!(a.counters.is_empty());
     }
 
     #[test]

@@ -116,31 +116,6 @@ impl FrameAllocator {
         self.free_count += 1;
     }
 
-    /// Finds (without claiming) the lowest run of `len` contiguous free
-    /// frames starting at or after `from`.
-    pub fn find_free_run(&self, from: LocalPfn, len: usize) -> Option<LocalPfn> {
-        if len == 0 {
-            return Some(from);
-        }
-        let n = self.used.len();
-        let mut run = 0usize;
-        let mut start = from.0 as usize;
-        let mut i = from.0 as usize;
-        while i < n {
-            if self.used[i] {
-                run = 0;
-                start = i + 1;
-            } else {
-                run += 1;
-                if run == len {
-                    return Some(LocalPfn(start as u64));
-                }
-            }
-            i += 1;
-        }
-        None
-    }
-
     /// Pre-occupies roughly `fraction` of the frames at random — used to
     /// model a fragmented memory and exercise the Barre driver's fallback
     /// and the expansion allocator's partial-run behaviour.
@@ -187,20 +162,6 @@ mod tests {
         a.alloc_specific(LocalPfn(0));
         a.free(LocalPfn(0));
         a.free(LocalPfn(0));
-    }
-
-    #[test]
-    fn find_free_run_skips_holes() {
-        let mut a = FrameAllocator::new(16);
-        for f in [1u64, 2, 6] {
-            a.alloc_specific(LocalPfn(f));
-        }
-        // Free layout: 0 [1 2 used] 3 4 5 [6 used] 7..15
-        assert_eq!(a.find_free_run(LocalPfn(0), 1), Some(LocalPfn(0)));
-        assert_eq!(a.find_free_run(LocalPfn(0), 3), Some(LocalPfn(3)));
-        assert_eq!(a.find_free_run(LocalPfn(0), 9), Some(LocalPfn(7)));
-        assert_eq!(a.find_free_run(LocalPfn(0), 10), None);
-        assert_eq!(a.find_free_run(LocalPfn(4), 2), Some(LocalPfn(4)));
     }
 
     #[test]

@@ -30,11 +30,6 @@ impl PageSize {
         1 << self.shift()
     }
 
-    /// Number of 4 KiB base frames covered by one page of this size.
-    pub fn base_frames(self) -> u64 {
-        self.bytes() / PageSize::Size4K.bytes()
-    }
-
     /// All supported sizes, smallest first.
     pub fn all() -> [PageSize; 3] {
         [PageSize::Size4K, PageSize::Size64K, PageSize::Size2M]
@@ -60,13 +55,6 @@ mod tests {
         assert_eq!(PageSize::Size4K.bytes(), 4096);
         assert_eq!(PageSize::Size64K.bytes(), 65536);
         assert_eq!(PageSize::Size2M.bytes(), 2 * 1024 * 1024);
-    }
-
-    #[test]
-    fn base_frames() {
-        assert_eq!(PageSize::Size4K.base_frames(), 1);
-        assert_eq!(PageSize::Size64K.base_frames(), 16);
-        assert_eq!(PageSize::Size2M.base_frames(), 512);
     }
 
     #[test]

@@ -188,15 +188,6 @@ impl PageTable {
         }
     }
 
-    /// Removes the mapping for `vpn`, returning the previous entry.
-    pub fn unmap(&mut self, vpn: Vpn) -> Option<Pte> {
-        if self.lookup(vpn).is_some() {
-            self.map(vpn, Pte::NOT_PRESENT)
-        } else {
-            None
-        }
-    }
-
     /// Rewrites the entry for an already-mapped `vpn` in place (migration,
     /// coalescing-bit updates). Returns `false` if `vpn` was not mapped.
     pub fn update(&mut self, vpn: Vpn, f: impl FnOnce(Pte) -> Pte) -> bool {
@@ -208,17 +199,6 @@ impl PageTable {
             }
             None => false,
         }
-    }
-
-    /// Present `(vpn, pte)` pairs in `[start, end)`, ascending.
-    pub fn iter_range(&self, start: Vpn, end: Vpn) -> Vec<(Vpn, Pte)> {
-        let mut out = Vec::new();
-        for v in start.0..end.0 {
-            if let Some(pte) = self.lookup(Vpn(v)) {
-                out.push((Vpn(v), pte));
-            }
-        }
-        out
     }
 
     /// Total number of walker memory accesses used so far... not tracked
@@ -258,7 +238,8 @@ mod tests {
         pt.map(Vpn(0xABCDE), pte(1, 7));
         assert_eq!(pt.len(), 1);
         assert_eq!(pt.lookup(Vpn(0xABCDE)).unwrap().pfn().local(), LocalPfn(7));
-        assert_eq!(pt.unmap(Vpn(0xABCDE)).unwrap().pfn().local(), LocalPfn(7));
+        let old = pt.map(Vpn(0xABCDE), Pte::NOT_PRESENT);
+        assert_eq!(old.unwrap().pfn().local(), LocalPfn(7));
         assert!(pt.lookup(Vpn(0xABCDE)).is_none());
         assert!(pt.is_empty());
     }
@@ -313,20 +294,6 @@ mod tests {
         assert!(pt.update(Vpn(9), |p| p.with_coal_bits(0x7F)));
         assert_eq!(pt.lookup(Vpn(9)).unwrap().coal_bits(), 0x7F);
         assert!(!pt.update(Vpn(10), |p| p));
-    }
-
-    #[test]
-    fn iter_range_ascending() {
-        let mut pt = PageTable::new(0);
-        for v in [3u64, 1, 7] {
-            pt.map(Vpn(v), pte(0, v));
-        }
-        let got: Vec<u64> = pt
-            .iter_range(Vpn(0), Vpn(8))
-            .iter()
-            .map(|(v, _)| v.0)
-            .collect();
-        assert_eq!(got, vec![1, 3, 7]);
     }
 
     #[test]

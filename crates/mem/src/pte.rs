@@ -151,16 +151,6 @@ impl Pte {
         assert!(bits < (1 << 11), "coalescing field exceeds 11 bits");
         Pte((self.0 & !COAL_MASK) | ((bits as u64) << COAL_SHIFT))
     }
-
-    /// Marks the accessed bit (done by the walker).
-    pub fn mark_accessed(self) -> Self {
-        Pte(self.0 | BIT_ACCESSED)
-    }
-
-    /// Marks the dirty bit (done on write translations).
-    pub fn mark_dirty(self) -> Self {
-        Pte(self.0 | BIT_DIRTY)
-    }
 }
 
 impl fmt::Display for Pte {
@@ -215,8 +205,12 @@ mod tests {
 
     #[test]
     fn accessed_dirty_marks() {
-        let pte = Pte::new(pfn(0, 1), PteFlags::default());
-        let pte = pte.mark_accessed().mark_dirty();
+        let flags = PteFlags {
+            accessed: true,
+            dirty: true,
+            ..PteFlags::default()
+        };
+        let pte = Pte::new(pfn(0, 1), flags);
         assert!(pte.flags().accessed);
         assert!(pte.flags().dirty);
     }

@@ -91,11 +91,6 @@ fn threshold() -> u8 {
     resolved
 }
 
-/// Overrides the threshold (tests; daemons normally use `BARRE_LOG`).
-pub fn set_level(level: Level) {
-    THRESHOLD.store(level as u8, Ordering::Relaxed);
-}
-
 /// Whether events at `level` currently reach the sink.
 pub fn enabled(level: Level) -> bool {
     (level as u8) <= threshold()

@@ -100,12 +100,6 @@ impl PromText {
         self.sample(name, &[], &value.to_string());
     }
 
-    /// Appends a counter family with one labeled sample.
-    pub fn counter_labeled(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        self.header(name, help, "counter");
-        self.sample(name, labels, &value.to_string());
-    }
-
     /// Appends an unlabeled gauge family with one sample.
     pub fn gauge(&mut self, name: &str, help: &str, value: u64) {
         self.header(name, help, "gauge");
@@ -176,15 +170,9 @@ mod tests {
         assert_eq!(escape_help("a\\b\nc"), "a\\\\b\\nc");
         assert_eq!(escape_label("say \"hi\"\\now"), "say \\\"hi\\\"\\\\now");
         let mut p = PromText::new();
-        p.counter_labeled(
-            "barre_test_total",
-            "Multi\nline help",
-            &[("worker", "w\"1\"")],
-            1,
-        );
+        p.counter("barre_test_total", "Multi\nline help", 1);
         let body = p.render();
         assert!(body.contains("# HELP barre_test_total Multi\\nline help\n"));
-        assert!(body.contains("barre_test_total{worker=\"w\\\"1\\\"\"} 1\n"));
     }
 
     #[test]

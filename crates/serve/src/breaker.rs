@@ -1,7 +1,7 @@
 //! The crash circuit breaker: quarantine configs that keep failing.
 //!
 //! A config fingerprint whose children fail terminally N times in a row
-//! (retries exhausted, permanent `SimError`, or deadline kill) trips
+//! (transient or permanent `SimError`, panic, or deadline kill) trips
 //! into a quarantined state: further requests for that fingerprint get
 //! a `503`-style response without spawning anything. One success resets
 //! the streak. Quarantine lasts for the daemon's lifetime — a restart

@@ -39,9 +39,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use barre_obs::log as olog;
 use barre_obs::Field;
-use barre_system::{
-    metrics_digest, metrics_hist_digest, JournalError, JournalEvent, JournalRecord, RunMetrics,
-};
+use barre_system::{JournalError, JournalEvent, JournalRecord, RunMetrics};
 
 /// File name of the cache index inside the cache directory.
 pub const CACHE_FILE: &str = "serve-cache.jsonl";
@@ -300,7 +298,7 @@ fn scan(file: &File) -> std::io::Result<(Index, WarmLoad)> {
         match parsed {
             Err(_) => warm.skipped_lines += 1,
             Ok(rec) if !matches!(rec.event, JournalEvent::Done { .. }) => {}
-            Ok(rec) if verifies(&rec, &rec.fingerprint) => {
+            Ok(rec) if rec.verified() => {
                 match (key_of(&rec.fingerprint), Slot::new(slot_at, line.len())) {
                     (Some(key), Some(slot)) => entries.push((key, slot)),
                     _ => warm.skipped_lines += 1,
@@ -312,27 +310,6 @@ fn scan(file: &File) -> std::io::Result<(Index, WarmLoad)> {
     let index = Index::from_file_order(entries);
     warm.loaded = index.len();
     Ok((index, warm))
-}
-
-/// Whether `rec` is a `done` record for `fp` whose digests match its
-/// own metrics.
-fn verifies(rec: &JournalRecord, fp: &str) -> bool {
-    match &rec.event {
-        JournalEvent::Done {
-            digest,
-            hist_digest,
-            metrics,
-            ..
-        } => {
-            rec.fingerprint == fp
-                && *digest == metrics_digest(metrics)
-                && match hist_digest {
-                    Some(h) => *h == metrics_hist_digest(metrics),
-                    None => true,
-                }
-        }
-        _ => false,
-    }
 }
 
 /// The on-disk records plus their in-memory index.
@@ -412,7 +389,7 @@ impl ResultCache {
             .and_then(|()| String::from_utf8(buf).map_err(|e| e.to_string()))
             .and_then(|line| JournalRecord::from_line(&line));
         let why = match parsed {
-            Ok(rec) if verifies(&rec, fp) => return Some(rec),
+            Ok(rec) if rec.fingerprint == fp && rec.verified() => return Some(rec),
             Ok(rec) => format!("digest mismatch on {fp} ({})", rec.label),
             Err(e) => format!("unreadable record on {fp} ({e})"),
         };
@@ -436,19 +413,7 @@ impl ResultCache {
     /// `fp` is not a fingerprint, the record is logged and left
     /// unindexed, so the next request for it recomputes.
     pub fn insert(&self, fp: &str, label: &str, metrics: RunMetrics) -> JournalRecord {
-        let metrics = Box::new(metrics);
-        let rec = JournalRecord {
-            fingerprint: fp.to_string(),
-            label: label.to_string(),
-            event: JournalEvent::Done {
-                attempts: 1,
-                exit: "ok".to_string(),
-                digest: metrics_digest(&metrics),
-                hist_digest: Some(metrics_hist_digest(&metrics)),
-                worker: None,
-                metrics,
-            },
-        };
+        let rec = JournalRecord::done(fp, label, 1, None, Box::new(metrics));
         let line = rec.to_line();
         let appended = key_of(fp)
             .ok_or_else(|| std::io::Error::other("not a 16-hex-digit fingerprint"))
@@ -629,19 +594,8 @@ mod tests {
 
     /// A done record's line for `fp`; `good` false breaks its digest.
     fn record_line(fp: &str, cycles: u64, good: bool) -> String {
-        let line = JournalRecord {
-            fingerprint: fp.to_string(),
-            label: "gups/barre".to_string(),
-            event: JournalEvent::Done {
-                attempts: 1,
-                exit: "ok".to_string(),
-                digest: metrics_digest(&metrics(cycles)),
-                hist_digest: Some(metrics_hist_digest(&metrics(cycles))),
-                worker: None,
-                metrics: Box::new(metrics(cycles)),
-            },
-        }
-        .to_line();
+        let line =
+            JournalRecord::done(fp, "gups/barre", 1, None, Box::new(metrics(cycles))).to_line();
         if good {
             line
         } else {

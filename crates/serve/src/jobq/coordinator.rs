@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use barre_obs::log as olog;
 use barre_obs::{Field, FleetTracer, PromText};
 use barre_sim::fault::NetFaultInjector;
-use barre_system::{read_journal, JournalError, JournalRecord, JournalWriter, JOURNAL_FILE};
+use barre_system::{journal_file_of, read_journal, JournalError, JournalRecord, JournalWriter};
 
 use super::state::{IngestReply, LeaseReply, QueueState};
 use super::wire::{Reply, Request, MAX_WAIT_MS};
@@ -62,14 +62,6 @@ impl Default for QueueOptions {
             max_leases: 3,
             log_file: None,
         }
-    }
-}
-
-fn journal_file_of(path: &Path) -> PathBuf {
-    if path.extension().is_some_and(|e| e == "jsonl") {
-        path.to_path_buf()
-    } else {
-        path.join(JOURNAL_FILE)
     }
 }
 
@@ -419,24 +411,9 @@ fn handle_request_line(sh: &Shared, line: &str, peer: &Peer<'_>) -> Option<Strin
         }
         Request::Complete { worker, record } => {
             let (verdict, records) = match record.event {
-                barre_system::JournalEvent::Done {
-                    attempts,
-                    exit,
-                    digest,
-                    hist_digest,
-                    metrics,
-                    ..
-                } => {
-                    let (reply, records) = core.state.complete(
-                        &record.fingerprint,
-                        &worker,
-                        attempts,
-                        &exit,
-                        &digest,
-                        hist_digest.as_deref(),
-                        metrics,
-                        now,
-                    );
+                barre_system::JournalEvent::Done { .. } => {
+                    let fingerprint = record.fingerprint.clone();
+                    let (reply, records) = core.state.complete(*record, &worker, now);
                     requeued = reply == IngestReply::BadDigest;
                     let verdict = match reply {
                         IngestReply::Accepted => "ok",
@@ -448,12 +425,8 @@ fn handle_request_line(sh: &Shared, line: &str, peer: &Peer<'_>) -> Option<Strin
                     if tracing && reply == IngestReply::Accepted {
                         traces.push(TraceEvent {
                             event: "done",
-                            corr: core
-                                .state
-                                .corr_of(&record.fingerprint)
-                                .unwrap_or("")
-                                .to_string(),
-                            fp: record.fingerprint.clone(),
+                            corr: core.state.corr_of(&fingerprint).unwrap_or("").to_string(),
+                            fp: fingerprint,
                             worker: worker.clone(),
                         });
                     }

@@ -29,7 +29,7 @@
 
 use std::collections::BTreeMap;
 
-use barre_system::{metrics_digest, metrics_hist_digest, JournalEvent, JournalRecord, RunMetrics};
+use barre_system::{JournalEvent, JournalRecord};
 
 use crate::attempt::backoff_delay;
 use crate::breaker::CircuitBreaker;
@@ -353,33 +353,36 @@ impl QueueState {
         }
     }
 
-    /// Ingests a completion: digest-verify, dedup first-wins, detect
-    /// conflicts. A verified first result is terminal regardless of who
-    /// holds the lease — work done is work done, even if the lease
-    /// expired and the job was re-dispatched meanwhile.
-    #[allow(clippy::too_many_arguments)]
+    /// Ingests a completion — a worker's `done` record: digest-verify,
+    /// dedup first-wins, detect conflicts. A verified first result is
+    /// terminal regardless of who holds the lease — work done is work
+    /// done, even if the lease expired and the job was re-dispatched
+    /// meanwhile. The journaled record carries the job's own label and
+    /// `worker` as its producer.
     pub fn complete(
         &mut self,
-        fp: &str,
+        mut rec: JournalRecord,
         worker: &str,
-        attempts: u32,
-        exit: &str,
-        digest: &str,
-        hist_digest: Option<&str>,
-        metrics: Box<RunMetrics>,
         now_ms: u64,
     ) -> (IngestReply, Vec<JournalRecord>) {
-        if !self.entries.contains_key(fp) {
+        let fp = rec.fingerprint.clone();
+        if !self.entries.contains_key(&fp) {
             return (IngestReply::Unknown, Vec::new());
         }
-        let digest_ok = digest == metrics_digest(&metrics)
-            && hist_digest.is_none_or(|h| h == metrics_hist_digest(&metrics));
-        if !digest_ok {
+        if !rec.verified() {
             // Corrupt transmission: burn the lease so the job re-runs.
-            let (_, records) = self.burn_lease(fp, "bad-digest", now_ms);
+            let (_, records) = self.burn_lease(&fp, "bad-digest", now_ms);
             return (IngestReply::BadDigest, records);
         }
-        let Some(e) = self.entries.get_mut(fp) else {
+        let JournalEvent::Done {
+            digest,
+            worker: producer,
+            ..
+        } = &mut rec.event
+        else {
+            return (IngestReply::Unknown, Vec::new());
+        };
+        let Some(e) = self.entries.get_mut(&fp) else {
             return (IngestReply::Unknown, Vec::new());
         };
         if let Slot::Terminal(prev) = &e.slot {
@@ -395,20 +398,10 @@ impl QueueState {
             // A verified completion displaces failed/quarantined — the
             // same done-beats-failed rule merge_journals applies.
         }
-        let rec = JournalRecord {
-            fingerprint: fp.to_string(),
-            label: e.label.clone(),
-            event: JournalEvent::Done {
-                attempts,
-                exit: exit.to_string(),
-                digest: digest.to_string(),
-                hist_digest: hist_digest.map(str::to_string),
-                worker: Some(worker.to_string()),
-                metrics,
-            },
-        };
+        *producer = Some(worker.to_string());
+        rec.label = e.label.clone();
         e.slot = Slot::Terminal(rec.clone());
-        self.breaker.record_success(fp);
+        self.breaker.record_success(&fp);
         (IngestReply::Accepted, vec![rec])
     }
 
@@ -699,6 +692,7 @@ impl QueueState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use barre_system::RunMetrics;
 
     fn spec(fp: &str) -> JobSpec {
         JobSpec {
@@ -716,6 +710,11 @@ mod tests {
         })
     }
 
+    /// A worker's verified `done` record for job `fp`.
+    fn done(fp: &str, cycles: u64) -> JournalRecord {
+        JournalRecord::done(fp, "app/worker-label", 1, None, metrics(cycles))
+    }
+
     fn complete_ok(
         st: &mut QueueState,
         fp: &str,
@@ -723,11 +722,7 @@ mod tests {
         cycles: u64,
         now: u64,
     ) -> IngestReply {
-        let m = metrics(cycles);
-        let d = metrics_digest(&m);
-        let h = metrics_hist_digest(&m);
-        let (reply, _) = st.complete(fp, worker, 1, "ok", &d, Some(&h), m, now);
-        reply
+        st.complete(done(fp, cycles), worker, now).0
     }
 
     #[test]
@@ -861,8 +856,11 @@ mod tests {
         let mut st = QueueState::new(1000, 2);
         st.submit(&[spec("f1")]);
         let _ = st.lease("w1", 0);
-        let m = metrics(10);
-        let (reply, _) = st.complete("f1", "w1", 1, "ok", "not-the-digest", None, m, 1);
+        let mut rec = done("f1", 10);
+        if let JournalEvent::Done { digest, .. } = &mut rec.event {
+            *digest = "not-the-digest".to_string();
+        }
+        let (reply, _) = st.complete(rec, "w1", 1);
         assert_eq!(reply, IngestReply::BadDigest);
         // Burned lease 1 of 2; re-leasable after backoff, and a clean
         // completion then lands and resets the breaker.
@@ -924,9 +922,7 @@ mod tests {
         wal.extend(recs);
         let (_, recs) = st.lease("w2", 0); // f2
         wal.extend(recs);
-        let m = metrics(10);
-        let d = metrics_digest(&m);
-        let (_, recs) = st.complete("f1", "w1", 1, "ok", &d, None, m, 1);
+        let (_, recs) = st.complete(done("f1", 10), "w1", 1);
         wal.extend(recs);
         // Rebuild from submit records + the WAL above.
         let mut records: Vec<JournalRecord> = st

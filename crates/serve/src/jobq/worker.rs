@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use barre_obs::log as olog;
 use barre_obs::{Field, FleetTracer, CORR_ENV};
-use barre_system::{metrics_digest, metrics_hist_digest, JournalEvent, JournalRecord};
+use barre_system::JournalRecord;
 
 use super::wire::{answered_early, exchange, exchange_until, Reply, Request, LONG_POLL_MS};
 use crate::attempt::{backoff_delay, parse_child_metrics, run_attempt_cancellable_env};
@@ -141,24 +141,16 @@ fn run_leased_job(
     }
     let report = if a.exit == "ok" {
         match parse_child_metrics(&a.stdout) {
-            Ok(metrics) => {
-                let metrics = Box::new(metrics);
-                Request::Complete {
-                    worker: name.to_string(),
-                    record: Box::new(JournalRecord {
-                        fingerprint: fingerprint.to_string(),
-                        label: label.to_string(),
-                        event: JournalEvent::Done {
-                            attempts: 1,
-                            exit: a.exit,
-                            digest: metrics_digest(&metrics),
-                            hist_digest: Some(metrics_hist_digest(&metrics)),
-                            worker: None,
-                            metrics,
-                        },
-                    }),
-                }
-            }
+            Ok(metrics) => Request::Complete {
+                worker: name.to_string(),
+                record: Box::new(JournalRecord::done(
+                    fingerprint,
+                    label,
+                    1,
+                    None,
+                    Box::new(metrics),
+                )),
+            },
             Err(why) => Request::Fail {
                 worker: name.to_string(),
                 fingerprint: fingerprint.to_string(),

@@ -26,12 +26,11 @@
 //!   request is shed with a `429`-style response and a deterministic
 //!   `retry_after_ms` hint instead of queuing unboundedly.
 //! * **Deadline** — each request carries a wall-clock budget spanning
-//!   queue wait and all attempts; the running machine checks it every
+//!   queue wait and simulation; the running machine checks it every
 //!   [`barre_system::CANCEL_CHECK_PERIOD`] events and stops at expiry
-//!   (`504`). Transient `SimError`s and panics (caught on the worker)
-//!   retry with the supervisor's deterministic capped backoff
-//!   ([`attempt::backoff_delay`]); permanent `SimError`s return
-//!   structured errors and never retry. Failures read as the matching
+//!   (`504`). A simulation is a pure function of its request, so a
+//!   failure is never retried: `SimError`s and panics (caught on the
+//!   worker) answer with structured errors that read as the matching
 //!   `barre run` child exit would have (`exit:64`, `exit:65`,
 //!   `exit:101` for a panic).
 //! * **Graceful drain** — SIGINT/SIGTERM ([`signal`]) stops accepting,

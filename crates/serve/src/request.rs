@@ -50,7 +50,7 @@
 //! both `barre run` and `barre serve`.
 
 use barre_system::journal::json_escape;
-use barre_system::{fingerprint, FBarreConfig, MmuKind, SystemConfig, TranslationMode};
+use barre_system::{fingerprint, FBarreConfig, MmuKind, Run, SystemConfig, TranslationMode};
 use barre_workloads::AppId;
 
 /// Seed of a `barre run` without `--seed`, and of a request without
@@ -210,12 +210,9 @@ pub struct ValidRequest {
     /// The address of the same simulation at any seed: the fingerprint
     /// of a `seed-free` domain tag and `argv` without `--seed`.
     pub seed_free_fingerprint: String,
-    /// Application to simulate.
-    pub app: AppId,
-    /// Machine to simulate it on ([`build_config`] over `argv`'s flags).
-    pub cfg: Box<SystemConfig>,
-    /// Simulation seed.
-    pub seed: u64,
+    /// The simulation: the app on the machine [`build_config`] makes of
+    /// `argv`'s flags, at the request's seed.
+    pub run: Run,
     /// Per-request deadline override in milliseconds.
     pub timeout_ms: Option<u64>,
 }
@@ -409,9 +406,7 @@ pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
         argv,
         fingerprint: fp,
         seed_free_fingerprint: seed_free_fp,
-        app,
-        cfg: Box::new(cfg),
-        seed: f.seed.unwrap_or(DEFAULT_SEED),
+        run: Run::app(app, cfg, f.seed.unwrap_or(DEFAULT_SEED)),
         timeout_ms: f.timeout_ms,
     })
 }

@@ -6,8 +6,9 @@
 //! admission queue to a fixed pool of worker threads. A worker builds
 //! and runs the request's machine itself, under the per-request
 //! deadline (a cancel check the machine makes every few thousand
-//! events) and with supervisor-style retry classification; a panicking
-//! simulation is caught and retried like a crashed child. The daemon
+//! events); a panicking simulation is caught and answered like a crashed
+//! child. A simulation is a pure function of its [`Run`], so a failed
+//! one is not retried: it would fail the same way again. The daemon
 //! starts no process. See the crate docs for the full request path.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -15,7 +16,6 @@ use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::attempt::backoff_delay;
 use crate::breaker::CircuitBreaker;
 use crate::cache::ResultCache;
 use crate::daemon::{self, Daemon, Peer, Service};
@@ -25,10 +25,10 @@ use crate::signal::shutting_down;
 use crate::stats::{bump, Gauges, ServeStats};
 use barre_obs::log as olog;
 use barre_obs::Field;
-use barre_system::{build_machine, JournalEvent, RunMetrics, SimError};
+use barre_system::{JournalEvent, Run, RunMetrics, SimError};
 
 /// How the daemon runs: bind address, worker pool size, queue bound,
-/// cache location, default deadline, retry budget, breaker threshold.
+/// cache location, default deadline, breaker threshold.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Bind host (default `127.0.0.1`).
@@ -42,11 +42,9 @@ pub struct ServeOptions {
     pub queue_cap: usize,
     /// Directory holding the cache index journal.
     pub cache_dir: PathBuf,
-    /// Default per-request wall-clock deadline (queue wait + attempts);
+    /// Default per-request wall-clock deadline (queue wait + simulation);
     /// requests may override with `timeout_ms`.
     pub timeout: Duration,
-    /// Transient-failure retries per request (attempts = retries + 1).
-    pub retries: u32,
     /// Circuit-breaker threshold: consecutive terminal failures before a
     /// fingerprint is quarantined (0 disables).
     pub breaker_threshold: u32,
@@ -63,7 +61,6 @@ impl Default for ServeOptions {
             queue_cap: 64,
             cache_dir: PathBuf::from("serve-cache"),
             timeout: Duration::from_secs(60),
-            retries: 1,
             breaker_threshold: 3,
             log_file: None,
         }
@@ -80,13 +77,13 @@ struct Job {
 /// Runs one request's simulation on the calling thread, giving up at
 /// the deadline. Returns the metrics and whether the run was seed-free
 /// ([`barre_system::Machine::seed_free`]).
-type Simulate = fn(&ValidRequest, Instant) -> Result<(RunMetrics, bool), SimError>;
+type Simulate = fn(&Run, Instant) -> Result<(RunMetrics, bool), SimError>;
 
 /// Builds and runs a request's machine. The machine asks the clock
 /// every [`barre_system::CANCEL_CHECK_PERIOD`] events and stops with
 /// [`SimError::Cancelled`] once `deadline` has passed.
-fn simulate(req: &ValidRequest, deadline: Instant) -> Result<(RunMetrics, bool), SimError> {
-    let mut machine = build_machine(&[req.app.spec()], &req.cfg, req.seed)?;
+fn simulate(run: &Run, deadline: Instant) -> Result<(RunMetrics, bool), SimError> {
+    let mut machine = run.build()?;
     let seed_free = machine.seed_free();
     machine.set_cancel_check(Box::new(move || Instant::now() >= deadline));
     Ok((machine.run()?, seed_free))
@@ -191,11 +188,10 @@ impl Service for Shared {
 }
 
 /// Runs one admitted job to a terminal response: cache re-check, breaker
-/// re-check, then simulation attempts under the request deadline with
-/// supervisor retry classification. Failures answer exactly as a
-/// `barre run --metrics-json` child's exit would have: a permanent
-/// [`SimError`] is a 422 (`exit:64`), a transient one is retried and
-/// then a 500 (`exit:65`), and a panic is retried like a crash.
+/// re-check, then one simulation under the request deadline. Failures
+/// answer exactly as a `barre run --metrics-json` child's exit would
+/// have: a permanent [`SimError`] is a 422 (`exit:64`), a transient one
+/// a 500 (`exit:65`), and a panic a 500 (`exit:101`).
 fn execute_job(sh: &Shared, job: &Job) -> String {
     let req = &job.req;
     let id = req.id.as_deref();
@@ -219,66 +215,52 @@ fn execute_job(sh: &Shared, job: &Job) -> String {
         .map(Duration::from_millis)
         .unwrap_or(sh.opts.timeout);
     let deadline = job.enqueued + budget;
-    let max_attempts = sh.opts.retries.saturating_add(1);
-    let mut attempt = 1u32;
-    loop {
-        let started = Instant::now();
-        if started >= deadline {
+    let started = Instant::now();
+    if started >= deadline {
+        bump(&sh.stats.timeouts);
+        sh.breaker.record_failure(fp);
+        return render_reject(id, "timeout", 504, "deadline exceeded");
+    }
+    let outcome = catch_unwind(AssertUnwindSafe(|| (sh.simulate)(&req.run, deadline)));
+    sh.stats
+        .record_simulate_ms(u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX));
+    let why = match outcome {
+        Ok(Ok((metrics, seed_free))) => {
+            sh.breaker.record_success(fp);
+            bump(&sh.stats.ok_cold);
+            // One record per result: a seed-free run serves every seed
+            // of its simulation from the seed-free address.
+            let key = if seed_free {
+                &req.seed_free_fingerprint
+            } else {
+                fp
+            };
+            let rec = sh.cache.insert(key, &req.label, metrics);
+            return sh.render_cached(&rec, req);
+        }
+        Ok(Err(SimError::Cancelled { .. })) => {
             bump(&sh.stats.timeouts);
             sh.breaker.record_failure(fp);
             return render_reject(id, "timeout", 504, "deadline exceeded");
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| (sh.simulate)(req, deadline)));
-        sh.stats
-            .record_simulate_ms(u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX));
-        // Every outcome that does not return here is a transient failure;
-        // `why` becomes the 500's detail once the retries run out.
-        let why = match outcome {
-            Ok(Ok((metrics, seed_free))) => {
-                sh.breaker.record_success(fp);
-                bump(&sh.stats.ok_cold);
-                // One record per result: a seed-free run serves every
-                // seed of its simulation from the seed-free address.
-                let key = if seed_free {
-                    &req.seed_free_fingerprint
-                } else {
-                    fp
-                };
-                let rec = sh.cache.insert(key, &req.label, metrics);
-                return sh.render_cached(&rec, req);
-            }
-            Ok(Err(SimError::Cancelled { .. })) => {
-                bump(&sh.stats.timeouts);
+        Ok(Err(e)) => {
+            let text = e.to_string();
+            let detail = text.lines().next().unwrap_or_default();
+            let why = format!("{detail} (exit:{})", e.exit_code());
+            if e.is_permanent() {
+                bump(&sh.stats.failed_permanent);
                 sh.breaker.record_failure(fp);
-                return render_reject(id, "timeout", 504, "deadline exceeded");
+                return render_reject(id, "failed", 422, &why);
             }
-            Ok(Err(e)) => {
-                let text = e.to_string();
-                let detail = text.lines().next().unwrap_or_default();
-                let why = format!("{detail} (exit:{})", e.exit_code());
-                if e.is_permanent() {
-                    bump(&sh.stats.failed_permanent);
-                    sh.breaker.record_failure(fp);
-                    return render_reject(id, "failed", 422, &why);
-                }
-                why
-            }
-            // The default panic hook has printed the message on stderr;
-            // answer as the panicking `barre run` child exited.
-            Err(_) => "exit:101 (exit:101)".to_string(),
-        };
-        if attempt >= max_attempts {
-            bump(&sh.stats.failed_transient);
-            sh.breaker.record_failure(fp);
-            return render_reject(id, "failed", 500, &why);
+            why
         }
-        bump(&sh.stats.retries);
-        let now = Instant::now();
-        if now < deadline {
-            std::thread::sleep(backoff_delay(attempt).min(deadline - now));
-        }
-        attempt += 1;
-    }
+        // The default panic hook has printed the message on stderr;
+        // answer as the panicking `barre run` child exited.
+        Err(_) => "exit:101 (exit:101)".to_string(),
+    };
+    bump(&sh.stats.failed_transient);
+    sh.breaker.record_failure(fp);
+    render_reject(id, "failed", 500, &why)
 }
 
 fn worker_loop(sh: &Shared) {
@@ -475,8 +457,8 @@ mod tests {
 
     /// A simulation that panics on seed 13, fails permanently on seed
     /// 15, and otherwise returns at once.
-    fn scripted(req: &ValidRequest, _deadline: Instant) -> Result<(RunMetrics, bool), SimError> {
-        match req.seed {
+    fn scripted(run: &Run, _deadline: Instant) -> Result<(RunMetrics, bool), SimError> {
+        match run.seed {
             13 => panic!("injected simulation panic"),
             15 => Err(SimError::InvalidConfig("injected\nsecond line".into())),
             _ => Ok((RunMetrics::default(), false)),
@@ -489,10 +471,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let (cache, _) = ResultCache::open(&dir).expect("cache");
         let sh = Arc::new(Shared {
-            opts: ServeOptions {
-                retries: 1,
-                ..ServeOptions::default()
-            },
+            opts: ServeOptions::default(),
             simulate: scripted,
             cache,
             breaker: CircuitBreaker::new(2),
@@ -506,11 +485,11 @@ mod tests {
         };
         let bad = r#"{"app":"gemv","smoke":true,"seed":13}"#;
         let fp = parse_request(bad).expect("valid").fingerprint;
-        // Each request panics twice (one retry), then fails as a child
-        // that panicked did; the breaker counts one failure per request.
+        // Each request panics once, unretried, and fails as a child that
+        // panicked did; the breaker counts one failure per request.
         let failed = r#"{"status":"failed","code":500,"error":"exit:101 (exit:101)"}"#;
         assert_eq!(handle_request_line(&sh, bad), failed);
-        assert_eq!(sh.stats.retries.load(Ordering::Relaxed), 1);
+        assert_eq!(sh.stats.ok_cold.load(Ordering::Relaxed), 0);
         assert!(!sh.breaker.is_open(&fp));
         assert_eq!(handle_request_line(&sh, bad), failed);
         assert!(sh.breaker.is_open(&fp));
@@ -527,7 +506,7 @@ mod tests {
             permanent,
             r#"{"status":"failed","code":422,"error":"invalid configuration: injected (exit:64)"}"#
         );
-        assert_eq!(sh.stats.retries.load(Ordering::Relaxed), 2);
+        assert_eq!(sh.stats.failed_permanent.load(Ordering::Relaxed), 1);
         sh.queue.close();
         assert!(worker.join().is_ok(), "the worker thread died");
         let _ = std::fs::remove_dir_all(&dir);

@@ -62,14 +62,12 @@ pub struct ServeStats {
     pub timeouts: AtomicU64,
     /// Permanent simulation failures (`422`).
     pub failed_permanent: AtomicU64,
-    /// Transient failures that exhausted their retries (`500`).
+    /// Transient simulation failures and panics (`500`).
     pub failed_transient: AtomicU64,
     /// Requests refused because their fingerprint is quarantined (`503`).
     pub quarantined: AtomicU64,
     /// Requests refused because a drain was in progress (`503`).
     pub rejected_draining: AtomicU64,
-    /// Simulation retry attempts (beyond each request's first attempt).
-    pub retries: AtomicU64,
     /// Largest queue depth observed at admission.
     pub max_depth: AtomicU64,
     latency_ms: Mutex<LatencyHistogram>,
@@ -246,7 +244,7 @@ fn load(c: &AtomicU64) -> u64 {
 
 /// Every counter and gauge of `/stats` and `/metrics`, in `/metrics`
 /// order.
-const ROWS: [Row; 20] = [
+const ROWS: [Row; 19] = [
     Row {
         stats: ("requests", "received"),
         kind: Kind::Counter,
@@ -325,13 +323,6 @@ const ROWS: [Row; 20] = [
         read: |s, _| load(&s.rejected_draining),
     },
     Row {
-        stats: ("requests", "retries"),
-        kind: Kind::Counter,
-        prom: "barre_serve_child_retries_total",
-        help: "Simulation retry attempts beyond each request's first attempt.",
-        read: |s, _| load(&s.retries),
-    },
-    Row {
         stats: ("cache", "evictions"),
         kind: Kind::Counter,
         prom: "barre_serve_cache_evictions_total",
@@ -408,7 +399,6 @@ const STATS_LAYOUT: [(&str, &[&str]); 5] = [
             "failed_transient",
             "quarantined",
             "rejected_draining",
-            "retries",
         ],
     ),
     ("queue", &["depth", "cap", "workers", "max_depth"]),
@@ -526,7 +516,6 @@ mod tests {
             &s.failed_transient,
             &s.quarantined,
             &s.rejected_draining,
-            &s.retries,
         ]
         .into_iter()
         .enumerate()
@@ -557,10 +546,12 @@ mod tests {
     #[test]
     fn table_renders_the_pre_table_bodies() {
         let (s, g) = busy();
+        // Since v1 the `seed_free_hits` row was added and the `retries`
+        // row (serve no longer retries a simulation) removed.
         let stats = s.render(&g);
         assert_eq!(
             stats.replacen("\"seed_free_hits\":55,", "", 1),
-            include_str!("../tests/fixtures/stats-v1.json")
+            include_str!("../tests/fixtures/stats-v1.json").replacen(",\"retries\":111", "", 1)
         );
         let metrics = s.render_prometheus(&g);
         let new_lines = [
@@ -573,7 +564,12 @@ mod tests {
             assert!(old.contains(line), "{metrics}");
             old = old.replacen(line, "", 1);
         }
-        assert_eq!(old, include_str!("../tests/fixtures/metrics-v1.prom"));
+        let removed = "# HELP barre_serve_child_retries_total Simulation retry attempts beyond each request's first attempt.\n\
+                       # TYPE barre_serve_child_retries_total counter\n\
+                       barre_serve_child_retries_total 111\n";
+        let v1 = include_str!("../tests/fixtures/metrics-v1.prom");
+        assert!(v1.contains(removed));
+        assert_eq!(old, v1.replacen(removed, "", 1));
     }
 
     #[test]

@@ -251,8 +251,6 @@ pub struct SystemConfig {
     /// Physical frames per chiplet; `None` sizes automatically from the
     /// workload footprint.
     pub frames_per_chiplet: Option<usize>,
-    /// Random seed (workload address streams, filter hashes).
-    pub seed: u64,
     /// Safety cap on simulated warp memory instructions per CTA stream
     /// (`None` = run to completion).
     pub max_warps_per_cta: Option<u64>,
@@ -305,7 +303,6 @@ impl SystemConfig {
             migration: None,
             demand_paging: None,
             frames_per_chiplet: None,
-            seed: 0xBA22E,
             max_warps_per_cta: None,
             fault_plan: FaultPlan::default(),
             ats_retry: Some(AtsRetryConfig::default()),
@@ -358,12 +355,6 @@ impl SystemConfig {
     /// Builder-style migration toggle.
     pub fn with_migration(mut self, m: Option<MigrationConfig>) -> Self {
         self.migration = m;
-        self
-    }
-
-    /// Builder-style seed override.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -566,11 +557,9 @@ mod tests {
     fn builders_chain() {
         let c = SystemConfig::scaled()
             .with_mode(TranslationMode::Barre)
-            .with_ptws(None)
-            .with_seed(7);
+            .with_ptws(None);
         assert_eq!(c.mode, TranslationMode::Barre);
         assert_eq!(c.ptws, None);
-        assert_eq!(c.seed, 7);
     }
 
     #[test]

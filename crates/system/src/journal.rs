@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use barre_sim::Histogram;
@@ -32,6 +32,17 @@ pub use barre_trace::json::{json_escape, Json};
 
 /// Default file name of the journal inside a journal directory.
 pub const JOURNAL_FILE: &str = "sweep.journal.jsonl";
+
+/// Resolves a journal path option to the journal file: a path ending in
+/// `.jsonl` is used as-is, anything else is treated as the journal
+/// directory and gets [`JOURNAL_FILE`] appended.
+pub fn journal_file_of(path: &Path) -> PathBuf {
+    if path.extension().is_some_and(|e| e == "jsonl") {
+        path.to_path_buf()
+    } else {
+        path.join(JOURNAL_FILE)
+    }
+}
 
 /// Why a journal could not be read, parsed, or written.
 #[derive(Debug)]
@@ -408,6 +419,50 @@ pub struct JournalRecord {
 }
 
 impl JournalRecord {
+    /// The `done` record of a successful run (exit `"ok"`), its `digest`
+    /// and `hist_digest` computed here over `metrics`.
+    pub fn done(
+        fingerprint: &str,
+        label: &str,
+        attempts: u32,
+        worker: Option<String>,
+        metrics: Box<RunMetrics>,
+    ) -> JournalRecord {
+        JournalRecord {
+            fingerprint: fingerprint.to_string(),
+            label: label.to_string(),
+            event: JournalEvent::Done {
+                attempts,
+                exit: "ok".to_string(),
+                digest: metrics_digest(&metrics),
+                hist_digest: Some(metrics_hist_digest(&metrics)),
+                worker,
+                metrics,
+            },
+        }
+    }
+
+    /// Whether this is a `done` record whose stored `digest` (and
+    /// `hist_digest`, when present) match recomputation over its own
+    /// metrics. A parseable record that fails is bit-rot or a corrupt
+    /// transmission, and serving it would break byte identity.
+    pub fn verified(&self) -> bool {
+        match &self.event {
+            JournalEvent::Done {
+                digest,
+                hist_digest,
+                metrics,
+                ..
+            } => {
+                *digest == metrics_digest(metrics)
+                    && hist_digest
+                        .as_ref()
+                        .is_none_or(|h| *h == metrics_hist_digest(metrics))
+            }
+            _ => false,
+        }
+    }
+
     /// Renders the record as one JSONL line (no trailing newline).
     pub fn to_line(&self) -> String {
         let head = format!(
@@ -647,32 +702,16 @@ pub fn read_journal_lenient(path: &Path) -> Result<(Vec<JournalRecord>, usize), 
 }
 
 /// Folds records into a digest-*verified* completed index: fingerprint →
-/// last `Done` record whose stored `digest` (and `hist_digest`, when
-/// present) matches recomputation over its own metrics. Records that
-/// fail verification are dropped and counted — a parseable line whose
-/// digests disagree with its payload is bit-rot, and serving it would
-/// break the byte-identity the cache promises.
+/// last `Done` record that [`JournalRecord::verified`] accepts. `Done`
+/// records that fail verification are dropped and counted.
 pub fn verified_done_index(records: &[JournalRecord]) -> (BTreeMap<String, JournalRecord>, usize) {
     let mut index = BTreeMap::new();
     let mut dropped = 0usize;
     for rec in records {
-        if let JournalEvent::Done {
-            digest,
-            hist_digest,
-            metrics,
-            ..
-        } = &rec.event
-        {
-            let digest_ok = *digest == metrics_digest(metrics);
-            let hist_ok = match hist_digest {
-                Some(h) => *h == metrics_hist_digest(metrics),
-                None => true,
-            };
-            if digest_ok && hist_ok {
-                index.insert(rec.fingerprint.clone(), rec.clone());
-            } else {
-                dropped = dropped.saturating_add(1);
-            }
+        if rec.verified() {
+            index.insert(rec.fingerprint.clone(), rec.clone());
+        } else if matches!(rec.event, JournalEvent::Done { .. }) {
+            dropped = dropped.saturating_add(1);
         }
     }
     (index, dropped)

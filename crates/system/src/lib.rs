@@ -6,8 +6,9 @@
 //!   policy, page-size, PTW, MSHR, migration and topology knobs;
 //! * [`TranslationMode`] — baseline, Valkyrie, Least, ideal shared L2,
 //!   Barre, and F-Barre with its feature toggles;
-//! * [`run_app`] / [`run_spec`] / [`run_pair`] — build and run one
-//!   experiment, returning `Result<RunMetrics, SimError>`;
+//! * [`Run`] — one simulation (workloads, machine, seed): the one
+//!   description every front end executes; [`Run::simulate`] returns
+//!   `Result<RunMetrics, SimError>`;
 //! * [`SimError`] — the failure taxonomy (misconfiguration, frame
 //!   exhaustion, translation faults, watchdog aborts);
 //! * [`speedup`] / [`geomean`] — the ratios the figures plot.
@@ -15,13 +16,13 @@
 //! # Example
 //!
 //! ```
-//! use barre_system::{run_app, smoke_config, speedup, SystemConfig, TranslationMode};
+//! use barre_system::{smoke_config, speedup, Run, TranslationMode};
 //! use barre_workloads::AppId;
 //!
 //! let cfg = smoke_config();
-//! let base = run_app(AppId::Gups, &cfg, 42).unwrap();
-//! let barre = run_app(AppId::Gups, &cfg.clone().with_mode(TranslationMode::Barre), 42).unwrap();
-//! assert!(speedup(&base, &barre) > 0.0);
+//! let base = Run::app(AppId::Gups, cfg.clone(), 42).simulate().unwrap();
+//! let barre = Run::app(AppId::Gups, cfg.with_mode(TranslationMode::Barre), 42);
+//! assert!(speedup(&base, &barre.simulate().unwrap()) > 0.0);
 //! ```
 
 /// System configuration (Table II) and translation-mode selection.
@@ -47,17 +48,18 @@ pub use config::{
 };
 pub use error::SimError;
 pub use journal::{
-    completed_index, fingerprint, merge_journals, metrics_digest, metrics_from_json,
-    metrics_hist_digest, metrics_to_json, read_journal, read_journal_lenient, verified_done_index,
-    JournalError, JournalEvent, JournalRecord, JournalWriter, Json, JOURNAL_FILE,
+    completed_index, fingerprint, journal_file_of, merge_journals, metrics_digest,
+    metrics_from_json, metrics_hist_digest, metrics_to_json, read_journal, read_journal_lenient,
+    verified_done_index, JournalError, JournalEvent, JournalRecord, JournalWriter, Json,
+    JOURNAL_FILE,
 };
 pub use machine::{
     L2Payload, Machine, CANCEL_CHECK_PERIOD, EVENT_CLASSES, POP_SAMPLE_PERIOD, PROBE_POPPED,
 };
 pub use metrics::{geomean, speedup, RunMetrics};
 pub use runner::{
-    build_machine, chaos_jobs, run_app, run_batch, run_pair, run_spec, smoke_config, summary_line,
-    sweep_jobs, trace_app, BatchJob, LabeledJob,
+    build_machine, chaos_jobs, run_batch, run_spec, smoke_config, summary_line, sweep_jobs,
+    LabeledJob, Run,
 };
 #[cfg(feature = "sanitizer")]
 pub use sanitizer::{SanitizerReport, Violation};

@@ -47,6 +47,9 @@ pub struct L2Payload {
 const FILTER_UPDATE_BYTES: u64 = 6;
 /// Wire size of a peer translation probe / reply.
 const PEER_MSG_BYTES: u64 = 16;
+/// Hash seed of every chiplet's F-Barre filter bank: a constant of the
+/// model, independent of the run seed.
+const FILTER_SEED: u64 = 0xBA22E ^ 0xF117;
 /// Mesh backlog (cycles) beyond which best-effort filter updates drop.
 const FILTER_DROP_BACKLOG: Cycle = 768;
 /// Retry interval when the L2 MSHR file is full.
@@ -321,8 +324,7 @@ struct ChipletState {
 }
 
 /// The assembled machine. Build one with [`crate::runner::build_machine`]
-/// (or the higher-level [`crate::runner::run_app`]), then call
-/// [`run`](Self::run).
+/// (or [`crate::runner::Run::build`]), then call [`run`](Self::run).
 pub struct Machine {
     cfg: SystemConfig,
     page_shift: u32,
@@ -517,7 +519,7 @@ impl Machine {
                     dram_free: 0,
                     filters: fbarre
                         .filter(|f| f.peer_sharing)
-                        .map(|f| FilterBank::new(cid, n, f.filter_rows, cfg.seed ^ 0xF117)),
+                        .map(|f| FilterBank::new(cid, n, f.filter_rows, FILTER_SEED)),
                     pec_buffer,
                     gmmu,
                 }
@@ -613,8 +615,6 @@ impl Machine {
     /// draw random numbers, and the fault injector of a non-empty fault
     /// plan), and nothing reads it after the build, so two builds that
     /// differ only in their seed run identically when this is `true`.
-    /// The configuration's own `seed` field (filter hashes) is not the
-    /// run seed.
     ///
     /// [`build_machine`]: crate::build_machine
     pub fn seed_free(&self) -> bool {

@@ -3,17 +3,17 @@
 //! [`build_machine`] performs everything the host software stack would:
 //! virtual allocation per data object, policy planning (LASP & friends),
 //! driver page mapping (Barre-enforced or default), page-table and
-//! PEC-record construction, CTA creation and scheduling. [`run_app`] /
-//! [`run_spec`] / [`run_pair`] are the one-call entry points every bench
-//! uses.
+//! PEC-record construction, CTA creation and scheduling. A [`Run`] is
+//! one simulation (workloads, machine, seed), and the one description
+//! every front end executes: `barre run`, `barre serve`, sweeps, and the
+//! figure registry.
 
 use barre_core::driver::{AllocError, BarreAllocator, MappingPlan};
 use barre_core::{CoalMode, PecEntry};
 use barre_gpu::{Cta, CtaId, CtaScheduler};
 use barre_mem::{FrameAllocator, GlobalPfn, PageTable, Pte, PteFlags, VirtAddr, VirtAllocator};
 use barre_sim::SeedTap;
-use barre_trace::{TraceOptions, TraceRecorder};
-use barre_workloads::{AppId, AppPair, WorkloadSpec};
+use barre_workloads::{AppId, WorkloadSpec};
 
 use crate::config::{SystemConfig, TranslationMode};
 use crate::error::SimError;
@@ -168,15 +168,6 @@ fn allocate_plain(
     Ok(())
 }
 
-/// Runs one application under `cfg`.
-///
-/// # Errors
-///
-/// Everything [`build_machine`] and [`Machine::run`] can report.
-pub fn run_app(app: AppId, cfg: &SystemConfig, seed: u64) -> Result<RunMetrics, SimError> {
-    run_spec(app.spec(), cfg, seed)
-}
-
 /// Runs one workload spec under `cfg`.
 ///
 /// # Errors
@@ -186,30 +177,69 @@ pub fn run_spec(spec: WorkloadSpec, cfg: &SystemConfig, seed: u64) -> Result<Run
     build_machine(&[spec], cfg, seed)?.run()
 }
 
-/// Runs one application with the lifecycle tracer attached, returning
-/// the measurements and the recorded trace (stage/chiplet latency
-/// histograms, span ring, time-series samples).
-///
-/// Tracing is passive: the `RunMetrics` here are byte-identical to an
-/// untraced [`run_app`] of the same `(app, cfg, seed)`.
-///
-/// # Errors
-///
-/// Everything [`build_machine`] and [`Machine::run`] can report.
-pub fn trace_app(
-    app: AppId,
-    cfg: &SystemConfig,
-    seed: u64,
-    opts: &TraceOptions,
-) -> Result<(RunMetrics, Box<TraceRecorder>), SimError> {
-    build_machine(&[app.spec()], cfg, seed)?.run_traced(opts)
+/// One simulation: the workloads it co-runs (one app, or a §VII-I
+/// pair), the machine, and the seed. Two runs that compare equal are the
+/// same simulation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// Co-scheduled workloads, one address space each.
+    pub specs: Vec<WorkloadSpec>,
+    /// The machine.
+    pub cfg: SystemConfig,
+    /// Run seed.
+    pub seed: u64,
 }
 
-/// One independent simulation job for [`run_batch`]: a workload, a
-/// configuration, and a seed.
-pub type BatchJob = (WorkloadSpec, SystemConfig, u64);
+impl Run {
+    /// `app` alone on `cfg`.
+    pub fn app(app: AppId, cfg: SystemConfig, seed: u64) -> Run {
+        Run {
+            specs: vec![app.spec()],
+            cfg,
+            seed,
+        }
+    }
 
-/// A batch job plus the human label every harness (inline sweep, the
+    /// The ready-to-run machine ([`build_machine`]).
+    ///
+    /// # Errors
+    ///
+    /// Everything [`build_machine`] can report.
+    pub fn build(&self) -> Result<Machine, SimError> {
+        build_machine(&self.specs, &self.cfg, self.seed)
+    }
+
+    /// Builds and runs the machine.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`build_machine`] and [`Machine::run`] can report.
+    pub fn simulate(&self) -> Result<RunMetrics, SimError> {
+        self.build()?.run()
+    }
+
+    /// The workloads, `+`-joined, each with any footprint scale:
+    /// `gups`, `gemv+gups`, `bicg x16`.
+    pub fn apps(&self) -> String {
+        let apps: Vec<String> = self
+            .specs
+            .iter()
+            .map(|s| match s.scale {
+                1 => s.app.name().to_string(),
+                n => format!("{} x{n}", s.app.name()),
+            })
+            .collect();
+        apps.join("+")
+    }
+
+    /// Names the run in an error: its workloads and translation mode,
+    /// e.g. `gemv+gups / Barre`.
+    pub fn label(&self) -> String {
+        format!("{} / {}", self.apps(), self.cfg.mode.label())
+    }
+}
+
+/// A run plus the human label every harness (inline sweep, the
 /// crash-isolated supervisor, journal records) uses for it. Keeping the
 /// label on the job — rather than re-deriving it per frontend — is what
 /// makes a resumed sweep's rows match an uninterrupted run's exactly.
@@ -218,7 +248,7 @@ pub struct LabeledJob {
     /// Display/journal label, e.g. `"gups/fbarre"` or `"gups/drop=0.01"`.
     pub label: String,
     /// The simulation to run.
-    pub job: BatchJob,
+    pub run: Run,
 }
 
 /// The canonical job list of `barre sweep`: per app, a baseline run then
@@ -228,15 +258,15 @@ pub struct LabeledJob {
 pub fn sweep_jobs(apps: &[AppId], cfg: &SystemConfig, seed: u64) -> Vec<LabeledJob> {
     let base_cfg = cfg.clone().with_mode(TranslationMode::Baseline);
     apps.iter()
-        .flat_map(|app| {
+        .flat_map(|&app| {
             [
                 LabeledJob {
                     label: format!("{app}/baseline"),
-                    job: (app.spec(), base_cfg.clone(), seed),
+                    run: Run::app(app, base_cfg.clone(), seed),
                 },
                 LabeledJob {
                     label: format!("{app}/{}", cfg.mode.label()),
-                    job: (app.spec(), cfg.clone(), seed),
+                    run: Run::app(app, cfg.clone(), seed),
                 },
             ]
         })
@@ -255,39 +285,27 @@ pub fn chaos_jobs(app: AppId, cfg: &SystemConfig, seed: u64, rates: &[f64]) -> V
             };
             LabeledJob {
                 label: format!("{app}/drop={rate}"),
-                job: (app.spec(), cfg.clone().with_fault_plan(plan), seed),
+                run: Run::app(app, cfg.clone().with_fault_plan(plan), seed),
             }
         })
         .collect()
 }
 
-/// Runs a batch of independent `(spec, cfg, seed)` simulations across
-/// `threads` pool workers ([`barre_sim::pool`]), returning each job's
-/// own `Result` in input order. Every simulation stays single-threaded
-/// and deterministic — the batch output is identical at any `threads`.
+/// Simulates independent runs across `threads` pool workers
+/// ([`barre_sim::pool`]), returning each run's own `Result` in input
+/// order. Every simulation stays single-threaded and deterministic — the
+/// batch output is identical at any `threads`.
 ///
 /// # Errors
 ///
-/// [`SimError::WorkerPanicked`] when a pool worker died; per-job
+/// [`SimError::WorkerPanicked`] when a pool worker died; per-run
 /// simulation failures come back inside the vector, not as an `Err`.
 pub fn run_batch(
-    jobs: Vec<BatchJob>,
+    runs: &[Run],
     threads: usize,
 ) -> Result<Vec<Result<RunMetrics, SimError>>, SimError> {
-    let closures: Vec<_> = jobs
-        .into_iter()
-        .map(|(spec, cfg, seed)| move || run_spec(spec, &cfg, seed))
-        .collect();
+    let closures: Vec<_> = runs.iter().map(|r| move || r.simulate()).collect();
     barre_sim::pool::run_ordered(closures, threads).map_err(SimError::from)
-}
-
-/// Runs an application pair concurrently (multi-programming, §VII-I).
-///
-/// # Errors
-///
-/// Everything [`build_machine`] and [`Machine::run`] can report.
-pub fn run_pair(pair: AppPair, cfg: &SystemConfig, seed: u64) -> Result<RunMetrics, SimError> {
-    build_machine(&[pair.a.spec(), pair.b.spec()], cfg, seed)?.run()
 }
 
 /// A tiny smoke workload used by unit/integration tests: a strided kernel
@@ -326,16 +344,15 @@ const _: fn() -> VirtAddr = || VirtAddr(0);
 
 #[cfg(test)]
 mod tests {
-    use super::{run_app as try_run_app, run_pair as try_run_pair, *};
+    use super::*;
     use crate::config::FBarreConfig;
     use crate::metrics::speedup;
+    use barre_workloads::AppPair;
 
     fn run_app(app: AppId, cfg: &SystemConfig, seed: u64) -> RunMetrics {
-        try_run_app(app, cfg, seed).expect("run failed")
-    }
-
-    fn run_pair(pair: AppPair, cfg: &SystemConfig, seed: u64) -> RunMetrics {
-        try_run_pair(pair, cfg, seed).expect("run failed")
+        Run::app(app, cfg.clone(), seed)
+            .simulate()
+            .expect("run failed")
     }
 
     #[test]
@@ -402,11 +419,13 @@ mod tests {
     #[test]
     fn tracing_is_passive() {
         // Recording must not perturb the simulation: metrics digests of
-        // a traced and an untraced run of the same (app, cfg, seed) are
+        // a traced and an untraced simulation of one `Run` are
         // identical, and the recorder actually saw the journey.
-        let cfg = smoke_config();
-        let plain = run_app(AppId::Gups, &cfg, 7);
-        let (traced, rec) = trace_app(AppId::Gups, &cfg, 7, &barre_trace::TraceOptions::default())
+        let run = Run::app(AppId::Gups, smoke_config(), 7);
+        let plain = run.simulate().expect("run failed");
+        let (traced, rec) = run
+            .build()
+            .and_then(|m| m.run_traced(&barre_trace::TraceOptions::default()))
             .expect("traced run failed");
         assert_eq!(
             crate::journal::metrics_digest(&plain),
@@ -439,13 +458,10 @@ mod tests {
             ),
         ];
         for (cfg, want) in cells {
-            let (_, rec) = trace_app(
-                AppId::Gups,
-                &cfg,
-                0x15CA_2024,
-                &barre_trace::TraceOptions::default(),
-            )
-            .expect("traced run failed");
+            let (_, rec) = Run::app(AppId::Gups, cfg.clone(), 0x15CA_2024)
+                .build()
+                .and_then(|m| m.run_traced(&barre_trace::TraceOptions::default()))
+                .expect("traced run failed");
             let last = rec.samples().last().expect("no samples");
             let got = (
                 last.queue_spills,
@@ -464,7 +480,13 @@ mod tests {
             a: AppId::Gemv,
             b: AppId::Gups,
         };
-        let m = run_pair(pair, &cfg, 4);
+        let run = Run {
+            specs: vec![pair.a.spec(), pair.b.spec()],
+            cfg,
+            seed: 4,
+        };
+        assert_eq!(run.label(), "gemv+gups / baseline");
+        let m = run.simulate().expect("run failed");
         assert!(m.total_cycles > 0);
     }
 
@@ -472,7 +494,7 @@ mod tests {
     fn invalid_config_is_an_error_not_a_panic() {
         let mut cfg = smoke_config();
         cfg.l2_tlb_ways = 0;
-        let err = try_run_app(AppId::Gemv, &cfg, 1).unwrap_err();
+        let err = Run::app(AppId::Gemv, cfg, 1).simulate().unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
     }
 
@@ -480,7 +502,7 @@ mod tests {
     fn frame_exhaustion_is_an_error_not_a_panic() {
         let mut cfg = smoke_config();
         cfg.frames_per_chiplet = Some(1); // far too small for any app
-        let err = try_run_app(AppId::Gemv, &cfg, 1).unwrap_err();
+        let err = Run::app(AppId::Gemv, cfg, 1).simulate().unwrap_err();
         assert!(matches!(err, SimError::OutOfFrames { .. }), "{err}");
     }
 }

@@ -7,7 +7,7 @@
 
 #![cfg(feature = "sanitizer")]
 
-use barre_system::{build_machine, run_app, smoke_config, MmuKind, TranslationMode};
+use barre_system::{build_machine, metrics_digest, smoke_config, MmuKind, Run, TranslationMode};
 use barre_workloads::AppId;
 
 #[test]
@@ -16,7 +16,9 @@ fn clean_run_passes_every_epoch_check() {
     // (including exact translation conservation at drain) are armed.
     // Any epoch violation would debug_assert! inside run().
     let cfg = smoke_config();
-    let m = run_app(AppId::Gemv, &cfg, 1).expect("run failed");
+    let m = Run::app(AppId::Gemv, cfg, 1)
+        .simulate()
+        .expect("run failed");
     assert!(m.total_cycles > 0);
 }
 
@@ -33,7 +35,9 @@ fn clean_pec_runs_pass_every_epoch_check_on_both_mmus() {
             let mut cfg = smoke_config().with_mode(mode);
             cfg.mmu = mmu;
             for app in [AppId::Gups, AppId::Atax] {
-                let m = run_app(app, &cfg, 1).expect("run failed");
+                let m = Run::app(app, cfg.clone(), 1)
+                    .simulate()
+                    .expect("run failed");
                 assert!(m.total_cycles > 0, "{mmu:?}/{mode:?}/{app:?}");
             }
         }
@@ -88,4 +92,26 @@ fn drain_check_requires_exact_equality() {
     machine.sanitizer_inject_accounting_skew();
     // ...but any imbalance fails the drain check.
     assert_eq!(machine.conservation_violations(true).len(), 1);
+}
+
+#[test]
+fn gmmu_overflow_runs_conserve_translations() {
+    // A GMMU gets `ptws / chiplets` walkers and `max(48 / chiplets, 4)`
+    // queue entries. At `--ptws 4` that is 1 + 12 = 13 slots per
+    // chiplet, below its 16 L2 TLB MSHRs, so requests overflow the GMMU
+    // queue and `Machine::gmmu_walk_done` refills it from the overflow
+    // list. Both runs must drain with every translation conserved, and
+    // their metrics are pinned.
+    let mut cfg = smoke_config().with_ptws(Some(4));
+    cfg.mmu = MmuKind::Gmmu;
+    for (mode, want) in [
+        (TranslationMode::Baseline, "eb8f7ec81e5a2125"),
+        (TranslationMode::Barre, "6ca8e003e89e4f59"),
+    ] {
+        let m = Run::app(AppId::Gups, cfg.clone().with_mode(mode), 0x15CA_2024)
+            .simulate()
+            .expect("run failed");
+        assert!(m.total_cycles > 0 && m.walks > 0, "{mode:?}");
+        assert_eq!(metrics_digest(&m), want, "{mode:?}");
+    }
 }

@@ -165,11 +165,6 @@ impl<K: PartialEq + Copy> MshrFile<K> {
         self.entries.len()
     }
 
-    /// Whether every register is occupied.
-    pub fn is_full(&self) -> bool {
-        self.entries.len() == self.capacity
-    }
-
     /// Total capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -241,7 +236,7 @@ mod tests {
         assert_eq!(m.allocate(2, Some(1), &mut links[..]), MshrOutcome::Full);
         assert_eq!(m.allocate(1, Some(1), &mut links[..]), MshrOutcome::Merged);
         assert_eq!(m.stalls(), 1);
-        assert!(m.is_full());
+        assert_eq!(m.in_use(), m.capacity());
     }
 
     #[test]

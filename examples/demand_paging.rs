@@ -10,7 +10,7 @@
 //! cargo run --release --example demand_paging
 //! ```
 
-use barre_chord::system::{run_app, speedup, DemandPagingConfig, SystemConfig, TranslationMode};
+use barre_chord::system::{speedup, DemandPagingConfig, Run, SystemConfig, TranslationMode};
 use barre_chord::workloads::AppId;
 
 fn main() {
@@ -32,9 +32,10 @@ fn main() {
         "on-demand paging on `{}` (F-Barre, 20 us faults)\n",
         app.name()
     );
-    let base = run_app(app, &premap, 3).expect("premapped run failed");
-    let s = run_app(app, &single, 3).expect("single-page demand run failed");
-    let g = run_app(app, &grouped, 3).expect("group demand run failed");
+    let simulate = |cfg: SystemConfig| Run::app(app, cfg, 3).simulate();
+    let base = simulate(premap).expect("premapped run failed");
+    let s = simulate(single).expect("single-page demand run failed");
+    let g = simulate(grouped).expect("group demand run failed");
     println!(
         "{:<16} {:>10} {:>12} {:>12} {:>10}",
         "mode", "faults", "pages mapped", "cycles", "vs premap"

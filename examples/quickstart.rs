@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use barre_chord::system::{run_app, summary_line, SystemConfig, TranslationMode};
+use barre_chord::system::{summary_line, Run, SystemConfig, TranslationMode};
 use barre_chord::workloads::AppId;
 
 fn main() {
@@ -20,20 +20,15 @@ fn main() {
         cfg.topology.n_chiplets
     );
 
-    let base = run_app(app, &cfg, 42).expect("baseline run failed");
+    let simulate = |cfg: &SystemConfig| Run::app(app, cfg.clone(), 42).simulate();
+    let base = simulate(&cfg).expect("baseline run failed");
     println!("{}", summary_line("baseline", &base));
 
-    let barre =
-        run_app(app, &cfg.clone().with_mode(TranslationMode::Barre), 42).expect("Barre run failed");
+    let barre = simulate(&cfg.clone().with_mode(TranslationMode::Barre)).expect("Barre run failed");
     println!("{}", summary_line("Barre", &barre));
 
-    let fbarre = run_app(
-        app,
-        &cfg.clone()
-            .with_mode(TranslationMode::FBarre(Default::default())),
-        42,
-    )
-    .expect("F-Barre run failed");
+    let fbarre = simulate(&cfg.with_mode(TranslationMode::FBarre(Default::default())))
+        .expect("F-Barre run failed");
     println!("{}", summary_line("F-Barre-2Merge", &fbarre));
 
     println!(

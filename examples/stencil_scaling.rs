@@ -9,7 +9,7 @@
 //! cargo run --release --example stencil_scaling
 //! ```
 
-use barre_chord::system::{run_app, speedup, SystemConfig, TranslationMode};
+use barre_chord::system::{speedup, Run, SystemConfig, TranslationMode};
 use barre_chord::workloads::AppId;
 
 fn main() {
@@ -21,14 +21,15 @@ fn main() {
     for n in [2usize, 4, 8] {
         let mut cfg = SystemConfig::scaled();
         cfg.topology = cfg.topology.with_chiplets(n);
-        let base = run_app(AppId::Jac2d, &cfg, 7).expect("baseline run failed");
-        let fb = run_app(
-            AppId::Jac2d,
-            &cfg.clone()
-                .with_mode(TranslationMode::FBarre(Default::default())),
-            7,
-        )
-        .expect("F-Barre run failed");
+        let fbarre = cfg
+            .clone()
+            .with_mode(TranslationMode::FBarre(Default::default()));
+        let base = Run::app(AppId::Jac2d, cfg, 7)
+            .simulate()
+            .expect("baseline run failed");
+        let fb = Run::app(AppId::Jac2d, fbarre, 7)
+            .simulate()
+            .expect("F-Barre run failed");
         println!(
             "{n:>8} {:>14} {:>14} {:>9.3}x {:>12}",
             base.total_cycles,

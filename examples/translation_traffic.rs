@@ -8,7 +8,7 @@
 //! cargo run --release --example translation_traffic
 //! ```
 
-use barre_chord::system::{run_app, SystemConfig, TranslationMode};
+use barre_chord::system::{Run, SystemConfig, TranslationMode};
 use barre_chord::workloads::AppId;
 
 fn main() {
@@ -27,7 +27,9 @@ fn main() {
         TranslationMode::FBarre(Default::default()),
     ];
     for mode in modes {
-        let m = run_app(app, &cfg.clone().with_mode(mode), 11).expect("run failed");
+        let m = Run::app(app, cfg.clone().with_mode(mode), 11)
+            .simulate()
+            .expect("run failed");
         println!(
             "{:<18} {:>10} {:>8} {:>10} {:>10} {:>10} {:>10}",
             mode.label(),

@@ -11,11 +11,11 @@
 //! downstream users can depend on a single package:
 //!
 //! ```
-//! use barre_chord::system::{run_app, smoke_config, TranslationMode};
+//! use barre_chord::system::{smoke_config, Run, TranslationMode};
 //! use barre_chord::workloads::AppId;
 //!
 //! let cfg = smoke_config().with_mode(TranslationMode::FBarre(Default::default()));
-//! let metrics = run_app(AppId::Gups, &cfg, 42).expect("simulation failed");
+//! let metrics = Run::app(AppId::Gups, cfg, 42).simulate().expect("simulation failed");
 //! assert!(metrics.total_cycles > 0);
 //! ```
 //!

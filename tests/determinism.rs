@@ -4,15 +4,17 @@
 
 use barre_chord::sim::FaultPlan;
 use barre_chord::system::{
-    build_machine, metrics_to_json, run_app as try_run_app, smoke_config, FBarreConfig, RunMetrics,
-    SystemConfig, TranslationMode,
+    build_machine, metrics_to_json, smoke_config, FBarreConfig, Run, RunMetrics, SystemConfig,
+    TranslationMode,
 };
 use barre_chord::workloads::AppId;
 
 /// These tests exercise well-formed configurations, so any `SimError`
 /// is itself a failure worth panicking on.
 fn run_app(app: AppId, cfg: &SystemConfig, seed: u64) -> RunMetrics {
-    try_run_app(app, cfg, seed).expect("run failed")
+    Run::app(app, cfg.clone(), seed)
+        .simulate()
+        .expect("run failed")
 }
 
 fn fingerprint(m: &RunMetrics) -> Vec<u64> {

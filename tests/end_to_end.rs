@@ -5,19 +5,26 @@
 //! machine).
 
 use barre_chord::system::{
-    run_app as try_run_app, run_pair as try_run_pair, smoke_config, speedup, FBarreConfig, MmuKind,
-    RunMetrics, SystemConfig, TranslationMode,
+    smoke_config, speedup, FBarreConfig, MmuKind, Run, RunMetrics, SystemConfig, TranslationMode,
 };
 use barre_chord::workloads::{AppId, AppPair};
 
 /// These tests exercise well-formed configurations, so any `SimError`
 /// is itself a failure worth panicking on.
 fn run_app(app: AppId, cfg: &SystemConfig, seed: u64) -> RunMetrics {
-    try_run_app(app, cfg, seed).expect("run failed")
+    Run::app(app, cfg.clone(), seed)
+        .simulate()
+        .expect("run failed")
 }
 
 fn run_pair(pair: AppPair, cfg: &SystemConfig, seed: u64) -> RunMetrics {
-    try_run_pair(pair, cfg, seed).expect("run failed")
+    let specs = vec![pair.a.spec(), pair.b.spec()];
+    let run = Run {
+        specs,
+        cfg: cfg.clone(),
+        seed,
+    };
+    run.simulate().expect("run failed")
 }
 
 fn modes() -> Vec<TranslationMode> {

@@ -7,11 +7,13 @@
 //! of the fault-free simulation.
 
 use barre_chord::sim::FaultPlan;
-use barre_chord::system::{run_app, smoke_config, RunMetrics, SystemConfig, TranslationMode};
+use barre_chord::system::{smoke_config, Run, RunMetrics, SystemConfig, TranslationMode};
 use barre_chord::workloads::AppId;
 
 fn run(app: AppId, cfg: &SystemConfig, seed: u64) -> RunMetrics {
-    run_app(app, cfg, seed).expect("run failed")
+    Run::app(app, cfg.clone(), seed)
+        .simulate()
+        .expect("run failed")
 }
 
 /// (total_cycles, l2_tlb_misses, ats_requests) captured on the pre-fault
