@@ -319,8 +319,11 @@ fn ablation_pec_five_entries_sit_on_the_plateau() {
 fn ablation_drop_guaranteed_delivery_buys_little() {
     let t = table("ablation-drop");
     let g = |c: &str| at(&t, "geomean / total", c);
+    // Since each coalescing group is advertised once per chiplet, the
+    // control VC drops no update in these cells, and the two modes differ
+    // only in update latency: the gap can fall either side of zero.
     let gap = g("oracle") / g("best-effort") - 1.0;
-    assert!((0.0..0.02).contains(&gap), "oracle gains {gap}");
+    assert!(gap.abs() < 0.02, "oracle gains {gap}");
 }
 
 #[test]

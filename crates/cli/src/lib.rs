@@ -1001,7 +1001,7 @@ fn collect_dispatched(labeled: &[LabeledJob], d: &DispatchOpts) -> Result<Vec<Ru
             args.push("--job-index".to_string());
             args.push(i.to_string());
             barre_serve::jobq::JobSpec {
-                fingerprint: supervisor::job_fingerprint(&d.child_args, i, &l.label),
+                fingerprint: supervisor::job_fingerprint(&d.child_args, i, l),
                 label: l.label.clone(),
                 args,
                 // One correlation id per job, minted at the dispatch
@@ -1790,7 +1790,7 @@ mod tests {
     #[test]
     fn serve_requests_build_the_machine_of_their_run_argv() {
         let lines = request_matrix();
-        let mut fps = Vec::new();
+        let (mut fps, mut revisions) = (Vec::new(), 0);
         for line in &lines {
             let r =
                 barre_serve::request::parse_request(line).unwrap_or_else(|e| panic!("{line}: {e}"));
@@ -1803,14 +1803,25 @@ mod tests {
                 panic!("{line}: argv {:?} is not a metrics-json run", r.argv);
             };
             assert_eq!(*run, r.run, "{line}");
+            // A request's address is the hash of its argv, plus its
+            // mode's model revision when it has one (F-Barre).
+            let argv: Vec<&str> = r.argv.iter().map(String::as_str).collect();
+            let revised = r.run.cfg.mode.model_revision().is_some();
+            assert_eq!(
+                r.fingerprint != barre_system::fingerprint(&argv),
+                revised,
+                "{line}"
+            );
+            revisions += usize::from(revised);
             fps.push(r.fingerprint);
         }
-        // Every fingerprint of the matrix, folded into one, as the
-        // daemon computed them before it ran simulations in-process:
-        // cache keys written by either build are the same keys.
+        // Every fingerprint of the matrix, folded into one. The 254
+        // requests in a mode without a model revision keep the keys the
+        // daemon gave them when it ran each simulation in a child, so
+        // their cache records still answer; the 152 F-Barre ones moved.
         let parts: Vec<&str> = fps.iter().map(String::as_str).collect();
-        assert_eq!(lines.len(), 406);
-        assert_eq!(barre_system::fingerprint(&parts), "42d4da14aa8d770d");
+        assert_eq!((lines.len(), revisions), (406, 152));
+        assert_eq!(barre_system::fingerprint(&parts), "83c6d08f8d612ec7");
     }
 
     /// A registry cell is the simulation `barre run` describes for its
@@ -1895,7 +1906,7 @@ mod tests {
         };
         let labeled = sweep_jobs(&apps, &cfg, seed);
         assert_eq!(
-            supervisor::job_fingerprint(&words(cases[0].1), 1, &labeled[1].label),
+            supervisor::job_fingerprint(&words(cases[0].1), 1, &labeled[1]),
             "218ea3b2342c3651"
         );
     }

@@ -13,8 +13,10 @@
 //!
 //! F-Barre runs also print the RCF counters the machine hands its
 //! counter sink when the run ends: packets applied in full versus copied
-//! from a peer replica, and the inserts dropped and removes that found
-//! nothing inside the filters (`RunMetrics` counts only VC drops).
+//! from a peer replica, the inserts dropped and removes that found
+//! nothing inside the filters (`RunMetrics` counts only VC drops), and
+//! the L2 TLB fills and evictions that sent no update because another
+//! resident member of their coalescing group covered it.
 //!
 //! The probe is not free: each call reads the clock and updates the
 //! tally, and every class's ns/event carries one call. After the run the
@@ -193,6 +195,13 @@ fn render(label: &str, p: &Profile) -> String {
             out,
             "RCF updates lost in the filters: {} insert drops, {} absent removes",
             rcf.insert_drops, rcf.absent_removes
+        );
+    }
+    if rcf.fills_absorbed + rcf.evictions_absorbed > 0 {
+        let _ = writeln!(
+            out,
+            "RCF updates absorbed by a resident group member: {} fills, {} evictions",
+            rcf.fills_absorbed, rcf.evictions_absorbed
         );
     }
     if let (Some(&ns), Some(&count)) = (p.ns.get(PROBE_POPPED), p.count.get(PROBE_POPPED)) {

@@ -141,13 +141,20 @@ pub struct SupervisedRun {
     pub interrupted: bool,
 }
 
-/// The fingerprint identifying job `index` of a sweep launched with
-/// `child_args`: stable across supervisor and resume invocations, and
-/// across shards launched with the same command line.
-pub fn job_fingerprint(child_args: &[String], index: usize, label: &str) -> String {
+/// The fingerprint identifying `job`, job `index` of a sweep launched
+/// with `child_args`: stable across supervisor and resume invocations,
+/// and across shards launched with the same command line. A job whose
+/// mode has a [`model_revision`](barre_system::TranslationMode::model_revision)
+/// hashes it too, so a journal of the older model is not replayed.
+pub fn job_fingerprint(child_args: &[String], index: usize, job: &LabeledJob) -> String {
     let joined = child_args.join("\u{1f}");
     let idx = index.to_string();
-    fingerprint(&[&joined, &idx, label])
+    let revision = job.run.cfg.mode.model_revision();
+    let parts: Vec<&str> = [joined.as_str(), &idx, &job.label]
+        .into_iter()
+        .chain(revision)
+        .collect();
+    fingerprint(&parts)
 }
 
 /// The worker identity stamped onto supervised `done` journal records:
@@ -317,7 +324,7 @@ pub fn run_supervised(
     let fps: Vec<String> = jobs
         .iter()
         .enumerate()
-        .map(|(i, j)| job_fingerprint(&opts.child_args, i, &j.label))
+        .map(|(i, j)| job_fingerprint(&opts.child_args, i, j))
         .collect();
 
     let mut results: Vec<Option<RunMetrics>> = vec![None; jobs.len()];
@@ -366,7 +373,7 @@ pub fn run_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use barre_system::JOURNAL_FILE;
+    use barre_system::{TranslationMode, JOURNAL_FILE};
 
     #[test]
     fn journal_path_resolution() {
@@ -392,17 +399,41 @@ mod tests {
             "--apps".to_string(),
             "gups".to_string(),
         ];
+        let job = |label: &str, mode| LabeledJob {
+            label: label.to_string(),
+            run: barre_system::Run::app(
+                barre_workloads::AppId::Gemv,
+                barre_system::smoke_config().with_mode(mode),
+                1,
+            ),
+        };
+        let base = job("gemv/baseline", TranslationMode::Baseline);
+        let barre = job("gemv/barre", TranslationMode::Barre);
         assert_ne!(
-            job_fingerprint(&args_a, 0, "gemv/baseline"),
-            job_fingerprint(&args_a, 1, "gemv/barre")
+            job_fingerprint(&args_a, 0, &base),
+            job_fingerprint(&args_a, 1, &barre)
         );
         assert_ne!(
-            job_fingerprint(&args_a, 0, "gemv/baseline"),
-            job_fingerprint(&args_b, 0, "gemv/baseline")
+            job_fingerprint(&args_a, 0, &base),
+            job_fingerprint(&args_b, 0, &base)
         );
         assert_eq!(
-            job_fingerprint(&args_a, 0, "gemv/baseline"),
-            job_fingerprint(&args_a, 0, "gemv/baseline")
+            job_fingerprint(&args_a, 0, &base),
+            job_fingerprint(&args_a, 0, &base)
+        );
+        // Only a mode with a model revision moves its jobs' addresses.
+        let joined = args_a.join("\u{1f}");
+        assert_eq!(
+            job_fingerprint(&args_a, 1, &barre),
+            fingerprint(&[&joined, "1", "gemv/barre"])
+        );
+        let fbarre = job(
+            "gemv/fbarre",
+            TranslationMode::FBarre(barre_system::FBarreConfig::default()),
+        );
+        assert_ne!(
+            job_fingerprint(&args_a, 1, &fbarre),
+            fingerprint(&[&joined, "1", "gemv/fbarre"])
         );
     }
 }

@@ -14,6 +14,8 @@
 use barre_filters::{CuckooFilter, Filter};
 use barre_mem::{ChipletId, Vpn};
 
+use crate::group::GroupMember;
+
 /// Bits of one filter-update message (§V-A2: 1-bit command, 3-bit sender
 /// chiplet id, 40-bit coalescing VPN).
 pub const FILTER_UPDATE_BITS: u64 = 44;
@@ -56,6 +58,48 @@ pub struct FilterUpdate {
 /// Folds `(asid, vpn)` into the 64-bit filter key space.
 pub fn filter_key(asid: u16, vpn: Vpn) -> u64 {
     ((asid as u64) << 40) ^ vpn.0
+}
+
+/// Whether an L2 TLB fill (`Add`) or eviction (`Delete`) of the entry for
+/// `vpn` changes what the chiplet can calculate, so its coalescing group
+/// must be advertised to (or retracted from) the peers' RCFs.
+///
+/// A chiplet can calculate the whole group while it holds any member
+/// that advertised it (§V-A2). So a fill advertises only the group's
+/// first resident member, and an eviction retracts only its last.
+/// `members` is the group, `vpn`'s own entry among them, and `bits_of`
+/// gives the coalescing bits a member's entry carries when it belongs to
+/// the group; an entry with other bits (none, or another group's) never
+/// advertised this group and does not count. `resident` answers for the
+/// TLB after the change. `displaced` is the entry the change pushed out:
+/// a fill's victim, or a refilled key's old entry. The two were resident
+/// before, so a fill that only swaps one member of a group for another,
+/// or refills a member, leaves the group as it was.
+pub fn group_update_due(
+    cmd: FilterCmd,
+    vpn: Vpn,
+    members: &[GroupMember],
+    bits_of: impl Fn(&GroupMember) -> u16,
+    resident: impl Fn(Vpn) -> Option<u16>,
+    displaced: Option<(Vpn, u16)>,
+) -> bool {
+    fn covered(
+        members: &[GroupMember],
+        bits_of: impl Fn(&GroupMember) -> u16,
+        entry: impl Fn(Vpn) -> Option<u16>,
+    ) -> bool {
+        members
+            .iter()
+            .any(|m| entry(m.vpn).is_some_and(|bits| bits == bits_of(m)))
+    }
+    match cmd {
+        FilterCmd::Add => !covered(members, bits_of, |v| match displaced {
+            Some((gone, bits)) if gone == v => Some(bits),
+            _ if v == vpn => None,
+            _ => resident(v),
+        }),
+        FilterCmd::Delete => !covered(members, bits_of, resident),
+    }
 }
 
 /// One state of an RCF table, as far as the replica memo knows it.
@@ -141,8 +185,9 @@ impl PacketMemo {
     }
 }
 
-/// Host-side counters of a bank's RCFs. They describe the simulator's
-/// work, not the modeled machine, and stay out of the run's metrics.
+/// Host-side counters of a bank's RCFs, and of the updates its chiplet
+/// did not need to send. They explain the simulator's work and stay out
+/// of the run's metrics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RcfCounters {
     /// Inserts dropped when the kick budget ran out.
@@ -153,6 +198,12 @@ pub struct RcfCounters {
     pub packets_applied: u64,
     /// Packets copied from the recorder's result instead.
     pub packets_replayed: u64,
+    /// L2 TLB fills that advertised nothing: another resident member
+    /// already covered their group ([`group_update_due`]).
+    pub fills_absorbed: u64,
+    /// L2 TLB evictions that retracted nothing: another resident member
+    /// still covers their group.
+    pub evictions_absorbed: u64,
 }
 
 impl std::ops::AddAssign for RcfCounters {
@@ -161,6 +212,8 @@ impl std::ops::AddAssign for RcfCounters {
         self.absent_removes += o.absent_removes;
         self.packets_applied += o.packets_applied;
         self.packets_replayed += o.packets_replayed;
+        self.fills_absorbed += o.fills_absorbed;
+        self.evictions_absorbed += o.evictions_absorbed;
     }
 }
 
@@ -179,6 +232,8 @@ pub struct FilterBank {
     rcfs: Vec<Option<Rcf>>,
     packets_applied: u64,
     packets_replayed: u64,
+    fills_absorbed: u64,
+    evictions_absorbed: u64,
 }
 
 impl FilterBank {
@@ -222,6 +277,8 @@ impl FilterBank {
             rcfs,
             packets_applied: 0,
             packets_replayed: 0,
+            fills_absorbed: 0,
+            evictions_absorbed: 0,
         }
     }
 
@@ -239,6 +296,16 @@ impl FilterBank {
     /// Records a local L2 TLB eviction in the LCF.
     pub fn lcf_remove(&mut self, asid: u16, vpn: Vpn) {
         self.lcf.remove(filter_key(asid, vpn));
+    }
+
+    /// Counts an L2 TLB fill (`Add`) or eviction (`Delete`) of this
+    /// chiplet that sent no update because its group's advertisement did
+    /// not change ([`group_update_due`]).
+    pub fn note_absorbed(&mut self, cmd: FilterCmd) {
+        match cmd {
+            FilterCmd::Add => self.fills_absorbed += 1,
+            FilterCmd::Delete => self.evictions_absorbed += 1,
+        }
     }
 
     /// Whether the local TLB may hold `vpn` (subject to false positives).
@@ -330,6 +397,8 @@ impl FilterBank {
         let mut c = RcfCounters {
             packets_applied: self.packets_applied,
             packets_replayed: self.packets_replayed,
+            fills_absorbed: self.fills_absorbed,
+            evictions_absorbed: self.evictions_absorbed,
             ..RcfCounters::default()
         };
         for rcf in self.rcfs.iter().flatten() {
@@ -650,5 +719,122 @@ mod tests {
         // 1 (cmd) + 3 (sender) + 40 (VPN) = 44 bits on the wire; the paper
         // rounds to 43 by folding the command into packet framing.
         const { assert!(FILTER_UPDATE_BITS <= 48) };
+    }
+
+    /// Drives [`group_update_due`] the way the machine does, through seeded
+    /// fills (with random victims, often of the fill's own group), refills
+    /// and shootdowns, with uncoalesced entries mixed in. A reference
+    /// count of each group's resident advertising entries must see an
+    /// `Add` exactly on 0 → 1 and a `Delete` exactly on 1 → 0, so the
+    /// peers hold each group once while it is covered and never after.
+    #[test]
+    fn group_updates_follow_the_resident_count() {
+        type Map<K, V> = std::collections::BTreeMap<K, V>;
+        const GROUPS: u64 = 6;
+        const SIZE: u64 = 4;
+        // Member k of group g is page g * SIZE + k on chiplet k, and its
+        // entry carries bits unique to that page. Bits 0 mark an
+        // uncoalesced entry, which advertises nothing.
+        let group_of = |v: Vpn| v.0 / SIZE;
+        let members = |g: u64| -> Vec<GroupMember> {
+            (0..SIZE)
+                .map(|k| GroupMember {
+                    vpn: Vpn(g * SIZE + k),
+                    inter_order: k as u8,
+                    intra_order: 0,
+                    chiplet: ChipletId(k as u8),
+                })
+                .collect()
+        };
+        let bits_of = |m: &GroupMember| (m.vpn.0 + 1) as u16;
+        // The reference: resident advertising entries per group.
+        let census = |tlb: &Map<Vpn, u16>| {
+            let mut n = Map::new();
+            for (&v, _) in tlb.iter().filter(|(_, &b)| b != 0) {
+                *n.entry(group_of(v)).or_insert(0u64) += 1;
+            }
+            n
+        };
+        let mut rng = barre_sim::Rng::new(0x6_2023);
+        let (mut same_group_victims, mut refills, mut uncoalesced) = (0, 0, 0);
+        for _ in 0..200 {
+            let capacity = 1 + rng.index(8);
+            let mut tlb: Map<Vpn, u16> = Map::new();
+            // Copies of each group in the peers: adds minus deletes.
+            let mut copies: Map<u64, i64> = Map::new();
+            for _ in 0..200 {
+                let before = census(&tlb);
+                // The judgements the machine makes, in its order.
+                type Judgement = (FilterCmd, Vpn, Option<(Vpn, u16)>);
+                let mut judged: Vec<Judgement> = Vec::new();
+                if tlb.is_empty() || rng.next_below(4) != 0 {
+                    let vpn = Vpn(rng.next_below(GROUPS * SIZE));
+                    let bits = if rng.next_below(4) == 0 {
+                        0
+                    } else {
+                        (vpn.0 + 1) as u16
+                    };
+                    let prior = tlb.get(&vpn).copied();
+                    let mut victim = None;
+                    if prior.is_none() && tlb.len() == capacity {
+                        let v = *tlb.keys().nth(rng.index(tlb.len())).unwrap();
+                        victim = tlb.remove_entry(&v);
+                        same_group_victims += usize::from(group_of(v) == group_of(vpn));
+                    }
+                    tlb.insert(vpn, bits);
+                    refills += usize::from(prior.is_some());
+                    uncoalesced += usize::from(bits == 0);
+                    if bits != 0 {
+                        judged.push((FilterCmd::Add, vpn, victim.or(prior.map(|b| (vpn, b)))));
+                    }
+                    if let Some((v, _)) = victim.filter(|&(_, b)| b != 0) {
+                        judged.push((FilterCmd::Delete, v, None));
+                    }
+                    if prior.is_some_and(|b| b != 0 && b != bits) {
+                        judged.push((FilterCmd::Delete, vpn, None));
+                    }
+                } else {
+                    let v = *tlb.keys().nth(rng.index(tlb.len())).unwrap();
+                    if tlb.remove(&v) != Some(0) {
+                        judged.push((FilterCmd::Delete, v, None));
+                    }
+                }
+                let mut sent = Vec::new();
+                for (cmd, vpn, displaced) in judged {
+                    let g = group_of(vpn);
+                    let due = group_update_due(
+                        cmd,
+                        vpn,
+                        &members(g),
+                        bits_of,
+                        |v| tlb.get(&v).copied(),
+                        displaced,
+                    );
+                    if due {
+                        sent.push((g, cmd == FilterCmd::Add));
+                        *copies.entry(g).or_default() += if cmd == FilterCmd::Add { 1 } else { -1 };
+                    }
+                }
+                let after = census(&tlb);
+                let mut crossed = Vec::new();
+                for g in 0..GROUPS {
+                    let n = |m: &Map<u64, u64>| m.get(&g).copied().unwrap_or(0);
+                    if (n(&before) == 0) != (n(&after) == 0) {
+                        crossed.push((g, n(&before) == 0));
+                    }
+                }
+                sent.sort_unstable();
+                assert_eq!(sent, crossed, "resident counts {before:?} -> {after:?}");
+            }
+            for g in 0..GROUPS {
+                let covered = census(&tlb).contains_key(&g);
+                assert_eq!(
+                    copies.get(&g).copied().unwrap_or(0),
+                    i64::from(covered),
+                    "group {g}"
+                );
+            }
+        }
+        assert!(same_group_victims > 100 && refills > 100 && uncoalesced > 1000);
     }
 }

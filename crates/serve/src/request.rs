@@ -205,10 +205,12 @@ pub struct ValidRequest {
     /// The `barre run --metrics-json` command line (after the binary
     /// name) that computes the same metrics, in canonical flag order.
     pub argv: Vec<String>,
-    /// Journal fingerprint of `argv` — the content address.
+    /// Journal fingerprint of `argv` and the mode's model revision, if
+    /// any — the content address.
     pub fingerprint: String,
     /// The address of the same simulation at any seed: the fingerprint
-    /// of a `seed-free` domain tag and `argv` without `--seed`.
+    /// of a `seed-free` domain tag, `argv` without `--seed` and the
+    /// model revision.
     pub seed_free_fingerprint: String,
     /// The simulation: the app on the machine [`build_config`] makes of
     /// `argv`'s flags, at the request's seed.
@@ -393,10 +395,13 @@ pub fn parse_request(line: &str) -> Result<ValidRequest, String> {
         argv.extend(v);
     }
     let parts: Vec<&str> = argv.iter().map(String::as_str).collect();
-    let fp = fingerprint(&parts);
+    let revision = cfg.mode.model_revision();
+    let addressed: Vec<&str> = parts.iter().copied().chain(revision).collect();
+    let fp = fingerprint(&addressed);
     // `--seed` and its value come last.
     let seedless: Vec<&str> = std::iter::once(SEED_FREE_DOMAIN)
         .chain(parts.iter().copied().take_while(|&p| p != "--seed"))
+        .chain(revision)
         .collect();
     let seed_free_fp = fingerprint(&seedless);
     let label = format!("{name}/{}", f.mode.as_deref().unwrap_or("default"));

@@ -172,9 +172,9 @@ impl Service for Shared {
     fn handle_line(&self, line: &str, _peer: &Peer<'_>) -> Option<String> {
         let started = Instant::now();
         let resp = handle_request_line(self, line);
-        let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        self.stats.record_latency_ms(ms);
-        log_request_summary(&resp, ms);
+        let took = started.elapsed();
+        self.stats.record_latency(took);
+        log_request_summary(&resp, u64::try_from(took.as_millis()).unwrap_or(u64::MAX));
         Some(resp)
     }
 
@@ -222,8 +222,7 @@ fn execute_job(sh: &Shared, job: &Job) -> String {
         return render_reject(id, "timeout", 504, "deadline exceeded");
     }
     let outcome = catch_unwind(AssertUnwindSafe(|| (sh.simulate)(&req.run, deadline)));
-    sh.stats
-        .record_simulate_ms(u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX));
+    sh.stats.record_simulate(started.elapsed());
     let why = match outcome {
         Ok(Ok((metrics, seed_free))) => {
             sh.breaker.record_success(fp);

@@ -6,7 +6,10 @@
 //! [`LatencyHistogram`], so `/stats` percentiles are deterministic
 //! functions of the samples, byte-stable across hosts. A request's
 //! latency minus its simulate time is its admission wait plus its
-//! handling.
+//! handling. Both times are kept in whole milliseconds, the series
+//! clients have always read, and in microseconds: a cache hit or a
+//! small cold cell takes well under a millisecond, and would otherwise
+//! record 0.
 //!
 //! `GET /stats` (JSON) and `GET /metrics` (Prometheus text) expose the
 //! same numbers. Each is declared once, in `ROWS`, with its JSON key,
@@ -14,6 +17,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 use barre_trace::LatencyHistogram;
 
@@ -42,7 +46,7 @@ pub struct Gauges {
     pub draining: bool,
 }
 
-/// Every counter the daemon exposes, plus the two histograms.
+/// Every counter the daemon exposes, plus the histograms.
 #[derive(Default)]
 pub struct ServeStats {
     /// Request lines received (any outcome).
@@ -73,6 +77,8 @@ pub struct ServeStats {
     latency_ms: Mutex<LatencyHistogram>,
     simulate_ms: Mutex<LatencyHistogram>,
     depth_hist: Mutex<LatencyHistogram>,
+    latency_us: Mutex<LatencyHistogram>,
+    simulate_us: Mutex<LatencyHistogram>,
 }
 
 fn lock(h: &Mutex<LatencyHistogram>) -> MutexGuard<'_, LatencyHistogram> {
@@ -85,15 +91,17 @@ impl ServeStats {
         Self::default()
     }
 
-    /// Records one completed request's wall-clock latency (ms).
-    pub fn record_latency_ms(&self, ms: u64) {
-        lock(&self.latency_ms).record(ms);
+    /// Records one completed request's wall-clock latency.
+    pub fn record_latency(&self, took: Duration) {
+        lock(&self.latency_ms).record(millis(took));
+        lock(&self.latency_us).record(micros(took));
     }
 
-    /// Records one simulation attempt's wall-clock time (ms), from the
+    /// Records one simulation attempt's wall-clock time, from the
     /// machine's build to its result.
-    pub fn record_simulate_ms(&self, ms: u64) {
-        lock(&self.simulate_ms).record(ms);
+    pub fn record_simulate(&self, took: Duration) {
+        lock(&self.simulate_ms).record(millis(took));
+        lock(&self.simulate_us).record(micros(took));
     }
 
     /// Records the queue depth observed after an admission.
@@ -122,9 +130,9 @@ impl ServeStats {
 
     /// Renders the `/stats` JSON body (one line): the rows of `ROWS`
     /// laid out by `STATS_LAYOUT`, then the queue-depth percentiles and
-    /// the two latency summaries.
+    /// the latency summaries, in milliseconds and then microseconds.
     pub fn render(&self, g: &Gauges) -> String {
-        let (lat, sim, dep) = self.histograms();
+        let [lat, sim, dep, lat_us, sim_us] = self.histograms();
         let section = |name: &str| -> String {
             let keys = STATS_LAYOUT
                 .iter()
@@ -160,7 +168,8 @@ impl ServeStats {
                 "{{{top},\"requests\":{{{requests}}},",
                 "\"queue\":{{{queue},\"depth_p50\":{dp50},\"depth_p95\":{dp95},\"depth_p99\":{dp99}}},",
                 "\"cache\":{{{cache}}},\"breaker\":{{{breaker}}},",
-                "\"latency_ms\":{lat},\"simulate_ms\":{sim}}}"
+                "\"latency_ms\":{lat},\"simulate_ms\":{sim},",
+                "\"latency_us\":{lat_us},\"simulate_us\":{sim_us}}}"
             ),
             top = section(""),
             requests = section("requests"),
@@ -172,14 +181,16 @@ impl ServeStats {
             breaker = section("breaker"),
             lat = summary(&lat),
             sim = summary(&sim),
+            lat_us = summary(&lat_us),
+            sim_us = summary(&sim_us),
         )
     }
 
     /// Renders the `GET /metrics` Prometheus text exposition — the rows
-    /// of `ROWS` in table order, then the three histograms, one
-    /// snapshot, names under the `barre_serve_` prefix.
+    /// of `ROWS` in table order, then the histograms, one snapshot,
+    /// names under the `barre_serve_` prefix.
     pub fn render_prometheus(&self, g: &Gauges) -> String {
-        let (lat, sim, dep) = self.histograms();
+        let [lat, sim, dep, lat_us, sim_us] = self.histograms();
         let mut p = barre_obs::PromText::new();
         for r in &ROWS {
             let v = (r.read)(self, g);
@@ -204,18 +215,42 @@ impl ServeStats {
             "Admission-queue depth observed at each admission.",
             &dep,
         );
+        p.histogram(
+            "barre_serve_request_latency_us",
+            "Completed-request wall-clock latency in microseconds.",
+            &lat_us,
+        );
+        p.histogram(
+            "barre_serve_simulate_us",
+            "Wall-clock time of each simulation attempt in microseconds.",
+            &sim_us,
+        );
         p.render()
     }
 
-    /// One snapshot of the request-latency, simulate-time and
-    /// queue-depth histograms.
-    fn histograms(&self) -> (LatencyHistogram, LatencyHistogram, LatencyHistogram) {
-        (
-            lock(&self.latency_ms).clone(),
-            lock(&self.simulate_ms).clone(),
-            lock(&self.depth_hist).clone(),
-        )
+    /// One snapshot of the request-latency (ms), simulate-time (ms),
+    /// queue-depth, request-latency (µs) and simulate-time (µs)
+    /// histograms.
+    fn histograms(&self) -> [LatencyHistogram; 5] {
+        [
+            &self.latency_ms,
+            &self.simulate_ms,
+            &self.depth_hist,
+            &self.latency_us,
+            &self.simulate_us,
+        ]
+        .map(|h| lock(h).clone())
     }
+}
+
+/// `took` in whole milliseconds, saturating.
+fn millis(took: Duration) -> u64 {
+    u64::try_from(took.as_millis()).unwrap_or(u64::MAX)
+}
+
+/// `took` in whole microseconds, saturating.
+fn micros(took: Duration) -> u64 {
+    u64::try_from(took.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// How a row is exposed: a Prometheus counter, a gauge, or a 0/1 gauge
@@ -305,7 +340,7 @@ const ROWS: [Row; 19] = [
         stats: ("requests", "failed_transient"),
         kind: Kind::Counter,
         prom: "barre_serve_requests_failed_transient_total",
-        help: "Transient failures that exhausted their retries (500).",
+        help: "Transient simulation failures and panics (500).",
         read: |s, _| load(&s.failed_transient),
     },
     Row {
@@ -416,9 +451,9 @@ mod tests {
         bump(&s.received);
         bump(&s.received);
         bump(&s.cache_hits);
-        s.record_latency_ms(12);
-        s.record_latency_ms(40);
-        s.record_simulate_ms(9);
+        s.record_latency(Duration::from_millis(12));
+        s.record_latency(Duration::from_millis(40));
+        s.record_simulate(Duration::from_millis(9));
         s.record_depth(3);
         let body = s.render(&Gauges {
             queue_depth: 1,
@@ -459,9 +494,9 @@ mod tests {
         let s = ServeStats::new();
         bump(&s.received);
         bump(&s.shed);
-        s.record_latency_ms(12);
-        s.record_simulate_ms(5);
-        s.record_simulate_ms(7);
+        s.record_latency(Duration::from_millis(12));
+        s.record_simulate(Duration::from_millis(5));
+        s.record_simulate(Duration::from_millis(7));
         s.record_depth(3);
         let body = s.render_prometheus(&Gauges {
             queue_depth: 2,
@@ -525,9 +560,10 @@ mod tests {
         s.seed_free_hits.store(55, Ordering::Relaxed);
         s.record_depth(3);
         s.record_depth(7);
-        s.record_latency_ms(12);
-        s.record_latency_ms(40);
-        s.record_simulate_ms(9);
+        // 12, 40 and 9 ms, as in the fixtures, to the microsecond.
+        s.record_latency(Duration::from_micros(12_345));
+        s.record_latency(Duration::from_micros(40_250));
+        s.record_simulate(Duration::from_micros(9_500));
         let g = Gauges {
             queue_depth: 1,
             queue_cap: 64,
@@ -542,15 +578,26 @@ mod tests {
 
     /// Both bodies, rendered from the one table, equal what the two
     /// hand-written renderers produced for the same state before the
-    /// table existed (the fixtures), apart from the rows added since.
+    /// table existed (the fixtures), apart from the rows added, changed
+    /// and removed since.
     #[test]
     fn table_renders_the_pre_table_bodies() {
         let (s, g) = busy();
-        // Since v1 the `seed_free_hits` row was added and the `retries`
-        // row (serve no longer retries a simulation) removed.
+        // Since v1 the `seed_free_hits` row and the two microsecond
+        // summaries were added, and the `retries` row (serve no longer
+        // retries a simulation) removed.
         let stats = s.render(&g);
+        let micro = concat!(
+            ",\"latency_us\":{\"count\":2,\"mean\":26297.500,\"p50\":13311,",
+            "\"p95\":40250,\"p99\":40250,\"max\":40250},",
+            "\"simulate_us\":{\"count\":1,\"mean\":9500.000,\"p50\":9500,",
+            "\"p95\":9500,\"p99\":9500,\"max\":9500}"
+        );
+        assert!(stats.contains(micro), "{stats}");
         assert_eq!(
-            stats.replacen("\"seed_free_hits\":55,", "", 1),
+            stats
+                .replacen("\"seed_free_hits\":55,", "", 1)
+                .replacen(micro, "", 1),
             include_str!("../tests/fixtures/stats-v1.json").replacen(",\"retries\":111", "", 1)
         );
         let metrics = s.render_prometheus(&g);
@@ -558,18 +605,41 @@ mod tests {
             "# HELP barre_serve_cache_seed_free_hits_total Cache hits served from a seed-free record (a subset of cache hits).\n",
             "# TYPE barre_serve_cache_seed_free_hits_total counter\n",
             "barre_serve_cache_seed_free_hits_total 55\n",
+            "# HELP barre_serve_request_latency_us Completed-request wall-clock latency in microseconds.\n\
+             # TYPE barre_serve_request_latency_us histogram\n\
+             barre_serve_request_latency_us_bucket{le=\"13311\"} 1\n\
+             barre_serve_request_latency_us_bucket{le=\"40959\"} 2\n\
+             barre_serve_request_latency_us_bucket{le=\"+Inf\"} 2\n\
+             barre_serve_request_latency_us_sum 52595\n\
+             barre_serve_request_latency_us_count 2\n\
+             # HELP barre_serve_simulate_us Wall-clock time of each simulation attempt in microseconds.\n\
+             # TYPE barre_serve_simulate_us histogram\n\
+             barre_serve_simulate_us_bucket{le=\"10239\"} 1\n\
+             barre_serve_simulate_us_bucket{le=\"+Inf\"} 1\n\
+             barre_serve_simulate_us_sum 9500\n\
+             barre_serve_simulate_us_count 1\n",
         ];
         let mut old = metrics.clone();
         for line in new_lines {
             assert!(old.contains(line), "{metrics}");
             old = old.replacen(line, "", 1);
         }
+        // `failed_transient` counts transient failures and panics; there
+        // are no retries to exhaust.
+        let changed = (
+            "# HELP barre_serve_requests_failed_transient_total Transient failures that exhausted their retries (500).\n",
+            "# HELP barre_serve_requests_failed_transient_total Transient simulation failures and panics (500).\n",
+        );
         let removed = "# HELP barre_serve_child_retries_total Simulation retry attempts beyond each request's first attempt.\n\
                        # TYPE barre_serve_child_retries_total counter\n\
                        barre_serve_child_retries_total 111\n";
         let v1 = include_str!("../tests/fixtures/metrics-v1.prom");
-        assert!(v1.contains(removed));
-        assert_eq!(old, v1.replacen(removed, "", 1));
+        assert!(v1.contains(removed) && v1.contains(changed.0));
+        assert_eq!(
+            old,
+            v1.replacen(removed, "", 1)
+                .replacen(changed.0, changed.1, 1)
+        );
     }
 
     #[test]
@@ -592,8 +662,8 @@ mod tests {
     fn mean_service_defaults_then_tracks() {
         let s = ServeStats::new();
         assert_eq!(s.mean_service_ms(), 1000);
-        s.record_latency_ms(10);
-        s.record_latency_ms(30);
+        s.record_latency(Duration::from_millis(10));
+        s.record_latency(Duration::from_millis(30));
         assert_eq!(s.mean_service_ms(), 20);
     }
 }

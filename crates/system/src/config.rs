@@ -91,6 +91,20 @@ impl TranslationMode {
             }
         }
     }
+
+    /// The revision of this mode's model, when its simulated output has
+    /// moved since results were first stored: one more part of the
+    /// address a run's result is cached and journaled under (`barre
+    /// serve`'s cache, sweep journals), so a result of the older model is
+    /// never served or replayed as this one's. `None` for a mode whose
+    /// output never moved, so its addresses stay as they were.
+    pub fn model_revision(&self) -> Option<&'static str> {
+        match self {
+            // F-Barre advertises each coalescing group once per chiplet.
+            TranslationMode::FBarre(_) => Some("model:fbarre-2"),
+            _ => None,
+        }
+    }
 }
 
 /// How translations leave the chiplet.

@@ -1806,13 +1806,24 @@ impl Machine {
         // in-flight deadline timers become stale no-ops.
         self.ats_pending.remove(chiplet, key);
         let c = chiplet as usize;
+        // A refill replaces the key's entry in place; the filters need
+        // the entry it replaces.
+        let ch = &self.chiplets[c];
+        let prior = ch
+            .filters
+            .as_ref()
+            .and_then(|_| ch.l2_tlb.probe(key).copied());
         let evicted = match &mut self.shared_l2 {
             Some(shared) => shared.insert(key, payload),
             None => self.chiplets[c].l2_tlb.insert(key, payload),
         };
-        self.track_l2(chiplet, key, payload, FilterCmd::Add, t);
+        let displaced = evicted.or(prior.map(|p| (key, p)));
+        self.track_l2(chiplet, key, payload, FilterCmd::Add, displaced, t);
         if let Some((ekey, epayload)) = evicted {
-            self.track_l2(chiplet, ekey, epayload, FilterCmd::Delete, t);
+            self.track_l2(chiplet, ekey, epayload, FilterCmd::Delete, None, t);
+        }
+        if let Some(old) = prior.filter(|&p| p != payload) {
+            self.broadcast_filter_updates(chiplet, key, old, FilterCmd::Delete, None, t);
         }
         let mut waiters = self.chiplets[c].l2_mshr.complete(key);
         while let Some(w) = waiters.next(&mut PageLinks(&mut self.pages)) {
@@ -1838,8 +1849,16 @@ impl Machine {
 
     /// Keeps Least's tracker and F-Barre's LCF in step with an L2 TLB
     /// insert (`Add`) or eviction (`Delete`), and advertises the change
-    /// to the peers' RCFs.
-    fn track_l2(&mut self, chiplet: u8, key: TlbKey, payload: L2Payload, cmd: FilterCmd, t: Cycle) {
+    /// to the peers' RCFs. `displaced` is the entry an insert pushed out.
+    fn track_l2(
+        &mut self,
+        chiplet: u8,
+        key: TlbKey,
+        payload: L2Payload,
+        cmd: FilterCmd,
+        displaced: Option<(TlbKey, L2Payload)>,
+        t: Cycle,
+    ) {
         let c = chiplet as usize;
         if matches!(self.cfg.mode, TranslationMode::Least) {
             let fkey = barre_core::fbarre::filter_key(key.asid, key.vpn);
@@ -1855,17 +1874,21 @@ impl Machine {
             FilterCmd::Add => f.lcf_insert(key.asid, key.vpn),
             FilterCmd::Delete => f.lcf_remove(key.asid, key.vpn),
         }
-        self.broadcast_filter_updates(chiplet, key, payload, cmd, t);
+        self.broadcast_filter_updates(chiplet, key, payload, cmd, displaced, t);
     }
 
     /// Advertises (or retracts) a TLB entry's exact VPN plus all its
-    /// coalescing VPNs in the sharer peers' RCFs, best effort.
+    /// coalescing VPNs in the sharer peers' RCFs, best effort — when the
+    /// change moves the group at all: the first resident member of a
+    /// group advertises it and the last retracts it
+    /// ([`group_update_due`](barre_core::fbarre::group_update_due)).
     fn broadcast_filter_updates(
         &mut self,
         chiplet: u8,
         key: TlbKey,
         payload: L2Payload,
         cmd: FilterCmd,
+        displaced: Option<(TlbKey, L2Payload)>,
         t: Cycle,
     ) {
         let Some(info) = CoalInfo::decode(payload.coal_bits, self.coal_mode) else {
@@ -1887,6 +1910,25 @@ impl Machine {
             }
         }
         if members.is_empty() {
+            self.scratch_members = members;
+            return;
+        }
+        let ch = &mut self.chiplets[chiplet as usize];
+        let tlb = &ch.l2_tlb;
+        let due = barre_core::fbarre::group_update_due(
+            cmd,
+            key.vpn,
+            &members,
+            |m| pec_logic.member_bits(&info, m),
+            |vpn| tlb.probe(TlbKey { vpn, ..key }).map(|p| p.coal_bits),
+            displaced
+                .filter(|(k, _)| k.asid == key.asid)
+                .map(|(k, p)| (k.vpn, p.coal_bits)),
+        );
+        if !due {
+            if let Some(f) = &mut ch.filters {
+                f.note_absorbed(cmd);
+            }
             self.scratch_members = members;
             return;
         }
@@ -2075,7 +2117,7 @@ impl Machine {
             for c in 0..self.chiplets.len() {
                 let evicted = self.chiplets[c].l2_tlb.invalidate(key);
                 if let Some(epayload) = evicted {
-                    self.track_l2(c as u8, key, epayload, FilterCmd::Delete, now);
+                    self.track_l2(c as u8, key, epayload, FilterCmd::Delete, None, now);
                 }
                 for l1 in &mut self.chiplets[c].l1_tlbs {
                     l1.invalidate(key);

@@ -450,7 +450,7 @@ mod tests {
             (
                 cfg.clone()
                     .with_mode(TranslationMode::FBarre(FBarreConfig::default())),
-                (84, 84, 1, 65_536),
+                (82, 82, 1, 65_536),
             ),
             (
                 cfg.clone().with_mode(TranslationMode::Baseline),
