@@ -1882,6 +1882,9 @@ impl Machine {
     /// change moves the group at all: the first resident member of a
     /// group advertises it and the last retracts it
     /// ([`group_update_due`](barre_core::fbarre::group_update_due)).
+    /// The membership check is an L2 TLB lookup, so an update leaves one
+    /// L2 TLB latency after the fill or eviction at `t`, as every other
+    /// L2 TLB probe in the model pays it.
     fn broadcast_filter_updates(
         &mut self,
         chiplet: u8,
@@ -1932,6 +1935,7 @@ impl Machine {
             self.scratch_members = members;
             return;
         }
+        let t = t + self.cfg.l2_tlb_latency;
         let mut peers = std::mem::take(&mut self.scratch_peers);
         peers.clear();
         peers.extend(members.iter().map(|m| m.chiplet).filter(|c| c.0 != chiplet));

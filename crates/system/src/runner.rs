@@ -450,7 +450,7 @@ mod tests {
             (
                 cfg.clone()
                     .with_mode(TranslationMode::FBarre(FBarreConfig::default())),
-                (82, 82, 1, 65_536),
+                (76, 76, 1, 65_536),
             ),
             (
                 cfg.clone().with_mode(TranslationMode::Baseline),
