@@ -60,46 +60,30 @@ pub fn filter_key(asid: u16, vpn: Vpn) -> u64 {
     ((asid as u64) << 40) ^ vpn.0
 }
 
-/// Whether an L2 TLB fill (`Add`) or eviction (`Delete`) of the entry for
-/// `vpn` changes what the chiplet can calculate, so its coalescing group
-/// must be advertised to (or retracted from) the peers' RCFs.
+/// Whether an L2 TLB fill (`Add`) or eviction (`Delete`) changes what
+/// the chiplet can calculate, so the entry's coalescing group must be
+/// advertised to (or retracted from) the peers' RCFs.
 ///
 /// A chiplet can calculate the whole group while it holds any member
 /// that advertised it (§V-A2). So a fill advertises only the group's
-/// first resident member, and an eviction retracts only its last.
-/// `members` is the group, `vpn`'s own entry among them, and `bits_of`
-/// gives the coalescing bits a member's entry carries when it belongs to
-/// the group; an entry with other bits (none, or another group's) never
-/// advertised this group and does not count. `resident` answers for the
-/// TLB after the change. `displaced` is the entry the change pushed out:
-/// a fill's victim, or a refilled key's old entry. The two were resident
-/// before, so a fill that only swaps one member of a group for another,
-/// or refills a member, leaves the group as it was.
+/// first resident member, and an eviction retracts only its last: the
+/// update is due when no member covers the group. `members` is the
+/// group, and `bits_of` gives the coalescing bits a member's entry
+/// carries when it belongs to the group; an entry with other bits (none,
+/// or another group's) never advertised this group and does not count.
+/// `resident` answers for the TLB without the change: a fill is judged
+/// before its insert, while the set's victim and a refilled key's old
+/// entry are still resident, and an eviction after it. So a fill that
+/// only swaps one member of a group for another, or refills a member,
+/// leaves the group as it was.
 pub fn group_update_due(
-    cmd: FilterCmd,
-    vpn: Vpn,
     members: &[GroupMember],
     bits_of: impl Fn(&GroupMember) -> u16,
     resident: impl Fn(Vpn) -> Option<u16>,
-    displaced: Option<(Vpn, u16)>,
 ) -> bool {
-    fn covered(
-        members: &[GroupMember],
-        bits_of: impl Fn(&GroupMember) -> u16,
-        entry: impl Fn(Vpn) -> Option<u16>,
-    ) -> bool {
-        members
-            .iter()
-            .any(|m| entry(m.vpn).is_some_and(|bits| bits == bits_of(m)))
-    }
-    match cmd {
-        FilterCmd::Add => !covered(members, bits_of, |v| match displaced {
-            Some((gone, bits)) if gone == v => Some(bits),
-            _ if v == vpn => None,
-            _ => resident(v),
-        }),
-        FilterCmd::Delete => !covered(members, bits_of, resident),
-    }
+    !members
+        .iter()
+        .any(|m| resident(m.vpn).is_some_and(|bits| bits == bits_of(m)))
 }
 
 /// One state of an RCF table, as far as the replica memo knows it.
@@ -721,9 +705,10 @@ mod tests {
         const { assert!(FILTER_UPDATE_BITS <= 48) };
     }
 
-    /// Drives [`group_update_due`] the way the machine does, through seeded
-    /// fills (with random victims, often of the fill's own group), refills
-    /// and shootdowns, with uncoalesced entries mixed in. A reference
+    /// Drives [`group_update_due`] the way the machine does (a fill judged
+    /// before its insert, an eviction after it), through seeded fills (with
+    /// random victims, often of the fill's own group), refills and
+    /// shootdowns, with uncoalesced entries mixed in. A reference
     /// count of each group's resident advertising entries must see an
     /// `Add` exactly on 0 → 1 and a `Delete` exactly on 1 → 0, so the
     /// peers hold each group once while it is covered and never after.
@@ -764,9 +749,15 @@ mod tests {
             let mut copies: Map<u64, i64> = Map::new();
             for _ in 0..200 {
                 let before = census(&tlb);
-                // The judgements the machine makes, in its order.
-                type Judgement = (FilterCmd, Vpn, Option<(Vpn, u16)>);
-                let mut judged: Vec<Judgement> = Vec::new();
+                let mut sent = Vec::new();
+                // Judges an update against the TLB as it stands.
+                let mut judge = |cmd: FilterCmd, vpn: Vpn, tlb: &Map<Vpn, u16>| {
+                    let g = group_of(vpn);
+                    if group_update_due(&members(g), bits_of, |v| tlb.get(&v).copied()) {
+                        sent.push((g, cmd == FilterCmd::Add));
+                        *copies.entry(g).or_default() += if cmd == FilterCmd::Add { 1 } else { -1 };
+                    }
+                };
                 if tlb.is_empty() || rng.next_below(4) != 0 {
                     let vpn = Vpn(rng.next_below(GROUPS * SIZE));
                     let bits = if rng.next_below(4) == 0 {
@@ -774,6 +765,12 @@ mod tests {
                     } else {
                         (vpn.0 + 1) as u16
                     };
+                    // In the machine's order: the fill before its insert,
+                    // the victim's eviction and a refill's replaced entry
+                    // after it.
+                    if bits != 0 {
+                        judge(FilterCmd::Add, vpn, &tlb);
+                    }
                     let prior = tlb.get(&vpn).copied();
                     let mut victim = None;
                     if prior.is_none() && tlb.len() == capacity {
@@ -784,35 +781,16 @@ mod tests {
                     tlb.insert(vpn, bits);
                     refills += usize::from(prior.is_some());
                     uncoalesced += usize::from(bits == 0);
-                    if bits != 0 {
-                        judged.push((FilterCmd::Add, vpn, victim.or(prior.map(|b| (vpn, b)))));
-                    }
                     if let Some((v, _)) = victim.filter(|&(_, b)| b != 0) {
-                        judged.push((FilterCmd::Delete, v, None));
+                        judge(FilterCmd::Delete, v, &tlb);
                     }
                     if prior.is_some_and(|b| b != 0 && b != bits) {
-                        judged.push((FilterCmd::Delete, vpn, None));
+                        judge(FilterCmd::Delete, vpn, &tlb);
                     }
                 } else {
                     let v = *tlb.keys().nth(rng.index(tlb.len())).unwrap();
                     if tlb.remove(&v) != Some(0) {
-                        judged.push((FilterCmd::Delete, v, None));
-                    }
-                }
-                let mut sent = Vec::new();
-                for (cmd, vpn, displaced) in judged {
-                    let g = group_of(vpn);
-                    let due = group_update_due(
-                        cmd,
-                        vpn,
-                        &members(g),
-                        bits_of,
-                        |v| tlb.get(&v).copied(),
-                        displaced,
-                    );
-                    if due {
-                        sent.push((g, cmd == FilterCmd::Add));
-                        *copies.entry(g).or_default() += if cmd == FilterCmd::Add { 1 } else { -1 };
+                        judge(FilterCmd::Delete, v, &tlb);
                     }
                 }
                 let after = census(&tlb);

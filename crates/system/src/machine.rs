@@ -426,6 +426,10 @@ pub struct Machine {
     /// Accumulated conservation-law violations (sanitizer builds only).
     #[cfg(feature = "sanitizer")]
     san: crate::sanitizer::SanitizerReport,
+    /// The group updates each chiplet sent, per coalescing group
+    /// (sanitizer builds only).
+    #[cfg(feature = "sanitizer")]
+    group_ledger: std::collections::BTreeMap<(u8, u16, Vec<Vpn>), crate::sanitizer::GroupLedger>,
 }
 
 impl Machine {
@@ -604,6 +608,8 @@ impl Machine {
             cancel_check: None,
             #[cfg(feature = "sanitizer")]
             san: crate::sanitizer::SanitizerReport::default(),
+            #[cfg(feature = "sanitizer")]
+            group_ledger: Default::default(),
             cfg,
         }
     }
@@ -1813,17 +1819,18 @@ impl Machine {
             .filters
             .as_ref()
             .and_then(|_| ch.l2_tlb.probe(key).copied());
+        // The fill is tracked before its insert, while the entry it
+        // displaces still covers its group; the eviction after it.
+        self.track_l2(chiplet, key, payload, FilterCmd::Add, t);
         let evicted = match &mut self.shared_l2 {
             Some(shared) => shared.insert(key, payload),
             None => self.chiplets[c].l2_tlb.insert(key, payload),
         };
-        let displaced = evicted.or(prior.map(|p| (key, p)));
-        self.track_l2(chiplet, key, payload, FilterCmd::Add, displaced, t);
         if let Some((ekey, epayload)) = evicted {
-            self.track_l2(chiplet, ekey, epayload, FilterCmd::Delete, None, t);
+            self.track_l2(chiplet, ekey, epayload, FilterCmd::Delete, t);
         }
         if let Some(old) = prior.filter(|&p| p != payload) {
-            self.broadcast_filter_updates(chiplet, key, old, FilterCmd::Delete, None, t);
+            self.broadcast_filter_updates(chiplet, key, old, FilterCmd::Delete, t);
         }
         let mut waiters = self.chiplets[c].l2_mshr.complete(key);
         while let Some(w) = waiters.next(&mut PageLinks(&mut self.pages)) {
@@ -1849,16 +1856,8 @@ impl Machine {
 
     /// Keeps Least's tracker and F-Barre's LCF in step with an L2 TLB
     /// insert (`Add`) or eviction (`Delete`), and advertises the change
-    /// to the peers' RCFs. `displaced` is the entry an insert pushed out.
-    fn track_l2(
-        &mut self,
-        chiplet: u8,
-        key: TlbKey,
-        payload: L2Payload,
-        cmd: FilterCmd,
-        displaced: Option<(TlbKey, L2Payload)>,
-        t: Cycle,
-    ) {
+    /// to the peers' RCFs.
+    fn track_l2(&mut self, chiplet: u8, key: TlbKey, payload: L2Payload, cmd: FilterCmd, t: Cycle) {
         let c = chiplet as usize;
         if matches!(self.cfg.mode, TranslationMode::Least) {
             let fkey = barre_core::fbarre::filter_key(key.asid, key.vpn);
@@ -1874,7 +1873,7 @@ impl Machine {
             FilterCmd::Add => f.lcf_insert(key.asid, key.vpn),
             FilterCmd::Delete => f.lcf_remove(key.asid, key.vpn),
         }
-        self.broadcast_filter_updates(chiplet, key, payload, cmd, displaced, t);
+        self.broadcast_filter_updates(chiplet, key, payload, cmd, t);
     }
 
     /// Advertises (or retracts) a TLB entry's exact VPN plus all its
@@ -1891,7 +1890,6 @@ impl Machine {
         key: TlbKey,
         payload: L2Payload,
         cmd: FilterCmd,
-        displaced: Option<(TlbKey, L2Payload)>,
         t: Cycle,
     ) {
         let Some(info) = CoalInfo::decode(payload.coal_bits, self.coal_mode) else {
@@ -1913,20 +1911,17 @@ impl Machine {
             }
         }
         if members.is_empty() {
+            #[cfg(feature = "sanitizer")]
+            self.note_unjudged_group(chiplet, key, &info);
             self.scratch_members = members;
             return;
         }
         let ch = &mut self.chiplets[chiplet as usize];
         let tlb = &ch.l2_tlb;
         let due = barre_core::fbarre::group_update_due(
-            cmd,
-            key.vpn,
             &members,
             |m| pec_logic.member_bits(&info, m),
             |vpn| tlb.probe(TlbKey { vpn, ..key }).map(|p| p.coal_bits),
-            displaced
-                .filter(|(k, _)| k.asid == key.asid)
-                .map(|(k, p)| (k.vpn, p.coal_bits)),
         );
         if !due {
             if let Some(f) = &mut ch.filters {
@@ -1934,6 +1929,18 @@ impl Machine {
             }
             self.scratch_members = members;
             return;
+        }
+        #[cfg(feature = "sanitizer")]
+        {
+            let group = self
+                .group_ledger
+                .entry((chiplet, key.asid, members.iter().map(|m| m.vpn).collect()))
+                .or_default();
+            group.net += if cmd == FilterCmd::Add { 1 } else { -1 };
+            group.bits = members
+                .iter()
+                .map(|m| pec_logic.member_bits(&info, m))
+                .collect();
         }
         let t = t + self.cfg.l2_tlb_latency;
         let mut peers = std::mem::take(&mut self.scratch_peers);
@@ -2121,7 +2128,7 @@ impl Machine {
             for c in 0..self.chiplets.len() {
                 let evicted = self.chiplets[c].l2_tlb.invalidate(key);
                 if let Some(epayload) = evicted {
-                    self.track_l2(c as u8, key, epayload, FilterCmd::Delete, None, now);
+                    self.track_l2(c as u8, key, epayload, FilterCmd::Delete, now);
                 }
                 for l1 in &mut self.chiplets[c].l1_tlbs {
                     l1.invalidate(key);
@@ -2312,8 +2319,8 @@ impl Machine {
         serviced
     }
 
-    /// Evaluates every conservation law against the machine's current
-    /// state. `at_drain` upgrades the translation law from `<=` to exact
+    /// Evaluates conservation laws 1–4 against the machine's current
+    /// state (the epoch check adds law 5). `at_drain` upgrades the translation law from `<=` to exact
     /// equality (mid-run, serviced requests lag issued ones).
     pub fn conservation_violations(&self, at_drain: bool) -> Vec<crate::sanitizer::Violation> {
         use crate::sanitizer::Violation;
@@ -2404,14 +2411,79 @@ impl Machine {
         v
     }
 
+    /// Law 5, group advertisement: a chiplet's sent group updates (adds
+    /// minus deletes) come to one while a member covers the group in its
+    /// L2 TLB and to none once no member does. Private, so the TLB
+    /// probes it makes stay off the public entry points' panic paths.
+    fn group_advertisement_violations(&self) -> Vec<crate::sanitizer::Violation> {
+        use crate::sanitizer::Violation;
+        let cycle = self.now;
+        let mut v = Vec::new();
+        for ((c, asid, vpns), group) in &self.group_ledger {
+            if group.unjudged {
+                continue;
+            }
+            let (net, bits) = (group.net, &group.bits);
+            let Some(tlb) = self.chiplets.get(*c as usize).map(|ch| &ch.l2_tlb) else {
+                continue;
+            };
+            let covered = vpns.iter().zip(bits).any(|(&vpn, &b)| {
+                tlb.probe(TlbKey { asid: *asid, vpn })
+                    .is_some_and(|p| p.coal_bits == b)
+            });
+            if net != i64::from(covered) {
+                v.push(Violation {
+                    law: "group-advertisement",
+                    detail: format!(
+                        "chiplet {c}: group {:x?} sent {net} net updates while {}",
+                        vpns.iter().map(|v| v.0).collect::<Vec<_>>(),
+                        if covered { "covered" } else { "uncovered" }
+                    ),
+                    cycle,
+                });
+            }
+        }
+        v
+    }
+
     /// One epoch check: records violations and `debug_assert!`s clean,
     /// dumping the structured report on failure.
     fn sanitizer_check(&mut self, at_drain: bool) {
         self.san.epochs_checked += 1;
-        let found = self.conservation_violations(at_drain);
+        let mut found = self.conservation_violations(at_drain);
+        found.extend(self.group_advertisement_violations());
+        // Retracted groups have nothing left to check.
+        self.group_ledger.retain(|_, g| g.net != 0 || g.unjudged);
         if !found.is_empty() {
             self.san.violations.extend(found);
             debug_assert!(false, "{}", self.san.render());
+        }
+    }
+
+    /// Marks the group of an L2 TLB fill or eviction that its chiplet
+    /// could not judge for want of the data's PEC record (it learns the
+    /// record from its first ATS response for the data). The updates it
+    /// sends for that group no longer follow residence, so the group law
+    /// leaves the group out.
+    fn note_unjudged_group(&mut self, chiplet: u8, key: TlbKey, info: &CoalInfo) {
+        let Some(entry) = self
+            .master_pecs
+            .iter()
+            .find(|e| e.contains(key.asid, key.vpn))
+        else {
+            return;
+        };
+        let mut vpns = Vec::new();
+        self.pec_logic.for_each_member(key.vpn, info, entry, |m| {
+            vpns.push(m.vpn);
+            ControlFlow::Continue(())
+        });
+        if !vpns.is_empty() {
+            let group = self
+                .group_ledger
+                .entry((chiplet, key.asid, vpns))
+                .or_default();
+            group.unjudged = true;
         }
     }
 

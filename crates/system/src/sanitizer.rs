@@ -20,6 +20,14 @@
 //!    message and at least `bytes / bytes_per_cycle` cycles overall, so
 //!    `msgs <= busy_cycles` and `total_bytes <= busy_cycles *
 //!    bytes_per_cycle` on every link.
+//! 5. **Group advertisement** — under F-Barre, the group updates a
+//!    chiplet sent for a coalescing group (adds minus deletes) net to
+//!    one while a member covers the group in its L2 TLB and to zero
+//!    otherwise: no group is advertised twice or outlives its members.
+//!    The law counts what the chiplet decided to send, not what reached
+//!    the peers. It leaves out a group whose fill or eviction its
+//!    chiplet could not judge because the data's PEC record was not yet
+//!    resident: such a group stays unadvertised while any member is.
 //!
 //! A failed check `debug_assert!`s with the rendered report; in release
 //! builds the violations accumulate in the machine's
@@ -39,6 +47,18 @@ pub struct Violation {
     pub detail: String,
     /// Simulated cycle at which the check ran.
     pub cycle: Cycle,
+}
+
+/// The group updates one chiplet sent for one coalescing group.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GroupLedger {
+    /// Adds minus deletes sent.
+    pub(crate) net: i64,
+    /// The coalescing bits each member's entry carries when it covers
+    /// the group.
+    pub(crate) bits: Vec<u16>,
+    /// A fill or eviction of the group went unjudged.
+    pub(crate) unjudged: bool,
 }
 
 /// Accumulated sanitizer state for one run.

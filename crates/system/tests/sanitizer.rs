@@ -7,12 +7,15 @@
 
 #![cfg(feature = "sanitizer")]
 
-use barre_system::{build_machine, metrics_digest, smoke_config, MmuKind, Run, TranslationMode};
+use barre_system::{
+    build_machine, metrics_digest, smoke_config, FBarreConfig, MigrationConfig, MmuKind, Run,
+    TranslationMode,
+};
 use barre_workloads::AppId;
 
 #[test]
 fn clean_run_passes_every_epoch_check() {
-    // smoke_config has no IOMMU TLB and no multicast, so all four laws
+    // smoke_config has no IOMMU TLB and no multicast, so every law
     // (including exact translation conservation at drain) are armed.
     // Any epoch violation would debug_assert! inside run().
     let cfg = smoke_config();
@@ -113,5 +116,33 @@ fn gmmu_overflow_runs_conserve_translations() {
             .expect("run failed");
         assert!(m.total_cycles > 0 && m.walks > 0, "{mode:?}");
         assert_eq!(metrics_digest(&m), want, "{mode:?}");
+    }
+}
+
+#[test]
+fn fbarre_group_advertisements_follow_residence() {
+    // Each chiplet advertises a coalescing group once, on its first
+    // resident member, and retracts it on its last; the group law checks
+    // the net updates it sent against its L2 TLB at every epoch. Fills
+    // that evict a member of their own group, refills and migration
+    // shootdowns all run here; any mismatch would debug_assert! inside
+    // run(). Mid-run misses must also have had something to advertise.
+    for max_merged in [1, 2, 4] {
+        for (app, migration) in [
+            (AppId::Gups, None),
+            (AppId::Spmv, None),
+            (AppId::Gups, Some(MigrationConfig::default())),
+        ] {
+            let mode = TranslationMode::FBarre(FBarreConfig {
+                max_merged,
+                ..Default::default()
+            });
+            let cfg = smoke_config().with_mode(mode).with_migration(migration);
+            let m = Run::app(app, cfg, 1).simulate().expect("run failed");
+            assert!(m.filter_updates_sent > 0, "{app:?}/{max_merged}");
+            if migration.is_some() {
+                assert!(m.migrations > 0, "{app:?}/{max_merged}");
+            }
+        }
     }
 }
