@@ -22,11 +22,22 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-/// A running daemon plus the address it bound.
+/// A running daemon plus the address it bound. Dropped without
+/// [`Daemon::stop`] (a test that panicked), it kills and reaps the child.
 struct Daemon {
     child: Child,
     stdout: BufReader<ChildStdout>,
     addr: String,
+    stopped: bool,
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if !self.stopped {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
 }
 
 /// Starts `barre serve --port 0 <extra>` in `dir` and waits for its
@@ -55,6 +66,7 @@ fn start_daemon(dir: &Path, extra: &[&str], envs: &[(&str, &str)]) -> Daemon {
         child,
         stdout,
         addr,
+        stopped: false,
     }
 }
 
@@ -112,14 +124,16 @@ impl Daemon {
     fn stop(mut self, sig: &str) -> (i32, String) {
         self.signal(sig);
         // Drain the remaining stdout so the daemon can never block on a
-        // full pipe, then collect stderr via wait_with_output.
+        // full pipe, then stderr to its end, which comes at exit.
         let mut rest = String::new();
         let _ = self.stdout.read_to_string(&mut rest);
-        let out = self.child.wait_with_output().expect("wait daemon");
-        (
-            out.status.code().unwrap_or(-1),
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
+        let mut stderr = String::new();
+        if let Some(mut err) = self.child.stderr.take() {
+            let _ = err.read_to_string(&mut stderr);
+        }
+        let status = self.child.wait().expect("wait daemon");
+        self.stopped = true;
+        (status.code().unwrap_or(-1), stderr)
     }
 }
 

@@ -10,17 +10,23 @@
 //! fingerprint to the byte offset and length of the record's line:
 //! vectors sorted by the fingerprint's `u64` value, 16 bytes per entry
 //! against ~1.5 KB for a parsed record, so the daemon's footprint
-//! barely grows with the results it has answered. A hit
-//! reads its line back, parses it, and verifies it. A fingerprint is 16
+//! barely grows with the results it has answered. A hit reads its line
+//! back with one positioned read and verifies it. A fingerprint is 16
 //! lowercase hex digits ([`barre_system::fingerprint`]), so the
 //! vector's order is the fingerprints' string order.
 //!
 //! Trust model: a cache entry is only ever served after its stored
 //! `digest`/`hist_digest` verify against its own metrics. Verification
 //! happens at warm-load and again on every hit, over the bytes on disk
-//! at that moment, so it also covers bytes changed after the insert. A
-//! mismatch is treated as corruption: evict, log, recompute. Never
-//! serve a record whose digest fails.
+//! at that moment, so it also covers bytes changed after the insert. On
+//! a hit it is a byte-level check first: a line in the exact layout the
+//! cache writes ([`DoneLine`]) verifies by hashing its own metrics text,
+//! which is then served as it is stored, with nothing decoded or
+//! encoded. A line in any other layout, or one that fails that check,
+//! is decoded and verified like a journal record ([`JournalRecord::verified`]);
+//! the two agree on every line the byte check accepts. A record that
+//! fails both is corruption: evict, log, recompute. Never serve a record
+//! whose digest fails.
 //!
 //! Warm-load streams the file once, collecting the slot of every
 //! verified `done` record, then sorts them and keeps the last one per
@@ -32,14 +38,17 @@
 //! loses at most the torn tail); a graceful drain compacts it again.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use barre_obs::log as olog;
 use barre_obs::Field;
-use barre_system::{JournalError, JournalEvent, JournalRecord, RunMetrics};
+use barre_system::{
+    metrics_text_digests, metrics_to_json, DoneLine, JournalError, JournalEvent, JournalRecord,
+    RunMetrics,
+};
 
 /// File name of the cache index inside the cache directory.
 pub const CACHE_FILE: &str = "serve-cache.jsonl";
@@ -196,11 +205,80 @@ fn closed() -> std::io::Error {
     std::io::Error::other("cache file closed")
 }
 
-/// Reads the line at `slot` of `file` into `buf`.
-fn read_at(file: &mut File, slot: Slot, buf: &mut Vec<u8>) -> std::io::Result<()> {
+/// Reads the line at `slot` of `file` into `buf`, with one positioned
+/// read on Unix.
+fn read_at(file: &File, slot: Slot, buf: &mut Vec<u8>) -> std::io::Result<()> {
     buf.resize(slot.len(), 0);
-    file.seek(SeekFrom::Start(slot.offset()))?;
-    file.read_exact(buf)
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::FileExt::read_exact_at(file, buf, slot.offset())
+    }
+    #[cfg(not(unix))]
+    {
+        use std::io::{Read, Seek, SeekFrom};
+        let mut file = file;
+        file.seek(SeekFrom::Start(slot.offset()))?;
+        file.read_exact(buf)
+    }
+}
+
+/// What an `ok` response carries from a cache record: its digests and
+/// its metrics as canonical JSON text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cached {
+    /// The metrics digest.
+    pub digest: String,
+    /// The latency/locality histogram digest (empty on a record written
+    /// without one).
+    pub hist_digest: String,
+    /// The canonical metrics JSON.
+    pub metrics: String,
+}
+
+impl Cached {
+    /// Digests of `metrics`, taken over its canonical encoding, which
+    /// is kept.
+    fn of(metrics: &RunMetrics) -> Cached {
+        let metrics = metrics_to_json(metrics);
+        let (digest, hist_digest) = metrics_text_digests(&metrics);
+        Cached {
+            digest,
+            hist_digest,
+            metrics,
+        }
+    }
+
+    /// The record at `fp` when `line` is one in the layout the cache
+    /// writes and verifies over its own bytes; `None` declines.
+    fn from_bytes(line: &str, fp: &str) -> Option<Cached> {
+        let view = DoneLine::parse(line).filter(|v| v.fingerprint == fp && v.verified())?;
+        Some(Cached {
+            digest: view.digest.to_string(),
+            hist_digest: view.hist_digest.to_string(),
+            metrics: view.metrics.to_string(),
+        })
+    }
+
+    /// The record at `fp` when `line` decodes to a `done` record for
+    /// `fp` that [`JournalRecord::verified`] accepts, its metrics
+    /// encoded again; otherwise why not.
+    fn decoded(line: &str, fp: &str) -> Result<Cached, String> {
+        let rec = JournalRecord::from_line(line)
+            .map_err(|e| format!("unreadable record on {fp} ({e})"))?;
+        match rec.event {
+            JournalEvent::Done {
+                ref digest,
+                ref hist_digest,
+                ref metrics,
+                ..
+            } if rec.fingerprint == fp && rec.verified() => Ok(Cached {
+                digest: digest.clone(),
+                hist_digest: hist_digest.clone().unwrap_or_default(),
+                metrics: metrics_to_json(metrics),
+            }),
+            _ => Err(format!("digest mismatch on {fp} ({})", rec.label)),
+        }
+    }
 }
 
 impl Store {
@@ -226,7 +304,7 @@ impl Store {
     /// Before the rename an error leaves the store as it was; after it,
     /// the store is left closed and empty.
     fn compact(&mut self, path: &Path) -> std::io::Result<()> {
-        let file = self.file.as_mut().ok_or_else(closed)?;
+        let file = self.file.as_ref().ok_or_else(closed)?;
         let tmp = path.with_extension("jsonl.tmp");
         let mut out = BufWriter::new(File::create(&tmp)?);
         self.index.merge_tail();
@@ -369,29 +447,34 @@ impl ResultCache {
     }
 
     /// Looks up `fp`, reading its record from disk and re-verifying its
-    /// digests before serving. A record that cannot be read, parsed, or
-    /// verified is corruption: the entry is evicted and logged, and
-    /// `None` comes back so the caller recomputes.
-    pub fn get(&self, fp: &str) -> Option<JournalRecord> {
+    /// digests before serving: over the line's own bytes when it is in
+    /// the layout the cache writes, by decoding it otherwise or when that
+    /// check fails. A record that cannot be read, decoded, or verified is
+    /// corruption: the entry is evicted and logged, and `None` comes back
+    /// so the caller recomputes.
+    pub fn get(&self, fp: &str) -> Option<Cached> {
         let key = key_of(fp)?;
         let mut buf = Vec::new();
         let (slot, read) = {
-            let mut store = self.store();
+            let store = self.store();
             let slot = store.index.slot(key)?;
-            let read = match store.file.as_mut() {
+            let read = match store.file.as_ref() {
                 Some(file) => read_at(file, slot, &mut buf),
                 None => Err(closed()),
             };
             (slot, read)
         };
-        let parsed = read
-            .map_err(|e| e.to_string())
-            .and_then(|()| String::from_utf8(buf).map_err(|e| e.to_string()))
-            .and_then(|line| JournalRecord::from_line(&line));
-        let why = match parsed {
-            Ok(rec) if rec.fingerprint == fp && rec.verified() => return Some(rec),
-            Ok(rec) => format!("digest mismatch on {fp} ({})", rec.label),
-            Err(e) => format!("unreadable record on {fp} ({e})"),
+        let answer = read
+            .map_err(|e| format!("unreadable record on {fp} ({e})"))
+            .and_then(|()| {
+                String::from_utf8(buf).map_err(|e| format!("unreadable record on {fp} ({e})"))
+            })
+            .and_then(|line| {
+                Cached::from_bytes(&line, fp).map_or_else(|| Cached::decoded(&line, fp), Ok)
+            });
+        let why = match answer {
+            Ok(cached) => return Some(cached),
+            Err(why) => why,
         };
         {
             // Evict only the slot that failed; a concurrent insert may
@@ -408,13 +491,24 @@ impl ResultCache {
         None
     }
 
-    /// Inserts a completed run, appending it to the cache file. Returns
-    /// the record (digests freshly computed). When the append fails, or
-    /// `fp` is not a fingerprint, the record is logged and left
-    /// unindexed, so the next request for it recomputes.
-    pub fn insert(&self, fp: &str, label: &str, metrics: RunMetrics) -> JournalRecord {
-        let rec = JournalRecord::done(fp, label, 1, None, Box::new(metrics));
-        let line = rec.to_line();
+    /// Inserts a completed run, appending its `done` record to the cache
+    /// file, and returns what its response carries. The metrics are
+    /// encoded once: the digests, the line and the response all come
+    /// from that text. When the append fails, or `fp` is not a
+    /// fingerprint, the record is logged and left unindexed, so the next
+    /// request for it recomputes.
+    pub fn insert(&self, fp: &str, label: &str, metrics: RunMetrics) -> Cached {
+        let cached = Cached::of(&metrics);
+        let line = DoneLine {
+            fingerprint: fp,
+            label,
+            attempts: 1,
+            exit: "ok",
+            digest: &cached.digest,
+            hist_digest: &cached.hist_digest,
+            metrics: &cached.metrics,
+        }
+        .to_line();
         let appended = key_of(fp)
             .ok_or_else(|| std::io::Error::other("not a 16-hex-digit fingerprint"))
             .and_then(|key| {
@@ -429,7 +523,7 @@ impl ResultCache {
                 &format!("cache: append failed for {fp}: {e}"),
             );
         }
-        rec
+        cached
     }
 
     /// Rewrites the index compacted (one record per fingerprint, sorted)
@@ -482,13 +576,13 @@ mod tests {
     fn a_hit_after_reopen_is_byte_identical() {
         let dir = tmpdir("reopen");
         let (cache, _) = ResultCache::open(&dir).expect("open");
-        let cold = cache.insert(FP1, "gups/barre", metrics(100)).to_line();
-        assert_eq!(cache.get(FP1).expect("hit").to_line(), cold);
+        let cold = cache.insert(FP1, "gups/barre", metrics(100));
+        assert_eq!(cache.get(FP1).expect("hit"), cold);
         // No drain: the reopened cache reads the appended form.
         drop(cache);
         let (cache2, warm) = ResultCache::open(&dir).expect("reopen");
         assert_eq!(warm.loaded, 1);
-        assert_eq!(cache2.get(FP1).expect("warm hit").to_line(), cold);
+        assert_eq!(cache2.get(FP1).expect("warm hit"), cold);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -521,7 +615,8 @@ mod tests {
     fn the_index_holds_offsets_not_records() {
         let dir = tmpdir("slots");
         let (cache, _) = ResultCache::open(&dir).expect("open");
-        let line = cache.insert(FP1, "gups/barre", metrics(100)).to_line();
+        cache.insert(FP1, "gups/barre", metrics(100));
+        let line = record_line(FP1, 100, true);
         // The entry is exactly a key, an offset and a length into the
         // file: a field holding metrics would break this pattern or the
         // size.
@@ -606,6 +701,131 @@ mod tests {
         }
     }
 
+    /// Every record of a daemon's cache file from before the byte path,
+    /// and fresh records with busy histograms.
+    fn known_lines() -> Vec<(String, String)> {
+        let mut lines: Vec<(String, String)> =
+            include_str!("../../cli/tests/fixtures/serve-cache-v1.jsonl")
+                .lines()
+                .map(|line| {
+                    let rec = JournalRecord::from_line(line).expect("fixture record");
+                    (rec.fingerprint, line.to_string())
+                })
+                .collect();
+        for (fp, cycles) in [(FP1, 1), (FPA, 97), (FPB, 1 << 40)] {
+            let mut m = metrics(cycles);
+            for v in [0, 3, 900, cycles, u64::MAX / 3] {
+                m.ats_latency.record(v);
+                m.vpn_gap.record(v / 7);
+            }
+            let line = JournalRecord::done(fp, "gups/fbarre", 1, None, Box::new(m)).to_line();
+            lines.push((fp.to_string(), line));
+        }
+        lines
+    }
+
+    /// Byte ranges of `line`'s `digest` and `hist_digest` values and of
+    /// its metrics text.
+    fn checked_ranges(line: &str) -> [std::ops::Range<usize>; 3] {
+        let value = |key: &str| {
+            let at = line.find(key).expect(key) + key.len();
+            at..at + 16
+        };
+        let metrics = line.find(",\"metrics\":").expect("metrics") + 11;
+        [
+            value("\"digest\":\""),
+            value("\"hist_digest\":\""),
+            metrics..line.len() - 1,
+        ]
+    }
+
+    #[test]
+    fn the_byte_path_declines_or_answers_what_decoding_answers() {
+        for (fp, line) in known_lines() {
+            let decoded = Cached::decoded(&line, &fp).expect("a good record");
+            assert_eq!(Cached::from_bytes(&line, &fp), Some(decoded), "{line}");
+            // A record asked for under another address is not served.
+            assert_eq!(Cached::from_bytes(&line, FP3), None);
+            // Each single-byte change to the digests or the metrics text.
+            for at in checked_ranges(&line).into_iter().flatten() {
+                for flip in [0x01, 0x02, 0x10] {
+                    let mut bytes = line.clone().into_bytes();
+                    bytes[at] ^= flip;
+                    let Ok(bad) = String::from_utf8(bytes) else {
+                        continue;
+                    };
+                    let slow = Cached::decoded(&bad, &fp);
+                    match Cached::from_bytes(&bad, &fp) {
+                        Some(fast) => assert_eq!(Ok(fast), slow, "{bad}"),
+                        None => assert!(slow.is_err(), "byte {at} ^ {flip:#x} still verifies"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_corrupted_record_is_evicted_and_recomputed_on_either_path() {
+        use std::os::unix::fs::FileExt as _;
+        let dir = tmpdir("sweep");
+        let (cache, _) = ResultCache::open(&dir).expect("open");
+        let disk = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join(CACHE_FILE))
+            .expect("open for writes");
+        let good = cache.insert(FPA, "gups/barre", metrics(100));
+        let line = record_line(FPA, 100, true);
+        let mut evicted = 0;
+        // Every digest byte, and a spread of metrics bytes.
+        let [digest, hist, body] = checked_ranges(&line);
+        for at in digest.chain(hist).chain(body.step_by(37)) {
+            let slot = cache
+                .store()
+                .index
+                .slot(key_of(FPA).expect("key"))
+                .expect("indexed");
+            let byte = line.as_bytes()[at] ^ 0x01;
+            disk.write_all_at(&[byte], slot.offset() + at as u64)
+                .expect("corrupt");
+            assert_eq!(cache.get(FPA), None, "byte {at} served");
+            evicted += 1;
+            assert_eq!((cache.evictions(), cache.len()), (evicted, 0));
+            // Recomputing re-inserts it, and the new record serves.
+            assert_eq!(cache.insert(FPA, "gups/barre", metrics(100)), good);
+            assert_eq!(cache.get(FPA).as_ref(), Some(&good));
+        }
+        assert!(evicted > 40, "{evicted}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_in_an_older_layout_is_decoded_and_served() {
+        let dir = tmpdir("legacy");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let m = metrics(100);
+        let stamped =
+            JournalRecord::done(FP1, "gups/barre", 2, Some("w1".into()), Box::new(m.clone()));
+        let mut unhashed = JournalRecord::done(FP2, "gups\tbarre", 1, None, Box::new(m.clone()));
+        if let JournalEvent::Done { hist_digest, .. } = &mut unhashed.event {
+            *hist_digest = None;
+        }
+        let lines = [stamped.to_line(), unhashed.to_line()];
+        for (fp, line) in [FP1, FP2].into_iter().zip(&lines) {
+            assert_eq!(Cached::from_bytes(line, fp), None, "{line}");
+        }
+        std::fs::write(dir.join(CACHE_FILE), lines.join("\n")).expect("write");
+        let (cache, warm) = ResultCache::open(&dir).expect("open");
+        assert_eq!(warm.loaded, 2);
+        let want = Cached::of(&m);
+        assert_eq!(cache.get(FP1).as_ref(), Some(&want));
+        let legacy = cache.get(FP2).expect("served");
+        assert_eq!(legacy.hist_digest, "");
+        assert_eq!((legacy.digest, legacy.metrics), (want.digest, want.metrics));
+        assert_eq!(cache.evictions(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn warm_load_keeps_the_last_verified_record_per_fingerprint() {
         let dir = tmpdir("dups");
@@ -628,8 +848,8 @@ mod tests {
         // The garbage line, the torn tail and both non-hex fingerprints.
         assert_eq!(warm.skipped_lines, 4);
         assert_eq!(warm.evicted, 2);
-        assert_eq!(cache.get(FP1).expect("FP1").to_line(), lines[3]);
-        assert_eq!(cache.get(FP2).expect("FP2").to_line(), lines[0]);
+        assert_eq!(cache.get(FP1), Cached::decoded(&lines[3], FP1).ok());
+        assert_eq!(cache.get(FP2), Cached::decoded(&lines[0], FP2).ok());
         assert!(cache.get("fp1").is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -694,14 +914,14 @@ mod tests {
         cache.insert(FP1, "gups/barre", metrics(100));
         cache.insert(FP2, "gemv/barre", metrics(200));
         let hit = cache.get(FP1).expect("hit");
-        assert_eq!(hit.label, "gups/barre");
+        assert_eq!(hit, Cached::of(&metrics(100)));
         assert!(cache.get(FP3).is_none());
         assert_eq!(cache.flush_compacted().expect("flush"), 2);
         // Reload sees both entries, byte-identical records.
         let (cache2, warm2) = ResultCache::open(&dir).expect("reopen");
         assert_eq!(warm2.loaded, 2);
         assert_eq!(warm2.evicted, 0);
-        assert_eq!(cache2.get(FP1).expect("warm hit").to_line(), hit.to_line());
+        assert_eq!(cache2.get(FP1).expect("warm hit"), hit);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

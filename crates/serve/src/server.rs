@@ -11,13 +11,14 @@
 //! one is not retried: it would fail the same way again. The daemon
 //! starts no process. See the crate docs for the full request path.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::breaker::CircuitBreaker;
-use crate::cache::ResultCache;
+use crate::cache::{Cached, ResultCache};
 use crate::daemon::{self, Daemon, Peer, Service};
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::{parse_request, render_ok, render_reject, render_shed, ValidRequest};
@@ -25,7 +26,7 @@ use crate::signal::shutting_down;
 use crate::stats::{bump, Gauges, ServeStats};
 use barre_obs::log as olog;
 use barre_obs::Field;
-use barre_system::{JournalEvent, Run, RunMetrics, SimError};
+use barre_system::{Run, RunMetrics, SimError};
 
 /// How the daemon runs: bind address, worker pool size, queue bound,
 /// cache location, default deadline, breaker threshold.
@@ -75,18 +76,102 @@ struct Job {
 }
 
 /// Runs one request's simulation on the calling thread, giving up at
-/// the deadline. Returns the metrics and whether the run was seed-free
+/// the deadline. Once the machine is built, and before it runs, it calls
+/// `built` with whether the run is seed-free
 /// ([`barre_system::Machine::seed_free`]).
-type Simulate = fn(&Run, Instant) -> Result<(RunMetrics, bool), SimError>;
+type Simulate = fn(&Run, Instant, &mut dyn FnMut(bool)) -> Result<RunMetrics, SimError>;
 
 /// Builds and runs a request's machine. The machine asks the clock
 /// every [`barre_system::CANCEL_CHECK_PERIOD`] events and stops with
 /// [`SimError::Cancelled`] once `deadline` has passed.
-fn simulate(run: &Run, deadline: Instant) -> Result<(RunMetrics, bool), SimError> {
+fn simulate(
+    run: &Run,
+    deadline: Instant,
+    built: &mut dyn FnMut(bool),
+) -> Result<RunMetrics, SimError> {
     let mut machine = run.build()?;
-    let seed_free = machine.seed_free();
+    built(machine.seed_free());
     machine.set_cancel_check(Box::new(move || Instant::now() >= deadline));
-    Ok((machine.run()?, seed_free))
+    machine.run()
+}
+
+/// The cache addresses whose simulation is running, so that a job whose
+/// answer is already being computed waits for it instead of computing
+/// it again.
+///
+/// A job claims its request's seed-free address before it simulates,
+/// since a run's seed-freeness is known only once its machine is built.
+/// A run that reads its seed then moves its claim to its exact address,
+/// so the other seeds of that run go ahead at once. A job waits while its
+/// exact address, or its seed-free one, is claimed, and looks in the
+/// cache again each time a claim is released: a claim is released only
+/// after its result was inserted.
+#[derive(Default)]
+struct Flights {
+    state: Mutex<FlightState>,
+    released: Condvar,
+}
+
+#[derive(Default)]
+struct FlightState {
+    claimed: BTreeSet<String>,
+    /// Jobs waiting for a claim to be released.
+    waiting: usize,
+}
+
+/// A claimed address, released when dropped.
+struct Flight<'a> {
+    flights: &'a Flights,
+    addr: String,
+}
+
+impl Flights {
+    fn state(&self) -> MutexGuard<'_, FlightState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims `req`'s seed-free address when neither of its addresses is
+    /// claimed. Otherwise waits, up to `deadline`, until a claim is
+    /// released, and returns `None`.
+    fn claim(&self, req: &ValidRequest, deadline: Instant) -> Option<Flight<'_>> {
+        let mut st = self.state();
+        if !st.claimed.contains(&req.fingerprint)
+            && st.claimed.insert(req.seed_free_fingerprint.clone())
+        {
+            return Some(Flight {
+                flights: self,
+                addr: req.seed_free_fingerprint.clone(),
+            });
+        }
+        st.waiting += 1;
+        let wait = deadline.saturating_duration_since(Instant::now());
+        let (mut st, _) = self
+            .released
+            .wait_timeout(st, wait)
+            .unwrap_or_else(PoisonError::into_inner);
+        st.waiting -= 1;
+        None
+    }
+
+    fn release(&self, addr: &str) {
+        self.state().claimed.remove(addr);
+        self.released.notify_all();
+    }
+}
+
+impl Flight<'_> {
+    /// Moves the claim to `addr`.
+    fn move_to(&mut self, addr: &str) {
+        self.flights.state().claimed.insert(addr.to_string());
+        self.flights
+            .release(&std::mem::replace(&mut self.addr, addr.to_string()));
+    }
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        self.flights.release(&self.addr);
+    }
 }
 
 /// Everything the connection threads and workers share.
@@ -98,6 +183,7 @@ struct Shared {
     breaker: CircuitBreaker,
     stats: ServeStats,
     queue: BoundedQueue<Job>,
+    flights: Flights,
     workers: usize,
 }
 
@@ -129,41 +215,31 @@ impl Shared {
     /// record a seeded or older daemon wrote), then under its seed-free
     /// one. Counts the hit.
     fn cached(&self, req: &ValidRequest) -> Option<String> {
-        let rec = match self.cache.get(&req.fingerprint) {
-            Some(rec) => rec,
+        let cached = match self.cache.get(&req.fingerprint) {
+            Some(cached) => cached,
             None => {
-                let rec = self.cache.get(&req.seed_free_fingerprint)?;
+                let cached = self.cache.get(&req.seed_free_fingerprint)?;
                 bump(&self.stats.seed_free_hits);
-                rec
+                cached
             }
         };
         bump(&self.stats.cache_hits);
-        Some(self.render_cached(&rec, req))
+        Some(render_cached(&cached, req))
     }
+}
 
-    /// `req`'s `ok` response from a cache record, under the request's own
-    /// fingerprint and label, so it is byte-identical to a cold answer
-    /// whichever address the record sits at.
-    fn render_cached(&self, rec: &barre_system::JournalRecord, req: &ValidRequest) -> String {
-        let id = req.id.as_deref();
-        match &rec.event {
-            JournalEvent::Done {
-                digest,
-                hist_digest,
-                metrics,
-                ..
-            } => render_ok(
-                id,
-                &req.fingerprint,
-                &req.label,
-                digest,
-                hist_digest.as_deref().unwrap_or(""),
-                &barre_system::metrics_to_json(metrics),
-            ),
-            // Unreachable for cache records; answer something sane.
-            _ => render_reject(id, "error", 500, "cache record shape"),
-        }
-    }
+/// `req`'s `ok` response from a cache record, under the request's own
+/// fingerprint and label, so it is byte-identical to a cold answer
+/// whichever address the record sits at.
+fn render_cached(cached: &Cached, req: &ValidRequest) -> String {
+    render_ok(
+        req.id.as_deref(),
+        &req.fingerprint,
+        &req.label,
+        &cached.digest,
+        &cached.hist_digest,
+        &cached.metrics,
+    )
 }
 
 impl Service for Shared {
@@ -188,10 +264,12 @@ impl Service for Shared {
 }
 
 /// Runs one admitted job to a terminal response: cache re-check, breaker
-/// re-check, then one simulation under the request deadline. Failures
-/// answer exactly as a `barre run --metrics-json` child's exit would
-/// have: a permanent [`SimError`] is a 422 (`exit:64`), a transient one
-/// a 500 (`exit:65`), and a panic a 500 (`exit:101`).
+/// re-check, a claim on its cache address (waiting, and looking in the
+/// cache again, while another job simulates what may be its answer),
+/// then one simulation under the request deadline. Failures answer
+/// exactly as a `barre run --metrics-json` child's exit would have: a
+/// permanent [`SimError`] is a 422 (`exit:64`), a transient one a 500
+/// (`exit:65`), and a panic a 500 (`exit:101`).
 fn execute_job(sh: &Shared, job: &Job) -> String {
     let req = &job.req;
     let id = req.id.as_deref();
@@ -215,16 +293,34 @@ fn execute_job(sh: &Shared, job: &Job) -> String {
         .map(Duration::from_millis)
         .unwrap_or(sh.opts.timeout);
     let deadline = job.enqueued + budget;
-    let started = Instant::now();
-    if started >= deadline {
-        bump(&sh.stats.timeouts);
-        sh.breaker.record_failure(fp);
-        return render_reject(id, "timeout", 504, "deadline exceeded");
+    let mut flight = loop {
+        if Instant::now() >= deadline {
+            bump(&sh.stats.timeouts);
+            sh.breaker.record_failure(fp);
+            return render_reject(id, "timeout", 504, "deadline exceeded");
+        }
+        if let Some(flight) = sh.flights.claim(req, deadline) {
+            break flight;
+        }
+    };
+    // A flight may have landed since the look above, or while this job
+    // waited for it.
+    if let Some(resp) = sh.cached(req) {
+        return resp;
     }
-    let outcome = catch_unwind(AssertUnwindSafe(|| (sh.simulate)(&req.run, deadline)));
+    let started = Instant::now();
+    let mut seed_free = false;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        (sh.simulate)(&req.run, deadline, &mut |free| {
+            seed_free = free;
+            if !free {
+                flight.move_to(fp);
+            }
+        })
+    }));
     sh.stats.record_simulate(started.elapsed());
     let why = match outcome {
-        Ok(Ok((metrics, seed_free))) => {
+        Ok(Ok(metrics)) => {
             sh.breaker.record_success(fp);
             bump(&sh.stats.ok_cold);
             // One record per result: a seed-free run serves every seed
@@ -234,8 +330,8 @@ fn execute_job(sh: &Shared, job: &Job) -> String {
             } else {
                 fp
             };
-            let rec = sh.cache.insert(key, &req.label, metrics);
-            return sh.render_cached(&rec, req);
+            let cached = sh.cache.insert(key, &req.label, metrics);
+            return render_cached(&cached, req);
         }
         Ok(Err(SimError::Cancelled { .. })) => {
             bump(&sh.stats.timeouts);
@@ -405,6 +501,7 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
         breaker: CircuitBreaker::new(opts.breaker_threshold),
         stats: ServeStats::new(),
         queue: BoundedQueue::new(opts.queue_cap),
+        flights: Flights::default(),
         workers,
     });
     let mut worker_handles = Vec::with_capacity(workers);
@@ -452,36 +549,57 @@ pub fn run_serve(opts: &ServeOptions) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     /// A simulation that panics on seed 13, fails permanently on seed
     /// 15, and otherwise returns at once.
-    fn scripted(run: &Run, _deadline: Instant) -> Result<(RunMetrics, bool), SimError> {
+    fn scripted(
+        run: &Run,
+        _deadline: Instant,
+        _built: &mut dyn FnMut(bool),
+    ) -> Result<RunMetrics, SimError> {
         match run.seed {
             13 => panic!("injected simulation panic"),
             15 => Err(SimError::InvalidConfig("injected\nsecond line".into())),
-            _ => Ok((RunMetrics::default(), false)),
+            _ => Ok(RunMetrics::default()),
         }
     }
 
-    #[test]
-    fn a_panicking_simulation_is_a_500_and_the_worker_survives() {
-        let dir = std::env::temp_dir().join(format!("barre-serve-panic-{}", std::process::id()));
+    /// A daemon's shared state over a fresh cache named `tag`, with
+    /// `workers` worker threads running.
+    fn daemon(
+        tag: &str,
+        simulate: Simulate,
+        workers: usize,
+    ) -> (Arc<Shared>, Vec<std::thread::JoinHandle<()>>, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("barre-serve-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (cache, _) = ResultCache::open(&dir).expect("cache");
         let sh = Arc::new(Shared {
             opts: ServeOptions::default(),
-            simulate: scripted,
+            simulate,
             cache,
             breaker: CircuitBreaker::new(2),
             stats: ServeStats::new(),
             queue: BoundedQueue::new(4),
-            workers: 1,
+            flights: Flights::default(),
+            workers,
         });
-        let worker = {
-            let sh = Arc::clone(&sh);
-            std::thread::spawn(move || worker_loop(&sh))
-        };
+        let handles = (0..workers)
+            .map(|_| {
+                let sh = Arc::clone(&sh);
+                std::thread::spawn(move || worker_loop(&sh))
+            })
+            .collect();
+        (sh, handles, dir)
+    }
+
+    #[test]
+    fn a_panicking_simulation_is_a_500_and_the_worker_survives() {
+        let (sh, mut workers, dir) = daemon("panic", scripted, 1);
+        let worker = workers.remove(0);
         let bad = r#"{"app":"gemv","smoke":true,"seed":13}"#;
         let fp = parse_request(bad).expect("valid").fingerprint;
         // Each request panics once, unretried, and fails as a child that
@@ -508,6 +626,116 @@ mod tests {
         assert_eq!(sh.stats.failed_permanent.load(Ordering::Relaxed), 1);
         sh.queue.close();
         assert!(worker.join().is_ok(), "the worker thread died");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Simulations [`gated`] has started.
+    static GATED_RUNS: AtomicUsize = AtomicUsize::new(0);
+    /// Whether a started [`gated`] simulation may finish.
+    static GATE_OPEN: AtomicBool = AtomicBool::new(false);
+
+    /// A seed-free simulation (gups reads its seed, every other app does
+    /// not) that holds until the gate opens.
+    fn gated(
+        run: &Run,
+        _deadline: Instant,
+        built: &mut dyn FnMut(bool),
+    ) -> Result<RunMetrics, SimError> {
+        let seed_free = run
+            .specs
+            .iter()
+            .all(|s| s.app != barre_workloads::AppId::Gups);
+        built(seed_free);
+        GATED_RUNS.fetch_add(1, Ordering::SeqCst);
+        while !GATE_OPEN.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Ok(RunMetrics {
+            total_cycles: if seed_free { 1000 } else { run.seed },
+            ..RunMetrics::default()
+        })
+    }
+
+    /// Polls `done` for up to ten seconds.
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let until = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < until, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Sends `a`, and `b` once `a`'s simulation has started; opens the
+    /// gate once `b` either waits for a claim (`b_waits`) or has started
+    /// its own simulation. Returns both responses.
+    fn race(sh: &Arc<Shared>, a: &'static str, b: &'static str, b_waits: bool) -> (String, String) {
+        GATE_OPEN.store(false, Ordering::SeqCst);
+        let runs = GATED_RUNS.load(Ordering::SeqCst);
+        let send = |line: &'static str| {
+            let sh = Arc::clone(sh);
+            std::thread::spawn(move || handle_request_line(&sh, line))
+        };
+        let ta = send(a);
+        wait_for("a's simulation", || {
+            GATED_RUNS.load(Ordering::SeqCst) == runs + 1
+        });
+        let tb = send(b);
+        if b_waits {
+            wait_for("b to wait", || sh.flights.state().waiting == 1);
+        } else {
+            wait_for("b's simulation", || {
+                GATED_RUNS.load(Ordering::SeqCst) == runs + 2
+            });
+        }
+        GATE_OPEN.store(true, Ordering::SeqCst);
+        (ta.join().expect("a"), tb.join().expect("b"))
+    }
+
+    #[test]
+    fn one_simulation_per_cache_address_in_flight() {
+        let (sh, workers, dir) = daemon("flight", gated, 2);
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        // The same request twice: the second waits and answers from the
+        // record the first inserted, byte for byte.
+        let same = r#"{"app":"gemv","smoke":true,"seed":1}"#;
+        let (a, b) = race(&sh, same, same, true);
+        assert!(a.starts_with("{\"status\":\"ok\""), "{a}");
+        assert_eq!(a, b);
+        assert_eq!(GATED_RUNS.load(Ordering::SeqCst), 1);
+        // Two seeds of a seed-free run share its one simulation; the
+        // second answers as a seed-free hit, as it would had it come
+        // after the first.
+        let two = r#"{"app":"lu","smoke":true,"seed":2}"#;
+        let (a, b) = race(&sh, r#"{"app":"lu","smoke":true,"seed":1}"#, two, true);
+        assert_eq!(GATED_RUNS.load(Ordering::SeqCst), 2);
+        assert!(a.starts_with("{\"status\":\"ok\""), "{a}");
+        assert_eq!(b, handle_request_line(&sh, two));
+        // Two cold runs; three hits (the two waiters and the repeat of
+        // `two`), all from seed-free records, gemv's included.
+        assert_eq!(
+            (
+                count(&sh.stats.ok_cold),
+                count(&sh.stats.cache_hits),
+                count(&sh.stats.seed_free_hits)
+            ),
+            (2, 3, 3)
+        );
+        // Two seeds of a run that reads its seed simulate side by side:
+        // the first moves its claim to its exact address once built.
+        let (a, b) = race(
+            &sh,
+            r#"{"app":"gups","smoke":true,"seed":1}"#,
+            r#"{"app":"gups","smoke":true,"seed":2}"#,
+            false,
+        );
+        assert_eq!(GATED_RUNS.load(Ordering::SeqCst), 4);
+        assert_ne!(a, b);
+        assert_eq!(count(&sh.stats.ok_cold), 4);
+        assert!(sh.flights.state().claimed.is_empty());
+        sh.queue.close();
+        for w in workers {
+            assert!(w.join().is_ok(), "a worker thread died");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

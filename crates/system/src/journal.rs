@@ -17,6 +17,7 @@
 //! and escaper in [`barre_trace::json`], re-exported here.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -109,7 +110,11 @@ impl From<std::io::Error> for JournalError {
 /// 64-bit FNV-1a over `bytes` — the journal's stable, dependency-free
 /// hash for job fingerprints and metrics digests.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv_feed(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+fn fnv_feed(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -140,27 +145,53 @@ pub fn metrics_digest(m: &RunMetrics) -> String {
 /// even if scalar counters differ — the signal `barre report` uses to
 /// spot drift between sweep shards.
 pub fn metrics_hist_digest(m: &RunMetrics) -> String {
-    let evidence = format!(
-        "{}|{}",
-        histogram_to_json(&m.ats_latency),
-        histogram_to_json(&m.vpn_gap)
-    );
-    format!("{:016x}", fnv64(evidence.as_bytes()))
+    metrics_text_digests(&metrics_to_json(m)).1
+}
+
+/// `(digest, hist_digest)` of a metrics JSON text, taken over the text
+/// itself: the metrics digest over all of it, the hist digest over its
+/// `"ats_latency"` and `"vpn_gap"` values joined by `|`. For the text
+/// [`metrics_to_json`] renders of `m` they equal [`metrics_digest`] and
+/// [`metrics_hist_digest`] of `m`, with nothing encoded again.
+pub fn metrics_text_digests(metrics_json: &str) -> (String, String) {
+    // A histogram's JSON is a flat object: its value ends at the first `}`.
+    let value = |key: &str| {
+        let at = metrics_json
+            .find(key)
+            .map_or(metrics_json.len(), |i| i + key.len());
+        let rest = metrics_json.get(at..).unwrap_or_default();
+        rest.find('}')
+            .and_then(|end| rest.get(..=end))
+            .unwrap_or_default()
+    };
+    let ats = fnv_feed(fnv64(value(",\"ats_latency\":").as_bytes()), b"|");
+    let hist = fnv_feed(ats, value(",\"vpn_gap\":").as_bytes());
+    (
+        format!("{:016x}", fnv64(metrics_json.as_bytes())),
+        format!("{hist:016x}"),
+    )
 }
 
 // ---------------------------------------------------------------------------
 // RunMetrics <-> JSON
 // ---------------------------------------------------------------------------
 
-fn histogram_to_json(h: &Histogram) -> String {
-    let buckets: Vec<String> = h.raw_buckets().iter().map(u64::to_string).collect();
-    format!(
-        "{{\"buckets\":[{}],\"count\":{},\"sum\":{},\"max\":{}}}",
-        buckets.join(","),
+/// Appends `h`'s canonical JSON to `out`.
+fn write_histogram(out: &mut String, h: &Histogram) {
+    out.push_str("{\"buckets\":[");
+    for (i, b) in h.raw_buckets().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{b}");
+    }
+    let _ = write!(
+        out,
+        "],\"count\":{},\"sum\":{},\"max\":{}}}",
         h.count(),
         h.sum(),
         h.max()
-    )
+    );
 }
 
 fn histogram_from_json(v: &Json) -> Result<Histogram, String> {
@@ -241,15 +272,14 @@ pub fn metrics_to_json(m: &RunMetrics) -> String {
     s.push('{');
     macro_rules! emit {
         ($m:ident, $field:ident) => {
-            s.push_str(&format!("\"{}\":{},", stringify!($field), $m.$field));
+            let _ = write!(s, concat!("\"", stringify!($field), "\":{},"), $m.$field);
         };
     }
     metrics_u64_fields!(m, emit);
-    s.push_str(&format!(
-        "\"ats_latency\":{},",
-        histogram_to_json(&m.ats_latency)
-    ));
-    s.push_str(&format!("\"vpn_gap\":{}", histogram_to_json(&m.vpn_gap)));
+    s.push_str("\"ats_latency\":");
+    write_histogram(&mut s, &m.ats_latency);
+    s.push_str(",\"vpn_gap\":");
+    write_histogram(&mut s, &m.vpn_gap);
     s.push('}');
     s
 }
@@ -428,14 +458,15 @@ impl JournalRecord {
         worker: Option<String>,
         metrics: Box<RunMetrics>,
     ) -> JournalRecord {
+        let (digest, hist_digest) = metrics_text_digests(&metrics_to_json(&metrics));
         JournalRecord {
             fingerprint: fingerprint.to_string(),
             label: label.to_string(),
             event: JournalEvent::Done {
                 attempts,
                 exit: "ok".to_string(),
-                digest: metrics_digest(&metrics),
-                hist_digest: Some(metrics_hist_digest(&metrics)),
+                digest,
+                hist_digest: Some(hist_digest),
                 worker,
                 metrics,
             },
@@ -454,10 +485,8 @@ impl JournalRecord {
                 metrics,
                 ..
             } => {
-                *digest == metrics_digest(metrics)
-                    && hist_digest
-                        .as_ref()
-                        .is_none_or(|h| *h == metrics_hist_digest(metrics))
+                let (want, want_hist) = metrics_text_digests(&metrics_to_json(metrics));
+                *digest == want && hist_digest.as_ref().is_none_or(|h| *h == want_hist)
             }
             _ => false,
         }
@@ -481,22 +510,15 @@ impl JournalRecord {
                 hist_digest,
                 worker,
                 metrics,
-            } => {
-                let hist = match hist_digest {
-                    Some(h) => format!(",\"hist_digest\":{}", json_escape(h)),
-                    None => String::new(),
-                };
-                let who = match worker {
-                    Some(w) => format!(",\"worker\":{}", json_escape(w)),
-                    None => String::new(),
-                };
-                format!(
-                    "{{\"event\":\"done\",{head},\"attempts\":{attempts},\"exit\":{},\"digest\":{}{hist}{who},\"metrics\":{}}}",
-                    json_escape(exit),
-                    json_escape(digest),
-                    metrics_to_json(metrics)
-                )
-            }
+            } => done_line(
+                &head,
+                *attempts,
+                exit,
+                digest,
+                hist_digest.as_deref(),
+                worker.as_deref(),
+                &metrics_to_json(metrics),
+            ),
             JournalEvent::Failed {
                 attempts,
                 exit,
@@ -605,6 +627,140 @@ impl JournalRecord {
             label,
             event,
         })
+    }
+}
+
+/// The line of a `done` record: the one layout [`JournalRecord::to_line`]
+/// and [`DoneLine::to_line`] write. `head` holds the fingerprint and
+/// label members.
+fn done_line(
+    head: &str,
+    attempts: u32,
+    exit: &str,
+    digest: &str,
+    hist_digest: Option<&str>,
+    worker: Option<&str>,
+    metrics_json: &str,
+) -> String {
+    let mut s = String::with_capacity(metrics_json.len() + head.len() + 128);
+    let _ = write!(
+        s,
+        "{{\"event\":\"done\",{head},\"attempts\":{attempts},\"exit\":{},\"digest\":{}",
+        json_escape(exit),
+        json_escape(digest)
+    );
+    if let Some(h) = hist_digest {
+        let _ = write!(s, ",\"hist_digest\":{}", json_escape(h));
+    }
+    if let Some(w) = worker {
+        let _ = write!(s, ",\"worker\":{}", json_escape(w));
+    }
+    s.push_str(",\"metrics\":");
+    s.push_str(metrics_json);
+    s.push('}');
+    s
+}
+
+/// A `done` line read in place, its fields borrowed from the line: the
+/// record a reader can check and serve without decoding its metrics.
+///
+/// [`DoneLine::parse`] accepts only the exact layout
+/// [`JournalRecord::to_line`] writes for a record with a `hist_digest`
+/// and no `worker`, with no escape sequence in any string; it declines
+/// every other line, which the caller then decodes with
+/// [`JournalRecord::from_line`]. [`DoneLine::verified`] hashes the
+/// line's own metrics text: the digest was taken over the canonical
+/// encoding of the metrics, so a text that matches it is that encoding,
+/// and the record decodes to the same digests and the same
+/// [`metrics_to_json`] text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DoneLine<'a> {
+    /// The record's fingerprint.
+    pub fingerprint: &'a str,
+    /// The record's label.
+    pub label: &'a str,
+    /// Attempts consumed.
+    pub attempts: u32,
+    /// Exit status of the successful attempt.
+    pub exit: &'a str,
+    /// The stored [`metrics_digest`].
+    pub digest: &'a str,
+    /// The stored [`metrics_hist_digest`].
+    pub hist_digest: &'a str,
+    /// The metrics as stored: canonical JSON once [`Self::verified`].
+    pub metrics: &'a str,
+}
+
+/// A JSON string at the start of `s` that holds no escape and no control
+/// character, so its text is its value, and what follows it.
+fn plain_string(s: &str) -> Option<(&str, &str)> {
+    let s = s.strip_prefix('"')?;
+    let end = s.find(|c: char| c == '"' || c == '\\' || c < ' ')?;
+    let rest = s.get(end..)?.strip_prefix('"')?;
+    Some((s.get(..end)?, rest))
+}
+
+/// A `u32` in its shortest decimal spelling at the start of `s`, and
+/// what follows it.
+fn plain_u32(s: &str) -> Option<(u32, &str)> {
+    let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+    let digits = s.get(..end)?;
+    if digits.len() > 1 && digits.starts_with('0') {
+        return None;
+    }
+    Some((digits.parse().ok()?, s.get(end..)?))
+}
+
+impl<'a> DoneLine<'a> {
+    /// Reads `line` in place, or `None` when it is not a `done` line in
+    /// the exact layout [`JournalRecord::to_line`] writes with a
+    /// `hist_digest`, no `worker` and no escaped string. Checks nothing
+    /// inside the metrics text; see [`Self::verified`].
+    pub fn parse(line: &'a str) -> Option<DoneLine<'a>> {
+        let rest = line.strip_prefix("{\"event\":\"done\",\"fingerprint\":")?;
+        let (fingerprint, rest) = plain_string(rest)?;
+        let (label, rest) = plain_string(rest.strip_prefix(",\"label\":")?)?;
+        let (attempts, rest) = plain_u32(rest.strip_prefix(",\"attempts\":")?)?;
+        let (exit, rest) = plain_string(rest.strip_prefix(",\"exit\":")?)?;
+        let (digest, rest) = plain_string(rest.strip_prefix(",\"digest\":")?)?;
+        let (hist_digest, rest) = plain_string(rest.strip_prefix(",\"hist_digest\":")?)?;
+        let metrics = rest.strip_prefix(",\"metrics\":")?.strip_suffix('}')?;
+        Some(DoneLine {
+            fingerprint,
+            label,
+            attempts,
+            exit,
+            digest,
+            hist_digest,
+            metrics,
+        })
+    }
+
+    /// Whether the stored digests match [`metrics_text_digests`] of the
+    /// stored metrics text, the check [`JournalRecord::verified`] makes
+    /// after a decode.
+    pub fn verified(&self) -> bool {
+        let (digest, hist_digest) = metrics_text_digests(self.metrics);
+        self.digest == digest && self.hist_digest == hist_digest
+    }
+
+    /// Renders the line; [`Self::parse`] of a line it rendered gives back
+    /// the same fields whenever no string needed an escape.
+    pub fn to_line(&self) -> String {
+        let head = format!(
+            "\"fingerprint\":{},\"label\":{}",
+            json_escape(self.fingerprint),
+            json_escape(self.label)
+        );
+        done_line(
+            &head,
+            self.attempts,
+            self.exit,
+            self.digest,
+            Some(self.hist_digest),
+            None,
+            self.metrics,
+        )
     }
 }
 
@@ -811,6 +967,112 @@ mod tests {
         assert_eq!(m, back);
         assert_eq!(json, metrics_to_json(&back), "canonical encoding stable");
         assert_eq!(metrics_digest(&m), metrics_digest(&back));
+    }
+
+    #[test]
+    fn the_digests_hash_the_canonical_text_and_both_histograms() {
+        for m in [busy_metrics(), RunMetrics::default()] {
+            let hist = |h: &Histogram| {
+                let mut s = String::new();
+                write_histogram(&mut s, h);
+                s
+            };
+            let evidence = format!("{}|{}", hist(&m.ats_latency), hist(&m.vpn_gap));
+            assert_eq!(
+                (metrics_digest(&m), metrics_hist_digest(&m)),
+                (
+                    format!("{:016x}", fnv64(metrics_to_json(&m).as_bytes())),
+                    format!("{:016x}", fnv64(evidence.as_bytes()))
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn a_done_line_reads_in_place_and_renders_back() {
+        let rec = JournalRecord::done("f1", "gups/barre", 3, None, Box::new(busy_metrics()));
+        let line = rec.to_line();
+        let view = DoneLine::parse(&line).expect("canonical line");
+        let JournalEvent::Done {
+            digest,
+            hist_digest,
+            metrics,
+            ..
+        } = &rec.event
+        else {
+            panic!("done record");
+        };
+        assert_eq!(
+            (view.fingerprint, view.label, view.attempts, view.exit),
+            ("f1", "gups/barre", 3, "ok")
+        );
+        assert_eq!(view.digest, digest);
+        assert_eq!(Some(view.hist_digest), hist_digest.as_deref());
+        assert_eq!(view.metrics, metrics_to_json(metrics));
+        assert!(view.verified());
+        assert_eq!(view.to_line(), line);
+        // A changed metrics byte or a changed digest fails the check.
+        let bumped = line.replace("\"walks\":42,", "\"walks\":43,");
+        assert!(!DoneLine::parse(&bumped).expect("layout").verified());
+        let other = line.replacen(digest.as_str(), "0000000000000000", 1);
+        assert!(!DoneLine::parse(&other).expect("layout").verified());
+    }
+
+    #[test]
+    fn a_done_line_in_any_other_layout_is_declined() {
+        let m = busy_metrics();
+        let rec = |label: &str, worker: Option<&str>| {
+            JournalRecord::done(
+                "f1",
+                label,
+                1,
+                worker.map(str::to_string),
+                Box::new(m.clone()),
+            )
+        };
+        let plain = rec("a/b", None).to_line();
+        let no_hist = JournalRecord {
+            event: match rec("a/b", None).event {
+                JournalEvent::Done {
+                    hist_digest: _,
+                    attempts,
+                    exit,
+                    digest,
+                    worker,
+                    metrics,
+                } => JournalEvent::Done {
+                    attempts,
+                    exit,
+                    digest,
+                    hist_digest: None,
+                    worker,
+                    metrics,
+                },
+                other => other,
+            },
+            ..rec("a/b", None)
+        }
+        .to_line();
+        for declined in [
+            rec("a/b", Some("w1")).to_line(),
+            rec("a\"b", None).to_line(),
+            rec("a\tb", None).to_line(),
+            no_hist,
+            plain.replace("\"attempts\":1,", "\"attempts\":01,"),
+            plain.replace("\"attempts\":1,", "\"attempts\":4294967296,"),
+            plain.replace("\"attempts\":1,", "\"attempts\":1.0,"),
+            plain.replace("{\"event\":\"done\"", "{ \"event\":\"done\""),
+            format!("{plain} "),
+            JournalRecord {
+                fingerprint: "f1".into(),
+                label: "a/b".into(),
+                event: JournalEvent::Start { attempt: 1 },
+            }
+            .to_line(),
+        ] {
+            assert_eq!(DoneLine::parse(&declined), None, "{declined}");
+        }
+        assert!(DoneLine::parse(&plain).is_some_and(|v| v.verified()));
     }
 
     #[test]

@@ -99,8 +99,10 @@ mod tests {
 
     #[test]
     fn report_renders_structured_lines() {
-        let mut r = SanitizerReport::default();
-        r.epochs_checked = 3;
+        let mut r = SanitizerReport {
+            epochs_checked: 3,
+            ..SanitizerReport::default()
+        };
         r.violations.push(Violation {
             law: "frame-accounting",
             detail: "chiplet 1: allocated 5 + free 2 != capacity 8".to_string(),

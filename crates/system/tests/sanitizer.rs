@@ -72,9 +72,10 @@ fn injected_accounting_bug_trips_with_structured_report() {
 
     // The rendered report is structured: summary header + one
     // bracket-tagged line per violation.
-    let mut report = barre_system::SanitizerReport::default();
-    report.epochs_checked = 1;
-    report.violations = violations;
+    let report = barre_system::SanitizerReport {
+        epochs_checked: 1,
+        violations,
+    };
     let text = report.render();
     assert!(
         text.contains("1 violation(s) over 1 epoch check(s)"),
