@@ -853,7 +853,7 @@ fn run_child_job(labeled: &[LabeledJob], index: usize) -> i32 {
             "error: --job-index {index} out of range ({} jobs)",
             labeled.len()
         );
-        return supervisor::EXIT_USAGE;
+        return barre_serve::attempt::EXIT_USAGE;
     };
     child_test_hooks(index);
     match l.run.simulate() {
@@ -917,82 +917,26 @@ fn collect_metrics(
         }
         return Ok(out);
     };
-    let run = match supervisor::run_supervised(labeled, threads, sup) {
-        Ok(r) => r,
-        Err(e) => {
-            olog::error("supervisor", "run_failed", &[], &format!("error: {e}"));
-            return Err(1);
-        }
-    };
     let journal = barre_system::journal_file_of(&sup.journal);
-    if run.resumed > 0 {
-        olog::info(
-            "supervisor",
-            "resumed",
-            &[("jobs", Field::U(run.resumed as u64))],
-            &format!(
-                "resumed {} finished job(s) from {}",
-                run.resumed,
-                journal.display()
-            ),
-        );
-    }
-    for f in &run.failures {
-        olog::warn(
-            "supervisor",
-            "job_failed",
-            &[("label", Field::S(&f.label))],
-            &f.to_string(),
-        );
-    }
-    if run.interrupted {
-        olog::warn(
-            "supervisor",
-            "interrupted",
-            &[],
-            &format!(
-                "interrupted: in-flight jobs drained and journaled; rerun with --resume {} to finish",
-                journal.display()
-            ),
-        );
-        return Err(supervisor::interrupt_exit_code());
-    }
-    if !run.failures.is_empty() {
-        olog::error(
-            "supervisor",
-            "jobs_failed",
-            &[
-                ("failed", Field::U(run.failures.len() as u64)),
-                ("total", Field::U(labeled.len() as u64)),
-            ],
-            &format!(
-                "{} of {} job(s) failed; the rest completed and are journaled in {}",
-                run.failures.len(),
-                labeled.len(),
-                journal.display()
-            ),
-        );
-        return Err(1);
-    }
-    let metrics: Vec<RunMetrics> = run.results.into_iter().flatten().collect();
-    if metrics.len() != labeled.len() {
-        eprintln!(
-            "error: supervisor returned {} of {} results",
-            metrics.len(),
-            labeled.len()
-        );
-        return Err(1);
-    }
-    Ok(metrics)
+    report_sweep(
+        "supervisor",
+        labeled,
+        &sup.child_args,
+        supervisor::run_supervised(labeled, threads, sup).map_err(|e| e.to_string()),
+        &journal,
+        &format!(
+            "interrupted: in-flight jobs drained and journaled; rerun with --resume {} to finish",
+            journal.display()
+        ),
+    )
 }
 
 /// Runs a labeled job list through a remote `barre queue` coordinator,
 /// returning one [`RunMetrics`] per job in input order. The counterpart
-/// of [`collect_metrics`]'s supervised path: failures and poison
-/// verdicts go to stderr in the supervisor's format, stdout stays
-/// byte-identical to a local run.
+/// of [`collect_metrics`]'s supervised path, reported the same way:
+/// stdout stays byte-identical to a local run.
 fn collect_dispatched(labeled: &[LabeledJob], d: &DispatchOpts) -> Result<Vec<RunMetrics>, i32> {
-    supervisor::install_drain_handlers();
+    barre_serve::signal::install_drain_handlers();
     let jobs: Vec<barre_serve::jobq::JobSpec> = labeled
         .iter()
         .enumerate()
@@ -1011,42 +955,64 @@ fn collect_dispatched(labeled: &[LabeledJob], d: &DispatchOpts) -> Result<Vec<Ru
         })
         .collect();
     let journal = barre_system::journal_file_of(&d.journal);
-    let outcome = match barre_serve::jobq::dispatch_sweep(&d.addr, &jobs, &journal) {
-        Ok(o) => o,
-        Err(e) => {
-            olog::error("dispatch", "sweep_failed", &[], &format!("error: {e}"));
-            return Err(1);
-        }
-    };
-    if outcome.interrupted {
-        return Err(supervisor::interrupt_exit_code());
-    }
+    report_sweep(
+        "dispatch",
+        labeled,
+        &d.child_args,
+        barre_serve::jobq::dispatch_sweep(&d.addr, &jobs, &journal),
+        &journal,
+        &format!(
+            "dispatch: interrupted; jobs stay queued — rerun with --dispatch {} to resume",
+            d.addr
+        ),
+    )
+}
+
+/// Reports a crash-isolated sweep under its log `component`
+/// (`supervisor` or `dispatch`): folds the terminal record of each job
+/// (`None` for a job that did not finish) and returns the metrics in job
+/// order once every job is done. Otherwise each failure, then the
+/// `interrupted` hint or a summary naming `journal`, goes to stderr and
+/// `Err` carries the exit code: 128 + signal after a drain, else 1.
+fn report_sweep(
+    component: &str,
+    labeled: &[LabeledJob],
+    child_args: &[String],
+    records: Result<Vec<Option<barre_system::JournalRecord>>, String>,
+    journal: &std::path::Path,
+    interrupted: &str,
+) -> Result<Vec<RunMetrics>, i32> {
+    let fps: Vec<String> = labeled
+        .iter()
+        .enumerate()
+        .map(|(i, l)| supervisor::job_fingerprint(child_args, i, l))
+        .collect();
+    let outcome = records
+        .and_then(|r| barre_system::fold_terminal(&fps, r))
+        .map_err(|e| {
+            olog::error(component, "sweep_failed", &[], &format!("error: {e}"));
+            1
+        })?;
     for f in &outcome.failures {
-        if f.quarantined {
-            olog::warn(
-                "dispatch",
-                "job_quarantined",
-                &[("label", Field::S(&f.label))],
-                &format!(
-                    "POISON {} quarantined after {} lease(s): {}",
-                    f.label, f.attempts, f.exit
-                ),
-            );
+        let event = if f.quarantined {
+            "job_quarantined"
         } else {
-            olog::warn(
-                "dispatch",
-                "job_failed",
-                &[("label", Field::S(&f.label))],
-                &format!(
-                    "FAILED {} after {} attempt(s): {}",
-                    f.label, f.attempts, f.exit
-                ),
-            );
-        }
+            "job_failed"
+        };
+        olog::warn(
+            component,
+            event,
+            &[("label", Field::S(&f.label))],
+            &f.to_string(),
+        );
+    }
+    if outcome.unfinished > 0 {
+        olog::warn(component, "interrupted", &[], interrupted);
+        return Err(barre_serve::signal::drain_exit_code());
     }
     if !outcome.failures.is_empty() {
         olog::error(
-            "dispatch",
+            component,
             "jobs_failed",
             &[
                 ("failed", Field::U(outcome.failures.len() as u64)),
@@ -1061,21 +1027,7 @@ fn collect_dispatched(labeled: &[LabeledJob], d: &DispatchOpts) -> Result<Vec<Ru
         );
         return Err(1);
     }
-    let metrics: Vec<RunMetrics> = outcome.results.into_iter().flatten().collect();
-    if metrics.len() != labeled.len() {
-        olog::error(
-            "dispatch",
-            "results_incomplete",
-            &[],
-            &format!(
-                "error: coordinator returned {} of {} results",
-                metrics.len(),
-                labeled.len()
-            ),
-        );
-        return Err(1);
-    }
-    Ok(metrics)
+    Ok(outcome.results.into_iter().flatten().collect())
 }
 
 /// Renders the sweep speedup table. One shared renderer keeps inline,
@@ -1140,11 +1092,16 @@ fn render_chaos(rates: &[f64], metrics: &[RunMetrics]) -> String {
 
 /// `barre merge`: folds shard journals (directories or `.jsonl` files)
 /// and `BENCH_sweep.json` fragments (`.json` files) into one output
-/// directory, refusing to merge shards whose completed runs disagree.
+/// directory, refusing to merge shards whose completed runs disagree and
+/// dropping `done` records that fail [`barre_system::JournalRecord::verified`].
 fn run_merge(out: &std::path::Path, inputs: &[std::path::PathBuf]) -> i32 {
     let mut journal_shards: Vec<Vec<barre_system::JournalRecord>> = Vec::new();
     let mut bench_docs: Vec<String> = Vec::new();
     let mut skipped_total = 0usize;
+    let mut unverified_total = 0usize;
+    let unverified_done = |r: &barre_system::JournalRecord| {
+        matches!(r.event, barre_system::JournalEvent::Done { .. }) && !r.verified()
+    };
     for p in inputs {
         if p.extension().is_some_and(|e| e == "json") {
             match std::fs::read_to_string(p) {
@@ -1158,7 +1115,8 @@ fn run_merge(out: &std::path::Path, inputs: &[std::path::PathBuf]) -> i32 {
             let path = barre_system::journal_file_of(p);
             // Lenient read: a shard that survived a crash may carry torn
             // or corrupt lines anywhere, not just at the tail. Skipped
-            // lines are surfaced, never silently dropped.
+            // lines are surfaced, never silently dropped; so are `done`
+            // records whose digests fail to verify.
             match barre_system::read_journal_lenient(&path) {
                 Ok((recs, skipped)) => {
                     if skipped > 0 {
@@ -1167,6 +1125,14 @@ fn run_merge(out: &std::path::Path, inputs: &[std::path::PathBuf]) -> i32 {
                             path.display()
                         );
                         skipped_total = skipped_total.saturating_add(skipped);
+                    }
+                    let unverified = recs.iter().filter(|r| unverified_done(r)).count();
+                    if unverified > 0 {
+                        eprintln!(
+                            "warning: {}: dropped {unverified} done record(s) that fail digest verification",
+                            path.display()
+                        );
+                        unverified_total += unverified;
                     }
                     journal_shards.push(recs);
                 }
@@ -1196,7 +1162,16 @@ fn run_merge(out: &std::path::Path, inputs: &[std::path::PathBuf]) -> i32 {
         }
     }
     if !journal_shards.is_empty() {
-        let mut merged = match barre_system::merge_journals(&journal_shards) {
+        // Stored digests that disagree are a conflict whether or not
+        // they verify; only then are the unverified records dropped.
+        let mut merged = barre_system::merge_journals(&journal_shards);
+        if unverified_total > 0 && merged.is_ok() {
+            for shard in &mut journal_shards {
+                shard.retain(|r| !unverified_done(r));
+            }
+            merged = barre_system::merge_journals(&journal_shards);
+        }
+        let mut merged = match merged {
             Ok(m) => m,
             Err(e) => {
                 eprintln!("error: {e}");

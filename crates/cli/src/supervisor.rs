@@ -14,50 +14,23 @@
 //! child exit `EXIT_PERMANENT`) are reported immediately without
 //! burning retries.
 //!
-//! The attempt machinery (child spawn/kill/classify, deterministic
-//! backoff) and the drain-signal handler are shared with the `barre
-//! serve` daemon and live in [`barre_serve::attempt`] and
-//! [`barre_serve::signal`]; this module re-exports them under their
-//! historical names.
+//! The attempt machinery (child spawn/kill, the attempt's verdict,
+//! deterministic backoff) and the drain-signal handler are shared with
+//! `barre worker` and the `barre serve` daemon; they live in
+//! [`barre_serve::attempt`] and [`barre_serve::signal`].
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use barre_serve::attempt::{parse_child_metrics, run_attempt, Attempt};
-use barre_serve::signal::sleep_interruptible;
+use barre_obs::log as olog;
+use barre_obs::Field;
+use barre_serve::attempt::{backoff_delay, run_attempt, Attempt};
+use barre_serve::signal::{install_drain_handlers, shutting_down, sleep_interruptible, SHUTDOWN};
 use barre_system::journal::{
-    completed_index, fingerprint, journal_file_of, read_journal, JournalError, JournalEvent,
+    fingerprint, journal_file_of, read_journal, verified_done_index, JournalError, JournalEvent,
     JournalRecord, JournalWriter,
 };
-use barre_system::{LabeledJob, RunMetrics};
-
-/// Set once a drain signal (SIGINT or SIGTERM) lands; checked between
-/// job dispatches and during backoff sleeps. Once set, no new children
-/// are spawned — in-flight jobs finish and their results are journaled
-/// before the supervisor exits with [`interrupt_exit_code`].
-pub use barre_serve::signal::SHUTDOWN as INTERRUPTED;
-
-/// Installs the SIGINT/SIGTERM drain handlers (the first signal drains;
-/// the default disposition is not restored, so the journal always stays
-/// consistent).
-pub use barre_serve::signal::install_drain_handlers;
-
-/// The supervisor's retry backoff and child usage exit code, shared with
-/// the daemon.
-pub use barre_serve::attempt::{backoff_delay, EXIT_USAGE};
-
-/// Process exit code after a graceful SIGINT drain (128 + SIGINT). Kept
-/// for callers that pinned the historical constant; prefer
-/// [`interrupt_exit_code`], which reports 143 after a SIGTERM drain.
-pub const EXIT_INTERRUPTED: i32 = 130;
-
-/// Exit code for the drain that just happened: 128 + the signal number
-/// (130 for SIGINT, 143 for SIGTERM), following shell convention so
-/// callers can tell which signal ended the campaign.
-pub fn interrupt_exit_code() -> i32 {
-    barre_serve::signal::drain_exit_code()
-}
+use barre_system::LabeledJob;
 
 /// Raises SIGKILL on the current process — the crash hook the
 /// kill-and-resume integration test uses to simulate a hard child death.
@@ -98,49 +71,6 @@ pub struct SuperviseOpts {
     pub child_args: Vec<String>,
 }
 
-/// One job's labeled failure, reported after the rest of the sweep has
-/// still run to completion.
-#[derive(Debug, Clone)]
-pub struct JobFailure {
-    /// Index into the sweep's job list.
-    pub index: usize,
-    /// Human label (`"gups/fbarre"`).
-    pub label: String,
-    /// Last attempt's exit status (`"exit:65"`, `"signal:9"`, `"timeout"`).
-    pub exit: String,
-    /// Attempts consumed.
-    pub attempts: u32,
-    /// Per-job state-dump file under the journal directory, when written.
-    pub dump: Option<PathBuf>,
-}
-
-impl std::fmt::Display for JobFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "FAILED {} after {} attempt(s): {}",
-            self.label, self.attempts, self.exit
-        )?;
-        if let Some(d) = &self.dump {
-            write!(f, " (state dump: {})", d.display())?;
-        }
-        Ok(())
-    }
-}
-
-/// The supervisor's verdict on a whole sweep.
-#[derive(Debug)]
-pub struct SupervisedRun {
-    /// Per-job metrics, input order. `None` for failed or skipped jobs.
-    pub results: Vec<Option<RunMetrics>>,
-    /// Jobs that exhausted their retries (or failed permanently).
-    pub failures: Vec<JobFailure>,
-    /// Jobs taken from the journal rather than re-run.
-    pub resumed: usize,
-    /// Whether a SIGINT drain cut the campaign short.
-    pub interrupted: bool,
-}
-
 /// The fingerprint identifying `job`, job `index` of a sweep launched
 /// with `child_args`: stable across supervisor and resume invocations,
 /// and across shards launched with the same command line. A job whose
@@ -167,18 +97,10 @@ pub fn worker_identity() -> Option<String> {
         .filter(|s| !s.is_empty())
 }
 
-enum JobOutcome {
-    Done(Box<RunMetrics>),
-    Failed(JobFailure),
-    /// A drain signal arrived before the job reached a terminal state;
-    /// the journal holds no terminal record, so `--resume` reruns it.
-    Skipped,
-}
-
 /// Writes the per-job state dump (captured child output) under the
-/// journal directory, returning its path. Called on terminal failures —
-/// watchdog fires and timeouts land here with the machine-state summary
-/// the child printed to stderr.
+/// journal directory, returning its path for the `failed` record. Called
+/// on terminal failures — watchdog fires and timeouts land here with the
+/// machine-state summary the child printed to stderr.
 fn write_dump(
     dir: &Path,
     index: usize,
@@ -187,18 +109,22 @@ fn write_dump(
     exit: &str,
     attempts: u32,
     a: &Attempt,
-) -> Option<PathBuf> {
+) -> Option<String> {
     let path = dir.join(format!("job-{index:03}-{fp}.dump.txt"));
     let body = format!(
         "job: {label}\nfingerprint: {fp}\nexit: {exit}\nattempts: {attempts}\n\
          --- stdout ---\n{}\n--- stderr ---\n{}\n",
         a.stdout, a.stderr
     );
-    std::fs::write(&path, body).ok().map(|()| path)
+    std::fs::write(&path, body)
+        .ok()
+        .map(|()| path.display().to_string())
 }
 
-/// Runs one job to a terminal state: attempt, classify, retry transient
-/// failures with backoff, journal every transition.
+/// Runs one job to a terminal state: attempt, judge, retry transient
+/// failures with backoff, journal every transition. Returns the terminal
+/// record it journaled, or `None` when a drain signal arrived first (the
+/// journal then holds no terminal record, so `--resume` reruns the job).
 fn supervise_job(
     program: &Path,
     opts: &SuperviseOpts,
@@ -207,15 +133,15 @@ fn supervise_job(
     index: usize,
     label: &str,
     fp: &str,
-) -> Result<JobOutcome, JournalError> {
+) -> Result<Option<JournalRecord>, JournalError> {
     let mut args = opts.child_args.clone();
     args.push("--job-index".to_string());
     args.push(index.to_string());
     let max_attempts = opts.retries.saturating_add(1);
     let mut attempt = 1u32;
     loop {
-        if INTERRUPTED.load(Ordering::SeqCst) {
-            return Ok(JobOutcome::Skipped);
+        if shutting_down() {
+            return Ok(None);
         }
         // Write-ahead: the attempt is journaled before it runs.
         writer.append(&JournalRecord {
@@ -224,88 +150,50 @@ fn supervise_job(
             event: JournalEvent::Start { attempt },
         })?;
         let a = run_attempt(program, &args, opts.timeout);
-        if a.exit == "ok" {
-            match parse_child_metrics(&a.stdout) {
-                Ok(metrics) => {
-                    let metrics = Box::new(metrics);
-                    writer.append(&JournalRecord::done(
-                        fp,
-                        label,
-                        attempt,
-                        worker_identity(),
-                        metrics.clone(),
-                    ))?;
-                    return Ok(JobOutcome::Done(metrics));
-                }
-                Err(why) => {
-                    // A zero exit with unreadable metrics is a protocol
-                    // failure; retry it like any other transient fault.
-                    let exit = format!("badoutput:{why}");
-                    if attempt < max_attempts && !INTERRUPTED.load(Ordering::SeqCst) {
-                        sleep_interruptible(backoff_delay(attempt));
-                        attempt += 1;
-                        continue;
-                    }
-                    let dump = write_dump(dump_dir, index, fp, label, &exit, attempt, &a);
-                    writer.append(&JournalRecord {
-                        fingerprint: fp.to_string(),
-                        label: label.to_string(),
-                        event: JournalEvent::Failed {
-                            attempts: attempt,
-                            exit: exit.clone(),
-                            dump: dump.as_ref().map(|p| p.display().to_string()),
-                        },
-                    })?;
-                    return Ok(JobOutcome::Failed(JobFailure {
-                        index,
-                        label: label.to_string(),
-                        exit,
+        let rec = match a.verdict() {
+            Ok(metrics) => {
+                JournalRecord::done(fp, label, attempt, worker_identity(), Box::new(metrics))
+            }
+            Err(f) if f.transient && attempt < max_attempts && !shutting_down() => {
+                sleep_interruptible(backoff_delay(attempt));
+                attempt += 1;
+                continue;
+            }
+            Err(f) => {
+                let dump = write_dump(dump_dir, index, fp, label, &f.exit, attempt, &a);
+                JournalRecord {
+                    fingerprint: fp.to_string(),
+                    label: label.to_string(),
+                    event: JournalEvent::Failed {
                         attempts: attempt,
+                        exit: f.exit,
                         dump,
-                    }));
+                    },
                 }
             }
-        }
-        if a.transient && attempt < max_attempts && !INTERRUPTED.load(Ordering::SeqCst) {
-            sleep_interruptible(backoff_delay(attempt));
-            attempt += 1;
-            continue;
-        }
-        let dump = write_dump(dump_dir, index, fp, label, &a.exit, attempt, &a);
-        writer.append(&JournalRecord {
-            fingerprint: fp.to_string(),
-            label: label.to_string(),
-            event: JournalEvent::Failed {
-                attempts: attempt,
-                exit: a.exit.clone(),
-                dump: dump.as_ref().map(|p| p.display().to_string()),
-            },
-        })?;
-        return Ok(JobOutcome::Failed(JobFailure {
-            index,
-            label: label.to_string(),
-            exit: a.exit,
-            attempts: attempt,
-            dump,
-        }));
+        };
+        writer.append(&rec)?;
+        return Ok(Some(rec));
     }
 }
 
 /// Runs the sweep's jobs under supervision, fanning children across
-/// `threads` pool workers. Jobs already `done` in the journal (when
-/// `opts.resume`) are replayed from their recorded metrics without
-/// spawning anything.
+/// `threads` pool workers, and returns each job's terminal record in job
+/// order (`None` for a job a drain signal skipped). Under `opts.resume`
+/// a job with a verified `done` record in the journal is replayed from
+/// it without spawning anything; a `done` record that fails its digest
+/// check is rerun.
 ///
 /// # Errors
 ///
 /// [`JournalError`] when the journal cannot be read or written (a
-/// per-job failure is NOT an error — it comes back in
-/// [`SupervisedRun::failures`] while the other jobs keep running).
+/// per-job failure is NOT an error — it comes back as its `failed`
+/// record while the other jobs keep running).
 pub fn run_supervised(
     jobs: &[LabeledJob],
     threads: usize,
     opts: &SuperviseOpts,
-) -> Result<SupervisedRun, JournalError> {
+) -> Result<Vec<Option<JournalRecord>>, JournalError> {
     install_drain_handlers();
     let journal_path = journal_file_of(&opts.journal);
     let dump_dir = journal_path
@@ -313,8 +201,8 @@ pub fn run_supervised(
         .filter(|p| !p.as_os_str().is_empty())
         .map_or_else(|| PathBuf::from("."), Path::to_path_buf);
     std::fs::create_dir_all(&dump_dir)?;
-    let prior = if opts.resume {
-        completed_index(&read_journal(&journal_path)?)
+    let mut prior = if opts.resume {
+        verified_done_index(&read_journal(&journal_path)?).0
     } else {
         Default::default()
     };
@@ -326,24 +214,21 @@ pub fn run_supervised(
         .enumerate()
         .map(|(i, j)| job_fingerprint(&opts.child_args, i, j))
         .collect();
-
-    let mut results: Vec<Option<RunMetrics>> = vec![None; jobs.len()];
-    let mut failures = Vec::new();
-    let mut resumed = 0usize;
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, fp) in fps.iter().enumerate() {
-        match prior.get(fp) {
-            Some(JournalRecord {
-                event: JournalEvent::Done { metrics, .. },
-                ..
-            }) => {
-                results[i] = Some(metrics.as_ref().clone());
-                resumed += 1;
-            }
-            _ => pending.push(i),
-        }
+    let mut records: Vec<Option<JournalRecord>> = fps.iter().map(|fp| prior.remove(fp)).collect();
+    let resumed = records.iter().flatten().count();
+    if resumed > 0 {
+        olog::info(
+            "supervisor",
+            "resumed",
+            &[("jobs", Field::U(resumed as u64))],
+            &format!(
+                "resumed {resumed} finished job(s) from {}",
+                journal_path.display()
+            ),
+        );
     }
 
+    let pending: Vec<usize> = (0..jobs.len()).filter(|&i| records[i].is_none()).collect();
     let closures: Vec<_> = pending
         .iter()
         .map(|&i| {
@@ -352,28 +237,74 @@ pub fn run_supervised(
             move || supervise_job(program, opts, writer, dump_dir, i, label, fp)
         })
         .collect();
-    let outcomes = barre_sim::pool::run_cancellable(closures, threads, &INTERRUPTED)
+    let outcomes = barre_sim::pool::run_cancellable(closures, threads, &SHUTDOWN)
         .map_err(|e| JournalError::Io(e.to_string()))?;
     for (&i, outcome) in pending.iter().zip(outcomes) {
-        match outcome {
-            Some(Ok(JobOutcome::Done(metrics))) => results[i] = Some(*metrics),
-            Some(Ok(JobOutcome::Failed(f))) => failures.push(f),
-            Some(Ok(JobOutcome::Skipped)) | None => {}
-            Some(Err(e)) => return Err(e),
-        }
+        records[i] = outcome.transpose()?.flatten();
     }
-    Ok(SupervisedRun {
-        results,
-        failures,
-        resumed,
-        interrupted: INTERRUPTED.load(Ordering::SeqCst),
-    })
+    Ok(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use barre_system::{TranslationMode, JOURNAL_FILE};
+
+    /// Supervises one `/bin/sh -c <script>` job; returns its terminal
+    /// record and the journal text.
+    #[cfg(unix)]
+    fn supervise_sh(tag: &str, script: &str, retries: u32) -> (Option<JournalRecord>, String) {
+        let dir = std::env::temp_dir().join(format!("barre-sup-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join(JOURNAL_FILE);
+        let opts = SuperviseOpts {
+            journal: path.clone(),
+            resume: false,
+            timeout: Some(Duration::from_secs(10)),
+            retries,
+            child_args: vec!["-c".to_string(), script.to_string()],
+        };
+        let writer = JournalWriter::open(&path).expect("journal");
+        let rec = supervise_job(Path::new("/bin/sh"), &opts, &writer, &dir, 0, "sh", "f0")
+            .expect("supervise");
+        let journal = std::fs::read_to_string(&path).expect("read journal");
+        let _ = std::fs::remove_dir_all(&dir);
+        (rec, journal)
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_permanent_exit_is_not_retried() {
+        let code = barre_system::error::EXIT_PERMANENT;
+        let (rec, journal) = supervise_sh("permanent", &format!("exit {code}"), 3);
+        assert_eq!(journal.matches("\"event\":\"start\"").count(), 1);
+        match rec.map(|r| r.event) {
+            Some(JournalEvent::Failed { attempts, exit, .. }) => {
+                assert_eq!((attempts, exit), (1, format!("exit:{code}")));
+            }
+            other => panic!("expected a failed record, got {other:?}"),
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unreadable_output_is_retried_then_failed_as_badoutput() {
+        let (rec, journal) = supervise_sh("badoutput", "echo garbage", 1);
+        assert_eq!(journal.matches("\"event\":\"start\"").count(), 2);
+        match rec.map(|r| r.event) {
+            Some(JournalEvent::Failed {
+                attempts,
+                exit,
+                dump,
+            }) => {
+                assert_eq!(attempts, 2);
+                assert!(exit.starts_with("badoutput:"), "{exit}");
+                assert!(dump.is_some(), "no state dump");
+            }
+            other => panic!("expected a failed record, got {other:?}"),
+        }
+    }
 
     #[test]
     fn journal_path_resolution() {

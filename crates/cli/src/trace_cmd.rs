@@ -321,7 +321,8 @@ fn render_trace_report(t: &TraceDoc, top: usize) -> String {
     s
 }
 
-/// `barre report` on a sweep journal: one line per completed job. The
+/// `barre report` on a sweep journal: one line per completed job whose
+/// digests verify (the last such record per fingerprint). The
 /// percentile tables need a trace export; journals carry aggregate
 /// metrics only.
 fn report_journal(input: &Path, _doc: &str) -> i32 {
@@ -333,7 +334,7 @@ fn report_journal(input: &Path, _doc: &str) -> i32 {
             return 1;
         }
     };
-    let done = barre_system::completed_index(&records);
+    let (done, _) = barre_system::verified_done_index(&records);
     println!(
         "journal {}: {} record(s), {} job(s) done",
         path.display(),

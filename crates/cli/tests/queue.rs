@@ -60,9 +60,20 @@ fn free_port() -> u16 {
         .port()
 }
 
-/// A spawned daemon (coordinator or worker) with piped output.
+/// A spawned daemon (coordinator or worker) with piped output. Dropped
+/// before it was waited for (a test that panicked), it is killed and
+/// reaped, so no daemon outlives its test.
 struct Daemon {
-    child: Child,
+    child: Option<Child>,
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Some(child) = self.child.as_mut() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
 }
 
 impl Daemon {
@@ -76,13 +87,26 @@ impl Daemon {
             c.env(k, v);
         }
         Daemon {
-            child: c.spawn().expect("spawn daemon"),
+            child: Some(c.spawn().expect("spawn daemon")),
         }
+    }
+
+    fn child(&self) -> &Child {
+        self.child.as_ref().expect("daemon not yet waited for")
+    }
+
+    /// Hands the child over to the caller, who then waits for it.
+    fn take(&mut self) -> Child {
+        self.child.take().expect("daemon not yet waited for")
     }
 
     /// Reads the `listening on <addr>` handshake from stdout.
     fn addr(&mut self) -> String {
-        let out = self.child.stdout.as_mut().expect("piped stdout");
+        let out = self
+            .child
+            .as_mut()
+            .and_then(|c| c.stdout.as_mut())
+            .expect("piped stdout");
         let mut line = String::new();
         BufReader::new(out).read_line(&mut line).expect("handshake");
         line.trim()
@@ -93,27 +117,27 @@ impl Daemon {
 
     fn signal(&self, sig: &str) {
         let _ = Command::new("kill")
-            .args([sig, &self.child.id().to_string()])
+            .args([sig, &self.child().id().to_string()])
             .status()
             .expect("send signal");
     }
 
-    fn wait(self) -> Output {
-        self.child.wait_with_output().expect("wait daemon")
+    fn wait(mut self) -> Output {
+        self.take().wait_with_output().expect("wait daemon")
     }
 
     /// Waits for exit without draining the output pipes — for SIGKILLed
     /// daemons whose orphaned children still hold the pipe write ends
     /// (`wait_with_output` would block on them forever).
     fn reap(mut self) {
-        let _ = self.child.wait();
+        let _ = self.take().wait();
     }
 
     /// Direct child pids, from procfs (Linux). Used to reap the orphans a
     /// SIGKILLed worker leaves behind. Each thread lists the children it
     /// spawned itself, so every thread's list is read.
     fn children(&self) -> Vec<u32> {
-        let pid = self.child.id();
+        let pid = self.child().id();
         let tasks = std::fs::read_dir(format!("/proc/{pid}/task"))
             .map(|d| d.flatten().map(|e| e.path()).collect::<Vec<_>>())
             .unwrap_or_default();
@@ -886,7 +910,7 @@ fn sigterm_answers_a_held_collect_with_draining() {
     queue.signal("-TERM");
     let (reply, _) = held.join().expect("held collect");
     assert_eq!(Reply::from_line(&reply), Ok(Reply::Draining), "{reply}");
-    let q = wait_until_exit(queue.child, Duration::from_secs(30));
+    let q = wait_until_exit(queue.take(), Duration::from_secs(30));
     assert_eq!(q.status.code(), Some(0), "stderr: {}", text(&q.stderr));
     // Answered and gone well inside the hold the client asked for.
     let took = t0.elapsed();

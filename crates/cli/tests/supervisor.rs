@@ -238,6 +238,90 @@ fn merge_folds_shards_and_resume_replays_everything() {
     assert!(text(&conflict.stderr).contains("conflict"));
 }
 
+/// `line` with one digit of its `total_cycles` changed: the record still
+/// parses, but its digest no longer matches its metrics.
+fn alter_total_cycles(line: &str) -> String {
+    let key = "\"total_cycles\":";
+    let at = line.find(key).expect("total_cycles") + key.len();
+    let digit = line.as_bytes()[at];
+    assert!(digit.is_ascii_digit(), "{line}");
+    let new = if digit == b'9' {
+        '8'
+    } else {
+        char::from(digit + 1)
+    };
+    format!("{}{new}{}", &line[..at], &line[at + 1..])
+}
+
+#[test]
+fn resume_reruns_a_done_record_whose_metrics_were_altered() {
+    let dir = tmpdir("altered");
+    let reference = barre(&dir, &sweep_args(&["--jobs", "1"]), &[]);
+    assert!(reference.status.success(), "{}", text(&reference.stderr));
+    let full = barre(
+        &dir,
+        &sweep_args(&["--supervise", "--journal", "j", "--jobs", "1"]),
+        &[],
+    );
+    assert!(full.status.success(), "stderr: {}", text(&full.stderr));
+
+    let path = dir.join("j").join("sweep.journal.jsonl");
+    let journal = std::fs::read_to_string(&path).expect("journal");
+    let first = journal
+        .lines()
+        .find(|l| l.contains("\"event\":\"done\""))
+        .expect("a done record");
+    let altered = journal.replacen(first, &alter_total_cycles(first), 1);
+    std::fs::write(&path, altered).expect("alter journal");
+
+    // Resume replays only the intact record and reruns the altered job.
+    let resumed = barre(&dir, &sweep_args(&["--resume", "j", "--jobs", "1"]), &[]);
+    assert!(
+        resumed.status.success(),
+        "stderr: {}",
+        text(&resumed.stderr)
+    );
+    assert_eq!(text(&resumed.stdout), text(&reference.stdout));
+    assert!(
+        text(&resumed.stderr).contains("resumed 1 finished job(s)"),
+        "{}",
+        text(&resumed.stderr)
+    );
+}
+
+#[test]
+fn merge_drops_done_records_that_fail_verification() {
+    let dir = tmpdir("unverified");
+    let full = barre(
+        &dir,
+        &sweep_args(&["--supervise", "--journal", "full", "--jobs", "1"]),
+        &[],
+    );
+    assert!(full.status.success(), "stderr: {}", text(&full.stderr));
+    let journal =
+        std::fs::read_to_string(dir.join("full").join("sweep.journal.jsonl")).expect("journal");
+    let done: Vec<&str> = journal
+        .lines()
+        .filter(|l| l.contains("\"event\":\"done\""))
+        .collect();
+    assert_eq!(done.len(), 2);
+    // The altered copy of job 0 comes first; its intact twin must win.
+    let altered = alter_total_cycles(done[0]);
+    std::fs::write(dir.join("a.jsonl"), format!("{altered}\n")).expect("shard a");
+    std::fs::write(dir.join("b.jsonl"), format!("{}\n{}\n", done[0], done[1])).expect("b");
+
+    let merged = barre(&dir, &["merge", "--out", "m", "a.jsonl", "b.jsonl"], &[]);
+    assert!(merged.status.success(), "stderr: {}", text(&merged.stderr));
+    assert!(text(&merged.stdout).contains("2 done"));
+    assert!(
+        text(&merged.stderr).contains("dropped 1 done record(s) that fail digest verification"),
+        "{}",
+        text(&merged.stderr)
+    );
+    let out = std::fs::read_to_string(dir.join("m").join("sweep.journal.jsonl")).expect("merged");
+    assert_eq!(out, format!("{}\n{}\n", done[0], done[1]));
+}
+
 #[cfg(unix)]
 #[test]
 fn sigint_drains_and_journal_resumes() {

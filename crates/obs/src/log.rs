@@ -96,6 +96,14 @@ pub fn enabled(level: Level) -> bool {
     (level as u8) <= threshold()
 }
 
+/// Turns every level off for the rest of the process, whatever
+/// `BARRE_LOG` says. For unit tests that drive logging code on purpose:
+/// the test harness captures `print!`-family output only, so events
+/// written to the stderr sink would land between its progress lines.
+pub fn silence() {
+    THRESHOLD.store(0, Ordering::Relaxed);
+}
+
 /// Redirects the sink from stderr to an append-mode file (`--log-file`).
 ///
 /// # Errors
@@ -262,6 +270,12 @@ mod tests {
             "",
         );
         assert!(line.contains("\"u\":7,\"i\":-3,\"b\":true"), "{line}");
+    }
+
+    #[test]
+    fn silence_turns_every_level_off() {
+        silence();
+        assert!(!enabled(Level::Error));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! only bounds how quickly a cancelled child is killed.
 //!
 //! Shared by `barre sweep --supervise` and `barre worker`, so both
-//! classify a child's exit the same way. `barre serve` simulates
-//! in-process but retries on the same deterministic backoff schedule
-//! ([`backoff_delay`]).
+//! classify a child's exit and judge its output ([`Attempt::verdict`])
+//! the same way. `barre serve` simulates in-process but retries on the
+//! same deterministic backoff schedule ([`backoff_delay`]).
 
 use std::io::Read;
 use std::path::Path;
@@ -223,16 +223,40 @@ pub fn run_attempt_cancellable_env(
     }
 }
 
-/// Reads a successful child's metrics from its stdout: the last
-/// non-empty line, which `barre run --metrics-json` and supervised
-/// `--job-index` children print as canonical metrics JSON.
-pub fn parse_child_metrics(stdout: &str) -> Result<RunMetrics, String> {
-    stdout
-        .lines()
-        .rev()
-        .find(|l| !l.trim().is_empty())
-        .ok_or_else(|| "empty child output".to_string())
-        .and_then(metrics_from_json)
+/// Why an attempt produced no result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AttemptFailure {
+    /// The attempt's exit class, or `"badoutput:…"` for a zero exit
+    /// without readable metrics.
+    pub exit: String,
+    /// Whether retrying could plausibly change the outcome.
+    pub transient: bool,
+}
+
+impl Attempt {
+    /// The attempt's verdict, the one both `barre sweep --supervise` and
+    /// `barre worker` act on: the metrics a successful child printed as
+    /// the last non-empty line of its stdout, or why there are none. A
+    /// zero exit with unreadable metrics is a protocol failure, retried
+    /// like any other transient fault.
+    pub fn verdict(&self) -> Result<RunMetrics, AttemptFailure> {
+        if self.exit != "ok" {
+            return Err(AttemptFailure {
+                exit: self.exit.clone(),
+                transient: self.transient,
+            });
+        }
+        self.stdout
+            .lines()
+            .rev()
+            .find(|l| !l.trim().is_empty())
+            .ok_or_else(|| "empty child output".to_string())
+            .and_then(metrics_from_json)
+            .map_err(|why| AttemptFailure {
+                exit: format!("badoutput:{why}"),
+                transient: true,
+            })
+    }
 }
 
 /// Capped exponential backoff before retry `attempt` (1-based): 100 ms
@@ -252,6 +276,53 @@ mod tests {
         assert_eq!(backoff_delay(2), Duration::from_millis(400));
         assert_eq!(backoff_delay(6), Duration::from_millis(6400));
         assert_eq!(backoff_delay(60), Duration::from_millis(6400));
+    }
+
+    fn finished(exit: &str, transient: bool, stdout: &str) -> Attempt {
+        Attempt {
+            exit: exit.to_string(),
+            transient,
+            stdout: stdout.to_string(),
+            stderr: String::new(),
+        }
+    }
+
+    #[test]
+    fn a_zero_exit_yields_the_last_metrics_line() {
+        let m = RunMetrics {
+            total_cycles: 42,
+            ..Default::default()
+        };
+        let out = format!("noise\n{}\n\n", barre_system::metrics_to_json(&m));
+        assert_eq!(finished("ok", true, &out).verdict(), Ok(m));
+    }
+
+    #[test]
+    fn a_zero_exit_with_unreadable_stdout_is_transient_badoutput() {
+        for stdout in ["", "  \n", "not json\n"] {
+            let f = finished("ok", true, stdout).verdict().expect_err(stdout);
+            assert!(f.exit.starts_with("badoutput:"), "{}", f.exit);
+            assert!(f.transient, "{stdout:?}");
+        }
+    }
+
+    #[test]
+    fn a_failed_exit_keeps_its_class() {
+        let permanent = format!("exit:{EXIT_PERMANENT}");
+        let f = finished(&permanent, false, "")
+            .verdict()
+            .expect_err("exit 64");
+        assert_eq!(
+            f,
+            AttemptFailure {
+                exit: permanent,
+                transient: false
+            }
+        );
+        let f = finished("signal:9", true, "")
+            .verdict()
+            .expect_err("signal");
+        assert!(f.transient);
     }
 
     #[test]

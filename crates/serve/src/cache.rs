@@ -31,7 +31,8 @@
 //! Warm-load streams the file once, collecting the slot of every
 //! verified `done` record, then sorts them and keeps the last one per
 //! fingerprint (the rules of [`barre_system::read_journal_lenient`] and
-//! [`barre_system::verified_done_index`], one line in memory at a time;
+//! [`barre_system::verified_done_index`], which `barre sweep --resume`
+//! and `barre report` also apply, one line in memory at a time;
 //! a line whose fingerprint is not 16 hex digits counts as
 //! unparseable). It then rewrites the file compacted through a
 //! temp-file rename so every offset is known. During runtime, inserts append to the file (so a crash
@@ -554,7 +555,11 @@ mod tests {
     const FPA: &str = "aaaaaaaaaaaaaaaa";
     const FPB: &str = "bbbbbbbbbbbbbbbb";
 
+    /// A fresh cache directory. Every test opens one, so this is also
+    /// where the corruption events the tests provoke are kept off the
+    /// test output.
     fn tmpdir(tag: &str) -> PathBuf {
+        barre_obs::log::silence();
         let d =
             std::env::temp_dir().join(format!("barre-serve-cache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);

@@ -1,7 +1,7 @@
 //! The dispatch side of `barre sweep --dispatch`: enqueue the sweep's
 //! jobs on a queue coordinator, stream completion, and come home with
-//! results in job order plus a client-side journal of the terminal
-//! records.
+//! the terminal records in job order, also written to a client-side
+//! journal.
 //!
 //! Submission is idempotent (the coordinator dedups by fingerprint), so
 //! the client resubmits freely: on startup, after its own restart, and
@@ -18,38 +18,11 @@ use std::time::{Duration, Instant};
 
 use barre_obs::log as olog;
 use barre_obs::{Field, FleetTracer};
-use barre_system::{JournalEvent, JournalRecord, JournalWriter, RunMetrics};
+use barre_system::{JournalEvent, JournalRecord, JournalWriter};
 
 use super::state::JobSpec;
 use super::wire::{answered_early, exchange, exchange_until, Reply, Request, LONG_POLL_MS};
 use crate::signal::{shutting_down, sleep_interruptible};
-
-/// One dispatched job's terminal failure, mirroring the supervisor's
-/// `JobFailure` so the CLI reports both paths identically.
-#[derive(Debug, Clone)]
-pub struct DispatchFailure {
-    /// Index into the sweep's job list.
-    pub index: usize,
-    /// Human label.
-    pub label: String,
-    /// Last exit classification.
-    pub exit: String,
-    /// Attempts (leases, for quarantined jobs) consumed.
-    pub attempts: u32,
-    /// Whether the coordinator quarantined the job as poison.
-    pub quarantined: bool,
-}
-
-/// Outcome of a dispatched sweep.
-#[derive(Debug)]
-pub struct DispatchOutcome {
-    /// Per-job metrics, input order. `None` for failed/quarantined jobs.
-    pub results: Vec<Option<RunMetrics>>,
-    /// Jobs that ended failed or quarantined, input order.
-    pub failures: Vec<DispatchFailure>,
-    /// Whether a drain signal cut the wait short (resubmit to resume).
-    pub interrupted: bool,
-}
 
 /// Pause before the next collect when the coordinator answered without
 /// holding the request: it is down, draining, or predates long-polls.
@@ -126,25 +99,23 @@ fn verdict_of(rec: &JournalRecord) -> &'static str {
 
 /// Enqueues the sweep on the coordinator at `addr`, polls to completion
 /// (streaming progress to stderr), writes the terminal records to
-/// `journal` in job order, and returns results aligned with `jobs`.
+/// `journal` in job order, and returns them. A drain signal ends the
+/// wait with no records (`None` for every job); the jobs stay queued.
 ///
 /// # Errors
 ///
 /// Unrecoverable protocol or journal-write failures only; job failures
-/// come back in [`DispatchOutcome::failures`] and coordinator outages
-/// are ridden out with retries.
+/// come back as their terminal records and coordinator outages are
+/// ridden out with retries.
 pub fn dispatch_sweep(
     addr: &str,
     jobs: &[JobSpec],
     journal: &Path,
-) -> Result<DispatchOutcome, String> {
+) -> Result<Vec<Option<JournalRecord>>, String> {
     let tracer = FleetTracer::from_env("client");
+    let interrupted = || Ok(vec![None; jobs.len()]);
     if !submit_all(addr, jobs)? {
-        return Ok(DispatchOutcome {
-            results: vec![None; jobs.len()],
-            failures: Vec::new(),
-            interrupted: true,
-        });
+        return interrupted();
     }
     if let Some(t) = &tracer {
         for j in jobs {
@@ -168,19 +139,7 @@ pub fn dispatch_sweep(
     let mut seen: Option<usize> = None;
     let terminal: Vec<JournalRecord> = loop {
         if shutting_down() {
-            olog::warn(
-                "dispatch",
-                "interrupted",
-                &[],
-                &format!(
-                    "dispatch: interrupted; jobs stay queued — rerun with --dispatch {addr} to resume"
-                ),
-            );
-            return Ok(DispatchOutcome {
-                results: vec![None; jobs.len()],
-                failures: Vec::new(),
-                interrupted: true,
-            });
+            return interrupted();
         }
         let collect = Request::Collect {
             fingerprints: fps.clone(),
@@ -203,11 +162,7 @@ pub fn dispatch_sweep(
                         &format!("dispatch: coordinator is missing {unknown} job(s); resubmitting"),
                     );
                     if !submit_all(addr, jobs)? {
-                        return Ok(DispatchOutcome {
-                            results: vec![None; jobs.len()],
-                            failures: Vec::new(),
-                            interrupted: true,
-                        });
+                        return interrupted();
                     }
                     continue;
                 }
@@ -267,48 +222,5 @@ pub fn dispatch_sweep(
             .map_err(|e| format!("journal append: {e}"))?;
     }
 
-    let mut results: Vec<Option<RunMetrics>> = Vec::with_capacity(jobs.len());
-    let mut failures = Vec::new();
-    for (index, (job, rec)) in jobs.iter().zip(terminal.iter()).enumerate() {
-        if rec.fingerprint != job.fingerprint {
-            return Err(format!(
-                "coordinator returned records out of order (job {index}: expected {}, got {})",
-                job.fingerprint, rec.fingerprint
-            ));
-        }
-        match &rec.event {
-            JournalEvent::Done { metrics, .. } => results.push(Some(metrics.as_ref().clone())),
-            JournalEvent::Failed { attempts, exit, .. } => {
-                results.push(None);
-                failures.push(DispatchFailure {
-                    index,
-                    label: job.label.clone(),
-                    exit: exit.clone(),
-                    attempts: *attempts,
-                    quarantined: false,
-                });
-            }
-            JournalEvent::Quarantined { leases, exit } => {
-                results.push(None);
-                failures.push(DispatchFailure {
-                    index,
-                    label: job.label.clone(),
-                    exit: exit.clone(),
-                    attempts: *leases,
-                    quarantined: true,
-                });
-            }
-            other => {
-                return Err(format!(
-                    "coordinator returned a non-terminal record for {}: {other:?}",
-                    job.label
-                ))
-            }
-        }
-    }
-    Ok(DispatchOutcome {
-        results,
-        failures,
-        interrupted: false,
-    })
+    Ok(terminal.into_iter().map(Some).collect())
 }

@@ -30,7 +30,7 @@ pub mod state;
 pub mod wire;
 pub mod worker;
 
-pub use client::{dispatch_sweep, DispatchFailure, DispatchOutcome};
+pub use client::dispatch_sweep;
 pub use coordinator::{run_queue, QueueOptions};
 pub use state::JobSpec;
 pub use worker::{run_worker, WorkerOptions};

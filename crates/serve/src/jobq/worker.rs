@@ -22,7 +22,7 @@ use barre_obs::{Field, FleetTracer, CORR_ENV};
 use barre_system::JournalRecord;
 
 use super::wire::{answered_early, exchange, exchange_until, Reply, Request, LONG_POLL_MS};
-use crate::attempt::{backoff_delay, parse_child_metrics, run_attempt_cancellable_env};
+use crate::attempt::{backoff_delay, run_attempt_cancellable_env};
 use crate::daemon;
 use crate::signal::{drain_exit_code, shutting_down, sleep_interruptible};
 
@@ -139,34 +139,24 @@ fn run_leased_job(
         );
         return;
     }
-    let report = if a.exit == "ok" {
-        match parse_child_metrics(&a.stdout) {
-            Ok(metrics) => Request::Complete {
-                worker: name.to_string(),
-                record: Box::new(JournalRecord::done(
-                    fingerprint,
-                    label,
-                    1,
-                    None,
-                    Box::new(metrics),
-                )),
-            },
-            Err(why) => Request::Fail {
-                worker: name.to_string(),
-                fingerprint: fingerprint.to_string(),
-                attempts: 1,
-                exit: format!("badoutput:{why}"),
-                permanent: false,
-            },
-        }
-    } else {
-        Request::Fail {
+    let report = match a.verdict() {
+        Ok(metrics) => Request::Complete {
+            worker: name.to_string(),
+            record: Box::new(JournalRecord::done(
+                fingerprint,
+                label,
+                1,
+                None,
+                Box::new(metrics),
+            )),
+        },
+        Err(f) => Request::Fail {
             worker: name.to_string(),
             fingerprint: fingerprint.to_string(),
             attempts: 1,
-            exit: a.exit.clone(),
-            permanent: !a.transient,
-        }
+            exit: f.exit,
+            permanent: !f.transient,
+        },
     };
     // Deliver the verdict, riding out coordinator restarts; dedup on the
     // other side makes redelivery safe.

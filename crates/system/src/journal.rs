@@ -873,17 +873,114 @@ pub fn verified_done_index(records: &[JournalRecord]) -> (BTreeMap<String, Journ
     (index, dropped)
 }
 
-/// Folds journal records into the completed-work index used by
-/// `--resume`: fingerprint → final `Done` record (the last one wins, so
-/// re-running a shard is idempotent).
-pub fn completed_index(records: &[JournalRecord]) -> BTreeMap<String, JournalRecord> {
-    let mut index = BTreeMap::new();
-    for rec in records {
-        if matches!(rec.event, JournalEvent::Done { .. }) {
-            index.insert(rec.fingerprint.clone(), rec.clone());
+/// A sweep job that ended without a result: its `failed` or
+/// `quarantined` terminal record, as the sweep reports it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobFailure {
+    /// Human label (`"gups/fbarre"`).
+    pub label: String,
+    /// Exit class of the last attempt (`"exit:65"`, `"signal:9"`,
+    /// `"timeout"`, `"lease-expired"`).
+    pub exit: String,
+    /// Attempts consumed; leases for a quarantined job.
+    pub attempts: u32,
+    /// State-dump file of a failed job, when one was written.
+    pub dump: Option<String>,
+    /// Whether a queue coordinator quarantined the job as poison.
+    pub quarantined: bool,
+}
+
+impl std::fmt::Display for JobFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let JobFailure {
+            label,
+            exit,
+            attempts,
+            dump,
+            quarantined,
+        } = self;
+        if *quarantined {
+            return write!(
+                f,
+                "POISON {label} quarantined after {attempts} lease(s): {exit}"
+            );
         }
+        write!(f, "FAILED {label} after {attempts} attempt(s): {exit}")?;
+        if let Some(d) = dump {
+            write!(f, " (state dump: {d})")?;
+        }
+        Ok(())
     }
-    index
+}
+
+/// A sweep's terminal records, folded in job order.
+#[derive(Debug, Default, PartialEq)]
+pub struct SweepOutcome {
+    /// Per-job metrics in job order; `None` for a job that failed or did
+    /// not finish.
+    pub results: Vec<Option<RunMetrics>>,
+    /// Jobs that failed or were quarantined, in job order.
+    pub failures: Vec<JobFailure>,
+    /// Jobs without a terminal record: skipped or cut short by a drain.
+    pub unfinished: usize,
+}
+
+/// Folds a sweep's terminal records into its outcome: `records[i]` is
+/// the terminal record of the job whose fingerprint is
+/// `fingerprints[i]`, or `None` when that job did not finish. Supervised
+/// and dispatched sweeps both report through this one fold.
+///
+/// # Errors
+///
+/// A record count other than the job count, a record of another job
+/// (out of job order), or a non-terminal record.
+pub fn fold_terminal(
+    fingerprints: &[String],
+    records: Vec<Option<JournalRecord>>,
+) -> Result<SweepOutcome, String> {
+    if records.len() != fingerprints.len() {
+        return Err(format!(
+            "{} terminal record(s) for {} job(s)",
+            records.len(),
+            fingerprints.len()
+        ));
+    }
+    let mut out = SweepOutcome::default();
+    for (index, (fp, rec)) in fingerprints.iter().zip(records).enumerate() {
+        let Some(rec) = rec else {
+            out.results.push(None);
+            out.unfinished += 1;
+            continue;
+        };
+        if rec.fingerprint != *fp {
+            return Err(format!(
+                "record out of job order (job {index}: expected {fp}, got {})",
+                rec.fingerprint
+            ));
+        }
+        let (exit, attempts, dump, quarantined) = match rec.event {
+            JournalEvent::Done { metrics, .. } => {
+                out.results.push(Some(*metrics));
+                continue;
+            }
+            JournalEvent::Failed {
+                attempts,
+                exit,
+                dump,
+            } => (exit, attempts, dump, false),
+            JournalEvent::Quarantined { leases, exit } => (exit, leases, None, true),
+            other => return Err(format!("non-terminal record for {}: {other:?}", rec.label)),
+        };
+        out.results.push(None);
+        out.failures.push(JobFailure {
+            label: rec.label,
+            exit,
+            attempts,
+            dump,
+            quarantined,
+        });
+    }
+    Ok(out)
 }
 
 /// Merges per-shard journals into one: the union of terminal records,
@@ -1332,6 +1429,76 @@ mod tests {
         assert_eq!(JournalRecord::from_line(&old).expect("old line"), rec);
     }
 
+    fn terminal(fp: &str, event: JournalEvent) -> Option<JournalRecord> {
+        Some(JournalRecord {
+            fingerprint: fp.into(),
+            label: format!("app/{fp}"),
+            event,
+        })
+    }
+
+    #[test]
+    fn fold_sorts_terminal_records_into_results_and_failures() {
+        let fps: Vec<String> = ["a", "b", "c", "d"].map(String::from).to_vec();
+        let done = JournalRecord::done("a", "app/a", 1, None, Box::new(busy_metrics()));
+        let records = vec![
+            Some(done),
+            terminal(
+                "b",
+                JournalEvent::Failed {
+                    attempts: 3,
+                    exit: "timeout".into(),
+                    dump: Some("j/job-001.dump.txt".into()),
+                },
+            ),
+            terminal(
+                "c",
+                JournalEvent::Quarantined {
+                    leases: 2,
+                    exit: "signal:9".into(),
+                },
+            ),
+            None,
+        ];
+        let out = fold_terminal(&fps, records).expect("fold");
+        assert_eq!(out.results, vec![Some(busy_metrics()), None, None, None]);
+        assert_eq!(out.unfinished, 1);
+        let reports: Vec<String> = out.failures.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            reports,
+            [
+                "FAILED app/b after 3 attempt(s): timeout (state dump: j/job-001.dump.txt)",
+                "POISON app/c quarantined after 2 lease(s): signal:9",
+            ]
+        );
+        assert!(out.failures[1].quarantined && out.failures[1].dump.is_none());
+    }
+
+    #[test]
+    fn fold_rejects_misordered_non_terminal_and_missing_records() {
+        let fps: Vec<String> = ["a", "b"].map(String::from).to_vec();
+        let failed = |fp: &str| {
+            terminal(
+                fp,
+                JournalEvent::Failed {
+                    attempts: 1,
+                    exit: "exit:64".into(),
+                    dump: None,
+                },
+            )
+        };
+        let swapped = fold_terminal(&fps, vec![failed("b"), failed("a")]).expect_err("order");
+        assert!(swapped.contains("out of job order"), "{swapped}");
+        let start = terminal("b", JournalEvent::Start { attempt: 1 });
+        let open = fold_terminal(&fps, vec![failed("a"), start]).expect_err("start");
+        assert!(open.contains("non-terminal record for app/b"), "{open}");
+        let short = fold_terminal(&fps, vec![failed("a")]).expect_err("count");
+        assert!(
+            short.contains("1 terminal record(s) for 2 job(s)"),
+            "{short}"
+        );
+    }
+
     #[test]
     fn journal_file_roundtrip_and_torn_tail() {
         let dir = std::env::temp_dir().join(format!("barre-journal-test-{}", std::process::id()));
@@ -1364,8 +1531,9 @@ mod tests {
         let recs = read_journal(&path).expect("read");
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0], rec);
-        let index = completed_index(&recs);
+        let (index, dropped) = verified_done_index(&recs);
         assert!(index.contains_key("f1"));
+        assert_eq!(dropped, 0);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -1415,7 +1583,7 @@ mod tests {
         }
         let recs = read_journal(&path).expect("read");
         assert_eq!(recs.len(), 2);
-        let index = completed_index(&recs);
+        let (index, _) = verified_done_index(&recs);
         assert_eq!(index.len(), 1);
         match &index["f1"].event {
             JournalEvent::Done { metrics, .. } => assert_eq!(metrics.total_cycles, 20),

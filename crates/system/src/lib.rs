@@ -48,10 +48,10 @@ pub use config::{
 };
 pub use error::SimError;
 pub use journal::{
-    completed_index, fingerprint, journal_file_of, merge_journals, metrics_digest,
-    metrics_from_json, metrics_hist_digest, metrics_text_digests, metrics_to_json, read_journal,
-    read_journal_lenient, verified_done_index, DoneLine, JournalError, JournalEvent, JournalRecord,
-    JournalWriter, Json, JOURNAL_FILE,
+    fingerprint, fold_terminal, journal_file_of, merge_journals, metrics_digest, metrics_from_json,
+    metrics_hist_digest, metrics_text_digests, metrics_to_json, read_journal, read_journal_lenient,
+    verified_done_index, DoneLine, JobFailure, JournalError, JournalEvent, JournalRecord,
+    JournalWriter, Json, SweepOutcome, JOURNAL_FILE,
 };
 pub use machine::{
     L2Payload, Machine, CANCEL_CHECK_PERIOD, EVENT_CLASSES, POP_SAMPLE_PERIOD, PROBE_POPPED,
